@@ -1,8 +1,6 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <mutex>
 
 #include "core/cost_model.h"
 #include "core/rewrite_rules.h"
@@ -15,65 +13,209 @@ namespace graft::core {
 
 namespace {
 
-// Score-desc, doc-asc: the engine's global result order. Per-segment
-// result lists are already sorted this way (after local→global doc-id
-// rebasing), so merging them with the same comparator reproduces the
-// monolithic order exactly.
-bool ScoredBefore(const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.doc < b.doc;
+// One execution target: the whole index, or one segment of a
+// SegmentedIndex read against whole-corpus statistics.
+struct SegmentView {
+  const index::InvertedIndex* index;
+  const index::StatsOverlay* overlay;
+  const index::GlobalStats* global;
+  DocId base;  // global doc id of the view's local doc 0
+};
+
+// One top-k physical operator. kTopKOperators is the single top-k dispatch
+// table: Search runs the row SelectTopK picks, and Explain names it.
+struct TopKOperator {
+  const char* id;         // SearchResult::topk_operator
+  TopKStrategy strategy;  // the SearchOptions::topk_strategy that asks for it
+  const char* name;       // forced rows: short name in their verdicts
+  // Empty when licensed, else the human-readable verdict.
+  std::string (*gate)(const mcalc::Query& query,
+                      const sa::ScoringScheme& scheme,
+                      const index::InvertedIndex& index,
+                      const index::StatsOverlay* overlay,
+                      const SearchOptions& options);
+  // Runs the operator on one view, folding its counters into `stats`.
+  StatusOr<std::vector<ma::ScoredDoc>> (*run)(const SegmentView& view,
+                                              const mcalc::Query& query,
+                                              const sa::ScoringScheme& scheme,
+                                              size_t k,
+                                              exec::ExecStats* stats);
+  const char* applied;  // SearchResult::applied_optimizations
+  const char* explain;  // Explain's top-k strategy line
+  const char* note;     // suffix of the fired rewrite-table row
+};
+
+// Rows of one strategy are tried in order; the first licensed row runs.
+const TopKOperator kTopKOperators[] = {
+    {"maxscore", TopKStrategy::kAuto, nullptr,
+     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
+        const index::InvertedIndex& index, const index::StatsOverlay* overlay,
+        const SearchOptions& options) -> std::string {
+       if (!exec::TopKRankEngine::Supports(query, scheme)) {
+         return "blocked: rank processing not licensed";
+       }
+       if (!options.allow_block_max_pruning) {
+         return "blocked: disabled by request options";
+       }
+       return exec::MaxScoreTopK::GateVerdict(query, scheme, index, overlay);
+     },
+     [](const SegmentView& view, const mcalc::Query& query,
+        const sa::ScoringScheme& scheme, size_t k,
+        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
+       // The gate admits no overlay, so the view's overlay is null.
+       exec::MaxScoreTopK op(view.index, &scheme, view.global);
+       auto results = op.TopK(query, k);
+       const exec::PruneStats& s = op.stats();
+       stats->rank_heap_ops += s.heap_ops;
+       stats->docs_scored += s.candidates_scored;
+       stats->docs_pruned += s.candidates_pruned;
+       stats->topk_blocks_skipped += s.blocks_skipped;
+       stats->topk_blocks_decoded += s.blocks_decoded;
+       stats->topk_ceiling_probes += s.ceiling_probes;
+       stats->topk_threshold_updates += s.threshold_updates;
+       return results;
+     },
+     "block-max pruned top-k", "block-max pruned top-k",
+     "; block-max dynamic pruning"},
+    {"hrjn", TopKStrategy::kAuto, nullptr,
+     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
+        const index::InvertedIndex&, const index::StatsOverlay*,
+        const SearchOptions&) -> std::string {
+       return exec::TopKRankEngine::Supports(query, scheme)
+                  ? ""
+                  : "rank processing not licensed";
+     },
+     [](const SegmentView& view, const mcalc::Query& query,
+        const sa::ScoringScheme& scheme, size_t k,
+        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
+       exec::TopKRankEngine op(view.index, &scheme, view.overlay, view.global);
+       auto results = op.TopK(query, k);
+       const exec::RankStats& s = op.stats();
+       stats->rank_heap_ops += s.heap_ops;
+       stats->rank_stopping_depth += s.stopping_depth;
+       stats->docs_scored += s.candidates_scored;
+       stats->docs_pruned += s.entries_pruned();
+       return results;
+     },
+     "rank-join/rank-union (top-k)", "threshold top-k; block-max prune ",
+     "; threshold top-k execution"},
+    {"ta", TopKStrategy::kThreshold, "TA",
+     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
+        const index::InvertedIndex&, const index::StatsOverlay*,
+        const SearchOptions&) {
+       return exec::ThresholdTopK::GateVerdict(query, scheme);
+     },
+     [](const SegmentView& view, const mcalc::Query& query,
+        const sa::ScoringScheme& scheme, size_t k,
+        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
+       exec::ThresholdTopK op(view.index, &scheme, view.overlay, view.global);
+       auto results = op.TopK(query, k);
+       const exec::TaStats& s = op.stats();
+       stats->rank_heap_ops += s.heap_ops;
+       stats->rank_stopping_depth += s.stopping_depth;
+       stats->docs_scored += s.candidates_scored;
+       stats->docs_pruned += s.entries_pruned();
+       stats->topk_sorted_accesses += s.sorted_accesses;
+       stats->topk_random_accesses += s.random_accesses;
+       return results;
+     },
+     "threshold top-k (TA, forced)", "threshold top-k (TA, forced)",
+     "; threshold top-k (TA) execution"},
+    {"nra", TopKStrategy::kNra, "NRA",
+     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
+        const index::InvertedIndex&, const index::StatsOverlay*,
+        const SearchOptions&) {
+       return exec::NraTopK::GateVerdict(query, scheme);
+     },
+     [](const SegmentView& view, const mcalc::Query& query,
+        const sa::ScoringScheme& scheme, size_t k,
+        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
+       exec::NraTopK op(view.index, &scheme, view.overlay, view.global);
+       auto results = op.TopK(query, k);
+       const exec::NraStats& s = op.stats();
+       stats->rank_heap_ops += s.heap_ops;
+       stats->rank_stopping_depth += s.stopping_depth;
+       stats->docs_scored += s.candidates_resolved;
+       stats->docs_pruned += s.entries_pruned();
+       stats->topk_sorted_accesses += s.sorted_accesses;
+       stats->topk_bound_refinements += s.bound_refinements;
+       return results;
+     },
+     "NRA top-k (forced)", "NRA top-k (forced)",
+     "; no-random-access top-k (NRA) execution"},
+};
+
+// Streams a resolved plan on one view: the full-ranking counterpart of
+// TopKOperator::run.
+StatusOr<std::vector<ma::ScoredDoc>> RunPlan(const SegmentView& view,
+                                             const ma::PlanNode& plan,
+                                             const sa::ScoringScheme& scheme,
+                                             const sa::QueryContext& query_ctx,
+                                             exec::ExecStats* stats) {
+  exec::Executor executor(view.index, &scheme, query_ctx, view.overlay,
+                          view.global);
+  auto results = executor.ExecuteRanked(plan);
+  *stats = executor.stats();
+  return results;
 }
 
-// ExecStats accumulated across concurrent segment executors. Workers add
-// their private executor counters once per segment (a handful of adds per
-// query), so one mutex beats maintaining an atomic per counter field.
-struct SharedExecStats {
-  std::mutex mu;
-  exec::ExecStats stats;
+// SelectTopK's verdict: the operator to run, or null for full ranking +
+// truncate, and the gate verdict that explains the choice.
+struct TopKChoice {
+  const TopKOperator* op = nullptr;
+  // With an operator: why the block-max row stood down ("" when it runs).
+  // Without: why the requested strategy's rows did not run.
+  std::string verdict;
 
-  void Add(const exec::ExecStats& s) {
-    std::lock_guard<std::mutex> lock(mu);
-    stats.Accumulate(s);
+  bool pruned() const {
+    return op != nullptr && std::string_view(op->id) == "maxscore";
   }
 };
 
-// Folds threshold-algorithm counters into the per-query ExecStats view.
-void FoldRankStats(const exec::RankStats& rank, exec::ExecStats* stats) {
-  stats->rank_heap_ops += rank.heap_ops;
-  stats->rank_stopping_depth += rank.stopping_depth;
-  stats->docs_scored += rank.candidates_scored;
-  stats->docs_pruned += rank.entries_pruned();
+// The one place a top-k operator is chosen; Search and Explain share it.
+// Forced strategies never fall back to a different operator, so the
+// comparison benches and the fuzzer see exactly the strategy they ask for.
+TopKChoice SelectTopK(const mcalc::Query& query,
+                      const sa::ScoringScheme& scheme,
+                      const SearchOptions& options,
+                      const index::InvertedIndex& index,
+                      const index::StatsOverlay* overlay) {
+  TopKChoice choice;
+  if (options.top_k == 0 || !options.allow_rank_processing) {
+    return choice;
+  }
+  for (const TopKOperator& op : kTopKOperators) {
+    if (op.strategy != options.topk_strategy) continue;
+    std::string verdict = op.gate(query, scheme, index, overlay, options);
+    const bool forced = op.strategy != TopKStrategy::kAuto;
+    if (verdict.empty()) {
+      choice.op = &op;
+      // A forced operator preempts block-max pruning without trying it.
+      if (forced) {
+        choice.verdict =
+            std::string("not attempted (") + op.name + " strategy forced)";
+      }
+      break;
+    }
+    choice.verdict = forced ? op.name + (" " + verdict) : std::move(verdict);
+  }
+  return choice;
 }
 
-// Folds block-max pruning counters into the per-query ExecStats view.
-void FoldPruneStats(const exec::PruneStats& prune, exec::ExecStats* stats) {
-  stats->rank_heap_ops += prune.heap_ops;
-  stats->docs_scored += prune.candidates_scored;
-  stats->docs_pruned += prune.candidates_pruned;
-  stats->topk_blocks_skipped += prune.blocks_skipped;
-  stats->topk_blocks_decoded += prune.blocks_decoded;
-  stats->topk_ceiling_probes += prune.ceiling_probes;
-  stats->topk_threshold_updates += prune.threshold_updates;
-}
-
-// Folds Fagin TA counters into the per-query ExecStats view.
-void FoldTaStats(const exec::TaStats& ta, exec::ExecStats* stats) {
-  stats->rank_heap_ops += ta.heap_ops;
-  stats->rank_stopping_depth += ta.stopping_depth;
-  stats->docs_scored += ta.candidates_scored;
-  stats->docs_pruned += ta.entries_pruned();
-  stats->topk_sorted_accesses += ta.sorted_accesses;
-  stats->topk_random_accesses += ta.random_accesses;
-}
-
-// Folds Fagin NRA counters into the per-query ExecStats view.
-void FoldNraStats(const exec::NraStats& nra, exec::ExecStats* stats) {
-  stats->rank_heap_ops += nra.heap_ops;
-  stats->rank_stopping_depth += nra.stopping_depth;
-  stats->docs_scored += nra.candidates_resolved;
-  stats->docs_pruned += nra.entries_pruned();
-  stats->topk_sorted_accesses += nra.sorted_accesses;
-  stats->topk_bound_refinements += nra.bound_refinements;
+// Explain's "top-k strategy" line for a choice.
+std::string TopKStrategyLine(const TopKChoice& choice,
+                             const SearchOptions& options) {
+  if (!options.allow_rank_processing) {
+    return "full ranking + truncate (rank processing disabled)";
+  }
+  if (choice.op == nullptr) {
+    return options.topk_strategy == TopKStrategy::kAuto
+               ? "full ranking + truncate (" + choice.verdict + ")"
+               : "full ranking + truncate; " + choice.verdict;
+  }
+  return choice.op->strategy == TopKStrategy::kAuto
+             ? choice.op->explain + choice.verdict
+             : choice.op->explain;
 }
 
 // Stamps one count per fired rewrite rule (registry order) into the
@@ -94,13 +236,13 @@ void StampRuleCounters(SearchResult* result) {
 
 // Rewrite-attempt table for the rank-processing path, where the optimizer
 // never runs: the gate verdicts are still what admitted rank processing,
-// so EXPLAIN ANALYZE and ?explain=1 stay complete on this path too.
-// `pruned` marks the block-max row as fired; otherwise `pruning_verdict`
-// says why the pruned operator stood down.
-std::vector<RewriteAttempt> RankPathAttempts(
-    const mcalc::Query& query, const sa::ScoringScheme& scheme,
-    const std::string& pruning_verdict, bool pruned,
-    const std::string& operator_note = "; threshold top-k execution") {
+// so EXPLAIN ANALYZE and ?explain=1 stay complete on this path too. The
+// block-max row fires when the pruned operator ran; otherwise it carries
+// the choice's verdict on why it stood down.
+std::vector<RewriteAttempt> RankPathAttempts(const mcalc::Query& query,
+                                             const sa::ScoringScheme& scheme,
+                                             const TopKChoice& choice) {
+  const bool pruned = choice.pruned();
   const Optimization fired_opt = query.root->kind == mcalc::NodeKind::kOr
                                      ? Optimization::kRankUnion
                                      : Optimization::kRankJoin;
@@ -108,20 +250,16 @@ std::vector<RewriteAttempt> RankPathAttempts(
   for (const Optimization opt : kAllOptimizations) {
     RewriteAttempt attempt;
     attempt.opt = opt;
-    if (opt == Optimization::kBlockMaxPruning) {
-      attempt.fired = pruned;
-      attempt.verdict =
-          pruned ? "gate ok: " +
-                       ExplainGate(opt, scheme.properties()).reason +
-                       "; block-max dynamic pruning"
-                 : pruning_verdict;
-    } else if (opt == fired_opt) {
-      attempt.fired = !pruned;
-      attempt.verdict =
-          pruned ? "superseded by block-max pruned top-k"
-                 : "gate ok: " +
-                       ExplainGate(opt, scheme.properties()).reason +
-                       operator_note;
+    if (opt == Optimization::kBlockMaxPruning || opt == fired_opt) {
+      attempt.fired = (opt == Optimization::kBlockMaxPruning) == pruned;
+      if (attempt.fired) {
+        attempt.verdict = "gate ok: " +
+                          ExplainGate(opt, scheme.properties()).reason +
+                          choice.op->note;
+      } else {
+        attempt.verdict = pruned ? "superseded by block-max pruned top-k"
+                                 : choice.verdict;
+      }
     } else {
       attempt.verdict = "not attempted (rank processing path)";
     }
@@ -184,57 +322,6 @@ std::string FormatExecStats(const exec::ExecStats& s) {
     out += "  rules_fired: " + rules + "\n";
   }
   return out;
-}
-
-// K-way merge of per-segment (score desc, doc asc) sorted lists into the
-// global top-k (k == 0 → full sort merge). The heap holds one head per
-// non-empty list — the Fagin-style merge of independently ranked streams.
-std::vector<ma::ScoredDoc> MergeRanked(
-    std::vector<std::vector<ma::ScoredDoc>>& partials, size_t k) {
-  size_t total = 0;
-  for (const auto& partial : partials) {
-    total += partial.size();
-  }
-  std::vector<ma::ScoredDoc> merged;
-  if (k == 0) {
-    // Full-sort merge: concatenate and sort once (O(n log n) with tiny
-    // constants beats heap-merging full result sets).
-    merged.reserve(total);
-    for (auto& partial : partials) {
-      merged.insert(merged.end(), partial.begin(), partial.end());
-    }
-    std::sort(merged.begin(), merged.end(), ScoredBefore);
-    return merged;
-  }
-
-  struct Head {
-    const std::vector<ma::ScoredDoc>* list;
-    size_t next;
-  };
-  // Max-heap on the best remaining entry of each list.
-  const auto heap_after = [](const Head& a, const Head& b) {
-    return ScoredBefore((*b.list)[b.next], (*a.list)[a.next]);
-  };
-  std::vector<Head> heap;
-  heap.reserve(partials.size());
-  for (const auto& partial : partials) {
-    if (!partial.empty()) {
-      heap.push_back(Head{&partial, 0});
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), heap_after);
-  merged.reserve(std::min(k, total));
-  while (!heap.empty() && merged.size() < k) {
-    std::pop_heap(heap.begin(), heap.end(), heap_after);
-    Head head = heap.back();
-    heap.pop_back();
-    merged.push_back((*head.list)[head.next]);
-    if (++head.next < head.list->size()) {
-      heap.push_back(head);
-      std::push_heap(heap.begin(), heap.end(), heap_after);
-    }
-  }
-  return merged;
 }
 
 }  // namespace
@@ -303,20 +390,14 @@ StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,
 StatusOr<SearchResult> Engine::SearchQueryImpl(
     const mcalc::Query& query, const sa::ScoringScheme& scheme,
     const SearchOptions& options) const {
-  if (segmented_ != nullptr && options.use_segmented &&
-      !options.use_canonical_reference) {
-    if (options.stats_overlay != nullptr) {
-      return Status::InvalidArgument(
-          "stats_overlay is not supported on the segmented path (overlay "
-          "doc ids are global); set use_segmented = false");
-    }
-    return SearchQuerySegmented(query, scheme, options);
+  const bool fan_out = segmented_ != nullptr && options.use_segmented &&
+                       !options.use_canonical_reference;
+  if (fan_out && options.stats_overlay != nullptr) {
+    return Status::InvalidArgument(
+        "stats_overlay is not supported on the segmented path (overlay "
+        "doc ids are global); set use_segmented = false");
   }
-
-  // The per-request overlay replaces (not merges with) the engine overlay:
-  // a router shard must score against exactly the pinned statistics.
-  const index::StatsOverlay* overlay =
-      options.stats_overlay != nullptr ? options.stats_overlay : overlay_;
+  const index::StatsOverlay* overlay = EffectiveOverlay(options);
 
   SearchResult result;
   common::QueryTrace* trace = options.trace;
@@ -339,276 +420,89 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
     return result;
   }
 
-  // Forced Fagin middleware strategies (TA / NRA): run the requested
-  // operator when its gate licenses it; otherwise fall back to full
-  // ranking + truncate below (never a different top-k operator, so the
-  // comparison benches and the fuzzer see exactly the strategy they ask
-  // for).
-  if (options.top_k > 0 && options.allow_rank_processing &&
-      options.topk_strategy == TopKStrategy::kThreshold &&
-      exec::ThresholdTopK::Supports(query, scheme)) {
-    common::ScopedSpan rank_span(trace, "rank");
-    exec::ThresholdTopK ta(index_, &scheme, overlay);
-    GRAFT_ASSIGN_OR_RETURN(result.results, ta.TopK(query, options.top_k));
-    rank_span.End("stopping_depth=" +
-                  std::to_string(ta.stats().stopping_depth));
-    result.used_rank_processing = true;
-    result.topk_operator = "ta";
-    result.applied_optimizations = "threshold top-k (TA, forced)";
-    result.rewrite_attempts = RankPathAttempts(
-        query, scheme, "not attempted (TA strategy forced)",
-        /*pruned=*/false, "; threshold top-k (TA) execution");
-    FoldTaStats(ta.stats(), &result.exec_stats);
-    StampRuleCounters(&result);
-    return result;
-  }
-  if (options.top_k > 0 && options.allow_rank_processing &&
-      options.topk_strategy == TopKStrategy::kNra &&
-      exec::NraTopK::Supports(query, scheme)) {
-    common::ScopedSpan rank_span(trace, "rank");
-    exec::NraTopK nra(index_, &scheme, overlay);
-    GRAFT_ASSIGN_OR_RETURN(result.results, nra.TopK(query, options.top_k));
-    rank_span.End("stopping_depth=" +
-                  std::to_string(nra.stats().stopping_depth));
-    result.used_rank_processing = true;
-    result.topk_operator = "nra";
-    result.applied_optimizations = "NRA top-k (forced)";
-    result.rewrite_attempts = RankPathAttempts(
-        query, scheme, "not attempted (NRA strategy forced)",
-        /*pruned=*/false, "; no-random-access top-k (NRA) execution");
-    FoldNraStats(nra.stats(), &result.exec_stats);
-    StampRuleCounters(&result);
-    return result;
-  }
-
-  // Top-k rank processing when the gate admits it. The block-max pruned
-  // operator runs first when its (stricter) gate also passes; it gates
-  // itself off conservatively and falls back to the threshold algorithm.
-  if (options.top_k > 0 && options.allow_rank_processing &&
-      options.topk_strategy == TopKStrategy::kAuto &&
-      exec::TopKRankEngine::Supports(query, scheme)) {
-    const std::string prune_verdict =
-        options.allow_block_max_pruning
-            ? exec::MaxScoreTopK::GateVerdict(query, scheme, *index_,
-                                              overlay)
-            : "blocked: disabled by request options";
-    if (prune_verdict.empty()) {
-      common::ScopedSpan rank_span(trace, "rank");
-      exec::MaxScoreTopK pruner(index_, &scheme);
-      GRAFT_ASSIGN_OR_RETURN(result.results,
-                             pruner.TopK(query, options.top_k));
-      rank_span.End("blocks_skipped=" +
-                    std::to_string(pruner.stats().blocks_skipped));
-      result.used_rank_processing = true;
-      result.used_block_max_pruning = true;
-      result.topk_operator = "maxscore";
-      result.applied_optimizations = "block-max pruned top-k";
-      result.rewrite_attempts =
-          RankPathAttempts(query, scheme, prune_verdict, /*pruned=*/true);
-      FoldPruneStats(pruner.stats(), &result.exec_stats);
-      StampRuleCounters(&result);
-      return result;
+  // A monolithic query is one view of the whole index; a fanned-out query
+  // is one view per segment, scored against whole-corpus statistics so
+  // every document's score is bit-identical to the monolithic run.
+  std::vector<SegmentView> views;
+  if (fan_out) {
+    for (size_t i = 0; i < segmented_->segment_count(); ++i) {
+      const index::SegmentedIndex::Segment& seg = segmented_->segment(i);
+      views.push_back(
+          {&seg.index, /*overlay=*/nullptr, &seg.stats, seg.base});
     }
-    common::ScopedSpan rank_span(trace, "rank");
-    exec::TopKRankEngine rank_engine(index_, &scheme, overlay);
-    GRAFT_ASSIGN_OR_RETURN(result.results,
-                           rank_engine.TopK(query, options.top_k));
-    rank_span.End("stopping_depth=" +
-                  std::to_string(rank_engine.stats().stopping_depth));
-    result.used_rank_processing = true;
-    result.topk_operator = "hrjn";
-    result.applied_optimizations = "rank-join/rank-union (top-k)";
-    result.rewrite_attempts =
-        RankPathAttempts(query, scheme, prune_verdict, /*pruned=*/false);
-    FoldRankStats(rank_engine.stats(), &result.exec_stats);
-    StampRuleCounters(&result);
-    return result;
+  } else {
+    views.push_back({index_, overlay, /*global=*/nullptr, 0});
+  }
+  const size_t n = views.size();
+
+  // Top-k rank processing runs the chosen operator on every view; each
+  // view's top-k is exact for its documents, so the merge below is exact.
+  // Otherwise optimize ONCE against the monolithic index (cost estimates
+  // use global posting lengths) and stream the plan on every view.
+  const TopKChoice topk =
+      SelectTopK(query, scheme, options, *index_, overlay);
+  OptimizedPlan plan;
+  if (topk.op == nullptr) {
+    Optimizer optimizer(&scheme, options.optimizer);
+    common::ScopedSpan optimize_span(trace, "optimize");
+    GRAFT_ASSIGN_OR_RETURN(plan, optimizer.Optimize(query, *index_, trace));
+    optimize_span.End("applied: " + plan.AppliedToString());
   }
 
-  Optimizer optimizer(&scheme, options.optimizer);
-  common::ScopedSpan optimize_span(trace, "optimize");
-  GRAFT_ASSIGN_OR_RETURN(OptimizedPlan plan,
-                         optimizer.Optimize(query, *index_, trace));
-  optimize_span.End("applied: " + plan.AppliedToString());
-  exec::Executor executor(index_, &scheme, query_ctx, overlay);
-  common::ScopedSpan execute_span(trace, "execute");
-  GRAFT_ASSIGN_OR_RETURN(result.results, executor.ExecuteRanked(*plan.plan));
-  execute_span.End("docs_visited=" +
-                   std::to_string(executor.stats().docs_visited));
-  result.plan_text = ma::PlanToString(*plan.plan);
-  result.applied_optimizations = plan.AppliedToString();
-  result.rewrite_attempts = std::move(plan.attempts);
-  result.exec_stats = executor.stats();
-  StampRuleCounters(&result);
-  if (options.top_k > 0 && result.results.size() > options.top_k) {
-    result.results.resize(options.top_k);
-  }
-  return result;
-}
-
-StatusOr<SearchResult> Engine::SearchQuerySegmented(
-    const mcalc::Query& query, const sa::ScoringScheme& scheme,
-    const SearchOptions& options) const {
-  SearchResult result;
-  common::QueryTrace* trace = options.trace;
-  const sa::QueryContext query_ctx = MakeQueryContext(query);
-  const size_t num_segments = segmented_->segment_count();
-  result.segments_searched = num_segments;
-
-  // Per-segment output slots: distinct indexes, no locking needed; the
-  // ParallelFor latch publishes all writes to this thread.
-  std::vector<Status> statuses(num_segments, Status::Ok());
-  std::vector<std::vector<ma::ScoredDoc>> partials(num_segments);
-  SharedExecStats agg_stats;
-
-  // Top-k rank processing: per-segment threshold-algorithm top-k against
-  // global statistics, then a k-way merge — score-consistent because each
-  // segment's top-k is exact for its documents. Forced TA/NRA strategies
-  // fan out the same way (each segment runs the forced operator against
-  // global statistics); unlicensed forced strategies fall through to the
-  // full streaming path below.
-  const bool force_ta =
-      options.topk_strategy == TopKStrategy::kThreshold &&
-      exec::ThresholdTopK::Supports(query, scheme);
-  const bool force_nra = options.topk_strategy == TopKStrategy::kNra &&
-                         exec::NraTopK::Supports(query, scheme);
-  const bool rank_path =
-      options.top_k > 0 && options.allow_rank_processing &&
-      (options.topk_strategy == TopKStrategy::kAuto
-           ? exec::TopKRankEngine::Supports(query, scheme)
-           : (force_ta || force_nra));
-  if (rank_path) {
-    // Per-segment pruning: each segment carries its own block-max metadata
-    // (rebuilt over the rebased slice iff the source index has it), prunes
-    // against its local threshold, and the k-way merge reproduces the
-    // monolithic order because per-segment scores use global statistics.
-    const std::string prune_verdict =
-        force_ta || force_nra
-            ? std::string("not attempted (") +
-                  (force_ta ? "TA" : "NRA") + " strategy forced)"
-            : options.allow_block_max_pruning
-                  ? exec::MaxScoreTopK::GateVerdict(query, scheme, *index_,
-                                                    overlay_)
-                  : "blocked: disabled by request options";
-    const bool prune = !force_ta && !force_nra && prune_verdict.empty();
-    common::ScopedSpan rank_span(
-        trace, "rank", "segments=" + std::to_string(num_segments));
-    common::ParallelFor(
-        pool_.get(), options.num_threads, num_segments, [&](size_t i) {
-          common::ScopedSpan segment_span(trace,
-                                          "segment " + std::to_string(i));
-          const index::SegmentedIndex::Segment& seg = segmented_->segment(i);
-          StatusOr<std::vector<ma::ScoredDoc>> local =
-              Status::Internal("unreached");
-          exec::ExecStats rank_stats;
-          if (force_ta) {
-            exec::ThresholdTopK ta(&seg.index, &scheme,
-                                   /*overlay=*/nullptr, &seg.stats);
-            local = ta.TopK(query, options.top_k);
-            FoldTaStats(ta.stats(), &rank_stats);
-          } else if (force_nra) {
-            exec::NraTopK nra(&seg.index, &scheme,
-                              /*overlay=*/nullptr, &seg.stats);
-            local = nra.TopK(query, options.top_k);
-            FoldNraStats(nra.stats(), &rank_stats);
-          } else if (prune) {
-            exec::MaxScoreTopK pruner(&seg.index, &scheme, &seg.stats);
-            local = pruner.TopK(query, options.top_k);
-            FoldPruneStats(pruner.stats(), &rank_stats);
-          } else {
-            exec::TopKRankEngine rank_engine(&seg.index, &scheme,
-                                             /*overlay=*/nullptr, &seg.stats);
-            local = rank_engine.TopK(query, options.top_k);
-            FoldRankStats(rank_engine.stats(), &rank_stats);
-          }
-          if (!local.ok()) {
-            statuses[i] = local.status();
-            return;
-          }
-          partials[i] = std::move(local).value();
-          for (ma::ScoredDoc& hit : partials[i]) {
-            hit.doc += seg.base;
-          }
-          agg_stats.Add(rank_stats);
-        });
-    for (const Status& status : statuses) {
-      GRAFT_RETURN_IF_ERROR(status);
+  // Per-view output slots: distinct indexes, no locking needed; the
+  // ParallelFor latch publishes all writes to this thread. A single view
+  // runs inline on the calling thread, where SearchQuery harvests the
+  // block cache counters.
+  std::vector<Status> statuses(n, Status::Ok());
+  std::vector<std::vector<ma::ScoredDoc>> partials(n);
+  std::vector<exec::ExecStats> stats(n);
+  common::ScopedSpan run_span(trace, topk.op != nullptr ? "rank" : "execute",
+                              "segments=" + std::to_string(n));
+  common::ParallelFor(pool_.get(), options.num_threads, n, [&](size_t i) {
+    common::ScopedSpan segment_span(trace, "segment " + std::to_string(i));
+    const SegmentView& view = views[i];
+    // Segments share the monolithic vocabulary in dictionary order (the
+    // SegmentedIndex shared-vocabulary invariant), so the plan resolved
+    // against the monolithic index is valid on every view as it is.
+    StatusOr<std::vector<ma::ScoredDoc>> local =
+        topk.op != nullptr
+            ? topk.op->run(view, query, scheme, options.top_k, &stats[i])
+            : RunPlan(view, *plan.plan, scheme, query_ctx, &stats[i]);
+    if (!local.ok()) {
+      statuses[i] = local.status();
+      return;
     }
-    rank_span.End();
-    common::ScopedSpan merge_span(trace, "merge");
-    result.results = MergeRanked(partials, options.top_k);
-    merge_span.End("results=" + std::to_string(result.results.size()));
-    result.used_rank_processing = true;
-    result.used_block_max_pruning = prune;
-    result.topk_operator =
-        force_ta ? "ta" : force_nra ? "nra" : prune ? "maxscore" : "hrjn";
-    result.applied_optimizations =
-        (force_ta
-             ? std::string("threshold top-k (TA, forced), segmented ×")
-             : force_nra
-                   ? std::string("NRA top-k (forced), segmented ×")
-                   : prune
-                         ? std::string("block-max pruned top-k, segmented ×")
-                         : std::string(
-                               "rank-join/rank-union (top-k), segmented ×")) +
-        std::to_string(num_segments);
-    result.rewrite_attempts = RankPathAttempts(
-        query, scheme, prune_verdict, prune,
-        force_ta ? "; threshold top-k (TA) execution"
-                 : force_nra ? "; no-random-access top-k (NRA) execution"
-                             : "; threshold top-k execution");
-    result.exec_stats = agg_stats.stats;
-    StampRuleCounters(&result);
-    return result;
-  }
-
-  // Optimize ONCE against the monolithic index (cost estimates use global
-  // posting lengths); resolve the plan per segment.
-  Optimizer optimizer(&scheme, options.optimizer);
-  common::ScopedSpan optimize_span(trace, "optimize");
-  GRAFT_ASSIGN_OR_RETURN(OptimizedPlan plan,
-                         optimizer.Optimize(query, *index_, trace));
-  optimize_span.End("applied: " + plan.AppliedToString());
-
-  common::ScopedSpan execute_span(
-      trace, "execute", "segments=" + std::to_string(num_segments));
-  common::ParallelFor(
-      pool_.get(), options.num_threads, num_segments, [&](size_t i) {
-        common::ScopedSpan segment_span(trace,
-                                        "segment " + std::to_string(i));
-        const index::SegmentedIndex::Segment& seg = segmented_->segment(i);
-        ma::PlanNodePtr local_plan = plan.plan->Clone();
-        Status resolved = ma::ResolvePlan(local_plan.get(), seg.index);
-        if (!resolved.ok()) {
-          statuses[i] = std::move(resolved);
-          return;
-        }
-        exec::Executor executor(&seg.index, &scheme, query_ctx,
-                                /*overlay=*/nullptr, &seg.stats);
-        auto local = executor.ExecuteRanked(*local_plan);
-        if (!local.ok()) {
-          statuses[i] = local.status();
-          return;
-        }
-        partials[i] = std::move(local).value();
-        for (ma::ScoredDoc& hit : partials[i]) {
-          hit.doc += seg.base;
-        }
-        agg_stats.Add(executor.stats());
-      });
+    partials[i] = std::move(local).value();
+    for (ma::ScoredDoc& hit : partials[i]) {
+      hit.doc += view.base;
+    }
+  });
   for (const Status& status : statuses) {
     GRAFT_RETURN_IF_ERROR(status);
   }
-  execute_span.End();
+  run_span.End();
 
   common::ScopedSpan merge_span(trace, "merge");
-  result.results = MergeRanked(partials, options.top_k);
+  result.results = ma::MergeRanked(std::move(partials), options.top_k);
   merge_span.End("results=" + std::to_string(result.results.size()));
-  result.plan_text = ma::PlanToString(*plan.plan);
-  result.applied_optimizations =
-      plan.AppliedToString() + ", segmented ×" + std::to_string(num_segments);
-  result.rewrite_attempts = std::move(plan.attempts);
-  result.exec_stats = agg_stats.stats;
+
+  const std::string fan_out_suffix =
+      fan_out ? ", segmented ×" + std::to_string(n) : "";
+  result.segments_searched = n;
+  if (topk.op != nullptr) {
+    result.used_rank_processing = true;
+    result.used_block_max_pruning = topk.pruned();
+    result.topk_operator = topk.op->id;
+    result.applied_optimizations = topk.op->applied + fan_out_suffix;
+    result.rewrite_attempts = RankPathAttempts(query, scheme, topk);
+  } else {
+    result.plan_text = ma::PlanToString(*plan.plan);
+    result.applied_optimizations = plan.AppliedToString() + fan_out_suffix;
+    result.rewrite_attempts = std::move(plan.attempts);
+  }
+  for (const exec::ExecStats& view_stats : stats) {
+    result.exec_stats.Accumulate(view_stats);
+  }
   StampRuleCounters(&result);
   return result;
 }
@@ -619,45 +513,27 @@ StatusOr<std::string> Engine::Explain(std::string_view query_text,
   GRAFT_ASSIGN_OR_RETURN(mcalc::Query query, mcalc::ParseQuery(query_text));
   GRAFT_ASSIGN_OR_RETURN(const sa::ScoringScheme* scheme,
                          ResolveScheme(scheme_name));
-  Optimizer optimizer(scheme, options.optimizer);
+  return ExplainQuery(query, *scheme, options);
+}
+
+StatusOr<std::string> Engine::ExplainQuery(const mcalc::Query& query,
+                                           const sa::ScoringScheme& scheme,
+                                           const SearchOptions& options) const {
+  Optimizer optimizer(&scheme, options.optimizer);
   GRAFT_ASSIGN_OR_RETURN(OptimizedPlan plan,
                          optimizer.Optimize(query, *index_));
   std::string out = "query: " + mcalc::ToMCalcString(query) + "\n";
   out += "scoring plan Φ: " + plan.phi->ToString() + "\n";
-  out += "scheme: " + std::string(scheme->name()) + " (" +
-         sa::DirectionName(scheme->properties().direction) + ")\n";
+  out += "scheme: " + std::string(scheme.name()) + " (" +
+         sa::DirectionName(scheme.properties().direction) + ")\n";
   out += "applied: " + plan.AppliedToString() + "\n";
   if (options.top_k > 0) {
     // Deterministic top-k strategy verdict (golden-snapshot friendly):
-    // which top-k execution path SearchQuery would take, and why.
-    out += "top-k strategy (k=" + std::to_string(options.top_k) + "): ";
-    if (!options.allow_rank_processing) {
-      out += "full ranking + truncate (rank processing disabled)\n";
-    } else if (options.topk_strategy == TopKStrategy::kThreshold) {
-      const std::string verdict =
-          exec::ThresholdTopK::GateVerdict(query, *scheme);
-      out += verdict.empty()
-                 ? "threshold top-k (TA, forced)\n"
-                 : "full ranking + truncate; TA " + verdict + "\n";
-    } else if (options.topk_strategy == TopKStrategy::kNra) {
-      const std::string verdict = exec::NraTopK::GateVerdict(query, *scheme);
-      out += verdict.empty()
-                 ? "NRA top-k (forced)\n"
-                 : "full ranking + truncate; NRA " + verdict + "\n";
-    } else if (exec::TopKRankEngine::Supports(query, *scheme)) {
-      const std::string prune_verdict =
-          options.allow_block_max_pruning
-              ? exec::MaxScoreTopK::GateVerdict(query, *scheme, *index_,
-                                                overlay_)
-              : "blocked: disabled by request options";
-      if (prune_verdict.empty()) {
-        out += "block-max pruned top-k\n";
-      } else {
-        out += "threshold top-k; block-max prune " + prune_verdict + "\n";
-      }
-    } else {
-      out += "full ranking + truncate (rank processing not licensed)\n";
-    }
+    // which top-k execution path SearchQuery takes, and why.
+    const TopKChoice topk = SelectTopK(query, scheme, options, *index_,
+                                       EffectiveOverlay(options));
+    out += "top-k strategy (k=" + std::to_string(options.top_k) +
+           "): " + TopKStrategyLine(topk, options) + "\n";
   }
   out += "rewrites:\n" + FormatRewriteAttempts(plan.attempts);
   if (plan.plan != nullptr) {

@@ -17,15 +17,18 @@
 // user-defined ones) can be named, and the optimizer adapts the plan to
 // the scheme's declared properties.
 //
-// Parallel execution: constructing the engine with a SegmentedIndex turns
-// on intra-query parallelism. The query is parsed and optimized ONCE
-// against the monolithic index; the optimized plan is then cloned and
-// resolved per segment, segments execute concurrently on the engine's
-// thread pool (each against global collection statistics, so scores are
-// bit-identical to the monolithic run), and the per-segment ranked
-// streams are merged — a full sort for top_k == 0, a k-way heap merge of
-// per-segment top-k lists otherwise. The engine is safe to share across
-// threads for concurrent Search calls (inter-query parallelism).
+// Execution: every query runs as one path over a list of segment views.
+// A monolithic engine (or use_segmented = false) has one view, the whole
+// index, which runs inline on the calling thread. Constructing the engine
+// with a SegmentedIndex turns on intra-query parallelism: one view per
+// segment, executed concurrently on the engine's thread pool, each against
+// global collection statistics so scores are bit-identical to the
+// monolithic run. The query is parsed, optimized and its top-k operator
+// chosen ONCE against the monolithic index; segments share its vocabulary,
+// so every view runs the same resolved plan. The per-view ranked streams
+// are merged by ma::MergeRanked — a full sort for top_k == 0, a k-way heap
+// merge of per-view top-k lists otherwise. The engine is safe to share
+// across threads for concurrent Search calls (inter-query parallelism).
 
 #ifndef GRAFT_CORE_ENGINE_H_
 #define GRAFT_CORE_ENGINE_H_
@@ -171,12 +174,18 @@ class Engine {
                                      const SearchOptions& options = {}) const;
 
   // Renders the optimized plan for a query + scheme without executing:
-  // query, Φ, scheme, the full rewrite-attempt table (every catalog
+  // query, Φ, scheme, the top-k strategy SearchQuery would run (when
+  // top_k > 0), the full rewrite-attempt table (every catalog
   // optimization with its gate verdict), and the physical plan with
   // cost-model estimates.
   StatusOr<std::string> Explain(std::string_view query_text,
                                 std::string_view scheme_name,
                                 const SearchOptions& options = {}) const;
+
+  // Pre-parsed / programmatically built queries.
+  StatusOr<std::string> ExplainQuery(const mcalc::Query& query,
+                                     const sa::ScoringScheme& scheme,
+                                     const SearchOptions& options = {}) const;
 
   // EXPLAIN ANALYZE: executes the query under a trace and renders
   // everything Explain shows plus the measured per-operator counters
@@ -194,18 +203,20 @@ class Engine {
   StatusOr<const sa::ScoringScheme*> ResolveScheme(
       std::string_view name) const;
 
+  // The per-request overlay replaces (not merges with) the engine overlay:
+  // a router shard must score against exactly the pinned statistics.
+  const index::StatsOverlay* EffectiveOverlay(
+      const SearchOptions& options) const {
+    return options.stats_overlay != nullptr ? options.stats_overlay
+                                            : overlay_;
+  }
+
   // SearchQuery minus the block-cache accounting wrapper: SearchQuery
   // harvests the calling thread's decoded-block cache counters around this
   // call so EXPLAIN ANALYZE and /stats attribute cache traffic per query.
   StatusOr<SearchResult> SearchQueryImpl(const mcalc::Query& query,
                                          const sa::ScoringScheme& scheme,
                                          const SearchOptions& options) const;
-
-  // The parallel path: one operator tree per segment, executed on the
-  // pool, merged score-consistently.
-  StatusOr<SearchResult> SearchQuerySegmented(
-      const mcalc::Query& query, const sa::ScoringScheme& scheme,
-      const SearchOptions& options) const;
 
   const index::InvertedIndex* index_;
   const index::StatsOverlay* overlay_ = nullptr;

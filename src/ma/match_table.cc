@@ -119,12 +119,66 @@ StatusOr<std::vector<ScoredDoc>> ExtractRankedResults(
   for (const Tuple& row : table.rows) {
     results.push_back(ScoredDoc{row.doc, row.values[0].score.a});
   }
-  std::sort(results.begin(), results.end(),
-            [](const ScoredDoc& a, const ScoredDoc& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.doc < b.doc;
-            });
+  std::sort(results.begin(), results.end(), RankedBefore);
   return results;
+}
+
+bool RankedBefore(const ScoredDoc& a, const ScoredDoc& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.doc < b.doc;
+}
+
+std::vector<ScoredDoc> MergeRanked(std::vector<std::vector<ScoredDoc>> partials,
+                                   size_t k) {
+  if (partials.size() == 1) {
+    std::vector<ScoredDoc> only = std::move(partials[0]);
+    if (k > 0 && only.size() > k) only.resize(k);
+    return only;
+  }
+  size_t total = 0;
+  for (const auto& partial : partials) {
+    total += partial.size();
+  }
+  std::vector<ScoredDoc> merged;
+  if (k == 0) {
+    // Full-sort merge: concatenate and sort once (O(n log n) with tiny
+    // constants beats heap-merging full result sets).
+    merged.reserve(total);
+    for (const auto& partial : partials) {
+      merged.insert(merged.end(), partial.begin(), partial.end());
+    }
+    std::sort(merged.begin(), merged.end(), RankedBefore);
+    return merged;
+  }
+
+  struct Head {
+    const std::vector<ScoredDoc>* list;
+    size_t next;
+  };
+  // Max-heap on the best remaining entry of each list.
+  const auto heap_after = [](const Head& a, const Head& b) {
+    return RankedBefore((*b.list)[b.next], (*a.list)[a.next]);
+  };
+  std::vector<Head> heap;
+  heap.reserve(partials.size());
+  for (const auto& partial : partials) {
+    if (!partial.empty()) {
+      heap.push_back(Head{&partial, 0});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), heap_after);
+  merged.reserve(std::min(k, total));
+  while (!heap.empty() && merged.size() < k) {
+    std::pop_heap(heap.begin(), heap.end(), heap_after);
+    Head head = heap.back();
+    heap.pop_back();
+    merged.push_back((*head.list)[head.next]);
+    if (++head.next < head.list->size()) {
+      heap.push_back(head);
+      std::push_heap(heap.begin(), heap.end(), heap_after);
+    }
+  }
+  return merged;
 }
 
 }  // namespace graft::ma

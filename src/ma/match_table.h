@@ -43,6 +43,16 @@ struct ScoredDoc {
   bool operator==(const ScoredDoc& other) const = default;
 };
 
+// Score descending, doc ascending: the order of every ranked result list.
+bool RankedBefore(const ScoredDoc& a, const ScoredDoc& b);
+
+// Merges ranked lists, each already in RankedBefore order, into the global
+// top-k (k == 0: every result): the merge of independently ranked streams
+// shared by segment fan-out and router scatter-gather. A single list
+// passes through truncated to k.
+std::vector<ScoredDoc> MergeRanked(std::vector<std::vector<ScoredDoc>> partials,
+                                   size_t k);
+
 // Extracts ranked results from a table whose schema is a single score
 // column holding finalized scores. Sorted by score descending, ties by doc
 // ascending.

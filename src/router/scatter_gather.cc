@@ -18,14 +18,6 @@ uint64_t ElapsedMs(Clock::time_point t0) {
           .count());
 }
 
-// Score-desc, doc-asc: exactly core::Engine's MergeRanked order, so the
-// router's merged ranking coincides with the single-process one whenever
-// the per-document scores do (which the pinned statistics guarantee).
-bool ScoredBefore(const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.doc < b.doc;
-}
-
 // ---- strict mini-parsers for the two shard reply shapes ----
 //
 // These accept exactly what SearchService serializes. Anything else —
@@ -644,15 +636,10 @@ StatusOr<GatherResult> ScatterGather::Search(
         detail);
   }
 
-  size_t total = 0;
-  for (const auto& partial : partials) total += partial.size();
-  gathered.results.reserve(total);
-  for (auto& partial : partials) {
-    gathered.results.insert(gathered.results.end(), partial.begin(),
-                            partial.end());
-  }
-  std::sort(gathered.results.begin(), gathered.results.end(), ScoredBefore);
-  if (gathered.results.size() > k) gathered.results.resize(k);
+  // The engine's own merge of ranked streams, so the router's ranking
+  // coincides with the single-process one whenever the per-document scores
+  // do (which the pinned statistics guarantee).
+  gathered.results = ma::MergeRanked(std::move(partials), k);
 
   if (gathered.degraded) {
     counters_.gathers_partial.fetch_add(1, std::memory_order_relaxed);

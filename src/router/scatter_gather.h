@@ -17,8 +17,9 @@
 //                       so per-document scores are bit-identical to a
 //                       single-process run (GRAFT scores = f(match rows,
 //                       collection stats)).
-//   merge               k-way merge by (score desc, global doc asc) — the
-//                       same ScoredBefore order Engine::MergeRanked uses.
+//   merge               ma::MergeRanked: k-way merge by (score desc,
+//                       global doc asc), the same merge the engine runs
+//                       over its segments.
 //
 // The stats-epoch protocol: phase-1 results are cached under a
 // monotonically increasing epoch. The cached per-shard generation vector

@@ -123,6 +123,42 @@ TEST(EngineTest, TopKTrimsAndUsesRankProcessingWhenEligible) {
   EXPECT_FALSE(opted_out->used_rank_processing);
 }
 
+TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
+  // A per-request stats overlay stands block-max pruning down (the stored
+  // ceilings assume the index's own statistics). Explain must name the
+  // operator Search runs under the same options, not the one the engine's
+  // constructor overlay alone would license.
+  Engine engine(&CorpusIndex());
+  index::StatsOverlay overlay;
+  overlay.SetCollectionSize(CorpusIndex().doc_count());
+  SearchOptions options;
+  options.top_k = 10;
+  options.stats_overlay = &overlay;
+
+  auto result = engine.Search("free software", "AnySum", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->topk_operator, "hrjn");
+  EXPECT_FALSE(result->used_block_max_pruning);
+  auto explain = engine.Explain("free software", "AnySum", options);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_NE(explain->find("top-k strategy (k=10): threshold top-k; block-max "
+                          "prune blocked: stats overlay overrides stored "
+                          "ceilings\n"),
+            std::string::npos)
+      << *explain;
+
+  // Without the overlay, both name the pruned operator.
+  options.stats_overlay = nullptr;
+  result = engine.Search("free software", "AnySum", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->topk_operator, "maxscore");
+  explain = engine.Explain("free software", "AnySum", options);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_NE(explain->find("top-k strategy (k=10): block-max pruned top-k\n"),
+            std::string::npos)
+      << *explain;
+}
+
 TEST(EngineTest, CanonicalReferencePathAgreesWithOptimized) {
   Engine engine(&CorpusIndex());
   SearchOptions canonical;

@@ -26,6 +26,10 @@
 //             and NEVER for a blocked scheme — whose EXPLAIN rewrite table
 //             must carry the blocking verdict.
 //
+// Every configuration also checks operator honesty between EXPLAIN and
+// execution: ExplainQuery, given the run's options, names the top-k
+// operator the run reports in SearchResult::topk_operator.
+//
 // Comparison contract, verified per execution pair:
 //
 //   * base vs opt — score-consistent within the same 1e-7 relative bound
@@ -486,6 +490,47 @@ std::string DiffTopK(const std::vector<ma::ScoredDoc>& full_ranked,
   return "";
 }
 
+// The top-k operator Explain's "top-k strategy" line names: "" for full
+// ranking + truncate, and when the line is absent (top_k == 0).
+std::string ExplainedOperator(const std::string& explain) {
+  const size_t at = explain.find("top-k strategy (k=");
+  if (at == std::string::npos) return "";
+  const size_t begin = explain.find("): ", at) + 3;
+  const std::string line =
+      explain.substr(begin, explain.find('\n', begin) - begin);
+  const std::pair<const char*, const char*> kLabels[] = {
+      {"block-max pruned top-k", "maxscore"},
+      {"threshold top-k (TA, forced)", "ta"},
+      {"NRA top-k (forced)", "nra"},
+      {"threshold top-k;", "hrjn"},
+      {"full ranking + truncate", ""},
+  };
+  for (const auto& [prefix, op] : kLabels) {
+    if (line.rfind(prefix, 0) == 0) return op;
+  }
+  return "<unrecognized: " + line + ">";
+}
+
+// Operator honesty between EXPLAIN and execution: Explain, given the same
+// options as a run, must name the operator that run reports.
+std::string DiffExplainedOperator(const Engine& engine,
+                                  const mcalc::Query& query,
+                                  const sa::ScoringScheme& scheme,
+                                  const SearchOptions& options,
+                                  const SearchResult& run,
+                                  const std::string& label) {
+  auto explain = engine.ExplainQuery(query, scheme, options);
+  if (!explain.ok()) {
+    return label + ": explain failed: " + explain.status().ToString();
+  }
+  const std::string named = ExplainedOperator(*explain);
+  if (named != run.topk_operator) {
+    return label + ": Explain names top-k operator '" + named +
+           "' but the run reports '" + run.topk_operator + "'";
+  }
+  return "";
+}
+
 // Runs one query under one scheme through all four configurations.
 // Returns "" when every pair agrees, else a description of the first
 // disagreement.
@@ -596,6 +641,33 @@ std::string CheckQuery(const mcalc::Query& query,
     return "unpruned top-k run reports used_block_max_pruning";
   }
 
+  // Every configuration's EXPLAIN names the top-k operator it ran.
+  const struct {
+    const char* label;
+    const Engine& engine;
+    SearchOptions options;
+    const SearchResult& run;
+  } explained[] = {
+      {"base", MonoEngine(), BaseOptions(), *base},
+      {"optimized", MonoEngine(), OptimizedOptions(), *opt},
+      {"segmented", SegmentedEngine(), SegmentedOptions(), *seg},
+      {"v5 packed", PackedEngine(), OptimizedOptions(), *packed},
+      {"top-k", MonoEngine(), TopKOptions(kTopK, false), *topk},
+      {"segmented top-k", SegmentedEngine(), TopKOptions(kTopK, true),
+       *topk_seg},
+      {"v5 packed top-k", PackedEngine(), TopKOptions(kTopK, false),
+       *packed_topk},
+      {"unpruned top-k", MonoEngine(), unpruned_opts, *unpruned},
+  };
+  for (const auto& config : explained) {
+    if (std::string diff =
+            DiffExplainedOperator(config.engine, query, scheme, config.options,
+                                  config.run, config.label);
+        !diff.empty()) {
+      return diff;
+    }
+  }
+
   // Activation invariant: the pruned operator fires exactly when the
   // extended gate licenses it — provably never for a blocked scheme. Under
   // a GRAFT_FUZZ_RULE filter the top-k options may disable rank processing
@@ -684,6 +756,11 @@ std::string CheckQuery(const mcalc::Query& query,
         }
         if (run->used_block_max_pruning) {
           return label + " reports used_block_max_pruning";
+        }
+        if (std::string diff = DiffExplainedOperator(engine, query, scheme,
+                                                     forced_opts, *run, label);
+            !diff.empty()) {
+          return diff;
         }
       }
     }
