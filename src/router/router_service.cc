@@ -1,10 +1,6 @@
 #include "router/router_service.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 
 #include "core/request.h"
@@ -22,33 +18,21 @@ using server::HttpRequest;
 using server::JsonAppendEscaped;
 using server::Response;
 
+server::HttpServerOptions HttpOptions(const RouterOptions& options) {
+  server::HttpServerOptions http;
+  http.port = options.port;
+  http.handler_threads = options.handler_threads;
+  http.max_inflight = options.max_inflight;
+  http.io_timeout_ms = options.io_timeout_ms;
+  http.retry_after_s = options.retry_after_s;
+  http.name = "router";
+  return http;
+}
+
 uint64_t MicrosSince(Clock::time_point t0) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
           .count());
-}
-
-std::string RetryAfterHeader(unsigned seconds) {
-  return "Retry-After: " + std::to_string(seconds) + "\r\n";
-}
-
-// Same FIN-before-close dance as SearchService's RejectConnection: the 503
-// must survive the unread request bytes.
-void RejectConnection(int fd, const std::string& body,
-                      unsigned retry_after_s) {
-  (void)server::WriteResponse(fd, 503, "application/json", body,
-                              RetryAfterHeader(retry_after_s));
-  ::shutdown(fd, SHUT_WR);
-  char drain[1024];
-  for (int spin = 0; spin < 50; ++spin) {
-    const ssize_t n = ::recv(fd, drain, sizeof(drain), MSG_DONTWAIT);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ::close(fd);
 }
 
 void AppendMsField(std::string* out, std::string_view name, double micros) {
@@ -122,97 +106,28 @@ RouterService::RouterService(
     std::vector<std::vector<uint16_t>> shard_replicas, RouterOptions options)
     : options_(std::move(options)),
       gather_(std::make_unique<ScatterGather>(std::move(shard_replicas),
-                                              options_.gather)) {}
+                                              options_.gather)),
+      http_(HttpOptions(options_),
+            [this](const HttpRequest& request, uint64_t queued_micros) {
+              return Handle(request, queued_micros);
+            },
+            &stats_) {}
 
 RouterService::~RouterService() { Shutdown(); }
 
 Status RouterService::Start() {
-  if (started_) {
+  if (http_.started()) {
     return Status::FailedPrecondition("router already started");
   }
-  GRAFT_RETURN_IF_ERROR(listener_.Bind(options_.port));
-  pool_ = std::make_unique<common::ThreadPool>(options_.handler_threads);
-  started_at_ = Clock::now();
-  started_ = true;
+  started_at_ = Clock::now();  // before any handler thread can read it
+  GRAFT_RETURN_IF_ERROR(http_.Start());
   gather_->StartProbes();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
 
 void RouterService::Shutdown() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  listener_.Interrupt();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock, [this] {
-      return inflight_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  pool_.reset();
+  http_.Shutdown();
   gather_->StopProbes();
-  started_ = false;
-}
-
-void RouterService::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    StatusOr<int> accepted = listener_.Accept(options_.io_timeout_ms);
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const int fd = *accepted;
-    stats_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-    const size_t inflight =
-        inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (inflight > options_.max_inflight ||
-        stopping_.load(std::memory_order_acquire)) {
-      const Status reason =
-          inflight > options_.max_inflight
-              ? Status::FailedPrecondition("router overloaded; retry")
-              : Status::FailedPrecondition("router shutting down");
-      RejectConnection(fd, ErrorBody(reason), options_.retry_after_s);
-      stats_.RecordResponseCode(503);
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-        drain_cv_.notify_all();
-      }
-      continue;
-    }
-
-    const Clock::time_point admitted = Clock::now();
-    pool_->Submit([this, fd, admitted] { HandleConnection(fd, admitted); });
-  }
-}
-
-void RouterService::HandleConnection(int fd, Clock::time_point admitted) {
-  const uint64_t queued_micros = MicrosSince(admitted);
-  StatusOr<HttpRequest> request = server::ReadRequest(fd);
-  Response response;
-  if (!request.ok()) {
-    stats_.malformed_requests.fetch_add(1, std::memory_order_relaxed);
-    response.status_code = 400;
-    response.body = ErrorBody(request.status());
-  } else {
-    response = Handle(*request, queued_micros);
-  }
-  const std::string extra_headers =
-      response.retry_after_s > 0 ? RetryAfterHeader(response.retry_after_s)
-                                 : std::string();
-  // Count before writing: a client that has read the response (and then
-  // /stats) must already see it reflected in the counters.
-  stats_.RecordResponseCode(response.status_code);
-  (void)server::WriteResponse(fd, response.status_code, response.content_type,
-                              response.body, extra_headers);
-  ::close(fd);
-  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
 }
 
 Response RouterService::Handle(const HttpRequest& request,
@@ -435,6 +350,9 @@ Response RouterService::HandleStats() const {
   Response response;
   std::string body = "{\"requests_total\":";
   body += std::to_string(stats_.requests_total.load(std::memory_order_relaxed));
+  body += ",\"connections_accepted\":";
+  body += std::to_string(
+      stats_.connections_accepted.load(std::memory_order_relaxed));
   body += ",\"responses_ok\":";
   body += std::to_string(stats_.responses_ok.load(std::memory_order_relaxed));
   body += ",\"client_errors\":";
@@ -513,8 +431,12 @@ Response RouterService::HandleMetrics() const {
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   std::string body;
   AppendCounterMetric(&body, "graft_router_requests_total",
-                      "Connections accepted by the router.",
+                      "Requests received by the router.",
                       stats_.requests_total.load(std::memory_order_relaxed));
+  AppendCounterMetric(
+      &body, "graft_router_connections_accepted_total",
+      "TCP connections accepted by the router.",
+      stats_.connections_accepted.load(std::memory_order_relaxed));
   AppendCounterMetric(&body, "graft_router_responses_ok_total",
                       "2xx responses (including degraded partials).",
                       stats_.responses_ok.load(std::memory_order_relaxed));

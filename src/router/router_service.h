@@ -21,28 +21,27 @@
 //   GET /healthz -> 200 while any shard is reachable; reports per-shard
 //                   healthy replica counts.
 //
-// Concurrency model mirrors server::SearchService exactly (accept thread +
-// handler pool + connection-level admission cap + Retry-After on 503/504);
+// Runs on the same connection layer as server::SearchService
+// (server::HttpServer: epoll reactor + handler pool, keep-alive,
+// per-request admission cap, Retry-After on 503/504, draining shutdown);
 // the request deadline budget is handed to ScatterGather, which spends it
-// across stats collection, retries, backoff, and hedges.
+// across stats collection, retries, backoff, and hedges. Shard legs travel
+// over ShardClient's pooled keep-alive connections.
 
 #ifndef GRAFT_ROUTER_ROUTER_SERVICE_H_
 #define GRAFT_ROUTER_ROUTER_SERVICE_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "router/scatter_gather.h"
 #include "server/http.h"
+#include "server/http_server.h"
 #include "server/search_service.h"
 #include "server/server_stats.h"
 
@@ -72,21 +71,19 @@ struct RouterOptions {
 // server::ServerStats: responses_ok + client_errors + bad_gateway +
 // rejected_overload + deadline_exceeded (+ the malformed subset of 4xx)
 // partitions requests_total once drained.
-struct RouterStats {
-  std::atomic<uint64_t> requests_total{0};
+struct RouterStats final : server::RequestCounters {
   std::atomic<uint64_t> responses_ok{0};        // 2xx (incl. degraded 200s)
   std::atomic<uint64_t> client_errors{0};       // 4xx
   std::atomic<uint64_t> bad_gateway{0};         // 502 (shard failures)
   std::atomic<uint64_t> rejected_overload{0};   // 503
   std::atomic<uint64_t> deadline_exceeded{0};   // 504
-  std::atomic<uint64_t> malformed_requests{0};
   // Degraded 200s: a partial merge was served under --policy partial.
   // Subset of responses_ok.
   std::atomic<uint64_t> partial_responses{0};
   server::LatencyHistogram search_latency;
   server::SchemeCounters scheme_counts;
 
-  void RecordResponseCode(int status_code);
+  void RecordResponseCode(int status_code) override;
 };
 
 class RouterService {
@@ -100,14 +97,15 @@ class RouterService {
   RouterService(const RouterService&) = delete;
   RouterService& operator=(const RouterService&) = delete;
 
-  // Binds the listener, starts the accept thread + handler pool + the
-  // replica readmission probe thread.
+  // Binds the listener, starts the connection layer + the replica
+  // readmission probe thread.
   Status Start();
 
-  // Stops accepting, drains admitted requests, joins everything.
+  // Stops accepting, closes idle connections, drains admitted requests,
+  // joins everything.
   void Shutdown();
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return http_.port(); }
   const RouterStats& stats() const { return stats_; }
   ScatterGather& gather() { return *gather_; }
   const ScatterGather& gather() const { return *gather_; }
@@ -118,9 +116,6 @@ class RouterService {
                           uint64_t queued_micros);
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd,
-                        std::chrono::steady_clock::time_point admitted);
   server::Response HandleSearch(const server::HttpRequest& request,
                                 uint64_t queued_micros);
   server::Response HandleStats() const;
@@ -129,20 +124,11 @@ class RouterService {
 
   const RouterOptions options_;
   std::unique_ptr<ScatterGather> gather_;
-
-  server::TcpListener listener_;
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::thread accept_thread_;
-
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  std::atomic<size_t> inflight_{0};
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
   RouterStats stats_;
   std::chrono::steady_clock::time_point started_at_;
+  // Declared last: shut down (by the destructor) while everything its
+  // handlers use is still alive.
+  server::HttpServer http_;
 };
 
 }  // namespace graft::router

@@ -184,18 +184,20 @@ ScatterGather::ScatterGather(
     std::vector<std::vector<uint16_t>> shard_replicas,
     ScatterGatherOptions options)
     : options_(options) {
-  shards_.reserve(shard_replicas.size());
-  for (size_t i = 0; i < shard_replicas.size(); ++i) {
-    shards_.push_back(std::make_unique<ShardClient>(
-        i, std::move(shard_replicas[i]), options_.client,
-        options_.jitter_seed));
-  }
   // Two slots per shard: the fan-out leg plus a possible hedged primary
   // leg can be in flight simultaneously without queueing behind each
   // other.
   const size_t workers = options_.fanout_threads != 0
                              ? options_.fanout_threads
-                             : std::max<size_t>(1, shards_.size() * 2);
+                             : std::max<size_t>(1, shard_replicas.size() * 2);
+  // No more legs than fan-out workers run against one replica at once, so
+  // no more pooled connections to it are worth keeping.
+  shards_.reserve(shard_replicas.size());
+  for (size_t i = 0; i < shard_replicas.size(); ++i) {
+    shards_.push_back(std::make_unique<ShardClient>(
+        i, std::move(shard_replicas[i]), options_.client,
+        options_.jitter_seed, workers));
+  }
   pool_ = std::make_unique<common::ThreadPool>(workers);
 }
 

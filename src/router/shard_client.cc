@@ -34,9 +34,11 @@ bool IsRetryableReply(const server::HttpClientResponse& response) {
 }  // namespace
 
 ShardClient::ShardClient(size_t shard_id, std::vector<uint16_t> replica_ports,
-                         ShardClientOptions options, uint64_t seed)
+                         ShardClientOptions options, uint64_t seed,
+                         size_t max_idle_per_replica)
     : shard_id_(shard_id),
       options_(options),
+      max_idle_per_replica_(max_idle_per_replica),
       // Seed must never be zero (xorshift fixed point); fold in the shard
       // id so equal seeds still decorrelate across shards.
       jitter_state_((seed ^ (shard_id * 0x9E3779B97F4A7C15ull)) | 1) {
@@ -81,6 +83,51 @@ void ShardClient::RecordFailure(ReplicaState* replica) {
   if (failures >= options_.eject_after &&
       !replica->ejected.exchange(true, std::memory_order_acq_rel)) {
     counters_.ejections.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(replica->pool_mu);
+    replica->pool.clear();
+  }
+}
+
+StatusOr<server::HttpClientResponse> ShardClient::Exchange(
+    ReplicaState* replica, const std::string& target, int timeout_ms,
+    std::unique_ptr<server::HttpConnection>* connection) {
+  {
+    std::lock_guard<std::mutex> lock(replica->pool_mu);
+    while (!replica->pool.empty() && *connection == nullptr) {
+      *connection = std::move(replica->pool.back());
+      replica->pool.pop_back();
+      // Closed by the peer while pooled (idle timeout, restart): drop it.
+      if (!(*connection)->IdleAndOpen()) connection->reset();
+    }
+  }
+  bool reused = *connection != nullptr;
+  while (true) {
+    if (*connection == nullptr) {
+      *connection = std::make_unique<server::HttpConnection>();
+      GRAFT_RETURN_IF_ERROR(
+          (*connection)->Connect(replica->port, timeout_ms));
+    }
+    StatusOr<server::HttpClientResponse> response =
+        (*connection)->Get(target, timeout_ms);
+    // A failed Get has closed the connection. Only a reused one that the
+    // peer had closed before answering gets its one fresh retry.
+    if (response.ok() || !reused || !(*connection)->closed_before_response()) {
+      return response;
+    }
+    connection->reset();
+    reused = false;
+  }
+}
+
+void ShardClient::Release(ReplicaState* replica,
+                          std::unique_ptr<server::HttpConnection> connection) {
+  if (!connection->reusable()) return;
+  std::lock_guard<std::mutex> lock(replica->pool_mu);
+  // Checked under the lock: an ejection clears the pool under it too, so a
+  // connection can never be pooled to an ejected replica.
+  if (!replica->ejected.load(std::memory_order_acquire) &&
+      replica->pool.size() < max_idle_per_replica_) {
+    replica->pool.push_back(std::move(connection));
   }
 }
 
@@ -120,8 +167,9 @@ StatusOr<server::HttpClientResponse> ShardClient::GetOnce(
   const int timeout_ms = static_cast<int>(std::min<uint64_t>(
       budget_ms == 0 ? 1 : budget_ms,
       static_cast<uint64_t>(options_.io_timeout_ms)));
+  std::unique_ptr<server::HttpConnection> connection;
   StatusOr<server::HttpClientResponse> response =
-      server::HttpGet(replica->port, target, timeout_ms);
+      Exchange(replica, target, timeout_ms, &connection);
   if (!response.ok()) {
     RecordFailure(replica);
     return response;
@@ -139,10 +187,12 @@ StatusOr<server::HttpClientResponse> ShardClient::GetOnce(
   }
 #endif
 
+  // A failed attempt closes its connection (it leaves with this scope).
   if (IsRetryableReply(*response)) {
     RecordFailure(replica);
   } else {
     RecordSuccess(replica);
+    Release(replica, std::move(connection));
   }
   return response;
 }

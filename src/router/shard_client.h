@@ -17,7 +17,19 @@
 //   * an HTTP 5xx/503/504 reply and a transport error both count as
 //     attempt failures; 2xx and 4xx (including 409) are returned to the
 //     caller — a 4xx is the shard speaking, not the path failing, and
-//     retrying it would duplicate a deterministic answer.
+//     retrying it would duplicate a deterministic answer;
+//   * connections are pooled per replica: an attempt takes an open
+//     keep-alive connection (server::HttpConnection) when one is idle, and
+//     gives it back after a response that allows reuse. The pool holds at
+//     most as many connections as the router runs concurrent legs (the
+//     constructor's `max_idle_per_replica`); every failed attempt closes
+//     its connection, and ejecting a replica drops its pool;
+//   * a shard may close an idle connection at any time (its idle timeout,
+//     a restart). A pooled connection found closed before use is
+//     discarded, and a reused connection that the peer closed before any
+//     response byte arrived is retried once on a fresh connection. That
+//     retry is neither an attempt nor a failure: the request never reached
+//     a live server. Health probes use one-shot server::HttpGet.
 //
 // Failpoints (compiled under GRAFT_FAILPOINTS_ENABLED) let the chaos tests
 // strike each distinct wire failure mode:
@@ -32,7 +44,8 @@
 //                               half only), as if the peer died mid-send
 //
 // Thread-safe: concurrent Get() calls (fan-out + hedges) share the health
-// state through atomics; no locks on the request path.
+// state through atomics; the only lock on the request path is the
+// per-replica pool mutex around taking or returning a connection.
 
 #ifndef GRAFT_ROUTER_SHARD_CLIENT_H_
 #define GRAFT_ROUTER_SHARD_CLIENT_H_
@@ -40,6 +53,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,9 +92,11 @@ class ShardClient {
  public:
   // `replica_ports` must be non-empty; `seed` decorrelates the jitter
   // streams of different shards deterministically (tests pass fixed
-  // seeds).
+  // seeds). `max_idle_per_replica` caps each replica's connection pool;
+  // ScatterGather passes its fan-out width.
   ShardClient(size_t shard_id, std::vector<uint16_t> replica_ports,
-              ShardClientOptions options, uint64_t seed);
+              ShardClientOptions options, uint64_t seed,
+              size_t max_idle_per_replica = 4);
 
   ShardClient(const ShardClient&) = delete;
   ShardClient& operator=(const ShardClient&) = delete;
@@ -122,6 +138,8 @@ class ShardClient {
     uint16_t port = 0;
     std::atomic<uint32_t> consecutive_failures{0};
     std::atomic<bool> ejected{false};
+    std::mutex pool_mu;  // guards pool
+    std::vector<std::unique_ptr<server::HttpConnection>> pool;  // idle
   };
 
   // Picks the next non-ejected replica (round-robin); falls back to any
@@ -132,11 +150,23 @@ class ShardClient {
   void RecordSuccess(ReplicaState* replica);
   void RecordFailure(ReplicaState* replica);
 
+  // One request on `replica` over a pooled or fresh connection, with the
+  // stale-connection retry (header comment). Not counted anywhere. On
+  // success `*connection` holds the connection, for Release.
+  StatusOr<server::HttpClientResponse> Exchange(
+      ReplicaState* replica, const std::string& target, int timeout_ms,
+      std::unique_ptr<server::HttpConnection>* connection);
+
+  // Returns a connection that served a successful attempt to the pool.
+  void Release(ReplicaState* replica,
+               std::unique_ptr<server::HttpConnection> connection);
+
   // Deterministic per-client jitter stream (xorshift); thread-safe via CAS.
   uint64_t NextJitter(uint64_t range);
 
   const size_t shard_id_;
   const ShardClientOptions options_;
+  const size_t max_idle_per_replica_;
   std::vector<std::unique_ptr<ReplicaState>> replicas_;
   std::atomic<size_t> rotation_{0};
   std::atomic<uint64_t> jitter_state_;

@@ -41,6 +41,68 @@ std::string_view StripCr(std::string_view line) {
   return line;
 }
 
+// True when the comma-separated header value `list` contains `token`
+// (ASCII case-insensitive), e.g. "keep-alive, Upgrade" has "keep-alive".
+bool HasToken(std::string_view list, std::string_view token) {
+  while (!list.empty()) {
+    const size_t comma = list.find(',');
+    std::string_view item = list.substr(0, comma);
+    list = comma == std::string_view::npos ? std::string_view()
+                                           : list.substr(comma + 1);
+    while (!item.empty() && (item.front() == ' ' || item.front() == '\t')) {
+      item.remove_prefix(1);
+    }
+    while (!item.empty() && (item.back() == ' ' || item.back() == '\t')) {
+      item.remove_suffix(1);
+    }
+    if (ToLower(item) == token) return true;
+  }
+  return false;
+}
+
+// Offset just past the blank line that ends an HTTP head in `buffer`, or
+// npos while it has not arrived. Accepts CRLF and bare LF endings.
+size_t HeadEnd(std::string_view buffer) {
+  const size_t crlf = buffer.find("\r\n\r\n");
+  const size_t lf = buffer.find("\n\n");
+  if (crlf == std::string_view::npos && lf == std::string_view::npos) {
+    return std::string_view::npos;
+  }
+  if (lf == std::string_view::npos ||
+      (crlf != std::string_view::npos && crlf < lf)) {
+    return crlf + 4;
+  }
+  return lf + 2;
+}
+
+// HTTP/1.1 persistence for a message with these (lower-cased) headers: 1.1
+// keeps the connection unless told "close", 1.0 only on "keep-alive".
+bool KeepsConnection(bool http11,
+                     const std::map<std::string, std::string>& headers) {
+  const auto connection = headers.find("connection");
+  const std::string_view tokens = connection == headers.end()
+                                      ? std::string_view()
+                                      : std::string_view(connection->second);
+  return http11 ? !HasToken(tokens, "close") : HasToken(tokens, "keep-alive");
+}
+
+// SendAll's loop; returns 0, or the errno of the send that failed.
+int SendAllOrErrno(int fd, std::string_view data) {
+  size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + written, data.size() - written, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    written += static_cast<size_t>(n);
+  }
+  return 0;
+}
+
+}  // namespace
+
 Status SetSocketTimeouts(int fd, int timeout_ms) {
   timeval tv;
   tv.tv_sec = timeout_ms / 1000;
@@ -52,8 +114,6 @@ Status SetSocketTimeouts(int fd, int timeout_ms) {
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 void IgnoreSigpipeOnce() {
   // MSG_NOSIGNAL covers send(); SIG_IGN covers everything else (e.g. a
@@ -71,16 +131,9 @@ void IgnoreSigpipeOnce() {
 }
 
 Status SendAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + written, data.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("send failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
+  const int err = SendAllOrErrno(fd, data);
+  if (err != 0) {
+    return Status::IOError("send failed: " + std::string(std::strerror(err)));
   }
   return Status::Ok();
 }
@@ -139,6 +192,7 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head) {
   if (target[0] != '/') {
     return Status::InvalidArgument("request target must be origin-form");
   }
+  request.version = std::string(version);
 
   // Split target into path and query string.
   const size_t question = target.find('?');
@@ -188,6 +242,8 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head) {
     }
     request.headers[ToLower(line.substr(0, colon))] = std::string(value);
   }
+  request.keep_alive =
+      KeepsConnection(request.version == "HTTP/1.1", request.headers);
   return request;
 }
 
@@ -210,7 +266,8 @@ std::string_view StatusReason(int status_code) {
 
 std::string SerializeResponse(int status_code, std::string_view content_type,
                               std::string_view body,
-                              std::string_view extra_headers) {
+                              std::string_view extra_headers,
+                              bool keep_alive) {
   std::string out;
   out.reserve(body.size() + 128 + extra_headers.size());
   out += "HTTP/1.1 ";
@@ -221,7 +278,8 @@ std::string SerializeResponse(int status_code, std::string_view content_type,
   out += content_type;
   out += "\r\nContent-Length: ";
   out += std::to_string(body.size());
-  out += "\r\nConnection: close\r\n";
+  out += keep_alive ? "\r\nConnection: keep-alive\r\n"
+                    : "\r\nConnection: close\r\n";
   out += extra_headers;  // each entry CRLF-terminated by the caller
   out += "\r\n";
   out += body;
@@ -336,8 +394,8 @@ StatusOr<HttpRequest> ReadRequest(int fd) {
   std::string head;
   head.reserve(512);
   char buf[2048];
-  while (head.find("\r\n\r\n") == std::string::npos &&
-         head.find("\n\n") == std::string::npos) {
+  size_t head_end = std::string::npos;
+  while ((head_end = HeadEnd(head)) == std::string::npos) {
     if (head.size() > kMaxRequestHeadBytes) {
       return Status::InvalidArgument("request head too large");
     }
@@ -364,13 +422,17 @@ StatusOr<HttpRequest> ReadRequest(int fd) {
       content_length->second != "0") {
     return Status::InvalidArgument("request bodies are not supported");
   }
+  // A pipelined next request is not served; answering "close" tells the
+  // client so instead of leaving its bytes unread on a kept connection.
+  if (head_end < head.size()) request.keep_alive = false;
   return request;
 }
 
 Status WriteResponse(int fd, int status_code, std::string_view content_type,
-                     std::string_view body, std::string_view extra_headers) {
-  return SendAll(
-      fd, SerializeResponse(status_code, content_type, body, extra_headers));
+                     std::string_view body, std::string_view extra_headers,
+                     bool keep_alive) {
+  return SendAll(fd, SerializeResponse(status_code, content_type, body,
+                                       extra_headers, keep_alive));
 }
 
 std::string UrlEncode(std::string_view text) {
@@ -393,51 +455,118 @@ std::string UrlEncode(std::string_view text) {
   return out;
 }
 
-StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
-                                     int timeout_ms) {
+Status HttpConnection::Connect(uint16_t port, int timeout_ms) {
   IgnoreSigpipeOnce();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  Close();
+  closed_before_response_ = false;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::IOError("socket failed: " +
                            std::string(std::strerror(errno)));
   }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-
-  GRAFT_RETURN_IF_ERROR(SetSocketTimeouts(fd, timeout_ms));
+  const Status timeouts = SetSocketTimeouts(fd, timeout_ms);
+  if (!timeouts.ok()) {
+    ::close(fd);
+    return timeouts;
+  }
+  const int one = 1;
+  (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return Status::IOError("connect failed: " +
-                           std::string(std::strerror(errno)));
+    const Status status = Status::IOError("connect failed: " +
+                                          std::string(std::strerror(errno)));
+    ::close(fd);
+    return status;
   }
+  fd_ = fd;
+  timeout_ms_ = timeout_ms;
+  reusable_ = true;
+  return Status::Ok();
+}
 
+void HttpConnection::Close() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  reusable_ = false;
+}
+
+bool HttpConnection::IdleAndOpen() const {
+  if (fd_ < 0) return false;
+  char byte;
+  const ssize_t n = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  // Nothing to read is the only healthy state: 0 is the peer's FIN, data
+  // is an unsolicited reply, an error is a reset.
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
+StatusOr<HttpClientResponse> HttpConnection::Get(std::string_view target,
+                                                 int timeout_ms,
+                                                 bool keep_alive) {
+  closed_before_response_ = false;
+  if (fd_ < 0) return Status::FailedPrecondition("connection is not open");
+  // Every failure below leaves the stream at an unknown position.
+  struct CloseOnFailure {
+    HttpConnection* connection;
+    bool armed = true;
+    ~CloseOnFailure() {
+      if (armed) connection->Close();
+    }
+  } guard{this};
+
+  if (timeout_ms != timeout_ms_) {
+    GRAFT_RETURN_IF_ERROR(SetSocketTimeouts(fd_, timeout_ms));
+    timeout_ms_ = timeout_ms;
+  }
   std::string request = "GET ";
   request += target;
-  request += " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
-  GRAFT_RETURN_IF_ERROR(SendAll(fd, request));
+  request += keep_alive ? " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+                        : " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: "
+                          "close\r\n\r\n";
+  const int send_error = SendAllOrErrno(fd_, request);
+  if (send_error != 0) {
+    closed_before_response_ = send_error == EPIPE || send_error == ECONNRESET;
+    return Status::IOError("send failed: " +
+                           std::string(std::strerror(send_error)));
+  }
 
+  // Reads more bytes into `raw`; 0 at EOF.
   std::string raw;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
+  char buf[16384];
+  const auto fill = [&]() -> StatusOr<size_t> {
+    while (true) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n >= 0) {
+        raw.append(buf, static_cast<size_t>(n));
+        return static_cast<size_t>(n);
+      }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         return Status::IOError("timed out reading response");
       }
+      if (raw.empty() && errno == ECONNRESET) closed_before_response_ = true;
       return Status::IOError("recv failed: " +
                              std::string(std::strerror(errno)));
     }
-    if (n == 0) break;
-    raw.append(buf, static_cast<size_t>(n));
-    if (raw.size() > (64u << 20)) {
-      return Status::OutOfRange("response too large");
+  };
+
+  size_t head_end = std::string::npos;
+  while ((head_end = HeadEnd(raw)) == std::string::npos) {
+    if (raw.size() > kMaxRequestHeadBytes) {
+      return Status::DataLoss("HTTP response head too large");
+    }
+    GRAFT_ASSIGN_OR_RETURN(const size_t n, fill());
+    if (n == 0) {
+      if (raw.empty()) {
+        closed_before_response_ = true;
+        return Status::IOError("connection closed before response");
+      }
+      return Status::DataLoss("HTTP response missing header terminator");
     }
   }
 
@@ -447,22 +576,13 @@ StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
   }
   HttpClientResponse response;
   const size_t sp = raw.find(' ');
-  if (sp == std::string::npos || sp + 4 > raw.size()) {
+  if (sp == std::string::npos || sp + 4 > head_end) {
     return Status::DataLoss("malformed HTTP status line");
   }
   response.status_code = std::atoi(raw.c_str() + sp + 1);
-  size_t body_start = raw.find("\r\n\r\n");
-  size_t skip = 4;
-  if (body_start == std::string::npos) {
-    body_start = raw.find("\n\n");
-    skip = 2;
-  }
-  if (body_start == std::string::npos) {
-    return Status::DataLoss("HTTP response missing header terminator");
-  }
   // Capture response headers (lower-cased names) so clients and tests can
   // assert on them, e.g. Retry-After on 503/504.
-  const std::string_view head(raw.data(), body_start);
+  const std::string_view head(raw.data(), head_end);
   size_t line_start = head.find('\n');
   while (line_start != std::string_view::npos && line_start + 1 < head.size()) {
     const size_t line_end_raw = head.find('\n', line_start + 1);
@@ -478,8 +598,48 @@ StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
     }
     line_start = line_end_raw;
   }
-  response.body = raw.substr(body_start + skip);
+
+  constexpr size_t kMaxResponseBytes = 64u << 20;
+  const auto length = response.headers.find("content-length");
+  bool reusable =
+      KeepsConnection(raw.compare(0, 8, "HTTP/1.1") == 0, response.headers);
+  if (length != response.headers.end()) {
+    char* end = nullptr;
+    const unsigned long long declared =
+        std::strtoull(length->second.c_str(), &end, 10);
+    if (length->second.empty() || *end != '\0' ||
+        declared > kMaxResponseBytes) {
+      return Status::DataLoss("bad Content-Length in HTTP response");
+    }
+    while (raw.size() - head_end < declared) {
+      GRAFT_ASSIGN_OR_RETURN(const size_t n, fill());
+      if (n == 0) return Status::DataLoss("connection closed mid-body");
+    }
+    // Bytes past the declared body mean the stream is out of step.
+    if (raw.size() - head_end > declared) reusable = false;
+    response.body = raw.substr(head_end, declared);
+  } else {
+    // No length: the body runs to EOF, which also ends the connection.
+    while (true) {
+      GRAFT_ASSIGN_OR_RETURN(const size_t n, fill());
+      if (n == 0) break;
+      if (raw.size() > kMaxResponseBytes) {
+        return Status::OutOfRange("response too large");
+      }
+    }
+    reusable = false;
+    response.body = raw.substr(head_end);
+  }
+  guard.armed = false;
+  if (!reusable || !keep_alive) Close();
   return response;
+}
+
+StatusOr<HttpClientResponse> HttpGet(uint16_t port, std::string_view target,
+                                     int timeout_ms) {
+  HttpConnection connection;
+  GRAFT_RETURN_IF_ERROR(connection.Connect(port, timeout_ms));
+  return connection.Get(target, timeout_ms, /*keep_alive=*/false);
 }
 
 }  // namespace graft::server

@@ -1,11 +1,8 @@
 #include "server/search_service.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
+#include <thread>
 
 #include "common/failpoint.h"
 #include "core/rewrite_rules.h"
@@ -28,31 +25,21 @@ uint64_t MicrosSince(Clock::time_point t0) {
           .count());
 }
 
-std::string RetryAfterHeader(unsigned seconds) {
-  return "Retry-After: " + std::to_string(seconds) + "\r\n";
+HttpServerOptions HttpOptions(const ServiceOptions& options) {
+  HttpServerOptions http;
+  http.port = options.port;
+  http.handler_threads = options.handler_threads;
+  http.max_inflight = options.max_inflight;
+  http.io_timeout_ms = options.io_timeout_ms;
+  http.retry_after_s = options.retry_after_s;
+  http.name = "server";
+  return http;
 }
 
-// Answers a connection that will not be handled (admission rejection or
-// shutdown) without ever reading the request. Closing with the client's
-// request bytes still unread would send an RST that can destroy the 503
-// before the client reads it, so: write the response, half-close (FIN),
-// then drain briefly until the client's FIN — bounded at ~50ms so a
-// stalled peer cannot wedge the accept thread.
-void RejectConnection(int fd, const std::string& body,
-                      unsigned retry_after_s) {
-  (void)WriteResponse(fd, 503, "application/json", body,
-                      RetryAfterHeader(retry_after_s));
-  ::shutdown(fd, SHUT_WR);
-  char drain[1024];
-  for (int spin = 0; spin < 50; ++spin) {
-    const ssize_t n = ::recv(fd, drain, sizeof(drain), MSG_DONTWAIT);
-    if (n == 0) break;  // clean FIN from the client
-    if (n < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ::close(fd);
+HttpServer::Handler MakeHandler(SearchService* service) {
+  return [service](const HttpRequest& request, uint64_t queued_micros) {
+    return service->Handle(request, queued_micros);
+  };
 }
 
 void AppendMsField(std::string* out, std::string_view name, double micros) {
@@ -148,27 +135,6 @@ void AppendExplainBlock(std::string* out, const core::SearchResult& result,
 
 }  // namespace
 
-int HttpCodeForStatus(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kOutOfRange:
-      return 400;
-    case StatusCode::kNotFound:
-      return 404;
-    default:
-      return 500;
-  }
-}
-
-std::string ErrorBody(const Status& status) {
-  std::string body = "{\"error\":\"";
-  JsonAppendEscaped(&body, StatusCodeName(status.code()));
-  body += "\",\"message\":\"";
-  JsonAppendEscaped(&body, status.message());
-  body += "\"}";
-  return body;
-}
-
 std::string SearchService::FormatResultsFragment(
     const std::vector<ma::ScoredDoc>& results) {
   std::string out = "\"results\":[";
@@ -192,7 +158,8 @@ SearchService::SearchService(const core::Engine* engine,
       // no-op. Reload would drop that guarantee, hence reloadable_ = false.
       engine_(std::shared_ptr<const core::Engine>(engine,
                                                   [](const core::Engine*) {})),
-      reloadable_(false) {
+      reloadable_(false),
+      http_(HttpOptions(options_), MakeHandler(this), &stats_) {
   // A packed (mmap-loaded) index brings its own decoded-block cache; adopt
   // it so /stats and /metrics can report on it. Set once here, never
   // reassigned — handlers read block_cache_ without a lock.
@@ -207,7 +174,8 @@ SearchService::SearchService(std::shared_ptr<const core::EngineBundle> bundle,
       // in-flight request lets go.
       engine_(std::shared_ptr<const core::Engine>(bundle,
                                                   bundle->engine.get())),
-      reloadable_(!options_.index_path.empty()) {
+      reloadable_(!options_.index_path.empty()),
+      http_(HttpOptions(options_), MakeHandler(this), &stats_) {
   // One decoded-block cache for the service's whole lifetime: adopt the
   // initial bundle's cache when it was mmap-loaded, otherwise create one
   // up front when mmap reloads are configured. Set once here, never
@@ -224,34 +192,14 @@ SearchService::SearchService(std::shared_ptr<const core::EngineBundle> bundle,
 SearchService::~SearchService() { Shutdown(); }
 
 Status SearchService::Start() {
-  if (started_) {
+  if (http_.started()) {
     return Status::FailedPrecondition("service already started");
   }
-  GRAFT_RETURN_IF_ERROR(listener_.Bind(options_.port));
-  pool_ = std::make_unique<common::ThreadPool>(options_.handler_threads);
-  started_at_ = Clock::now();
-  started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
+  started_at_ = Clock::now();  // before any handler thread can read it
+  return http_.Start();
 }
 
-void SearchService::Shutdown() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  listener_.Interrupt();  // unblocks the pending accept
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();  // safe: no Accept can be running anymore
-  // Drain: every admitted connection either has a handler queued or
-  // running on the pool; wait until each has written its response.
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock,
-                   [this] { return inflight_.load(std::memory_order_acquire) ==
-                                   0; });
-  }
-  pool_.reset();  // queue is empty by now; joins the workers
-  started_ = false;
-}
+void SearchService::Shutdown() { http_.Shutdown(); }
 
 Status SearchService::Reload() {
   std::lock_guard<std::mutex> lock(reload_mu_);
@@ -303,68 +251,6 @@ Status SearchService::Reload() {
   last_reload_error_.clear();
   stats_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
-}
-
-void SearchService::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    StatusOr<int> accepted = listener_.Accept(options_.io_timeout_ms);
-    if (!accepted.ok()) {
-      // Accept fails persistently only when the listener is closed
-      // (shutdown) or the process is out of fds; both end the loop.
-      if (stopping_.load(std::memory_order_acquire)) break;
-      // Transient failure (e.g. out of fds): back off instead of spinning.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const int fd = *accepted;
-    stats_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-    // Connection-level admission: bound queued + running handlers.
-    const size_t inflight =
-        inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (inflight > options_.max_inflight ||
-        stopping_.load(std::memory_order_acquire)) {
-      // Fast rejection from the accept thread: no request read, no queue.
-      const Status reason =
-          inflight > options_.max_inflight
-              ? Status::FailedPrecondition("server overloaded; retry")
-              : Status::FailedPrecondition("server shutting down");
-      RejectConnection(fd, ErrorBody(reason), options_.retry_after_s);
-      stats_.RecordResponseCode(503);
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-        drain_cv_.notify_all();
-      }
-      continue;
-    }
-
-    const Clock::time_point admitted = Clock::now();
-    pool_->Submit([this, fd, admitted] { HandleConnection(fd, admitted); });
-  }
-}
-
-void SearchService::HandleConnection(int fd, Clock::time_point admitted) {
-  const uint64_t queued_micros = MicrosSince(admitted);
-  StatusOr<HttpRequest> request = ReadRequest(fd);
-  Response response;
-  if (!request.ok()) {
-    stats_.malformed_requests.fetch_add(1, std::memory_order_relaxed);
-    response.status_code = 400;
-    response.body = ErrorBody(request.status());
-  } else {
-    response = Handle(*request, queued_micros);
-  }
-  const std::string extra_headers =
-      response.retry_after_s > 0 ? RetryAfterHeader(response.retry_after_s)
-                                 : std::string();
-  (void)WriteResponse(fd, response.status_code, response.content_type,
-                      response.body, extra_headers);
-  ::close(fd);
-  stats_.RecordResponseCode(response.status_code);
-  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
 }
 
 Response SearchService::Handle(const HttpRequest& request,
@@ -469,7 +355,8 @@ Response SearchService::HandleStats() const {
     std::lock_guard<std::mutex> lock(reload_mu_);
     JsonAppendEscaped(&body, last_reload_error_);
   }
-  body += "\"";
+  body += "\",\"inflight\":";
+  body += std::to_string(http_.inflight());
   if (block_cache_ != nullptr) {
     const index::BlockCache::Snapshot cache = block_cache_->snapshot();
     body += ",\"block_cache\":{\"hits\":" + std::to_string(cache.hits) +
@@ -493,8 +380,7 @@ Response SearchService::HandleMetrics() const {
   // Service-level gauges live here, next to the counters ServerStats owns.
   body += "# HELP graft_inflight_requests Admitted but unanswered requests.\n";
   body += "# TYPE graft_inflight_requests gauge\n";
-  body += "graft_inflight_requests " +
-          std::to_string(inflight_.load(std::memory_order_relaxed)) + "\n";
+  body += "graft_inflight_requests " + std::to_string(http_.inflight()) + "\n";
   body += "# HELP graft_index_generation Engine generation (1 + reloads).\n";
   body += "# TYPE graft_index_generation gauge\n";
   body += "graft_index_generation " + std::to_string(generation()) + "\n";

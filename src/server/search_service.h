@@ -25,23 +25,29 @@
 //   GET /healthz -> 200 {"status":"ok"|"degraded",...} — used by probes.
 //   GET /admin/reload -> swap in a freshly loaded engine (see below).
 //
-// Concurrency model (mirrors DESIGN.md §2c):
-//   * one blocking accept thread; each accepted connection is one request
-//     (Connection: close) handled as a task on a common::ThreadPool;
-//   * admission control is connection-level: an atomic in-flight count
-//     (running + queued handlers) is capped at max_inflight, and a
-//     connection over the cap gets an immediate 503 written from the
-//     accept thread — the pool queue can never grow beyond max_inflight,
-//     so overload degrades into fast rejections, not latency collapse;
+// Concurrency model (DESIGN.md §2c): the service runs on the shared
+// connection layer, server::HttpServer (server/http_server.h):
+//   * one epoll reactor thread accepts and watches connections, which are
+//     persistent by HTTP/1.1 rules (keep-alive unless the client says
+//     close); requests run as tasks on a handler pool;
+//   * admission control is per request: an atomic in-flight count
+//     (running + queued handlers) is capped at max_inflight, and a request
+//     over the cap gets an immediate 503 from the reactor and its
+//     connection is closed — the pool queue can never grow beyond
+//     max_inflight, so overload degrades into fast rejections, not
+//     latency collapse;
+//   * idle connections close after io_timeout_ms, and at most max_inflight
+//     kept-alive connections wait at once;
 //   * per-request deadlines are measured from admission: a request whose
 //     deadline elapsed while queued is answered 504 without touching the
 //     engine, and one that exceeds it during execution is answered 504
 //     after the fact (the engine is not preemptible mid-query);
 //   * 503 and 504 responses carry a Retry-After header so well-behaved
 //     clients back off instead of hammering an overloaded server;
-//   * Shutdown() stops accepting, drains every admitted request to a
-//     written response, then joins the pool — in-flight work is never
-//     dropped (SIGINT/SIGTERM in graft_server map to exactly this).
+//   * Shutdown() stops accepting, closes idle connections, drains every
+//     admitted request to a written response, then joins the pool —
+//     in-flight work is never dropped (SIGINT/SIGTERM in graft_server map
+//     to exactly this).
 //
 // Hot reload (DESIGN.md §2d): the engine is held behind a mutex-guarded
 // shared_ptr snapshot (one uncontended pointer copy per request — noise
@@ -62,19 +68,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/request.h"
 #include "ma/match_table.h"
 #include "server/http.h"
+#include "server/http_server.h"
 #include "server/server_stats.h"
 
 namespace graft::server {
@@ -84,8 +88,9 @@ struct ServiceOptions {
   uint16_t port = 0;
   // Handler pool workers. 0 = hardware concurrency.
   size_t handler_threads = 0;
-  // Admission cap: max connections admitted but not yet answered
-  // (queued + executing). Beyond it, connections get an immediate 503.
+  // Admission cap: max requests admitted but not yet answered (queued +
+  // executing). Beyond it, requests get an immediate 503. Also the most
+  // kept-alive connections left waiting at once.
   size_t max_inflight = 64;
   // Deadline applied when the client sends no deadline_ms; client values
   // are clamped to max_deadline_ms.
@@ -94,7 +99,8 @@ struct ServiceOptions {
   // k applied when the client sends no k (0 = all matching documents).
   size_t default_top_k = 10;
   size_t max_top_k = 10000;
-  // Per-connection socket send/receive timeout.
+  // Per-connection socket send/receive timeout, and how long an idle
+  // connection stays open waiting for its next request.
   int io_timeout_ms = 5000;
   // Seconds advertised in the Retry-After header of 503/504 responses.
   unsigned retry_after_s = 1;
@@ -120,15 +126,6 @@ struct ServiceOptions {
   uint64_t test_search_delay_ms = 0;
 };
 
-// A routed response before serialization.
-struct Response {
-  int status_code = 200;
-  std::string content_type = "application/json";
-  std::string body;
-  // Non-zero => a "Retry-After: <n>" header is attached (503/504).
-  unsigned retry_after_s = 0;
-};
-
 class SearchService {
  public:
   // Non-owning: `engine` must outlive the service. Reload is unsupported
@@ -146,11 +143,12 @@ class SearchService {
   SearchService(const SearchService&) = delete;
   SearchService& operator=(const SearchService&) = delete;
 
-  // Binds the listener and starts the accept thread + handler pool.
+  // Binds the listener and starts the connection layer.
   Status Start();
 
-  // Stops accepting, drains all admitted requests, joins every thread.
-  // Idempotent; called by the destructor if still running.
+  // Stops accepting, closes idle connections, drains all admitted
+  // requests, joins every thread. Idempotent; called by the destructor if
+  // still running.
   void Shutdown();
 
   // Loads a new EngineBundle from options.index_path and atomically swaps
@@ -160,7 +158,7 @@ class SearchService {
   Status Reload();
 
   // Valid after Start(); the actual bound port.
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return http_.port(); }
 
   const ServerStats& stats() const { return stats_; }
 
@@ -187,9 +185,6 @@ class SearchService {
       const std::vector<ma::ScoredDoc>& results);
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd,
-                        std::chrono::steady_clock::time_point admitted);
   Response HandleSearch(const HttpRequest& request, uint64_t queued_micros);
   Response HandleShardStats(const HttpRequest& request);
   Response HandleStats() const;
@@ -226,28 +221,12 @@ class SearchService {
   std::atomic<uint64_t> generation_{1};
   std::atomic<bool> degraded_{false};
 
-  TcpListener listener_;
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::thread accept_thread_;
-
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  // Admission/drain accounting.
-  std::atomic<size_t> inflight_{0};
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
   ServerStats stats_;
   std::chrono::steady_clock::time_point started_at_;
+  // Declared last: shut down (by the destructor) while everything its
+  // handlers use is still alive.
+  HttpServer http_;
 };
-
-// Maps a library Status to the HTTP code the service answers with:
-// InvalidArgument/OutOfRange -> 400, NotFound -> 404, everything else 500.
-int HttpCodeForStatus(const Status& status);
-
-// {"error":"<code name>","message":"..."} body for an error response.
-std::string ErrorBody(const Status& status);
 
 }  // namespace graft::server
 

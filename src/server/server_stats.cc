@@ -165,6 +165,8 @@ void ServerStats::RecordResponseCode(int status_code) {
 std::string ServerStats::ToJson() const {
   std::string out = "{\"requests_total\":";
   out += std::to_string(requests_total.load(std::memory_order_relaxed));
+  out += ",\"connections_accepted\":";
+  out += std::to_string(connections_accepted.load(std::memory_order_relaxed));
   out += ",\"responses_ok\":";
   out += std::to_string(responses_ok.load(std::memory_order_relaxed));
   out += ",\"client_errors\":";
@@ -241,9 +243,12 @@ void AppendDouble(std::string* out, double value) {
 
 std::string ServerStats::ToPrometheus() const {
   std::string out;
-  AppendMetric(&out, "graft_requests_total",
-               "HTTP connections accepted.", "counter",
-               requests_total.load(std::memory_order_relaxed));
+  AppendMetric(&out, "graft_requests_total", "HTTP requests received.",
+               "counter", requests_total.load(std::memory_order_relaxed));
+  AppendMetric(&out, "graft_connections_accepted_total",
+               "TCP connections accepted (requests_total over this is the "
+               "keep-alive reuse).",
+               "counter", connections_accepted.load(std::memory_order_relaxed));
   AppendMetric(&out, "graft_responses_ok_total", "2xx responses.", "counter",
                responses_ok.load(std::memory_order_relaxed));
   AppendMetric(&out, "graft_client_errors_total", "4xx responses.", "counter",

@@ -72,17 +72,31 @@ class SchemeCounters {
   std::vector<std::atomic<uint64_t>> counts_;
 };
 
+// The counters the connection layer (server/http_server.h) keeps for the
+// service it fronts. Every request it admits or rejects counts once in
+// requests_total and once, by status code, in RecordResponseCode — before
+// its response is written, so a client that has read a response (and then
+// /stats) always finds it counted.
+struct RequestCounters {
+  std::atomic<uint64_t> connections_accepted{0};  // TCP connections
+  std::atomic<uint64_t> requests_total{0};        // requests received
+  std::atomic<uint64_t> malformed_requests{0};    // unparsable HTTP (4xx)
+
+  virtual void RecordResponseCode(int status_code) = 0;
+
+ protected:
+  ~RequestCounters() = default;
+};
+
 // The outcome counters are disjoint: responses_ok + client_errors +
 // server_errors + rejected_overload + deadline_exceeded == requests_total
 // (once all in-flight requests have drained).
-struct ServerStats {
-  std::atomic<uint64_t> requests_total{0};
+struct ServerStats final : RequestCounters {
   std::atomic<uint64_t> responses_ok{0};          // 2xx
   std::atomic<uint64_t> client_errors{0};         // 4xx
   std::atomic<uint64_t> server_errors{0};         // 5xx except 503/504
   std::atomic<uint64_t> rejected_overload{0};     // 503 (admission/shutdown)
   std::atomic<uint64_t> deadline_exceeded{0};     // 504
-  std::atomic<uint64_t> malformed_requests{0};    // unparsable HTTP (also 4xx)
   // Hot-reload outcomes (/admin/reload + SIGHUP); not part of the
   // request-outcome identity above.
   std::atomic<uint64_t> reloads_ok{0};
@@ -117,7 +131,7 @@ struct ServerStats {
   // Classifies a response code into exactly one outcome counter:
   // 2xx -> responses_ok, 4xx -> client_errors, 503 -> rejected_overload,
   // 504 -> deadline_exceeded, other 5xx -> server_errors.
-  void RecordResponseCode(int status_code);
+  void RecordResponseCode(int status_code) override;
 
   // Full /stats JSON document.
   std::string ToJson() const;

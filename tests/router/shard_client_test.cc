@@ -1,6 +1,8 @@
 // ShardClient retry discipline against live stub replicas: retries with
 // budget-bounded backoff, round-robin failover, ejection after consecutive
-// failures, probe-driven readmission, and the 4xx-is-an-answer rule.
+// failures, probe-driven readmission, and the 4xx-is-an-answer rule — plus
+// pooled keep-alive connections: reuse, same-port restarts, and the one
+// fresh retry of a reused connection the peer closed.
 
 #include "router/shard_client.h"
 
@@ -16,9 +18,50 @@
 #include <thread>
 
 #include "server/http.h"
+#include "server/http_server.h"
 
 namespace graft::router {
 namespace {
+
+// A keep-alive stub on the shared connection layer: answers every request
+// with `reply()` and counts accepted connections.
+class KeepAliveStub {
+ public:
+  KeepAliveStub(std::function<server::Response()> reply, uint16_t port = 0)
+      : http_(Options(port),
+              [reply = std::move(reply)](const server::HttpRequest&,
+                                         uint64_t) { return reply(); },
+              &counters_) {}
+  explicit KeepAliveStub(std::string body, uint16_t port = 0)
+      : KeepAliveStub(
+            [body = std::move(body)] {
+              server::Response response;
+              response.body = body;
+              return response;
+            },
+            port) {}
+
+  Status Start() { return http_.Start(); }
+  void Stop() { http_.Shutdown(); }
+  uint16_t port() const { return http_.port(); }
+  uint64_t connections() const { return counters_.connections_accepted.load(); }
+  uint64_t requests() const { return counters_.requests_total.load(); }
+
+ private:
+  struct Counters final : server::RequestCounters {
+    void RecordResponseCode(int) override {}
+  };
+
+  static server::HttpServerOptions Options(uint16_t port) {
+    server::HttpServerOptions options;
+    options.port = port;
+    options.handler_threads = 2;
+    return options;
+  }
+
+  Counters counters_;
+  server::HttpServer http_;
+};
 
 // A one-thread HTTP stub: answers every request via a handler returning
 // (status_code, body). Stop() is clean and re-entrant.
@@ -253,6 +296,130 @@ TEST(ShardClientTest, AllEjectedStillAttemptsLastResort) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(client.counters().attempts.load(), 2u);
   EXPECT_EQ(server.requests(), 2u);
+}
+
+TEST(ShardClientTest, PooledGetsReuseOneConnection) {
+  KeepAliveStub stub("{\"pong\":true}");
+  ASSERT_TRUE(stub.Start().ok());
+  ShardClient client(0, {stub.port()}, FastOptions(), 1);
+  constexpr uint64_t kGets = 50;
+  for (uint64_t i = 0; i < kGets; ++i) {
+    size_t attempts = 0;
+    auto reply = client.Get("/ping", 5000, &attempts);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->body, "{\"pong\":true}");
+    EXPECT_EQ(attempts, 1u);
+  }
+  EXPECT_EQ(stub.connections(), 1u);
+  EXPECT_EQ(stub.requests(), kGets);
+  EXPECT_EQ(client.counters().attempts.load(), kGets);
+  EXPECT_EQ(client.counters().failures.load(), 0u);
+  stub.Stop();
+}
+
+TEST(ShardClientTest, SamePortRestartIsReachedWithoutAFailure) {
+  auto first = std::make_unique<KeepAliveStub>("one");
+  ASSERT_TRUE(first->Start().ok());
+  const uint16_t port = first->port();
+  ShardClient client(0, {port}, FastOptions(), 1);
+  auto before = client.Get("/ping", 5000);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->body, "one");
+
+  // The replica restarts on the same port; the pooled connection to the
+  // old process is dead.
+  first->Stop();
+  first.reset();
+  KeepAliveStub second("two", port);
+  ASSERT_TRUE(second.Start().ok());
+
+  size_t attempts = 0;
+  auto after = client.Get("/ping", 5000, &attempts);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->body, "two");
+  EXPECT_EQ(attempts, 1u);
+  EXPECT_EQ(client.counters().failures.load(), 0u);
+  EXPECT_EQ(client.counters().attempts.load(), 2u);
+  EXPECT_FALSE(client.replica_ejected(0));
+  second.Stop();
+}
+
+TEST(ShardClientTest, ReusedConnectionClosedBeforeReplyIsRetriedOnce) {
+  // A raw replica whose first connection answers one request with
+  // keep-alive, then reads the next request and hangs up without a reply —
+  // a server closing an idle connection just as the client reuses it.
+  // Later connections are answered normally.
+  server::TcpListener listener;
+  ASSERT_TRUE(listener.Bind(0).ok());
+  std::atomic<int> connections{0};
+  std::thread replica([&] {
+    for (int c = 0; c < 2; ++c) {
+      StatusOr<int> fd = listener.Accept(5000);
+      if (!fd.ok()) return;
+      connections.fetch_add(1);
+      auto first = server::ReadRequest(*fd);
+      if (first.ok()) {
+        (void)server::WriteResponse(*fd, 200, "application/json",
+                                    c == 0 ? "kept" : "fresh", {},
+                                    /*keep_alive=*/c == 0);
+      }
+      if (c == 0) (void)server::ReadRequest(*fd);  // read, never answer
+      ::close(*fd);
+    }
+  });
+  ShardClient client(0, {listener.port()}, FastOptions(), 1);
+  auto kept = client.Get("/ping", 5000);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->body, "kept");
+
+  size_t attempts = 0;
+  auto retried = client.Get("/ping", 5000, &attempts);
+  replica.join();
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(retried->body, "fresh");
+  EXPECT_EQ(attempts, 1u);
+  EXPECT_EQ(connections.load(), 2);
+  EXPECT_EQ(client.counters().attempts.load(), 2u);
+  EXPECT_EQ(client.counters().failures.load(), 0u);
+  EXPECT_EQ(client.counters().retries.load(), 0u);
+}
+
+TEST(ShardClientTest, FailedAttemptsCloseAndEjectionDropsThePool) {
+  std::atomic<bool> failing{false};
+  KeepAliveStub stub([&failing] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    server::Response response;
+    response.status_code = failing.load() ? 500 : 200;
+    response.body = "x";
+    return response;
+  });
+  ASSERT_TRUE(stub.Start().ok());
+  ShardClientOptions options = FastOptions();
+  options.eject_after = 1;
+  options.max_attempts = 1;
+  ShardClient client(0, {stub.port()}, options, 1);
+
+  // Two overlapping Gets leave two pooled connections.
+  std::thread other([&] { EXPECT_TRUE(client.Get("/ping", 5000).ok()); });
+  EXPECT_TRUE(client.Get("/ping", 5000).ok());
+  other.join();
+  ASSERT_EQ(stub.connections(), 2u);
+
+  // A 5xx is a failed attempt: its connection is closed, and the ejection
+  // it causes drops the other pooled connection too...
+  failing.store(true);
+  auto failed = client.Get("/ping", 5000);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_EQ(failed->status_code, 500);
+  ASSERT_TRUE(client.replica_ejected(0));
+
+  // ...so the next (last-resort) attempt has to connect afresh.
+  failing.store(false);
+  auto recovered = client.Get("/ping", 5000);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->status_code, 200);
+  EXPECT_EQ(stub.connections(), 3u);
+  stub.Stop();
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // HTTP plumbing units: URL decoding, request-head parsing (including the
 // hardening paths — every malformed input must come back as a Status),
-// response serialization, and JSON escaping.
+// keep-alive semantics (version x Connection header, the response's
+// Connection header, pipelined bytes), response serialization, and JSON
+// escaping.
 
 #include "server/http.h"
 
@@ -102,6 +104,68 @@ TEST(SerializeResponseTest, WellFormed) {
   EXPECT_EQ(wire,
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
             "Content-Length: 2\r\nConnection: close\r\n\r\n{}");
+}
+
+TEST(ParseRequestHeadTest, KeepAliveFollowsVersionAndConnectionHeader) {
+  const struct {
+    const char* version;
+    const char* connection;  // nullptr = no Connection header
+    bool keep_alive;
+  } cases[] = {
+      {"HTTP/1.1", nullptr, true},
+      {"HTTP/1.1", "close", false},
+      {"HTTP/1.1", "keep-alive", true},
+      {"HTTP/1.0", nullptr, false},
+      {"HTTP/1.0", "close", false},
+      {"HTTP/1.0", "keep-alive", true},
+      // Tokens are a case-insensitive, comma-separated list.
+      {"HTTP/1.1", "Upgrade, Close", false},
+      {"HTTP/1.0", "Keep-Alive , Upgrade", true},
+  };
+  for (const auto& c : cases) {
+    std::string head = std::string("GET /healthz ") + c.version + "\r\n";
+    if (c.connection != nullptr) {
+      head += std::string("Connection: ") + c.connection + "\r\n";
+    }
+    head += "\r\n";
+    auto request = ParseRequestHead(head);
+    ASSERT_TRUE(request.ok()) << head;
+    EXPECT_EQ(request->version, c.version) << head;
+    EXPECT_EQ(request->keep_alive, c.keep_alive) << head;
+  }
+}
+
+TEST(SerializeResponseTest, ConnectionHeaderMatchesKeepAlive) {
+  EXPECT_EQ(SerializeResponse(200, "text/plain", "ok", {}, /*keep_alive=*/true),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+            "Content-Length: 2\r\nConnection: keep-alive\r\n\r\nok");
+  EXPECT_EQ(SerializeResponse(503, "text/plain", "", "Retry-After: 1\r\n",
+                              /*keep_alive=*/false),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n"
+            "Content-Length: 0\r\nConnection: close\r\nRetry-After: 1\r\n"
+            "\r\n");
+}
+
+TEST(ReadRequestTest, PipelinedBytesTurnTheAnswerIntoClose) {
+  const struct {
+    std::string wire;
+    bool keep_alive;
+  } cases[] = {
+      {"GET /a HTTP/1.1\r\nHost: x\r\n\r\n", true},
+      {"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n", false},
+      {"GET /a HTTP/1.1\n\nG", false},
+  };
+  for (const auto& c : cases) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_TRUE(SendAll(fds[0], c.wire).ok());
+    auto request = ReadRequest(fds[1]);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ASSERT_TRUE(request.ok()) << request.status();
+    EXPECT_EQ(request->path, "/a");
+    EXPECT_EQ(request->keep_alive, c.keep_alive) << c.wire;
+  }
 }
 
 TEST(SerializeResponseTest, ReasonPhrases) {

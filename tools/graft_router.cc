@@ -22,7 +22,7 @@
 //   --deadline-ms N   default per-request budget (default 2000)
 //   --threads N       handler pool workers (default 0 = hardware
 //                     concurrency)
-//   --max-inflight N  admission cap; connections beyond it get 503
+//   --max-inflight N  admission cap; requests beyond it get 503
 //                     (default 64)
 //   --eject-after N   consecutive failures that eject a replica
 //                     (default 3)

@@ -11,7 +11,7 @@
 //   --segments N      partition the index into N segments at load time and
 //                     execute queries segment-parallel (default 1)
 //   --threads N       handler pool workers (default 0 = hardware concurrency)
-//   --max-inflight N  admission cap; connections beyond it get 503
+//   --max-inflight N  admission cap; requests beyond it get 503
 //                     (default 64)
 //   --deadline-ms N   default per-request deadline (default 2000)
 //   --default-k N     k when the client sends none (default 10)
