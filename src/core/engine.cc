@@ -328,9 +328,13 @@ std::string FormatExecStats(const exec::ExecStats& s) {
 
 Engine::Engine(const index::InvertedIndex* index,
                const index::SegmentedIndex* segmented, size_t pool_threads)
-    : index_(index),
-      segmented_(segmented),
-      pool_(std::make_unique<common::ThreadPool>(pool_threads)) {}
+    : Engine(index, segmented,
+             std::make_unique<common::ThreadPool>(pool_threads)) {}
+
+Engine::Engine(const index::InvertedIndex* index,
+               const index::SegmentedIndex* segmented,
+               std::unique_ptr<common::ThreadPool> pool)
+    : index_(index), segmented_(segmented), pool_(std::move(pool)) {}
 
 StatusOr<const sa::ScoringScheme*> Engine::ResolveScheme(
     std::string_view name) const {

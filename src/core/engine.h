@@ -162,6 +162,11 @@ class Engine {
   // global); pass an overlay-free index.
   Engine(const index::InvertedIndex* index,
          const index::SegmentedIndex* segmented, size_t pool_threads);
+  // Same, adopting an existing pool (the bundle loader builds the segments
+  // on it first, so one pool serves both).
+  Engine(const index::InvertedIndex* index,
+         const index::SegmentedIndex* segmented,
+         std::unique_ptr<common::ThreadPool> pool);
 
   // Parses the Section 8 shorthand syntax and searches.
   StatusOr<SearchResult> Search(std::string_view query_text,

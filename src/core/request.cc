@@ -1,8 +1,10 @@
 #include "core/request.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "index/index_io.h"
 
 namespace graft::core {
@@ -70,13 +72,15 @@ namespace {
 StatusOr<EngineBundle> FinishBundle(EngineBundle bundle, size_t segments,
                                     size_t pool_threads) {
   if (segments > 1) {
-    GRAFT_ASSIGN_OR_RETURN(
-        index::SegmentedIndex segmented,
-        index::SegmentedIndex::BuildFromMonolithic(*bundle.index, segments));
+    // The engine's query pool builds the segments first, in parallel.
+    auto pool = std::make_unique<common::ThreadPool>(pool_threads);
+    GRAFT_ASSIGN_OR_RETURN(index::SegmentedIndex segmented,
+                           index::SegmentedIndex::BuildFromMonolithic(
+                               *bundle.index, segments, pool.get()));
     bundle.segmented =
         std::make_unique<index::SegmentedIndex>(std::move(segmented));
     bundle.engine = std::make_unique<Engine>(
-        bundle.index.get(), bundle.segmented.get(), pool_threads);
+        bundle.index.get(), bundle.segmented.get(), std::move(pool));
   } else {
     bundle.engine = std::make_unique<Engine>(bundle.index.get());
   }

@@ -90,6 +90,14 @@ class PostingList {
   // strictly increasing doc order; offsets must be strictly increasing.
   void AddDocument(DocId doc, std::span<const Offset> offsets);
 
+  // Appends the postings of `source` with doc ids in [begin, end), rebased
+  // to begin (doc d becomes d - begin); they must follow this list's last
+  // document. Positions restart their delta chain at every document, so a
+  // materialized source slices by range copy: no varint is decoded or
+  // re-encoded and every array grows to its exact size. A packed source
+  // decodes through doc_at/DecodeOffsets like every other accessor.
+  void AppendSlice(const PostingList& source, DocId begin, DocId end);
+
   size_t doc_count() const {
     return is_packed() ? packed_.doc_count : docs_.size();
   }

@@ -5,7 +5,8 @@
 namespace graft::index {
 
 StatusOr<SegmentedIndex> SegmentedIndex::BuildFromMonolithic(
-    const InvertedIndex& index, size_t num_segments) {
+    const InvertedIndex& index, size_t num_segments,
+    common::ThreadPool* pool) {
   if (num_segments == 0) {
     return Status::InvalidArgument("num_segments must be >= 1");
   }
@@ -29,9 +30,11 @@ StatusOr<SegmentedIndex> SegmentedIndex::BuildFromMonolithic(
     segmented.global_collection_freq_[t] = index.CollectionFreq(t);
   }
 
+  // Segments are independent: each reads only the const source index and
+  // writes only its own Segment, so they build concurrently.
   segmented.segments_.resize(n);
-  std::vector<Offset> offsets_scratch;
-  for (size_t s = 0; s < n; ++s) {
+  std::vector<Status> statuses(n);
+  common::ParallelFor(pool, /*max_workers=*/0, n, [&](size_t s) {
     Segment& seg = segmented.segments_[s];
     const DocId begin = static_cast<DocId>(docs * s / n);
     const DocId end = static_cast<DocId>(docs * (s + 1) / n);
@@ -43,19 +46,15 @@ StatusOr<SegmentedIndex> SegmentedIndex::BuildFromMonolithic(
     for (TermId t = 0; t < vocab; ++t) {
       const TermId local = seg.index.InternTerm(index.TermText(t));
       if (local != t) {
-        return Status::Internal("segment term interning diverged");
+        statuses[s] = Status::Internal("segment term interning diverged");
+        return;
       }
     }
 
     // Slice every posting list to [begin, end), rebasing doc ids.
     for (TermId t = 0; t < vocab; ++t) {
-      const PostingList& list = index.postings(t);
-      PostingList* local = seg.index.mutable_postings(t);
-      for (size_t p = list.GallopTo(0, begin);
-           p < list.doc_count() && list.doc_at(p) < end; ++p) {
-        list.DecodeOffsets(p, &offsets_scratch);
-        local->AddDocument(list.doc_at(p) - begin, offsets_scratch);
-      }
+      seg.index.mutable_postings(t)->AppendSlice(index.postings(t), begin,
+                                                 end);
     }
 
     // Local document lengths (per-document statistics resolve locally).
@@ -69,8 +68,10 @@ StatusOr<SegmentedIndex> SegmentedIndex::BuildFromMonolithic(
 
     // Per-segment block-max metadata over the rebased slice, so each
     // segment can prune independently against its own local threshold.
-    // Follows the source index: a v3-loaded index has no metadata and its
-    // segments must not prune either (EXPLAIN reports the same verdict).
+    // Block boundaries move with the slice, so the frontiers are rebuilt,
+    // not copied. Follows the source index: a v3-loaded index has no
+    // metadata and its segments must not prune either (EXPLAIN reports
+    // the same verdict).
     if (index.has_block_max()) {
       seg.index.BuildBlockMax();
     }
@@ -79,6 +80,9 @@ StatusOr<SegmentedIndex> SegmentedIndex::BuildFromMonolithic(
     seg.stats.total_words = index.total_words();
     seg.stats.doc_freq = segmented.global_doc_freq_.data();
     seg.stats.collection_freq = segmented.global_collection_freq_.data();
+  });
+  for (const Status& status : statuses) {
+    GRAFT_RETURN_IF_ERROR(status);
   }
   return segmented;
 }

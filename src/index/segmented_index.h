@@ -21,6 +21,12 @@
 // is bit-identical to its score in the monolithic index, and per-segment
 // ranked streams merge exactly (Fagin-style: independently ranked streams
 // combined by a score-ordered merge).
+//
+// Each segment's postings are an exact slice of the monolithic postings,
+// copied by range (PostingList::AppendSlice: no position varint is
+// decoded or re-encoded for an in-heap source), and the segments are
+// built concurrently on a caller-supplied thread pool. Only the block-max
+// frontiers are recomputed, because block boundaries move with the slice.
 
 #ifndef GRAFT_INDEX_SEGMENTED_INDEX_H_
 #define GRAFT_INDEX_SEGMENTED_INDEX_H_
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "index/inverted_index.h"
 #include "index/stats.h"
 
@@ -45,10 +52,14 @@ class SegmentedIndex {
   };
 
   // Partitions `index` into `num_segments` contiguous doc-id ranges of
-  // near-equal size (clamped to the document count; at least 1). Position
-  // lists are re-encoded per segment; the source index is not retained.
+  // near-equal size (clamped to the document count; at least 1). Each
+  // segment's postings are sliced out of `index` by range copy; the source
+  // index is not retained. Segments build concurrently on `pool` (the
+  // calling thread joins in); a null pool builds them one after another.
+  // The result is identical either way.
   static StatusOr<SegmentedIndex> BuildFromMonolithic(
-      const InvertedIndex& index, size_t num_segments);
+      const InvertedIndex& index, size_t num_segments,
+      common::ThreadPool* pool = nullptr);
 
   SegmentedIndex(SegmentedIndex&&) = default;
   SegmentedIndex& operator=(SegmentedIndex&&) = default;

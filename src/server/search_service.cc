@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "core/rewrite_rules.h"
@@ -202,6 +203,10 @@ Status SearchService::Start() {
 void SearchService::Shutdown() { http_.Shutdown(); }
 
 Status SearchService::Reload() {
+  // The replaced generation. Declared before the lock guard, so when no
+  // request still pins it, its teardown runs after both reload_mu_ and
+  // engine_mu_ are released: it never stalls SnapshotEngine() or /stats.
+  std::shared_ptr<const core::Engine> retired;
   std::lock_guard<std::mutex> lock(reload_mu_);
   if (!reloadable_) {
     return Status::InvalidArgument(
@@ -236,7 +241,7 @@ Status SearchService::Reload() {
   {
     std::lock_guard<std::mutex> engine_lock(engine_mu_);
     old_cache_generation = engine_->index().cache_generation();
-    engine_ = std::move(snapshot);
+    retired = std::exchange(engine_, std::move(snapshot));
   }
   generation_.fetch_add(1, std::memory_order_acq_rel);
   // Drop the replaced generation's decoded blocks from the shared cache:

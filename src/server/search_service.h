@@ -154,7 +154,9 @@ class SearchService {
   // Loads a new EngineBundle from options.index_path and atomically swaps
   // it in (generation + 1). On failure the current generation keeps
   // serving, the degraded flag is raised, and the error is returned (and
-  // surfaced on /stats). Thread-safe; concurrent reloads serialize.
+  // surfaced on /stats). Thread-safe; concurrent reloads serialize. The
+  // replaced generation is freed outside every service lock: here, after
+  // the swap, or by the last in-flight request that still pins it.
   Status Reload();
 
   // Valid after Start(); the actual bound port.

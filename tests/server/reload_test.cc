@@ -17,9 +17,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -242,6 +245,72 @@ TEST(ReloadTest, SwapUnderConcurrentLoadKeepsScoresBitIdenticalAllSchemes) {
   }
   rs.service->Shutdown();
   std::remove(rs.index_path.c_str());
+}
+
+TEST(ReloadTest, ReplacedGenerationIsFreedOutsideTheEngineLock) {
+  // With no request pinning it, the replaced generation is freed by
+  // Reload() itself — a large segmented bundle takes a fifth of a second.
+  // That teardown must not hold the lock every request's snapshot takes.
+  // The initial bundle's deleter blocks until released (on a deadline, so
+  // a regression fails instead of hanging), and a /search issued while it
+  // is blocked must complete.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    bool timed_out = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  const std::string index_path = TempPath("reload_teardown.idx");
+  ASSERT_TRUE(
+      index::SaveIndex(BuildCorpusIndex(120, /*seed=*/21), index_path).ok());
+  auto loaded = core::LoadEngineBundle(index_path, kSegments,
+                                       /*pool_threads=*/2);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::shared_ptr<const core::EngineBundle> bundle(
+      new core::EngineBundle(std::move(loaded).value()),
+      [gate](const core::EngineBundle* dying) {
+        {
+          std::unique_lock<std::mutex> lock(gate->mu);
+          gate->entered = true;
+          gate->cv.notify_all();
+          gate->timed_out = !gate->cv.wait_for(
+              lock, std::chrono::seconds(30), [&] { return gate->released; });
+        }
+        delete dying;
+      });
+  ServiceOptions options;
+  options.index_path = index_path;
+  options.segments = kSegments;
+  options.engine_threads = 2;
+  SearchService service(std::move(bundle), options);
+  ASSERT_TRUE(service.Start().ok());
+
+  Status reloaded = Status::Ok();
+  std::thread reloader([&] { reloaded = service.Reload(); });
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    ASSERT_TRUE(gate->cv.wait_for(lock, std::chrono::seconds(60),
+                                  [&] { return gate->entered; }));
+  }
+  auto search = HttpGet(service.port(), SearchTarget("Lucene"));
+  bool finished_while_blocked = false;
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    finished_while_blocked = !gate->timed_out;
+    gate->released = true;
+  }
+  gate->cv.notify_all();
+  reloader.join();
+  ASSERT_TRUE(search.ok()) << search.status();
+  EXPECT_EQ(search->status_code, 200) << search->body;
+  EXPECT_TRUE(finished_while_blocked)
+      << "/search waited for the old generation's teardown";
+  EXPECT_TRUE(reloaded.ok()) << reloaded;
+  EXPECT_EQ(service.generation(), 2u);
+  service.Shutdown();
+  std::remove(index_path.c_str());
 }
 
 TEST(ReloadTest, FailedReloadDegradesButKeepsServingOldAnswers) {
