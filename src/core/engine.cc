@@ -13,13 +13,13 @@ namespace graft::core {
 
 namespace {
 
-// One execution target: the whole index, or one segment of a
-// SegmentedIndex read against whole-corpus statistics.
+// One execution target: a doc range of the one index — the whole index,
+// or one segment of a SegmentedIndex. Every view reads the index's own
+// collection statistics (or the overlay), and doc ids stay global.
 struct SegmentView {
   const index::InvertedIndex* index;
   const index::StatsOverlay* overlay;
-  const index::GlobalStats* global;
-  DocId base;  // global doc id of the view's local doc 0
+  index::DocRange range;
 };
 
 // One top-k physical operator. kTopKOperators is the single top-k dispatch
@@ -63,7 +63,7 @@ const TopKOperator kTopKOperators[] = {
         const sa::ScoringScheme& scheme, size_t k,
         exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
        // The gate admits no overlay, so the view's overlay is null.
-       exec::MaxScoreTopK op(view.index, &scheme, view.global);
+       exec::MaxScoreTopK op(view.index, &scheme, view.range);
        auto results = op.TopK(query, k);
        const exec::PruneStats& s = op.stats();
        stats->rank_heap_ops += s.heap_ops;
@@ -88,7 +88,7 @@ const TopKOperator kTopKOperators[] = {
      [](const SegmentView& view, const mcalc::Query& query,
         const sa::ScoringScheme& scheme, size_t k,
         exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::TopKRankEngine op(view.index, &scheme, view.overlay, view.global);
+       exec::TopKRankEngine op(view.index, &scheme, view.overlay, view.range);
        auto results = op.TopK(query, k);
        const exec::RankStats& s = op.stats();
        stats->rank_heap_ops += s.heap_ops;
@@ -108,7 +108,7 @@ const TopKOperator kTopKOperators[] = {
      [](const SegmentView& view, const mcalc::Query& query,
         const sa::ScoringScheme& scheme, size_t k,
         exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::ThresholdTopK op(view.index, &scheme, view.overlay, view.global);
+       exec::ThresholdTopK op(view.index, &scheme, view.overlay, view.range);
        auto results = op.TopK(query, k);
        const exec::TaStats& s = op.stats();
        stats->rank_heap_ops += s.heap_ops;
@@ -130,7 +130,7 @@ const TopKOperator kTopKOperators[] = {
      [](const SegmentView& view, const mcalc::Query& query,
         const sa::ScoringScheme& scheme, size_t k,
         exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::NraTopK op(view.index, &scheme, view.overlay, view.global);
+       exec::NraTopK op(view.index, &scheme, view.overlay, view.range);
        auto results = op.TopK(query, k);
        const exec::NraStats& s = op.stats();
        stats->rank_heap_ops += s.heap_ops;
@@ -153,10 +153,22 @@ StatusOr<std::vector<ma::ScoredDoc>> RunPlan(const SegmentView& view,
                                              const sa::QueryContext& query_ctx,
                                              exec::ExecStats* stats) {
   exec::Executor executor(view.index, &scheme, query_ctx, view.overlay,
-                          view.global);
+                          view.range);
   auto results = executor.ExecuteRanked(plan);
   *stats = executor.stats();
   return results;
+}
+
+// Adds the calling thread's decoded-block cache traffic since `before` to
+// `stats`, so EXPLAIN ANALYZE and /stats attribute cache traffic per query.
+void HarvestBlockCache(const index::BlockCacheTls& before,
+                       exec::ExecStats* stats) {
+  const index::BlockCacheTls& after = index::TlsBlockCacheCounters();
+  stats->block_cache_hits += after.hits - before.hits;
+  stats->block_cache_misses += after.misses - before.misses;
+  stats->block_cache_evictions += after.evictions - before.evictions;
+  stats->packed_payload_decodes +=
+      after.payload_decodes - before.payload_decodes;
 }
 
 // SelectTopK's verdict: the operator to run, or null for full ranking +
@@ -328,13 +340,11 @@ std::string FormatExecStats(const exec::ExecStats& s) {
 
 Engine::Engine(const index::InvertedIndex* index,
                const index::SegmentedIndex* segmented, size_t pool_threads)
-    : Engine(index, segmented,
-             std::make_unique<common::ThreadPool>(pool_threads)) {}
-
-Engine::Engine(const index::InvertedIndex* index,
-               const index::SegmentedIndex* segmented,
-               std::unique_ptr<common::ThreadPool> pool)
-    : index_(index), segmented_(segmented), pool_(std::move(pool)) {}
+    : index_(index), pool_(std::make_unique<common::ThreadPool>(pool_threads)) {
+  if (segmented != nullptr) {
+    segmented_ = *segmented;
+  }
+}
 
 StatusOr<const sa::ScoringScheme*> Engine::ResolveScheme(
     std::string_view name) const {
@@ -374,33 +384,8 @@ StatusOr<SearchResult> Engine::Search(std::string_view query_text,
 StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,
                                            const sa::ScoringScheme& scheme,
                                            const SearchOptions& options) const {
-  // Harvest the calling thread's decoded-block cache traffic into the
-  // query's ExecStats. Packed (v5 mmap) posting access runs on this thread
-  // for every monolithic path; segmented queries execute over materialized
-  // per-segment indexes, which produce no cache traffic.
-  const index::BlockCacheTls before = index::TlsBlockCacheCounters();
-  auto result = SearchQueryImpl(query, scheme, options);
-  if (result.ok()) {
-    const index::BlockCacheTls& after = index::TlsBlockCacheCounters();
-    exec::ExecStats& s = result.value().exec_stats;
-    s.block_cache_hits += after.hits - before.hits;
-    s.block_cache_misses += after.misses - before.misses;
-    s.block_cache_evictions += after.evictions - before.evictions;
-    s.packed_payload_decodes += after.payload_decodes - before.payload_decodes;
-  }
-  return result;
-}
-
-StatusOr<SearchResult> Engine::SearchQueryImpl(
-    const mcalc::Query& query, const sa::ScoringScheme& scheme,
-    const SearchOptions& options) const {
-  const bool fan_out = segmented_ != nullptr && options.use_segmented &&
+  const bool fan_out = segmented_.has_value() && options.use_segmented &&
                        !options.use_canonical_reference;
-  if (fan_out && options.stats_overlay != nullptr) {
-    return Status::InvalidArgument(
-        "stats_overlay is not supported on the segmented path (overlay "
-        "doc ids are global); set use_segmented = false");
-  }
   const index::StatsOverlay* overlay = EffectiveOverlay(options);
 
   SearchResult result;
@@ -412,9 +397,11 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
     GRAFT_ASSIGN_OR_RETURN(CanonicalBuild canonical,
                            BuildCanonicalPlan(query, scheme));
     GRAFT_RETURN_IF_ERROR(ma::ResolvePlan(canonical.plan.get(), *index_));
+    const index::BlockCacheTls before = index::TlsBlockCacheCounters();
     ma::ReferenceEvaluator evaluator(index_, &scheme, query_ctx, overlay);
     GRAFT_ASSIGN_OR_RETURN(const ma::MatchTable table,
                            evaluator.Evaluate(*canonical.plan));
+    HarvestBlockCache(before, &result.exec_stats);
     GRAFT_ASSIGN_OR_RETURN(result.results, ma::ExtractRankedResults(table));
     result.plan_text = ma::PlanToString(*canonical.plan);
     result.applied_optimizations = "(canonical score-isolated plan)";
@@ -425,24 +412,23 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
   }
 
   // A monolithic query is one view of the whole index; a fanned-out query
-  // is one view per segment, scored against whole-corpus statistics so
-  // every document's score is bit-identical to the monolithic run.
+  // is one view per segment range. Every view reads the one index's
+  // statistics (and the overlay, keyed by global doc ids), so every
+  // document's score is bit-identical to the monolithic run.
   std::vector<SegmentView> views;
   if (fan_out) {
     for (size_t i = 0; i < segmented_->segment_count(); ++i) {
-      const index::SegmentedIndex::Segment& seg = segmented_->segment(i);
-      views.push_back(
-          {&seg.index, /*overlay=*/nullptr, &seg.stats, seg.base});
+      views.push_back({index_, overlay, segmented_->segment(i)});
     }
   } else {
-    views.push_back({index_, overlay, /*global=*/nullptr, 0});
+    views.push_back({index_, overlay, index::DocRange{}});
   }
   const size_t n = views.size();
 
   // Top-k rank processing runs the chosen operator on every view; each
   // view's top-k is exact for its documents, so the merge below is exact.
-  // Otherwise optimize ONCE against the monolithic index (cost estimates
-  // use global posting lengths) and stream the plan on every view.
+  // Otherwise optimize ONCE against the whole index and stream the plan on
+  // every view.
   const TopKChoice topk =
       SelectTopK(query, scheme, options, *index_, overlay);
   OptimizedPlan plan;
@@ -455,8 +441,7 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
 
   // Per-view output slots: distinct indexes, no locking needed; the
   // ParallelFor latch publishes all writes to this thread. A single view
-  // runs inline on the calling thread, where SearchQuery harvests the
-  // block cache counters.
+  // runs inline on the calling thread.
   std::vector<Status> statuses(n, Status::Ok());
   std::vector<std::vector<ma::ScoredDoc>> partials(n);
   std::vector<exec::ExecStats> stats(n);
@@ -465,21 +450,19 @@ StatusOr<SearchResult> Engine::SearchQueryImpl(
   common::ParallelFor(pool_.get(), options.num_threads, n, [&](size_t i) {
     common::ScopedSpan segment_span(trace, "segment " + std::to_string(i));
     const SegmentView& view = views[i];
-    // Segments share the monolithic vocabulary in dictionary order (the
-    // SegmentedIndex shared-vocabulary invariant), so the plan resolved
-    // against the monolithic index is valid on every view as it is.
+    // Packed postings decode through the shared block cache on whichever
+    // thread runs the view; harvest that thread's traffic into the view.
+    const index::BlockCacheTls before = index::TlsBlockCacheCounters();
     StatusOr<std::vector<ma::ScoredDoc>> local =
         topk.op != nullptr
             ? topk.op->run(view, query, scheme, options.top_k, &stats[i])
             : RunPlan(view, *plan.plan, scheme, query_ctx, &stats[i]);
+    HarvestBlockCache(before, &stats[i]);
     if (!local.ok()) {
       statuses[i] = local.status();
       return;
     }
     partials[i] = std::move(local).value();
-    for (ma::ScoredDoc& hit : partials[i]) {
-      hit.doc += view.base;
-    }
   });
   for (const Status& status : statuses) {
     GRAFT_RETURN_IF_ERROR(status);

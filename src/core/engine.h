@@ -17,23 +17,25 @@
 // user-defined ones) can be named, and the optimizer adapts the plan to
 // the scheme's declared properties.
 //
-// Execution: every query runs as one path over a list of segment views.
-// A monolithic engine (or use_segmented = false) has one view, the whole
-// index, which runs inline on the calling thread. Constructing the engine
-// with a SegmentedIndex turns on intra-query parallelism: one view per
-// segment, executed concurrently on the engine's thread pool, each against
-// global collection statistics so scores are bit-identical to the
-// monolithic run. The query is parsed, optimized and its top-k operator
-// chosen ONCE against the monolithic index; segments share its vocabulary,
-// so every view runs the same resolved plan. The per-view ranked streams
-// are merged by ma::MergeRanked — a full sort for top_k == 0, a k-way heap
-// merge of per-view top-k lists otherwise. The engine is safe to share
-// across threads for concurrent Search calls (inter-query parallelism).
+// Execution: every query runs as one path over a list of segment views,
+// each a doc range of the one index. A monolithic engine (or
+// use_segmented = false) has one view, the whole range, which runs inline
+// on the calling thread. Constructing the engine with a SegmentedIndex
+// turns on intra-query parallelism: one view per segment range, executed
+// concurrently on the engine's thread pool. Every view reads the same
+// index, its collection statistics and any overlay, with global doc ids,
+// so scores are bit-identical to the monolithic run. The query is parsed,
+// optimized and its top-k operator chosen ONCE; every view runs the same
+// resolved plan over its range. The per-view ranked streams are merged by
+// ma::MergeRanked — a full sort for top_k == 0, a k-way heap merge of
+// per-view top-k lists otherwise. The engine is safe to share across
+// threads for concurrent Search calls (inter-query parallelism).
 
 #ifndef GRAFT_CORE_ENGINE_H_
 #define GRAFT_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,9 +110,7 @@ struct SearchOptions {
   // the live index, which is how a router shard pins the distributed
   // corpus' global statistics so its scores are bit-identical to a
   // single-process run (block-max pruning stands down, exactly as with a
-  // constructor overlay). Not supported on the segmented fan-out path —
-  // overlay doc ids are global; combine with use_segmented = false or a
-  // monolithic engine.
+  // constructor overlay). Applies to every segment view alike.
   const index::StatsOverlay* stats_overlay = nullptr;
 
   // When non-null, the engine records spans into it: parse (on the
@@ -153,20 +153,14 @@ class Engine {
                   const index::StatsOverlay* overlay = nullptr)
       : index_(index), overlay_(overlay) {}
 
-  // Parallel segmented engine. `segmented` must have been built from
-  // `*index` (same documents and statistics); both must outlive the
-  // engine. `pool_threads` worker threads are spawned eagerly (0 =
-  // hardware concurrency); the calling thread also participates in each
-  // query, so per-query concurrency is pool_threads + 1. Statistics
-  // overlays are not supported on the segmented path (overlay doc ids are
-  // global); pass an overlay-free index.
+  // Parallel segmented engine over the doc ranges of `*segmented`, which
+  // must have been built from `*index`; the engine copies the ranges, and
+  // `index` must outlive it. `pool_threads` worker threads are spawned
+  // eagerly (0 = hardware concurrency); the calling thread also
+  // participates in each query, so per-query concurrency is
+  // pool_threads + 1.
   Engine(const index::InvertedIndex* index,
          const index::SegmentedIndex* segmented, size_t pool_threads);
-  // Same, adopting an existing pool (the bundle loader builds the segments
-  // on it first, so one pool serves both).
-  Engine(const index::InvertedIndex* index,
-         const index::SegmentedIndex* segmented,
-         std::unique_ptr<common::ThreadPool> pool);
 
   // Parses the Section 8 shorthand syntax and searches.
   StatusOr<SearchResult> Search(std::string_view query_text,
@@ -202,7 +196,10 @@ class Engine {
                                        const SearchOptions& options = {}) const;
 
   const index::InvertedIndex& index() const { return *index_; }
-  const index::SegmentedIndex* segmented() const { return segmented_; }
+  // Null for a monolithic engine.
+  const index::SegmentedIndex* segmented() const {
+    return segmented_.has_value() ? &*segmented_ : nullptr;
+  }
 
  private:
   StatusOr<const sa::ScoringScheme*> ResolveScheme(
@@ -216,16 +213,9 @@ class Engine {
                                             : overlay_;
   }
 
-  // SearchQuery minus the block-cache accounting wrapper: SearchQuery
-  // harvests the calling thread's decoded-block cache counters around this
-  // call so EXPLAIN ANALYZE and /stats attribute cache traffic per query.
-  StatusOr<SearchResult> SearchQueryImpl(const mcalc::Query& query,
-                                         const sa::ScoringScheme& scheme,
-                                         const SearchOptions& options) const;
-
   const index::InvertedIndex* index_;
   const index::StatsOverlay* overlay_ = nullptr;
-  const index::SegmentedIndex* segmented_ = nullptr;
+  std::optional<index::SegmentedIndex> segmented_;
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

@@ -4,14 +4,13 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "index/index_io.h"
 
 namespace graft::core {
 
 namespace {
 
-// Covers the whole bundle-construction path (load + partition + engine):
+// Covers the whole bundle-construction path (load + ranges + engine):
 // the hot-reload tests arm this to prove a failed reload degrades
 // gracefully instead of taking the service down.
 GRAFT_DEFINE_FAILPOINT(g_fp_load_bundle, "core.load_bundle");
@@ -72,15 +71,11 @@ namespace {
 StatusOr<EngineBundle> FinishBundle(EngineBundle bundle, size_t segments,
                                     size_t pool_threads) {
   if (segments > 1) {
-    // The engine's query pool builds the segments first, in parallel.
-    auto pool = std::make_unique<common::ThreadPool>(pool_threads);
-    GRAFT_ASSIGN_OR_RETURN(index::SegmentedIndex segmented,
-                           index::SegmentedIndex::BuildFromMonolithic(
-                               *bundle.index, segments, pool.get()));
-    bundle.segmented =
-        std::make_unique<index::SegmentedIndex>(std::move(segmented));
-    bundle.engine = std::make_unique<Engine>(
-        bundle.index.get(), bundle.segmented.get(), std::move(pool));
+    GRAFT_ASSIGN_OR_RETURN(
+        const index::SegmentedIndex segmented,
+        index::SegmentedIndex::BuildFromMonolithic(*bundle.index, segments));
+    bundle.engine = std::make_unique<Engine>(bundle.index.get(), &segmented,
+                                             pool_threads);
   } else {
     bundle.engine = std::make_unique<Engine>(bundle.index.get());
   }

@@ -26,7 +26,6 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "index/inverted_index.h"
-#include "index/segmented_index.h"
 #include "mcalc/parser.h"
 #include "sa/scoring_scheme.h"
 
@@ -67,14 +66,13 @@ StatusOr<ResolvedRequest> ResolveRequest(const Engine& engine,
 // drift this helper exists to prevent.
 StatusOr<size_t> ParseCount(std::string_view text, std::string_view what);
 
-// An engine plus the storage it searches, loaded from an index file as one
+// An engine plus the index it searches, loaded from an index file as one
 // movable unit. `segments` <= 1 builds a monolithic engine; otherwise the
-// index is partitioned and the engine executes segment-parallel with
-// `pool_threads` eager workers (0 = hardware concurrency; the calling
-// thread also participates per query).
+// engine executes over `segments` doc ranges of the one index in parallel
+// with `pool_threads` eager workers (0 = hardware concurrency; the calling
+// thread also participates per query). Nothing is copied per segment.
 struct EngineBundle {
   std::unique_ptr<index::InvertedIndex> index;
-  std::unique_ptr<index::SegmentedIndex> segmented;  // null when monolithic
   std::unique_ptr<Engine> engine;
 };
 

@@ -12,7 +12,7 @@ StatusOr<std::vector<ma::ScoredDoc>> Executor::ExecuteRanked(
         "ranked execution expects a single score column, got " +
         plan.schema.ToString());
   }
-  EvalEnv env(index_, scheme_, query_ctx_, overlay_, &stats_, global_);
+  EvalEnv env(index_, scheme_, query_ctx_, overlay_, &stats_, range_);
   GRAFT_ASSIGN_OR_RETURN(DocOperatorPtr root, BuildOperator(plan, &env));
 
   std::vector<ma::ScoredDoc> results;
@@ -37,7 +37,7 @@ StatusOr<std::vector<ma::ScoredDoc>> Executor::ExecuteRanked(
 }
 
 StatusOr<ma::MatchTable> Executor::ExecuteTable(const ma::PlanNode& plan) {
-  EvalEnv env(index_, scheme_, query_ctx_, overlay_, &stats_, global_);
+  EvalEnv env(index_, scheme_, query_ctx_, overlay_, &stats_, range_);
   GRAFT_ASSIGN_OR_RETURN(DocOperatorPtr root, BuildOperator(plan, &env));
 
   ma::MatchTable table;

@@ -15,15 +15,15 @@ namespace graft::exec {
 
 class Executor {
  public:
-  // `global` (optional) installs whole-corpus collection statistics; used
-  // when `index` is one segment of a SegmentedIndex so scoring matches
-  // the monolithic index exactly.
+  // `range` (optional) restricts execution to one segment's documents;
+  // scoring reads the whole index's statistics, so it matches the
+  // monolithic index exactly.
   Executor(const index::InvertedIndex* index, const sa::ScoringScheme* scheme,
            sa::QueryContext query_ctx,
            const index::StatsOverlay* overlay = nullptr,
-           const index::GlobalStats* global = nullptr)
+           index::DocRange range = {})
       : index_(index), scheme_(scheme), query_ctx_(query_ctx),
-        overlay_(overlay), global_(global) {}
+        overlay_(overlay), range_(range) {}
 
   // Executes a complete scoring plan (output schema: one finalized score
   // column) and returns results ranked by score desc, ties by doc asc.
@@ -42,7 +42,7 @@ class Executor {
   const sa::ScoringScheme* scheme_;
   sa::QueryContext query_ctx_;
   const index::StatsOverlay* overlay_;
-  const index::GlobalStats* global_;
+  index::DocRange range_;
   ExecStats stats_;
 };
 

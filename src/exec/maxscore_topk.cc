@@ -108,7 +108,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   struct Cursor {
     TermId term = kInvalidTerm;
     const index::PostingList* list = nullptr;  // null: term absent / empty
+    // Posting positions of the view's range: [pos, end) is still to visit.
     size_t pos = 0;
+    size_t end = 0;
     // Ceiling of the block the cursor currently sits in, computed lazily
     // and reused while the cursor stays inside the block.
     size_t cached_block = std::numeric_limits<size_t>::max();
@@ -117,9 +119,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     // one high-water mark per cursor counts distinct blocks exactly).
     size_t counted_block = std::numeric_limits<size_t>::max();
 
-    bool exhausted() const {
-      return list == nullptr || pos >= list->doc_count();
-    }
+    bool exhausted() const { return list == nullptr || pos >= end; }
     DocId doc() const { return list->doc_at(pos); }
     size_t block() const { return pos / index::PostingList::kBlockSize; }
   };
@@ -133,13 +133,16 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       continue;
     }
     const index::PostingList& list = index.postings(cursors[i].term);
-    if (list.doc_count() == 0) {
+    const auto [first, last] = list.Bounds(range_);
+    if (first == last) {
       if (shape == Shape::kConjunction) {
         return std::vector<ma::ScoredDoc>{};
       }
       continue;
     }
     cursors[i].list = &list;
+    cursors[i].pos = first;
+    cursors[i].end = last;
   }
 
   // Charges the cursor's current block to blocks_decoded the first time a
@@ -267,7 +270,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       for (Cursor& c : cursors) {
         if (c.doc() < candidate) {
           c.pos = c.list->GallopTo(c.pos, candidate);
-          if (c.pos >= c.list->doc_count()) {
+          if (c.exhausted()) {
             done = true;
             break;
           }
@@ -326,9 +329,11 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   }
 
   // ---- Disjunction: MaxScore essential/non-essential partition ----
-  // Term-level upper bound: the best α across every block's frontier —
-  // the exact list-wide maximum column score. The ∅ cell (tf = 0) is
-  // dominated by any ceiling for a bounded scheme.
+  // Term-level upper bound: the best α across the frontiers of every block
+  // the view's range touches — the exact maximum column score over those
+  // blocks (a block straddling a range boundary keeps its whole-block
+  // ceiling, which still bounds the range's part of it). The ∅ cell
+  // (tf = 0) is dominated by any ceiling for a bounded scheme.
   std::vector<sa::InternalScore> ub(n);
   std::vector<sa::InternalScore> empty_cell(n);
   for (size_t i = 0; i < n; ++i) {
@@ -342,10 +347,11 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       ub[i] = empty_cell[i];
       continue;
     }
-    const index::PostingList& list = *cursors[i].list;
+    const Cursor& c = cursors[i];
     ++stats_.ceiling_probes;
-    ub[i] = frontier_max(list, cursors[i].term, /*begin=*/0,
-                         list.frontier_end(list.block_count() - 1));
+    ub[i] = frontier_max(*c.list, c.term, c.list->frontier_begin(c.block()),
+                         c.list->frontier_end((c.end - 1) /
+                                              index::PostingList::kBlockSize));
   }
 
   // Keywords sorted by upper bound; rank[i] is keyword i's position in

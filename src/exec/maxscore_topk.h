@@ -65,14 +65,14 @@ struct PruneStats {
 
 class MaxScoreTopK {
  public:
-  // `global` (optional) installs whole-corpus collection statistics; used
-  // when `index` is one segment of a SegmentedIndex so per-segment pruned
-  // scores match the monolithic index exactly. No overlay parameter: the
-  // gate rejects overlays outright (see GateVerdict).
+  // `range` (optional) restricts the cursors to one segment's documents;
+  // scores and the stored block ceilings are the whole index's, so
+  // per-segment pruned scores match the monolithic index exactly. No
+  // overlay parameter: the gate rejects overlays outright (see
+  // GateVerdict).
   MaxScoreTopK(const index::InvertedIndex* index,
-               const sa::ScoringScheme* scheme,
-               const index::GlobalStats* global = nullptr)
-      : stats_view_(index, /*overlay=*/nullptr, global), scheme_(scheme) {}
+               const sa::ScoringScheme* scheme, index::DocRange range = {})
+      : stats_view_(index), scheme_(scheme), range_(range) {}
 
   // Empty string when block-max pruning is licensed for this query +
   // scheme + index; otherwise the human-readable EXPLAIN verdict
@@ -97,6 +97,7 @@ class MaxScoreTopK {
  private:
   index::StatsView stats_view_;
   const sa::ScoringScheme* scheme_;
+  index::DocRange range_;
   PruneStats stats_;
 };
 

@@ -94,8 +94,9 @@ StatusOr<std::vector<ma::ScoredDoc>> NraTopK::TopK(const mcalc::Query& query,
       continue;
     }
     const index::PostingList& list = index.postings(inputs[i].term);
-    inputs[i].entries.reserve(list.doc_count());
-    for (size_t p = 0; p < list.doc_count(); ++p) {
+    const auto [first, last] = list.Bounds(range_);
+    inputs[i].entries.reserve(last - first);
+    for (size_t p = first; p < last; ++p) {
       const DocId doc = list.doc_at(p);
       const uint32_t tf = list.tf_at(p);
       inputs[i].entries.push_back(

@@ -55,13 +55,13 @@ struct NraStats {
 
 class NraTopK {
  public:
-  // `global` (optional) installs whole-corpus collection statistics; used
-  // when `index` is one segment of a SegmentedIndex so per-segment top-k
+  // `range` (optional) restricts the streams to one segment's documents;
+  // scores still read the whole index's statistics, so per-segment top-k
   // scores match the monolithic index exactly.
   NraTopK(const index::InvertedIndex* index, const sa::ScoringScheme* scheme,
           const index::StatsOverlay* overlay = nullptr,
-          const index::GlobalStats* global = nullptr)
-      : stats_view_(index, overlay, global), scheme_(scheme) {}
+          index::DocRange range = {})
+      : stats_view_(index, overlay), scheme_(scheme), range_(range) {}
 
   // Empty string when NRA is licensed for this query + scheme; otherwise
   // the human-readable EXPLAIN verdict.
@@ -81,6 +81,7 @@ class NraTopK {
  private:
   index::StatsView stats_view_;
   const sa::ScoringScheme* scheme_;
+  index::DocRange range_;
   NraStats stats_;
 };
 

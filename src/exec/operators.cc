@@ -114,8 +114,9 @@ class RowBuffer {
 // A(k): one row per term position, doc-ordered, galloping SkipTo.
 class ScanOp final : public DocOperator {
  public:
-  ScanOp(const index::PostingList* list, ExecStats* counters)
-      : cursor_(list), counters_(counters) {}
+  ScanOp(const index::PostingList* list, index::DocRange range,
+         ExecStats* counters)
+      : cursor_(list, range), counters_(counters) {}
 
   bool AdvanceDoc(DocId min_doc) override {
     if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
@@ -169,8 +170,9 @@ class EmptyOp final : public DocOperator {
 // position memory touched.
 class PreCountScanOp final : public DocOperator {
  public:
-  PreCountScanOp(const index::PostingList* list, ExecStats* counters)
-      : cursor_(list), counters_(counters) {}
+  PreCountScanOp(const index::PostingList* list, index::DocRange range,
+                 ExecStats* counters)
+      : cursor_(list, range), counters_(counters) {}
 
   bool AdvanceDoc(DocId min_doc) override {
     if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
@@ -215,8 +217,9 @@ class PreCountScanOp final : public DocOperator {
 // pre-counting, but the position memory is walked.
 class EagerCountScanOp final : public DocOperator {
  public:
-  EagerCountScanOp(const index::PostingList* list, ExecStats* counters)
-      : cursor_(list), counters_(counters) {}
+  EagerCountScanOp(const index::PostingList* list, index::DocRange range,
+                   ExecStats* counters)
+      : cursor_(list, range), counters_(counters) {}
 
   bool AdvanceDoc(DocId min_doc) override {
     if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
@@ -274,7 +277,7 @@ class FusedScoredCountScan final : public DocOperator {
  public:
   FusedScoredCountScan(const index::PostingList* list, TermId term,
                        EvalEnv* env)
-      : cursor_(list), env_(env) {
+      : cursor_(list, env->range), env_(env) {
     col_.term = term;
     col_.doc_freq = env->stats.DocFreq(term);
     doc_ctx_.collection_size = env->stats.CollectionSize();
@@ -614,7 +617,8 @@ class ProjectOp final : public DocOperator {
         base_col_ctx_[i].term = column.term;
         base_col_ctx_[i].doc_freq = env_->stats.DocFreq(column.term);
         tf_cursors_.emplace_back(
-            i, index::CountCursor(&env_->stats.index().postings(column.term)));
+            i, index::CountCursor(&env_->stats.index().postings(column.term),
+                               env_->range));
       }
     }
     col_ctx_ = base_col_ctx_;
@@ -1026,14 +1030,16 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
         return DocOperatorPtr(std::make_unique<EmptyOp>());
       }
       return DocOperatorPtr(std::make_unique<ScanOp>(
-          &env->stats.index().postings(node.term), env->counters));
+          &env->stats.index().postings(node.term), env->range,
+          env->counters));
     }
     case OpKind::kPreCountAtom: {
       if (node.term == kInvalidTerm) {
         return DocOperatorPtr(std::make_unique<EmptyOp>());
       }
       return DocOperatorPtr(std::make_unique<PreCountScanOp>(
-          &env->stats.index().postings(node.term), env->counters));
+          &env->stats.index().postings(node.term), env->range,
+          env->counters));
     }
     case OpKind::kJoin: {
       GRAFT_ASSIGN_OR_RETURN(DocOperatorPtr left,
@@ -1153,7 +1159,8 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
             return DocOperatorPtr(std::make_unique<EmptyOp>());
           }
           return DocOperatorPtr(std::make_unique<EagerCountScanOp>(
-              &env->stats.index().postings(atom.term), env->counters));
+              &env->stats.index().postings(atom.term), env->range,
+              env->counters));
         }
       }
       if (!node.group.score_aggs.empty() && env->scheme == nullptr) {

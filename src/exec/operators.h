@@ -114,12 +114,14 @@ struct EvalEnv {
   const sa::ScoringScheme* scheme = nullptr;  // may be null (no scoring ops)
   sa::QueryContext query_ctx;
   ExecStats* counters = nullptr;
+  // Documents the scans visit: the whole index, or one segment's range.
+  index::DocRange range;
 
   EvalEnv(const index::InvertedIndex* index, const sa::ScoringScheme* s,
           sa::QueryContext qctx, const index::StatsOverlay* overlay,
-          ExecStats* c, const index::GlobalStats* global = nullptr)
-      : stats(index, overlay, global), scheme(s), query_ctx(qctx),
-        counters(c) {}
+          ExecStats* c, index::DocRange r = {})
+      : stats(index, overlay), scheme(s), query_ctx(qctx), counters(c),
+        range(r) {}
 };
 
 class DocOperator {

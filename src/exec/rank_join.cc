@@ -131,9 +131,10 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
     if (inserted) {
       ++stats_.streams_built;
       const index::PostingList& list = index.postings(inputs[i].term);
-      it->second.entries.reserve(list.doc_count());
-      it->second.tf.reserve(list.doc_count());
-      for (size_t p = 0; p < list.doc_count(); ++p) {
+      const auto [first, last] = list.Bounds(range_);
+      it->second.entries.reserve(last - first);
+      it->second.tf.reserve(last - first);
+      for (size_t p = first; p < last; ++p) {
         const DocId doc = list.doc_at(p);
         const uint32_t tf = list.tf_at(p);
         it->second.tf.emplace(doc, tf);

@@ -51,14 +51,14 @@ struct RankStats {
 
 class TopKRankEngine {
  public:
-  // `global` (optional) installs whole-corpus collection statistics; used
-  // when `index` is one segment of a SegmentedIndex so per-segment top-k
+  // `range` (optional) restricts the streams to one segment's documents;
+  // scores still read the whole index's statistics, so per-segment top-k
   // scores match the monolithic index exactly.
   TopKRankEngine(const index::InvertedIndex* index,
                  const sa::ScoringScheme* scheme,
                  const index::StatsOverlay* overlay = nullptr,
-                 const index::GlobalStats* global = nullptr)
-      : stats_view_(index, overlay, global), scheme_(scheme) {}
+                 index::DocRange range = {})
+      : stats_view_(index, overlay), scheme_(scheme), range_(range) {}
 
   // True when the gate admits rank processing for this query + scheme:
   // pure conjunction → rank-join; pure disjunction → rank-union.
@@ -73,6 +73,7 @@ class TopKRankEngine {
  private:
   index::StatsView stats_view_;
   const sa::ScoringScheme* scheme_;
+  index::DocRange range_;
   RankStats stats_;
 
   // Score-ordered streams are what a production system keeps as

@@ -55,14 +55,14 @@ struct TaStats {
 
 class ThresholdTopK {
  public:
-  // `global` (optional) installs whole-corpus collection statistics; used
-  // when `index` is one segment of a SegmentedIndex so per-segment top-k
+  // `range` (optional) restricts the streams to one segment's documents;
+  // scores still read the whole index's statistics, so per-segment top-k
   // scores match the monolithic index exactly.
   ThresholdTopK(const index::InvertedIndex* index,
                 const sa::ScoringScheme* scheme,
                 const index::StatsOverlay* overlay = nullptr,
-                const index::GlobalStats* global = nullptr)
-      : stats_view_(index, overlay, global), scheme_(scheme) {}
+                index::DocRange range = {})
+      : stats_view_(index, overlay), scheme_(scheme), range_(range) {}
 
   // Empty string when TA is licensed for this query + scheme; otherwise
   // the human-readable EXPLAIN verdict ("blocked: ...", "blocked by
@@ -83,6 +83,7 @@ class ThresholdTopK {
  private:
   index::StatsView stats_view_;
   const sa::ScoringScheme* scheme_;
+  index::DocRange range_;
   TaStats stats_;
 };
 

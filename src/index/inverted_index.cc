@@ -44,13 +44,6 @@ uint32_t InvertedIndex::TermFreqInDoc(TermId term, DocId doc,
   return list.tf_at(pos);
 }
 
-void InvertedIndex::BuildBlockMax() {
-  for (PostingList& list : postings_) {
-    list.BuildBlockMax(doc_lengths_);
-  }
-  has_block_max_ = true;
-}
-
 IndexBuilder::IndexBuilder() = default;
 
 // The doc_offsets_ scratch map persists across documents: entries are
@@ -110,7 +103,10 @@ DocId IndexBuilder::AddDocumentStrings(const std::vector<std::string>& tokens) {
 }
 
 InvertedIndex IndexBuilder::Build() {
-  index_.BuildBlockMax();
+  for (TermId t = 0; t < index_.term_count(); ++t) {
+    index_.mutable_postings(t)->BuildBlockMax(index_.doc_lengths());
+  }
+  index_.set_has_block_max(true);
   return std::move(index_);
 }
 

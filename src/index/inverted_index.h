@@ -71,15 +71,13 @@ class InvertedIndex {
 
   // ---- Block-max metadata (dynamic-pruning score ceilings) ----
   // True when every posting list carries per-block (max tf, min doc
-  // length) metadata: set by BuildBlockMax and by loading a v4 index file.
-  // v3 files have no such sections, so a v3-loaded index reports false and
-  // block-max pruning is gated off ("blocked: no block-max metadata").
+  // length) metadata: set by IndexBuilder::Build and by loading a v4 index
+  // file. v3 files have no such sections, so a v3-loaded index reports
+  // false and block-max pruning is gated off ("blocked: no block-max
+  // metadata").
   bool has_block_max() const { return has_block_max_; }
-  // Recomputes per-block metadata for every term from the current postings
-  // and document lengths. IndexBuilder::Build and the per-segment build
-  // call this; it is idempotent.
-  void BuildBlockMax();
-  // Loader hook: marks metadata present after per-term RestoreBlockMax.
+  // Builder and loader hook: marks metadata present once every list has
+  // its frontiers (PostingList::BuildBlockMax / RestoreBlockMax).
   void set_has_block_max(bool value) { has_block_max_ = value; }
 
   // ---- Construction interface (used by IndexBuilder and index_io) ----

@@ -53,43 +53,6 @@ void PostingList::AddDocument(DocId doc, std::span<const Offset> offsets) {
   total_positions_ += offsets.size();
 }
 
-void PostingList::AppendSlice(const PostingList& source, DocId begin,
-                              DocId end) {
-  const size_t first = source.GallopTo(0, begin);
-  const size_t last = source.GallopTo(first, end);
-  if (first == last) {
-    return;
-  }
-  if (source.is_packed()) {
-    std::vector<Offset> offsets;
-    for (size_t p = first; p < last; ++p) {
-      source.DecodeOffsets(p, &offsets);
-      AddDocument(source.doc_at(p) - begin, offsets);
-    }
-    return;
-  }
-  assert(docs_.empty() || source.docs_[first] - begin > docs_.back());
-  const size_t count = last - first;
-  docs_.reserve(docs_.size() + count);
-  for (size_t p = first; p < last; ++p) {
-    docs_.push_back(source.docs_[p] - begin);
-    total_positions_ += source.tfs_[p];
-  }
-  tfs_.insert(tfs_.end(), source.tfs_.begin() + first,
-              source.tfs_.begin() + last);
-  // Rebase the byte offsets of docs first+1..last onto this blob's end.
-  const uint64_t byte_begin = source.offset_start_[first];
-  const uint64_t byte_end = source.offset_start_[last];
-  const uint64_t blob_end = encoded_offsets_.size();
-  offset_start_.reserve(offset_start_.size() + count);
-  for (size_t p = first + 1; p <= last; ++p) {
-    offset_start_.push_back(source.offset_start_[p] - byte_begin + blob_end);
-  }
-  encoded_offsets_.insert(encoded_offsets_.end(),
-                          source.encoded_offsets_.begin() + byte_begin,
-                          source.encoded_offsets_.begin() + byte_end);
-}
-
 void PostingList::DecodeOffsets(size_t i, std::vector<Offset>* out) const {
   if (is_packed()) {
     PackedDecodeOffsets(i, out);

@@ -44,6 +44,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "index/block_cache.h"
@@ -52,6 +54,17 @@
 #include "index/varint.h"
 
 namespace graft::index {
+
+// A contiguous doc-id range [doc_lo, doc_hi): one segment of the index.
+// The default range is the whole index (no real document has id
+// kInvalidDoc). Scans bounded by a range visit exactly the postings whose
+// doc ids fall inside it; the doc ids themselves stay global.
+struct DocRange {
+  DocId doc_lo = 0;
+  DocId doc_hi = kInvalidDoc;
+
+  bool operator==(const DocRange&) const = default;
+};
 
 // Zero-copy backing views of one term's packed (v5) posting data. The
 // pointed-to bytes belong to the owning index's MmapRegion; the cache
@@ -89,14 +102,6 @@ class PostingList {
   // Appends one document's occurrences. Documents must be appended in
   // strictly increasing doc order; offsets must be strictly increasing.
   void AddDocument(DocId doc, std::span<const Offset> offsets);
-
-  // Appends the postings of `source` with doc ids in [begin, end), rebased
-  // to begin (doc d becomes d - begin); they must follow this list's last
-  // document. Positions restart their delta chain at every document, so a
-  // materialized source slices by range copy: no varint is decoded or
-  // re-encoded and every array grows to its exact size. A packed source
-  // decodes through doc_at/DecodeOffsets like every other accessor.
-  void AppendSlice(const PostingList& source, DocId begin, DocId end);
 
   size_t doc_count() const {
     return is_packed() ? packed_.doc_count : docs_.size();
@@ -142,8 +147,18 @@ class PostingList {
   // counter surfaced by EXPLAIN ANALYZE.
   size_t GallopTo(size_t from, DocId target, uint64_t* probes = nullptr) const;
 
+  // Posting-index range [first, last) of the documents inside `range`. The
+  // full range answers without a search, so whole-index scans pay nothing.
+  std::pair<size_t, size_t> Bounds(DocRange range) const {
+    const size_t first = range.doc_lo == 0 ? 0 : GallopTo(0, range.doc_lo);
+    const size_t last = range.doc_hi == kInvalidDoc
+                            ? doc_count()
+                            : GallopTo(first, range.doc_hi);
+    return {first, last};
+  }
+
   // ---- Block-max metadata (score ceilings for dynamic pruning) ----
-  // Recomputed by BuildBlockMax (needs per-doc lengths, so the index layer
+  // Computed by BuildBlockMax (needs per-doc lengths, so IndexBuilder
   // drives it) or restored verbatim from a v4 index file.
   void BuildBlockMax(std::span<const uint32_t> doc_lengths);
   // Side-effect-free variant (index_io uses it to upgrade an index that
@@ -257,15 +272,19 @@ class PostingList {
   std::vector<uint32_t> frontier_doc_length_;
 };
 
-// Document-granular cursor over a posting list (the A scan). offsets()
-// decodes the current document's positions into an internal scratch buffer
-// whose contents stay valid until the next offsets() call (Next/SkipTo do
-// not touch it).
+// Document-granular cursor over a posting list (the A scan), bounded by a
+// doc range: it starts at the range's first posting and reports AtEnd at
+// the first posting >= doc_hi. offsets() decodes the current document's
+// positions into an internal scratch buffer whose contents stay valid
+// until the next offsets() call (Next/SkipTo do not touch it).
 class PostingCursor {
  public:
-  explicit PostingCursor(const PostingList* list) : list_(list) {}
+  explicit PostingCursor(const PostingList* list, DocRange range = {})
+      : list_(list), doc_hi_(range.doc_hi) {
+    std::tie(pos_, end_) = list->Bounds(range);
+  }
 
-  bool AtEnd() const { return pos_ >= list_->doc_count(); }
+  bool AtEnd() const { return pos_ >= end_; }
   DocId doc() const { return list_->doc_at(pos_); }
   uint32_t tf() const { return list_->tf_at(pos_); }
   std::span<const Offset> offsets() {
@@ -278,24 +297,32 @@ class PostingCursor {
   size_t position() const { return pos_; }
 
   void Next() { ++pos_; }
-  // Advances to the first posting with doc >= target (galloping skip).
+  // Advances to the first posting with doc >= target (galloping skip). A
+  // target at or past the range end lands on the end without a search; a
+  // target inside it gallops to a posting no later than the end.
   void SkipTo(DocId target, uint64_t* probes = nullptr) {
-    pos_ = list_->GallopTo(pos_, target, probes);
+    pos_ = target >= doc_hi_ ? end_ : list_->GallopTo(pos_, target, probes);
   }
 
  private:
   const PostingList* list_;
+  DocId doc_hi_;
   size_t pos_ = 0;
+  size_t end_ = 0;
   std::vector<Offset> scratch_;
 };
 
 // Document-granular cursor that touches only the doc/tf arrays (the CA
-// scan). Same navigation interface as PostingCursor minus offsets().
+// scan). Same navigation interface and range bound as PostingCursor minus
+// offsets().
 class CountCursor {
  public:
-  explicit CountCursor(const PostingList* list) : list_(list) {}
+  explicit CountCursor(const PostingList* list, DocRange range = {})
+      : list_(list), doc_hi_(range.doc_hi) {
+    std::tie(pos_, end_) = list->Bounds(range);
+  }
 
-  bool AtEnd() const { return pos_ >= list_->doc_count(); }
+  bool AtEnd() const { return pos_ >= end_; }
   DocId doc() const { return list_->doc_at(pos_); }
   uint32_t tf() const { return list_->tf_at(pos_); }
 
@@ -303,12 +330,14 @@ class CountCursor {
 
   void Next() { ++pos_; }
   void SkipTo(DocId target, uint64_t* probes = nullptr) {
-    pos_ = list_->GallopTo(pos_, target, probes);
+    pos_ = target >= doc_hi_ ? end_ : list_->GallopTo(pos_, target, probes);
   }
 
  private:
   const PostingList* list_;
+  DocId doc_hi_;
   size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 }  // namespace graft::index

@@ -14,36 +14,11 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "index/inverted_index.h"
 #include "index/types.h"
 
 namespace graft::index {
-
-// Collection-level statistics of the WHOLE corpus, installed on a
-// per-segment StatsView so every segment of a SegmentedIndex scores
-// exactly like the monolithic index (the score-consistency invariant of
-// parallel execution: GRAFT scores depend on per-document match rows plus
-// collection statistics only, so identical collection statistics ⇒
-// identical scores). The frequency tables are indexed by TermId; segments
-// intern the full monolithic vocabulary in dictionary order, so local and
-// global term ids coincide and one shared table serves every segment.
-struct GlobalStats {
-  uint64_t doc_count = 0;
-  uint64_t total_words = 0;
-  // Borrowed arrays sized to the vocabulary, owned by the SegmentedIndex.
-  // Raw data pointers (not vector pointers) so they stay valid when the
-  // owning SegmentedIndex is moved.
-  const uint64_t* doc_freq = nullptr;
-  const uint64_t* collection_freq = nullptr;
-
-  double average_doc_length() const {
-    return doc_count == 0 ? 0.0
-                          : static_cast<double>(total_words) /
-                                static_cast<double>(doc_count);
-  }
-};
 
 class StatsOverlay {
  public:
@@ -99,26 +74,20 @@ class StatsOverlay {
 
 // Read-only statistics facade handed to scoring schemes. Cheap to copy.
 // Resolution order per statistic: overlay (tests, and the router's pinned
-// global stats) → global stats (segment of a SegmentedIndex) → the live
-// index. Per-document statistics (DocLength, TermFreqInDoc) always resolve
-// locally — a segment holds its own documents — while collection-level
-// statistics (CollectionSize, AverageDocLength, DocFreq, CollectionFreq)
-// come from the overlay or global table.
+// global stats) → the live index. A segment of a SegmentedIndex is a doc
+// range of the same index, so it reads the whole corpus' statistics here
+// without any per-segment table.
 class StatsView {
  public:
   explicit StatsView(const InvertedIndex* index,
-                     const StatsOverlay* overlay = nullptr,
-                     const GlobalStats* global = nullptr)
-      : index_(index), overlay_(overlay), global_(global) {}
+                     const StatsOverlay* overlay = nullptr)
+      : index_(index), overlay_(overlay) {}
 
   uint64_t CollectionSize() const {
     if (overlay_ != nullptr) {
       if (const auto v = overlay_->collection_size(); v.has_value()) {
         return *v;
       }
-    }
-    if (global_ != nullptr) {
-      return global_->doc_count;
     }
     return index_->doc_count();
   }
@@ -134,8 +103,8 @@ class StatsView {
 
   double AverageDocLength() const {
     // Overlay total_words (with an overlay collection size) pins the
-    // average exactly the way GlobalStats does: same division, same
-    // operand values ⇒ bit-identical doubles on every shard.
+    // average exactly the way the index computes its own: same division,
+    // same operand values ⇒ bit-identical doubles on every shard.
     if (overlay_ != nullptr) {
       if (const auto words = overlay_->total_words(); words.has_value()) {
         const uint64_t docs = CollectionSize();
@@ -143,9 +112,6 @@ class StatsView {
                          : static_cast<double>(*words) /
                                static_cast<double>(docs);
       }
-    }
-    if (global_ != nullptr) {
-      return global_->average_doc_length();
     }
     return index_->average_doc_length();
   }
@@ -157,9 +123,6 @@ class StatsView {
         return *v;
       }
     }
-    if (global_ != nullptr && global_->doc_freq != nullptr) {
-      return global_->doc_freq[term];
-    }
     return index_->DocFreq(term);
   }
 
@@ -169,9 +132,6 @@ class StatsView {
           v.has_value()) {
         return *v;
       }
-    }
-    if (global_ != nullptr && global_->collection_freq != nullptr) {
-      return global_->collection_freq[term];
     }
     return index_->CollectionFreq(term);
   }
@@ -196,12 +156,10 @@ class StatsView {
 
   const InvertedIndex& index() const { return *index_; }
   bool has_overlay() const { return overlay_ != nullptr; }
-  bool has_global() const { return global_ != nullptr; }
 
  private:
   const InvertedIndex* index_;
   const StatsOverlay* overlay_;
-  const GlobalStats* global_;
 };
 
 }  // namespace graft::index

@@ -171,8 +171,8 @@ SearchService::SearchService(std::shared_ptr<const core::EngineBundle> bundle,
                              ServiceOptions options)
     : options_(std::move(options)),
       // Alias into the bundle: the snapshot's control block owns the whole
-      // bundle, so index + segments + engine die together, after the last
-      // in-flight request lets go.
+      // bundle, so index + engine die together, after the last in-flight
+      // request lets go.
       engine_(std::shared_ptr<const core::Engine>(bundle,
                                                   bundle->engine.get())),
       reloadable_(!options_.index_path.empty()),
@@ -567,9 +567,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   }
 
   // Pinned global statistics from the router (phase 2 of the stats
-  // exchange). Installed as a per-request overlay; execution is forced
-  // monolithic because the per-request overlay is rejected on the
-  // segmented fan-out path (scores are identical either way).
+  // exchange), installed as a per-request overlay.
   index::StatsOverlay pinned_overlay;  // outlives the engine call
   if (const std::string* text = get("gstats")) {
     StatusOr<PinnedStats> pinned = DecodePinnedStats(*text);
@@ -581,7 +579,6 @@ Response SearchService::HandleSearch(const HttpRequest& request,
     }
     pinned_overlay = ToOverlay(*pinned);
     resolved->options.stats_overlay = &pinned_overlay;
-    resolved->options.use_segmented = false;
   }
 
   if (options_.test_search_delay_ms > 0) {

@@ -2,8 +2,9 @@
 // every scoring scheme from the paper's Section 7 and every segment count,
 // the parallel engine must return bit-identical scores in the identical
 // order as the monolithic engine — both for full result sets and for
-// top-k (rank-processed) searches. This is the end-to-end check of the
-// two SegmentedIndex invariants (shared vocabulary, global statistics).
+// top-k (rank-processed) searches, with and without a statistics overlay.
+// This is the end-to-end check that a segment is exactly the one index
+// restricted to its doc range.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,46 @@ TEST_P(ParallelConsistencyTest, SerialSegmentedMatchesMonolithic) {
   auto actual = f.parallel.back()->Search(c.query, c.scheme, options);
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
   ExpectIdentical(expected->results, actual->results, "serial segmented");
+}
+
+// Pinned-statistics overlay of the router kind (collection-level figures)
+// plus per-document lengths keyed by global doc ids in every segment.
+const index::StatsOverlay& SharedOverlay() {
+  static const index::StatsOverlay& overlay = *[] {
+    const Fixture& f = SharedFixture();
+    auto* o = new index::StatsOverlay();
+    o->SetCollectionSize(f.index.doc_count() * 3);
+    o->SetTotalWords(f.index.total_words() * 2);
+    o->SetDocFreq("software", f.index.doc_count() / 2);
+    o->SetCollectionFreq("software", f.index.total_words() / 50);
+    for (DocId doc = 3; doc < f.index.doc_count(); doc += 37) {
+      o->SetDocLength(doc, 1 + doc % 17);
+    }
+    return o;
+  }();
+  return overlay;
+}
+
+TEST_P(ParallelConsistencyTest, StatsOverlayMatchesMonolithic) {
+  // A per-request overlay applies to every segment view alike: segmented
+  // + overlay is bit-identical to monolithic + the same overlay.
+  const Fixture& f = SharedFixture();
+  const Case& c = GetParam();
+  for (size_t k : {0u, 5u}) {
+    SearchOptions options;
+    options.top_k = k;
+    options.stats_overlay = &SharedOverlay();
+    auto expected = f.monolithic->Search(c.query, c.scheme, options);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    for (size_t i = 0; i < std::size(kSegmentCounts); ++i) {
+      auto actual = f.parallel[i]->Search(c.query, c.scheme, options);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(actual->segments_searched, f.segmented[i].segment_count());
+      ExpectIdentical(expected->results, actual->results,
+                      "overlay k=" + std::to_string(k) + " segments=" +
+                          std::to_string(kSegmentCounts[i]));
+    }
+  }
 }
 
 std::vector<Case> AllCases() {

@@ -17,6 +17,9 @@
 //             path, bit-identical to the materialized index's results —
 //             the codec sits inside the score path, so this is the
 //             configuration that catches a compression bug;
+//   v5 seg    the v5 index fanned out over 3 segments: packed blocks
+//             decoded concurrently by pool threads, full ranking and
+//             top-k, bit-identical to the materialized index's results;
 //   topk-unpruned  the same top-k with allow_block_max_pruning = false:
 //             the pruned and unpruned top-k must both be bit-identical to
 //             the full ranking's prefix. The fuzzer additionally asserts
@@ -203,6 +206,18 @@ const Engine& PackedEngine() {
 const Engine& SegmentedEngine() {
   static const Engine engine(&FuzzIndex(), &FuzzSegments(),
                              /*pool_threads=*/2);
+  return engine;
+}
+
+// The packed index fanned out over 3 doc ranges: pool threads decode the
+// same mapped blocks concurrently through the shared block cache.
+const Engine& PackedSegmentedEngine() {
+  static const Engine engine = [] {
+    auto ranges =
+        index::SegmentedIndex::BuildFromMonolithic(PackedFuzzIndex(), 3);
+    if (!ranges.ok()) std::abort();
+    return Engine(&PackedFuzzIndex(), &*ranges, /*pool_threads=*/2);
+  }();
   return engine;
 }
 
@@ -588,6 +603,17 @@ std::string CheckQuery(const mcalc::Query& query,
     return diff;
   }
 
+  auto packed_seg =
+      PackedSegmentedEngine().SearchQuery(query, scheme, SegmentedOptions());
+  if (!packed_seg.ok()) {
+    return "v5 packed segmented failed: " + packed_seg.status().ToString();
+  }
+  if (std::string diff = DiffFull(opt_map, packed_seg->results,
+                                  "v5 packed segmented", /*exact=*/true);
+      !diff.empty()) {
+    return diff;
+  }
+
   constexpr size_t kTopK = 10;
   auto topk = MonoEngine().SearchQuery(query, scheme,
                                        TopKOptions(kTopK, false));
@@ -620,6 +646,19 @@ std::string CheckQuery(const mcalc::Query& query,
   if (std::string diff = DiffTopK(opt->results, opt_map,
                                   packed_topk->results, kTopK,
                                   "v5 packed top-k");
+      !diff.empty()) {
+    return diff;
+  }
+
+  auto packed_seg_topk = PackedSegmentedEngine().SearchQuery(
+      query, scheme, TopKOptions(kTopK, true));
+  if (!packed_seg_topk.ok()) {
+    return "v5 packed segmented top-k failed: " +
+           packed_seg_topk.status().ToString();
+  }
+  if (std::string diff = DiffTopK(opt->results, opt_map,
+                                  packed_seg_topk->results, kTopK,
+                                  "v5 packed segmented top-k");
       !diff.empty()) {
     return diff;
   }
@@ -657,6 +696,10 @@ std::string CheckQuery(const mcalc::Query& query,
        *topk_seg},
       {"v5 packed top-k", PackedEngine(), TopKOptions(kTopK, false),
        *packed_topk},
+      {"v5 packed segmented", PackedSegmentedEngine(), SegmentedOptions(),
+       *packed_seg},
+      {"v5 packed segmented top-k", PackedSegmentedEngine(),
+       TopKOptions(kTopK, true), *packed_seg_topk},
       {"unpruned top-k", MonoEngine(), unpruned_opts, *unpruned},
   };
   for (const auto& config : explained) {

@@ -4,19 +4,34 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/canonical_plan.h"
 #include "core/engine.h"
+#include "core/optimizer.h"
 #include "core/request.h"
+#include "exec/executor.h"
+#include "exec/maxscore_topk.h"
+#include "exec/nra_topk.h"
+#include "exec/rank_join.h"
+#include "exec/threshold_topk.h"
 #include "index/index_io.h"
 #include "index/inverted_index.h"
-#include "index/stats.h"
+#include "mcalc/parser.h"
+#include "sa/scoring_scheme.h"
 #include "text/corpus.h"
 
 namespace graft::index {
 namespace {
+
+constexpr const char* kSchemes[] = {
+    "AnySum",  "AnyProd", "SumBest",    "Lucene",
+    "JoinNormalized", "MeanSum", "EventModel", "BestSumMinDist"};
 
 InvertedIndex BuildSmallIndex(uint64_t num_docs) {
   text::CorpusConfig config = text::WikipediaLikeConfig(num_docs, /*seed=*/11);
@@ -29,62 +44,141 @@ InvertedIndex BuildSmallIndex(uint64_t num_docs) {
   return builder.Build();
 }
 
-// Reference slice: decode every posting of [begin, end), re-encode it
-// with AddDocument, then rebuild the block-max frontiers over the slice.
-PostingList ReencodedSlice(const InvertedIndex& index, TermId term,
-                           DocId begin, DocId end) {
-  const PostingList& list = index.postings(term);
-  PostingList slice;
+std::string TempIndexPath(const std::string& tag) {
+  return ::testing::TempDir() + "/graft_" + std::to_string(::getpid()) +
+         "_" + tag + ".idx";
+}
+
+struct Posting {
+  DocId doc;
+  uint32_t tf;
   std::vector<Offset> offsets;
-  for (size_t p = list.GallopTo(0, begin);
-       p < list.doc_count() && list.doc_at(p) < end; ++p) {
-    list.DecodeOffsets(p, &offsets);
-    slice.AddDocument(list.doc_at(p) - begin, offsets);
-  }
-  const std::vector<uint32_t> lengths(index.doc_lengths().begin() + begin,
-                                      index.doc_lengths().begin() + end);
-  slice.BuildBlockMax(lengths);
-  return slice;
-}
 
-// Every raw array of two materialized lists, byte for byte.
-void ExpectSameList(const PostingList& expected, const PostingList& actual,
-                    const std::string& label) {
-  EXPECT_EQ(actual.raw_docs(), expected.raw_docs()) << label;
-  EXPECT_EQ(actual.raw_tfs(), expected.raw_tfs()) << label;
-  EXPECT_EQ(actual.raw_offset_starts(), expected.raw_offset_starts())
-      << label;
-  EXPECT_EQ(actual.raw_encoded_offsets(), expected.raw_encoded_offsets())
-      << label;
-  EXPECT_EQ(actual.collection_frequency(), expected.collection_frequency())
-      << label;
-  EXPECT_EQ(actual.raw_frontier_start(), expected.raw_frontier_start())
-      << label;
-  EXPECT_EQ(actual.raw_frontier_tf(), expected.raw_frontier_tf()) << label;
-  EXPECT_EQ(actual.raw_frontier_doc_length(),
-            expected.raw_frontier_doc_length())
-      << label;
-}
+  bool operator==(const Posting&) const = default;
+};
 
-void ExpectSameSegments(const SegmentedIndex& expected,
-                        const SegmentedIndex& actual) {
-  ASSERT_EQ(actual.segment_count(), expected.segment_count());
-  for (size_t s = 0; s < expected.segment_count(); ++s) {
-    const SegmentedIndex::Segment& want = expected.segment(s);
-    const SegmentedIndex::Segment& got = actual.segment(s);
-    EXPECT_EQ(got.base, want.base) << "segment " << s;
-    EXPECT_EQ(got.index.doc_lengths(), want.index.doc_lengths())
-        << "segment " << s;
-    EXPECT_EQ(got.index.total_words(), want.index.total_words());
-    EXPECT_EQ(got.index.has_block_max(), want.index.has_block_max());
-    ASSERT_EQ(got.index.term_count(), want.index.term_count());
-    for (TermId t = 0; t < want.index.term_count(); ++t) {
-      ASSERT_EQ(got.index.TermText(t), want.index.TermText(t));
-      ExpectSameList(want.index.postings(t), got.index.postings(t),
-                     "segment " + std::to_string(s) + " term " +
-                         want.index.TermText(t));
+// The postings a scan bounded by `range` must visit: every posting of the
+// list whose doc id lies in [doc_lo, doc_hi), read by position index.
+std::vector<Posting> PostingsInRange(const PostingList& list, DocRange range) {
+  std::vector<Posting> out;
+  for (size_t p = 0; p < list.doc_count(); ++p) {
+    const DocId doc = list.doc_at(p);
+    if (doc >= range.doc_lo && doc < range.doc_hi) {
+      out.push_back({doc, list.tf_at(p), list.OffsetsAt(p)});
     }
   }
+  return out;
+}
+
+std::string RangeLabel(DocRange range) {
+  return "[" + std::to_string(range.doc_lo) + ", " +
+         std::to_string(range.doc_hi) + ")";
+}
+
+// Walks `list` with both bounded cursors over `range`, mixing Next with
+// SkipTo (targets inside the range, and at or past its end), and checks
+// every step against `want`, the monolithic postings in range.
+void ExpectCursorsVisit(const PostingList& list, DocRange range,
+                        const std::vector<Posting>& want, std::mt19937* rng) {
+  const std::string label = RangeLabel(range);
+  {
+    PostingCursor cursor(&list, range);
+    std::vector<Posting> got;
+    for (; !cursor.AtEnd(); cursor.Next()) {
+      const std::span<const Offset> offsets = cursor.offsets();
+      got.push_back({cursor.doc(), cursor.tf(),
+                     std::vector<Offset>(offsets.begin(), offsets.end())});
+    }
+    ASSERT_EQ(got, want) << "PostingCursor " << label;
+  }
+  {
+    CountCursor cursor(&list, range);
+    size_t j = 0;
+    for (; !cursor.AtEnd(); cursor.Next(), ++j) {
+      ASSERT_LT(j, want.size()) << "CountCursor " << label;
+      ASSERT_EQ(cursor.doc(), want[j].doc) << "CountCursor " << label;
+      ASSERT_EQ(cursor.tf(), want[j].tf) << "CountCursor " << label;
+    }
+    ASSERT_EQ(j, want.size()) << "CountCursor " << label;
+  }
+  // Random SkipTo/Next interleavings against the reference position.
+  const DocId last = want.empty() ? range.doc_lo : want.back().doc;
+  for (int round = 0; round < 4; ++round) {
+    PostingCursor cursor(&list, range);
+    CountCursor counts(&list, range);
+    size_t j = 0;
+    while (true) {
+      ASSERT_EQ(cursor.AtEnd(), j == want.size()) << label;
+      ASSERT_EQ(counts.AtEnd(), j == want.size()) << label;
+      if (j == want.size()) break;
+      ASSERT_EQ(cursor.doc(), want[j].doc) << label;
+      ASSERT_EQ(cursor.tf(), want[j].tf) << label;
+      const std::span<const Offset> offsets = cursor.offsets();
+      ASSERT_EQ(std::vector<Offset>(offsets.begin(), offsets.end()),
+                want[j].offsets)
+          << label;
+      ASSERT_EQ(counts.doc(), want[j].doc) << label;
+      if ((*rng)() % 3 == 0) {
+        cursor.Next();
+        counts.Next();
+        ++j;
+        continue;
+      }
+      // Targets reach past the last in-range doc, so SkipTo(target >=
+      // doc_hi) and skips into the next range both occur.
+      std::uniform_int_distribution<uint64_t> pick(
+          want[j].doc, static_cast<uint64_t>(last) + 300);
+      const DocId target = static_cast<DocId>(pick(*rng));
+      cursor.SkipTo(target);
+      counts.SkipTo(target);
+      while (j < want.size() && want[j].doc < target) ++j;
+    }
+  }
+}
+
+// Random ranges plus the edge cases: empty ranges, bounds on and inside
+// block edges, lo past the last doc, the full range.
+std::vector<DocRange> TestRanges(const PostingList& list, uint64_t docs,
+                                 std::mt19937* rng) {
+  std::vector<DocRange> ranges = {DocRange{}, {0, 0}, {5, 5}};
+  const size_t n = list.doc_count();
+  const DocId last = list.doc_at(n - 1);
+  ranges.push_back({last + 1, kInvalidDoc});
+  ranges.push_back({last + 1, last + 50});
+  ranges.push_back({last, last + 1});
+  for (size_t edge = 0; edge <= n; edge += PostingList::kBlockSize) {
+    for (const size_t p : {edge, edge + 1, edge + PostingList::kBlockSize / 2}) {
+      if (p == 0 || p > n) continue;
+      const DocId at = list.doc_at(p - 1);
+      ranges.push_back({at, at});              // empty, on a posting
+      ranges.push_back({at, at + 1});          // exactly one posting
+      ranges.push_back({at + 1, kInvalidDoc});  // just past posting p-1
+      ranges.push_back({0, at});
+      ranges.push_back({0, at + 1});
+      ranges.push_back({at / 2, at + 1});
+    }
+  }
+  std::uniform_int_distribution<uint64_t> doc(0, docs + 10);
+  for (int i = 0; i < 40; ++i) {
+    DocId lo = static_cast<DocId>(doc(*rng));
+    DocId hi = static_cast<DocId>(doc(*rng));
+    if (lo > hi) std::swap(lo, hi);
+    ranges.push_back({lo, hi});
+  }
+  return ranges;
+}
+
+// Lists with several blocks (block edges inside the list) and a short one.
+std::vector<TermId> TestTerms(const InvertedIndex& index) {
+  std::vector<TermId> terms;
+  for (TermId t = 0; t < index.term_count() && terms.size() < 6; ++t) {
+    const size_t df = index.postings(t).doc_count();
+    if (df > 2 * PostingList::kBlockSize + 7 ||
+        (terms.empty() && df > 3 && df < 40)) {
+      terms.push_back(t);
+    }
+  }
+  return terms;
 }
 
 TEST(SegmentedIndexTest, RejectsZeroSegments) {
@@ -105,124 +199,21 @@ TEST(SegmentedIndexTest, EmptyIndexYieldsOneEmptySegment) {
   auto segmented = SegmentedIndex::BuildFromMonolithic(index, 4);
   ASSERT_TRUE(segmented.ok()) << segmented.status().ToString();
   EXPECT_EQ(segmented->segment_count(), 1u);
-  EXPECT_EQ(segmented->doc_count(), 0u);
+  EXPECT_EQ(segmented->segment(0), (DocRange{0, 0}));
 }
 
 TEST(SegmentedIndexTest, SegmentsPartitionTheDocSpace) {
   InvertedIndex index = BuildSmallIndex(101);
   auto segmented = SegmentedIndex::BuildFromMonolithic(index, 4);
   ASSERT_TRUE(segmented.ok());
-  EXPECT_EQ(segmented->doc_count(), index.doc_count());
-  EXPECT_EQ(segmented->total_words(), index.total_words());
   DocId next = 0;
-  uint64_t docs = 0, words = 0;
   for (size_t s = 0; s < segmented->segment_count(); ++s) {
-    const SegmentedIndex::Segment& seg = segmented->segment(s);
-    EXPECT_EQ(seg.base, next) << "segment " << s;
-    EXPECT_GT(seg.index.doc_count(), 0u);
-    next += static_cast<DocId>(seg.index.doc_count());
-    docs += seg.index.doc_count();
-    words += seg.index.total_words();
+    const DocRange& range = segmented->segment(s);
+    EXPECT_EQ(range.doc_lo, next) << "segment " << s;
+    EXPECT_GT(range.doc_hi, range.doc_lo) << "segment " << s;
+    next = range.doc_hi;
   }
-  EXPECT_EQ(docs, index.doc_count());
-  EXPECT_EQ(words, index.total_words());
-}
-
-TEST(SegmentedIndexTest, SharedVocabularyInvariant) {
-  // Invariant 1: every segment interns the full monolithic vocabulary in
-  // dictionary order, so TermIds are shared across segments and the
-  // monolith — including for terms absent from a segment.
-  InvertedIndex index = BuildSmallIndex(60);
-  auto segmented = SegmentedIndex::BuildFromMonolithic(index, 5);
-  ASSERT_TRUE(segmented.ok());
-  for (size_t s = 0; s < segmented->segment_count(); ++s) {
-    const InvertedIndex& local = segmented->segment(s).index;
-    ASSERT_EQ(local.term_count(), index.term_count()) << "segment " << s;
-    for (TermId t = 0; t < index.term_count(); ++t) {
-      ASSERT_EQ(local.TermText(t), index.TermText(t))
-          << "segment " << s << " term " << t;
-    }
-  }
-}
-
-TEST(SegmentedIndexTest, GlobalStatsMatchMonolith) {
-  // Invariant 2: collection-level statistics exposed through each
-  // segment's GlobalStats are those of the whole corpus.
-  InvertedIndex index = BuildSmallIndex(80);
-  auto segmented = SegmentedIndex::BuildFromMonolithic(index, 3);
-  ASSERT_TRUE(segmented.ok());
-  for (size_t s = 0; s < segmented->segment_count(); ++s) {
-    const SegmentedIndex::Segment& seg = segmented->segment(s);
-    StatsView stats(&seg.index, /*overlay=*/nullptr, &seg.stats);
-    EXPECT_EQ(stats.CollectionSize(), index.doc_count());
-    EXPECT_DOUBLE_EQ(stats.AverageDocLength(), index.average_doc_length());
-    for (TermId t = 0; t < index.term_count(); ++t) {
-      ASSERT_EQ(stats.DocFreq(t), index.DocFreq(t))
-          << "segment " << s << " term " << index.TermText(t);
-      ASSERT_EQ(stats.CollectionFreq(t), index.CollectionFreq(t))
-          << "segment " << s << " term " << index.TermText(t);
-    }
-  }
-}
-
-TEST(SegmentedIndexTest, PerDocumentStatsResolveLocally) {
-  InvertedIndex index = BuildSmallIndex(80);
-  auto segmented = SegmentedIndex::BuildFromMonolithic(index, 3);
-  ASSERT_TRUE(segmented.ok());
-  for (size_t s = 0; s < segmented->segment_count(); ++s) {
-    const SegmentedIndex::Segment& seg = segmented->segment(s);
-    for (DocId local = 0; local < seg.index.doc_count(); ++local) {
-      const DocId global = segmented->ToGlobal(s, local);
-      ASSERT_EQ(seg.index.doc_length(local), index.doc_length(global));
-      for (TermId t = 0; t < index.term_count(); ++t) {
-        ASSERT_EQ(seg.index.TermFreqInDoc(t, local),
-                  index.TermFreqInDoc(t, global))
-            << "segment " << s << " doc " << global << " term "
-            << index.TermText(t);
-      }
-    }
-  }
-}
-
-TEST(SegmentedIndexTest, PostingsSliceExactlyWithPositions) {
-  // Rebuild the global posting view from segment postings and compare,
-  // positions included (positional predicates run per segment).
-  InvertedIndex index = BuildSmallIndex(50);
-  auto segmented = SegmentedIndex::BuildFromMonolithic(index, 4);
-  ASSERT_TRUE(segmented.ok());
-  for (TermId t = 0; t < index.term_count(); ++t) {
-    std::vector<std::pair<DocId, std::vector<Offset>>> rebuilt;
-    for (size_t s = 0; s < segmented->segment_count(); ++s) {
-      const SegmentedIndex::Segment& seg = segmented->segment(s);
-      const PostingList& list = seg.index.postings(t);
-      for (size_t p = 0; p < list.doc_count(); ++p) {
-        rebuilt.emplace_back(segmented->ToGlobal(s, list.doc_at(p)),
-                             list.OffsetsAt(p));
-      }
-    }
-    const PostingList& global = index.postings(t);
-    ASSERT_EQ(rebuilt.size(), global.doc_count()) << index.TermText(t);
-    for (size_t p = 0; p < global.doc_count(); ++p) {
-      ASSERT_EQ(rebuilt[p].first, global.doc_at(p)) << index.TermText(t);
-      ASSERT_EQ(rebuilt[p].second, global.OffsetsAt(p)) << index.TermText(t);
-    }
-  }
-}
-
-TEST(SegmentedIndexTest, GlobalStatsSurviveMove) {
-  // GlobalStats point at heap buffers owned by the SegmentedIndex; a move
-  // of the owner must not dangle them.
-  InvertedIndex index = BuildSmallIndex(30);
-  auto built = SegmentedIndex::BuildFromMonolithic(index, 2);
-  ASSERT_TRUE(built.ok());
-  SegmentedIndex moved = std::move(built).value();
-  for (size_t s = 0; s < moved.segment_count(); ++s) {
-    const SegmentedIndex::Segment& seg = moved.segment(s);
-    StatsView stats(&seg.index, nullptr, &seg.stats);
-    for (TermId t = 0; t < index.term_count(); ++t) {
-      ASSERT_EQ(stats.DocFreq(t), index.DocFreq(t));
-    }
-  }
+  EXPECT_EQ(next, index.doc_count());
 }
 
 TEST(SegmentedIndexTest, SingleSegmentEqualsMonolith) {
@@ -230,82 +221,247 @@ TEST(SegmentedIndexTest, SingleSegmentEqualsMonolith) {
   auto segmented = SegmentedIndex::BuildFromMonolithic(index, 1);
   ASSERT_TRUE(segmented.ok());
   ASSERT_EQ(segmented->segment_count(), 1u);
-  const SegmentedIndex::Segment& seg = segmented->segment(0);
-  EXPECT_EQ(seg.base, 0u);
-  EXPECT_EQ(seg.index.doc_count(), index.doc_count());
-  EXPECT_EQ(seg.index.total_words(), index.total_words());
+  EXPECT_EQ(segmented->segment(0),
+            (DocRange{0, static_cast<DocId>(index.doc_count())}));
 }
 
-TEST(SegmentedIndexTest, SliceCopyEqualsPerPostingReencode) {
-  // Each segment's postings, sliced by range copy, are byte-equal to the
-  // decode + AddDocument + BuildBlockMax path, for segment counts down to
-  // one document per segment (where most terms are absent).
-  InvertedIndex index = BuildSmallIndex(40);
-  const size_t docs = static_cast<size_t>(index.doc_count());
-  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                         docs + 1}) {
+TEST(SegmentedIndexTest, SegmentRangesCoverEveryPostingWithPositions) {
+  // Concatenating each segment's bounded scan rebuilds the monolithic
+  // list exactly, positions included (positional predicates run per
+  // segment), for segment counts down to one document per segment.
+  InvertedIndex index = BuildSmallIndex(50);
+  for (const size_t n : {size_t{2}, size_t{4}, size_t{7}, size_t{50}}) {
     auto segmented = SegmentedIndex::BuildFromMonolithic(index, n);
-    ASSERT_TRUE(segmented.ok()) << segmented.status();
-    size_t absent = 0;
-    for (size_t s = 0; s < segmented->segment_count(); ++s) {
-      const SegmentedIndex::Segment& seg = segmented->segment(s);
-      const DocId end = seg.base + static_cast<DocId>(seg.index.doc_count());
-      for (TermId t = 0; t < index.term_count(); ++t) {
-        const PostingList& got = seg.index.postings(t);
-        if (got.doc_count() == 0) ++absent;
-        ExpectSameList(ReencodedSlice(index, t, seg.base, end), got,
-                       "n=" + std::to_string(n) + " segment " +
-                           std::to_string(s) + " term " + index.TermText(t));
+    ASSERT_TRUE(segmented.ok());
+    for (TermId t = 0; t < index.term_count(); ++t) {
+      const PostingList& list = index.postings(t);
+      std::vector<Posting> rebuilt;
+      for (size_t s = 0; s < segmented->segment_count(); ++s) {
+        for (PostingCursor c(&list, segmented->segment(s)); !c.AtEnd();
+             c.Next()) {
+          const std::span<const Offset> offsets = c.offsets();
+          rebuilt.push_back({c.doc(), c.tf(),
+                             std::vector<Offset>(offsets.begin(),
+                                                 offsets.end())});
+        }
       }
-    }
-    if (n > 1) {
-      EXPECT_GT(absent, 0u) << "n=" << n;
+      ASSERT_EQ(rebuilt, PostingsInRange(list, DocRange{}))
+          << "n=" << n << " term " << index.TermText(t);
     }
   }
 }
 
-TEST(SegmentedIndexTest, MappedSourceSegmentsLikeEagerLoad) {
-  // `--mmap-index --segments N`: segmenting a packed (v5 mmap) index
-  // decodes through the block cache and must yield the same segments as
-  // segmenting the eager load of the same file.
-  InvertedIndex built = BuildSmallIndex(300);
-  const std::string path = ::testing::TempDir() + "/graft_" +
-                           std::to_string(::getpid()) + "_segment_mmap.idx";
+TEST(SegmentedIndexTest, BoundedCursorsVisitExactlyTheRange) {
+  // Property test on materialized lists: over random and edge-case
+  // ranges, both cursors visit exactly the monolithic postings in range,
+  // with identical tf and positions, under any Next/SkipTo interleaving.
+  const InvertedIndex index = BuildSmallIndex(1200);
+  const std::vector<TermId> terms = TestTerms(index);
+  ASSERT_GE(terms.size(), 2u);
+  std::mt19937 rng(20261017);
+  for (const TermId t : terms) {
+    const PostingList& list = index.postings(t);
+    ASSERT_FALSE(list.is_packed());
+    for (const DocRange range : TestRanges(list, index.doc_count(), &rng)) {
+      ExpectCursorsVisit(list, range, PostingsInRange(list, range), &rng);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SegmentedIndexTest, BoundedCursorsOnMappedListVisitExactlyTheRange) {
+  // Same property on v5-mapped lists, which decode through the block
+  // cache: the reference is the in-heap list the file was written from.
+  const InvertedIndex built = BuildSmallIndex(1200);
+  const std::string path = TempIndexPath("range_mmap");
   ASSERT_TRUE(SaveIndexV5(built, path).ok());
-  auto eager = LoadIndex(path);
-  ASSERT_TRUE(eager.ok()) << eager.status();
   auto mapped = LoadIndexMapped(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   ASSERT_TRUE(mapped->is_packed());
-  for (const size_t n : {size_t{1}, size_t{3}, size_t{7}}) {
-    auto from_eager = SegmentedIndex::BuildFromMonolithic(*eager, n);
-    auto from_mapped = SegmentedIndex::BuildFromMonolithic(*mapped, n);
-    ASSERT_TRUE(from_eager.ok()) << from_eager.status();
-    ASSERT_TRUE(from_mapped.ok()) << from_mapped.status();
-    ExpectSameSegments(*from_eager, *from_mapped);
+  const std::vector<TermId> terms = TestTerms(built);
+  ASSERT_GE(terms.size(), 2u);
+  std::mt19937 rng(7);
+  for (const TermId t : terms) {
+    const PostingList& eager = built.postings(t);
+    const TermId mt = mapped->LookupTerm(built.TermText(t));
+    ASSERT_NE(mt, kInvalidTerm);
+    const PostingList& list = mapped->postings(mt);
+    ASSERT_TRUE(list.is_packed());
+    for (const DocRange range : TestRanges(eager, built.doc_count(), &rng)) {
+      ExpectCursorsVisit(list, range, PostingsInRange(eager, range), &rng);
+      if (HasFatalFailure()) break;
+    }
   }
   std::remove(path.c_str());
 }
 
-TEST(SegmentedIndexTest, ParallelBuildEqualsSerialBuild) {
-  // Segments built concurrently (the bundle loader's engine pool, any
-  // size) are identical to a serial build, and rank bit-identically to
-  // the monolithic index under every scheme.
+TEST(SegmentedIndexTest, SkipToAtOrPastRangeEndIsAtEnd) {
+  const InvertedIndex index = BuildSmallIndex(600);
+  const std::vector<TermId> terms = TestTerms(index);
+  ASSERT_FALSE(terms.empty());
+  const PostingList& list = index.postings(terms.back());
+  const DocId mid = list.doc_at(list.doc_count() / 2);
+  const DocRange range{list.doc_at(1), mid};
+  for (const DocId target : {mid, mid + 1, kInvalidDoc}) {
+    PostingCursor cursor(&list, range);
+    CountCursor counts(&list, range);
+    ASSERT_FALSE(cursor.AtEnd());
+    cursor.SkipTo(target);
+    counts.SkipTo(target);
+    EXPECT_TRUE(cursor.AtEnd()) << target;
+    EXPECT_TRUE(counts.AtEnd()) << target;
+    // The end is sticky: a smaller target does not move the cursor back.
+    cursor.SkipTo(range.doc_lo);
+    EXPECT_TRUE(cursor.AtEnd()) << target;
+  }
+  // The last in-range posting is still reachable by SkipTo.
+  const DocId last = list.doc_at(list.doc_count() / 2 - 1);
+  PostingCursor cursor(&list, range);
+  cursor.SkipTo(last);
+  ASSERT_FALSE(cursor.AtEnd());
+  EXPECT_EQ(cursor.doc(), last);
+  cursor.Next();
+  EXPECT_TRUE(cursor.AtEnd());
+}
+
+// The monolithic full ranking of `query`, restricted to `range`.
+std::vector<ma::ScoredDoc> RankingInRange(const core::Engine& engine,
+                                          const std::string& query,
+                                          const std::string& scheme,
+                                          DocRange range) {
+  auto full = engine.Search(query, scheme);
+  EXPECT_TRUE(full.ok()) << full.status();
+  std::vector<ma::ScoredDoc> out;
+  if (!full.ok()) return out;
+  for (const ma::ScoredDoc& hit : full->results) {
+    if (hit.doc >= range.doc_lo && hit.doc < range.doc_hi) {
+      out.push_back(hit);
+    }
+  }
+  return out;
+}
+
+void ExpectSameRanking(const std::vector<ma::ScoredDoc>& want,
+                       const std::vector<ma::ScoredDoc>& got,
+                       const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].doc, want[i].doc) << label << " rank " << i;
+    ASSERT_EQ(got[i].score, want[i].score) << label << " rank " << i;
+  }
+}
+
+TEST(SegmentedIndexTest, RangeExecutionEqualsMonolithRestrictedToRange) {
+  // A plan executed over one range reads the whole index's collection
+  // statistics: it returns exactly the monolithic ranking's documents in
+  // that range, with bit-identical scores, under every scheme.
+  const InvertedIndex index = BuildSmallIndex(400);
+  const core::Engine monolithic(&index);
+  const DocRange ranges[] = {{0, 90}, {90, 91}, {133, 301}, {301, 400}};
+  for (const char* scheme_name : kSchemes) {
+    const sa::ScoringScheme* scheme =
+        sa::SchemeRegistry::Global().Lookup(scheme_name);
+    ASSERT_NE(scheme, nullptr);
+    for (const char* text :
+         {"software", "free software", "san francisco fault line",
+          "(windows emulator)WINDOW[50] (foss | \"free software\")",
+          "free software !windows"}) {
+      auto query = mcalc::ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << query.status();
+      core::Optimizer optimizer(scheme, core::OptimizerOptions{});
+      auto plan = optimizer.Optimize(*query, index);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      for (const DocRange range : ranges) {
+        exec::Executor executor(&index, scheme, core::MakeQueryContext(*query),
+                                /*overlay=*/nullptr, range);
+        auto got = executor.ExecuteRanked(*plan->plan);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ExpectSameRanking(RankingInRange(monolithic, text, scheme_name, range),
+                          *got,
+                          std::string(scheme_name) + " " + text + " " +
+                              RangeLabel(range));
+      }
+    }
+  }
+}
+
+TEST(SegmentedIndexTest, RangeTopKOperatorsEqualMonolithRestrictedToRange) {
+  // Every top-k operator licensed for a scheme, run over one range,
+  // returns the first k of the monolithic ranking restricted to it.
+  const InvertedIndex index = BuildSmallIndex(900);
+  const core::Engine monolithic(&index);
+  const DocRange ranges[] = {{0, 300}, {300, 301}, {250, 700}, {700, 900}};
+  constexpr size_t kK = 7;
+  size_t runs = 0;
+  for (const char* scheme_name : kSchemes) {
+    const sa::ScoringScheme* scheme =
+        sa::SchemeRegistry::Global().Lookup(scheme_name);
+    ASSERT_NE(scheme, nullptr);
+    for (const char* text : {"software", "free software", "free | software",
+                             "san francisco fault line"}) {
+      auto query = mcalc::ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << query.status();
+      for (const DocRange range : ranges) {
+        std::vector<ma::ScoredDoc> want =
+            RankingInRange(monolithic, text, scheme_name, range);
+        if (want.size() > kK) want.resize(kK);
+        const std::string label = std::string(scheme_name) + " " + text +
+                                  " " + RangeLabel(range);
+        if (exec::MaxScoreTopK::Supports(*query, *scheme, index, nullptr)) {
+          exec::MaxScoreTopK op(&index, scheme, range);
+          auto got = op.TopK(*query, kK);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ExpectSameRanking(want, *got, "maxscore " + label);
+          ++runs;
+        }
+        if (exec::TopKRankEngine::Supports(*query, *scheme)) {
+          exec::TopKRankEngine op(&index, scheme, nullptr, range);
+          auto got = op.TopK(*query, kK);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ExpectSameRanking(want, *got, "hrjn " + label);
+          ++runs;
+        }
+        if (exec::ThresholdTopK::Supports(*query, *scheme)) {
+          exec::ThresholdTopK op(&index, scheme, nullptr, range);
+          auto got = op.TopK(*query, kK);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ExpectSameRanking(want, *got, "ta " + label);
+          ++runs;
+        }
+        if (exec::NraTopK::Supports(*query, *scheme)) {
+          exec::NraTopK op(&index, scheme, nullptr, range);
+          auto got = op.TopK(*query, kK);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ExpectSameRanking(want, *got, "nra " + label);
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(runs, 0u);
+}
+
+TEST(SegmentedIndexTest, BundleRangesEqualBuiltRanges) {
+  // A bundle's engine searches the ranges BuildFromMonolithic computes,
+  // for any pool size, and ranks bit-identically to the monolithic index
+  // under every scheme.
   constexpr uint64_t kDocs = 300;
   constexpr size_t kSegments = 4;
   const InvertedIndex index = BuildSmallIndex(kDocs);
-  auto serial = SegmentedIndex::BuildFromMonolithic(index, kSegments);
-  ASSERT_TRUE(serial.ok()) << serial.status();
+  auto built = SegmentedIndex::BuildFromMonolithic(index, kSegments);
+  ASSERT_TRUE(built.ok()) << built.status();
   const core::Engine monolithic(&index);
   for (const size_t pool_threads : {size_t{0}, size_t{3}}) {
     auto bundle = core::MakeEngineBundle(BuildSmallIndex(kDocs), kSegments,
                                          pool_threads);
     ASSERT_TRUE(bundle.ok()) << bundle.status();
-    ASSERT_NE(bundle->segmented, nullptr);
-    ExpectSameSegments(*serial, *bundle->segmented);
-    for (const char* scheme :
-         {"AnySum", "AnyProd", "SumBest", "Lucene", "JoinNormalized",
-          "MeanSum", "EventModel", "BestSumMinDist"}) {
+    const SegmentedIndex* segmented = bundle->engine->segmented();
+    ASSERT_NE(segmented, nullptr);
+    ASSERT_EQ(segmented->segment_count(), built->segment_count());
+    for (size_t s = 0; s < built->segment_count(); ++s) {
+      EXPECT_EQ(segmented->segment(s), built->segment(s)) << "segment " << s;
+    }
+    for (const char* scheme : kSchemes) {
       for (const char* query :
            {"software", "free software", "san francisco fault line",
             "(windows emulator)WINDOW[50] (foss | \"free software\")"}) {
@@ -317,18 +473,47 @@ TEST(SegmentedIndexTest, ParallelBuildEqualsSerialBuild) {
           ASSERT_TRUE(want.ok()) << want.status();
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_EQ(got->segments_searched, kSegments);
-          ASSERT_EQ(got->results.size(), want->results.size())
-              << scheme << " " << query << " k=" << k;
-          for (size_t i = 0; i < want->results.size(); ++i) {
-            EXPECT_EQ(got->results[i].doc, want->results[i].doc)
-                << scheme << " " << query << " k=" << k << " rank " << i;
-            EXPECT_EQ(got->results[i].score, want->results[i].score)
-                << scheme << " " << query << " k=" << k << " rank " << i;
-          }
+          ExpectSameRanking(want->results, got->results,
+                            std::string(scheme) + " " + query +
+                                " k=" + std::to_string(k));
         }
       }
     }
   }
+}
+
+TEST(SegmentedIndexTest, MappedFanOutCountsEveryViewsCacheTraffic) {
+  // With a mapped index, pool threads decode packed blocks through the
+  // shared cache; the query's counters must account for all of it.
+  const InvertedIndex built = BuildSmallIndex(1200);
+  const std::string path = TempIndexPath("fanout_cache");
+  ASSERT_TRUE(SaveIndexV5(built, path).ok());
+  auto mapped = LoadIndexMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  auto segmented = SegmentedIndex::BuildFromMonolithic(*mapped, 3);
+  ASSERT_TRUE(segmented.ok());
+  const core::Engine engine(&*mapped, &*segmented, /*pool_threads=*/2);
+  const BlockCache& cache = *mapped->block_cache();
+  uint64_t total = 0;
+  for (const char* query : {"software", "free software", "free | software",
+                            "(free wireless internet)PROXIMITY[10] service"}) {
+    for (const size_t k : {size_t{0}, size_t{5}}) {
+      core::SearchOptions options;
+      options.top_k = k;
+      const BlockCache::Snapshot before = cache.snapshot();
+      auto result = engine.Search(query, "Lucene", options);
+      const BlockCache::Snapshot after = cache.snapshot();
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->segments_searched, 3u);
+      const exec::ExecStats& s = result->exec_stats;
+      EXPECT_EQ(s.block_cache_hits + s.block_cache_misses,
+                (after.hits + after.misses) - (before.hits + before.misses))
+          << query << " k=" << k;
+      total += s.block_cache_hits + s.block_cache_misses;
+    }
+  }
+  EXPECT_GT(total, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
                index_path.c_str(),
                static_cast<unsigned long long>(bundle->index->doc_count()),
                bundle->index->term_count(),
-               bundle->segmented == nullptr
+               bundle->engine->segmented() == nullptr
                    ? size_t{1}
-                   : bundle->segmented->segment_count(),
+                   : bundle->engine->segmented()->segment_count(),
                bundle->index->is_packed() ? ", mmap (packed postings)" : "");
 
   graft::server::SearchService service(std::move(bundle), options);
