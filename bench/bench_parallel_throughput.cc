@@ -7,10 +7,8 @@
 // queries, monolithic engine) and emits BENCH_topk_pruning.json with QPS
 // for both modes, the skip counters, and docs scored — the artifact CI
 // uploads to show pruning actually skips blocks without slowing the
-// unpruned path. Finally the top-k operator sweep runs the four physical
-// operators (MaxScore, HRJN, Fagin TA, Fagin NRA) head-to-head via
-// SearchOptions::topk_strategy — each run bit-checked against the
-// full-ranking prefix — and emits BENCH_topk_operators.json.
+// unpruned path. Its pruned and unpruned runs are the engine's two top-k
+// operators, MaxScore and HRJN, checked bit-identical against each other.
 //
 // Trace-overhead guard mode (GRAFT_BENCH_TRACE_OVERHEAD=1): instead of the
 // sweep, measures the observability layer's cost and emits
@@ -516,168 +514,6 @@ int RunPruningSweep(const graft::index::InvertedIndex& index) {
   return 0;
 }
 
-// ---- Top-k operator sweep (TA / NRA vs MaxScore / HRJN) ------------------
-
-// Head-to-head over the four top-k physical operators, selected through
-// SearchOptions::topk_strategy on the same pure-keyword query mix as the
-// pruning sweep. Every run is checked bit-identical against the
-// full-ranking + truncate reference before it is timed — the sweep is also
-// a soundness self-check, so a threshold-bound regression fails the bench
-// instead of shipping a JSON of fast-but-wrong numbers.
-struct OperatorResult {
-  const char* scheme;
-  const char* name;
-  size_t k;
-  const char* op;  // "maxscore", "hrjn", "ta", "nra"
-  double qps;
-  uint64_t sorted_accesses;
-  uint64_t random_accesses;
-  uint64_t bound_refinements;
-  uint64_t docs_scored;
-  uint64_t docs_pruned;
-};
-
-int RunTopKOperatorSweep(const graft::index::InvertedIndex& index) {
-  using namespace graft;
-  core::Engine engine(&index);
-  constexpr const char* kSchemes[] = {"AnySum", "Lucene"};
-  struct Strategy {
-    const char* op;
-    core::TopKStrategy strategy;
-    bool allow_pruning;
-  };
-  constexpr Strategy kStrategies[] = {
-      {"maxscore", core::TopKStrategy::kAuto, true},
-      {"hrjn", core::TopKStrategy::kAuto, false},
-      {"ta", core::TopKStrategy::kThreshold, false},
-      {"nra", core::TopKStrategy::kNra, false},
-  };
-
-  std::vector<OperatorResult> results;
-  std::printf("\nTop-k operator sweep (monolithic; every run bit-checked "
-              "against full ranking + truncate)\n");
-  std::printf("%8s %5s %5s %9s | %12s | %10s %10s %10s %10s\n", "scheme",
-              "query", "k", "operator", "QPS", "sorted", "random", "bounds",
-              "scored");
-  std::printf("-------------------------------------------------------------"
-              "---------------------------\n");
-
-  for (const char* scheme : kSchemes) {
-    for (const PruningQuery& q : kPruningQueries) {
-      for (const size_t k : {size_t{10}, size_t{100}}) {
-        // Reference: the optimized full ranking's prefix, the one result
-        // every top-k operator claims to reproduce bit-for-bit.
-        core::SearchOptions reference_opts;
-        reference_opts.top_k = k;
-        reference_opts.allow_rank_processing = false;
-        auto reference = engine.Search(q.text, scheme, reference_opts);
-        if (!reference.ok()) {
-          std::fprintf(stderr, "%s reference failed: %s\n", q.name,
-                       reference.status().ToString().c_str());
-          return 1;
-        }
-
-        for (const Strategy& strategy : kStrategies) {
-          core::SearchOptions options;
-          options.top_k = k;
-          options.topk_strategy = strategy.strategy;
-          options.allow_block_max_pruning = strategy.allow_pruning;
-
-          auto run = engine.Search(q.text, scheme, options);
-          if (!run.ok()) {
-            std::fprintf(stderr, "%s/%s failed: %s\n", q.name, strategy.op,
-                         run.status().ToString().c_str());
-            return 1;
-          }
-          if (run->topk_operator != strategy.op) {
-            std::fprintf(stderr,
-                         "%s/%s: expected operator %s but the engine ran "
-                         "'%s' (gate regression?)\n",
-                         q.name, scheme, strategy.op,
-                         run->topk_operator.c_str());
-            return 1;
-          }
-          // Bit-identity self-check: same count, same score sequence.
-          if (run->results.size() != reference->results.size()) {
-            std::fprintf(stderr, "%s/%s: %zu results vs reference %zu\n",
-                         q.name, strategy.op, run->results.size(),
-                         reference->results.size());
-            return 1;
-          }
-          for (size_t i = 0; i < run->results.size(); ++i) {
-            if (run->results[i].score != reference->results[i].score) {
-              std::fprintf(stderr,
-                           "%s/%s: score mismatch at rank %zu "
-                           "(%.17g vs %.17g)\n",
-                           q.name, strategy.op, i, run->results[i].score,
-                           reference->results[i].score);
-              return 1;
-            }
-          }
-
-          OperatorResult r;
-          r.scheme = scheme;
-          r.name = q.name;
-          r.k = k;
-          r.op = strategy.op;
-          r.sorted_accesses = run->exec_stats.topk_sorted_accesses;
-          r.random_accesses = run->exec_stats.topk_random_accesses;
-          r.bound_refinements = run->exec_stats.topk_bound_refinements;
-          r.docs_scored = run->exec_stats.docs_scored;
-          r.docs_pruned = run->exec_stats.docs_pruned;
-          const double seconds = bench::MeasureSeconds([&] {
-            auto res = engine.Search(q.text, scheme, options);
-            if (!res.ok()) std::abort();
-          });
-          r.qps = seconds > 0 ? 1.0 / seconds : 0.0;
-          results.push_back(r);
-          std::printf(
-              "%8s %5s %5zu %9s | %12.1f | %10llu %10llu %10llu %10llu\n",
-              r.scheme, r.name, r.k, r.op, r.qps,
-              static_cast<unsigned long long>(r.sorted_accesses),
-              static_cast<unsigned long long>(r.random_accesses),
-              static_cast<unsigned long long>(r.bound_refinements),
-              static_cast<unsigned long long>(r.docs_scored));
-        }
-      }
-    }
-  }
-
-  const char* out_path = "BENCH_topk_operators.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"benchmark\": \"topk_operators\",\n"
-               "  \"doc_count\": %llu,\n"
-               "  \"bit_identity_checked\": true,\n",
-               static_cast<unsigned long long>(index.doc_count()));
-  bench::WriteHostParallelismFields(out, /*max_parallel=*/1);
-  std::fprintf(out, "  \"runs\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const OperatorResult& r = results[i];
-    std::fprintf(
-        out,
-        "    {\"scheme\": \"%s\", \"query\": \"%s\", \"k\": %zu, "
-        "\"operator\": \"%s\", \"qps\": %.2f, \"sorted_accesses\": %llu, "
-        "\"random_accesses\": %llu, \"bound_refinements\": %llu, "
-        "\"docs_scored\": %llu, \"docs_pruned\": %llu}%s\n",
-        r.scheme, r.name, r.k, r.op, r.qps,
-        static_cast<unsigned long long>(r.sorted_accesses),
-        static_cast<unsigned long long>(r.random_accesses),
-        static_cast<unsigned long long>(r.bound_refinements),
-        static_cast<unsigned long long>(r.docs_scored),
-        static_cast<unsigned long long>(r.docs_pruned),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return 0;
-}
-
 }  // namespace
 
 int main() {
@@ -800,9 +636,5 @@ int main() {
   std::printf("Note: speedup from workers > 1 requires multiple physical "
               "cores; on a\nsingle-core host the sweep measures "
               "partitioning + merge overhead only.\n");
-  // Run both sweeps even when one fails its self-check, so CI uploads
-  // every artifact it can before the step goes red.
-  const int pruning_rc = RunPruningSweep(index);
-  const int operators_rc = RunTopKOperatorSweep(index);
-  return pruning_rc != 0 ? pruning_rc : operators_rc;
+  return RunPruningSweep(index);
 }

@@ -5,8 +5,6 @@
 #include "core/cost_model.h"
 #include "core/rewrite_rules.h"
 #include "exec/maxscore_topk.h"
-#include "exec/nra_topk.h"
-#include "exec/threshold_topk.h"
 #include "ma/reference_evaluator.h"
 
 namespace graft::core {
@@ -25,9 +23,7 @@ struct SegmentView {
 // One top-k physical operator. kTopKOperators is the single top-k dispatch
 // table: Search runs the row SelectTopK picks, and Explain names it.
 struct TopKOperator {
-  const char* id;         // SearchResult::topk_operator
-  TopKStrategy strategy;  // the SearchOptions::topk_strategy that asks for it
-  const char* name;       // forced rows: short name in their verdicts
+  const char* id;  // SearchResult::topk_operator
   // Empty when licensed, else the human-readable verdict.
   std::string (*gate)(const mcalc::Query& query,
                       const sa::ScoringScheme& scheme,
@@ -45,9 +41,10 @@ struct TopKOperator {
   const char* note;     // suffix of the fired rewrite-table row
 };
 
-// Rows of one strategy are tried in order; the first licensed row runs.
+// Rows are tried in order; the first licensed row runs. Block-max pruning
+// (MaxScore) is preferred; HRJN serves what its stricter gate refuses.
 const TopKOperator kTopKOperators[] = {
-    {"maxscore", TopKStrategy::kAuto, nullptr,
+    {"maxscore",
      [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
         const index::InvertedIndex& index, const index::StatsOverlay* overlay,
         const SearchOptions& options) -> std::string {
@@ -77,7 +74,7 @@ const TopKOperator kTopKOperators[] = {
      },
      "block-max pruned top-k", "block-max pruned top-k",
      "; block-max dynamic pruning"},
-    {"hrjn", TopKStrategy::kAuto, nullptr,
+    {"hrjn",
      [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
         const index::InvertedIndex&, const index::StatsOverlay*,
         const SearchOptions&) -> std::string {
@@ -92,57 +89,13 @@ const TopKOperator kTopKOperators[] = {
        auto results = op.TopK(query, k);
        const exec::RankStats& s = op.stats();
        stats->rank_heap_ops += s.heap_ops;
-       stats->rank_stopping_depth += s.stopping_depth;
+       stats->topk_sorted_accesses += s.entries_pulled;
        stats->docs_scored += s.candidates_scored;
        stats->docs_pruned += s.entries_pruned();
        return results;
      },
      "rank-join/rank-union (top-k)", "threshold top-k; block-max prune ",
      "; threshold top-k execution"},
-    {"ta", TopKStrategy::kThreshold, "TA",
-     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
-        const index::InvertedIndex&, const index::StatsOverlay*,
-        const SearchOptions&) {
-       return exec::ThresholdTopK::GateVerdict(query, scheme);
-     },
-     [](const SegmentView& view, const mcalc::Query& query,
-        const sa::ScoringScheme& scheme, size_t k,
-        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::ThresholdTopK op(view.index, &scheme, view.overlay, view.range);
-       auto results = op.TopK(query, k);
-       const exec::TaStats& s = op.stats();
-       stats->rank_heap_ops += s.heap_ops;
-       stats->rank_stopping_depth += s.stopping_depth;
-       stats->docs_scored += s.candidates_scored;
-       stats->docs_pruned += s.entries_pruned();
-       stats->topk_sorted_accesses += s.sorted_accesses;
-       stats->topk_random_accesses += s.random_accesses;
-       return results;
-     },
-     "threshold top-k (TA, forced)", "threshold top-k (TA, forced)",
-     "; threshold top-k (TA) execution"},
-    {"nra", TopKStrategy::kNra, "NRA",
-     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
-        const index::InvertedIndex&, const index::StatsOverlay*,
-        const SearchOptions&) {
-       return exec::NraTopK::GateVerdict(query, scheme);
-     },
-     [](const SegmentView& view, const mcalc::Query& query,
-        const sa::ScoringScheme& scheme, size_t k,
-        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::NraTopK op(view.index, &scheme, view.overlay, view.range);
-       auto results = op.TopK(query, k);
-       const exec::NraStats& s = op.stats();
-       stats->rank_heap_ops += s.heap_ops;
-       stats->rank_stopping_depth += s.stopping_depth;
-       stats->docs_scored += s.candidates_resolved;
-       stats->docs_pruned += s.entries_pruned();
-       stats->topk_sorted_accesses += s.sorted_accesses;
-       stats->topk_bound_refinements += s.bound_refinements;
-       return results;
-     },
-     "NRA top-k (forced)", "NRA top-k (forced)",
-     "; no-random-access top-k (NRA) execution"},
 };
 
 // Streams a resolved plan on one view: the full-ranking counterpart of
@@ -175,8 +128,8 @@ void HarvestBlockCache(const index::BlockCacheTls& before,
 // truncate, and the gate verdict that explains the choice.
 struct TopKChoice {
   const TopKOperator* op = nullptr;
-  // With an operator: why the block-max row stood down ("" when it runs).
-  // Without: why the requested strategy's rows did not run.
+  // The last refusing row's verdict: with an operator, why the block-max
+  // row stood down ("" when it runs); without, why HRJN did not run.
   std::string verdict;
 
   bool pruned() const {
@@ -185,8 +138,6 @@ struct TopKChoice {
 };
 
 // The one place a top-k operator is chosen; Search and Explain share it.
-// Forced strategies never fall back to a different operator, so the
-// comparison benches and the fuzzer see exactly the strategy they ask for.
 TopKChoice SelectTopK(const mcalc::Query& query,
                       const sa::ScoringScheme& scheme,
                       const SearchOptions& options,
@@ -197,37 +148,26 @@ TopKChoice SelectTopK(const mcalc::Query& query,
     return choice;
   }
   for (const TopKOperator& op : kTopKOperators) {
-    if (op.strategy != options.topk_strategy) continue;
     std::string verdict = op.gate(query, scheme, index, overlay, options);
-    const bool forced = op.strategy != TopKStrategy::kAuto;
     if (verdict.empty()) {
       choice.op = &op;
-      // A forced operator preempts block-max pruning without trying it.
-      if (forced) {
-        choice.verdict =
-            std::string("not attempted (") + op.name + " strategy forced)";
-      }
       break;
     }
-    choice.verdict = forced ? op.name + (" " + verdict) : std::move(verdict);
+    choice.verdict = std::move(verdict);
   }
   return choice;
 }
 
 // Explain's "top-k strategy" line for a choice.
-std::string TopKStrategyLine(const TopKChoice& choice,
-                             const SearchOptions& options) {
+std::string TopKExplainLine(const TopKChoice& choice,
+                            const SearchOptions& options) {
   if (!options.allow_rank_processing) {
     return "full ranking + truncate (rank processing disabled)";
   }
   if (choice.op == nullptr) {
-    return options.topk_strategy == TopKStrategy::kAuto
-               ? "full ranking + truncate (" + choice.verdict + ")"
-               : "full ranking + truncate; " + choice.verdict;
+    return "full ranking + truncate (" + choice.verdict + ")";
   }
-  return choice.op->strategy == TopKStrategy::kAuto
-             ? choice.op->explain + choice.verdict
-             : choice.op->explain;
+  return choice.op->explain + choice.verdict;
 }
 
 // Stamps one count per fired rewrite rule (registry order) into the
@@ -291,9 +231,9 @@ std::string FormatExecStats(const exec::ExecStats& s) {
       " skip_calls=" + std::to_string(s.skip_calls) +
       " skip_hits=" + std::to_string(s.skip_hits) + "\n";
   if (s.rank_heap_ops != 0 || s.docs_scored != 0 || s.docs_pruned != 0 ||
-      s.rank_stopping_depth != 0) {
+      s.topk_sorted_accesses != 0) {
     out += "  rank: heap_ops=" + std::to_string(s.rank_heap_ops) +
-           " stopping_depth=" + std::to_string(s.rank_stopping_depth) +
+           " sorted_accesses=" + std::to_string(s.topk_sorted_accesses) +
            " docs_scored=" + std::to_string(s.docs_scored) +
            " docs_pruned=" + std::to_string(s.docs_pruned) + "\n";
   }
@@ -305,14 +245,6 @@ std::string FormatExecStats(const exec::ExecStats& s) {
            " ceiling_probes=" + std::to_string(s.topk_ceiling_probes) +
            " threshold_updates=" + std::to_string(s.topk_threshold_updates) +
            "\n";
-  }
-  if (s.topk_sorted_accesses != 0 || s.topk_random_accesses != 0 ||
-      s.topk_bound_refinements != 0) {
-    out += "  fagin: sorted_accesses=" +
-           std::to_string(s.topk_sorted_accesses) +
-           " random_accesses=" + std::to_string(s.topk_random_accesses) +
-           " bound_refinements=" +
-           std::to_string(s.topk_bound_refinements) + "\n";
   }
   if (s.block_cache_hits != 0 || s.block_cache_misses != 0 ||
       s.block_cache_evictions != 0 || s.packed_payload_decodes != 0) {
@@ -520,7 +452,7 @@ StatusOr<std::string> Engine::ExplainQuery(const mcalc::Query& query,
     const TopKChoice topk = SelectTopK(query, scheme, options, *index_,
                                        EffectiveOverlay(options));
     out += "top-k strategy (k=" + std::to_string(options.top_k) +
-           "): " + TopKStrategyLine(topk, options) + "\n";
+           "): " + TopKExplainLine(topk, options) + "\n";
   }
   out += "rewrites:\n" + FormatRewriteAttempts(plan.attempts);
   if (plan.plan != nullptr) {

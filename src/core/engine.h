@@ -25,11 +25,13 @@
 // concurrently on the engine's thread pool. Every view reads the same
 // index, its collection statistics and any overlay, with global doc ids,
 // so scores are bit-identical to the monolithic run. The query is parsed,
-// optimized and its top-k operator chosen ONCE; every view runs the same
-// resolved plan over its range. The per-view ranked streams are merged by
-// ma::MergeRanked — a full sort for top_k == 0, a k-way heap merge of
-// per-view top-k lists otherwise. The engine is safe to share across
-// threads for concurrent Search calls (inter-query parallelism).
+// optimized and its top-k operator chosen ONCE: block-max pruned MaxScore
+// when its gate licenses the query, else the HRJN rank engine, else full
+// ranking + truncate. Every view runs the same resolved plan over its
+// range. The per-view ranked streams are merged by ma::MergeRanked — a
+// full sort for top_k == 0, a k-way heap merge of per-view top-k lists
+// otherwise. The engine is safe to share across threads for concurrent
+// Search calls (inter-query parallelism).
 
 #ifndef GRAFT_CORE_ENGINE_H_
 #define GRAFT_CORE_ENGINE_H_
@@ -53,17 +55,6 @@
 
 namespace graft::core {
 
-// Which top-k physical operator SearchQuery should run when the gate
-// licenses rank processing. kAuto is the production policy; the forced
-// strategies exist for head-to-head comparison (bench_parallel_throughput)
-// and differential testing — an unlicensed forced strategy falls back to
-// full ranking + truncate rather than failing.
-enum class TopKStrategy {
-  kAuto,       // block-max pruned when licensed, else threshold rank engine
-  kThreshold,  // force Fagin TA (exec::ThresholdTopK) when licensed
-  kNra,        // force Fagin NRA (exec::NraTopK) when licensed
-};
-
 struct SearchOptions {
   OptimizerOptions optimizer;
 
@@ -73,10 +64,6 @@ struct SearchOptions {
   // early is used instead of scoring every document.
   size_t top_k = 0;
   bool allow_rank_processing = true;
-
-  // Top-k operator selection (see TopKStrategy). Ignored when top_k == 0
-  // or rank processing is disallowed.
-  TopKStrategy topk_strategy = TopKStrategy::kAuto;
 
   // Score-safe dynamic pruning (block-max top-k). On top-k queries where
   // the extended gate licenses it (α bounded, ⊕ idempotent, ⊘/⊚ monotonic,
@@ -138,9 +125,9 @@ struct SearchResult {
   // (implies used_rank_processing). The differential fuzzer asserts this
   // stays false for schemes the gate does not license.
   bool used_block_max_pruning = false;
-  // Which top-k physical operator produced the results: "maxscore",
-  // "hrjn" (the cached threshold rank engine), "ta", "nra"; empty on the
-  // full ranking + truncate and streaming paths. The fuzzer's activation
+  // Which top-k physical operator produced the results: "maxscore" or
+  // "hrjn" (the threshold rank engine); empty on the full ranking +
+  // truncate and streaming paths. The fuzzer's activation
   // invariant checks this against the operators' gates.
   std::string topk_operator;
   // Number of index segments the query executed over (1 = monolithic).

@@ -6,45 +6,19 @@
 #include <utility>
 
 #include "core/optimization_gate.h"
+#include "exec/topk_common.h"
 #include "index/posting_list.h"
 
 namespace graft::exec {
 
-namespace {
-
-// Query shape probe: And(keywords...) or Or(keywords...) or one keyword.
-// (Mirrors rank_join.cc; a single keyword processes as a conjunction.)
-enum class Shape { kUnsupported, kConjunction, kDisjunction };
-
-Shape QueryShape(const mcalc::Query& query,
-                 std::vector<const mcalc::Node*>* keywords) {
-  const mcalc::Node& root = *query.root;
-  if (root.kind == mcalc::NodeKind::kKeyword) {
-    keywords->push_back(&root);
-    return Shape::kConjunction;
-  }
-  if (root.kind != mcalc::NodeKind::kAnd &&
-      root.kind != mcalc::NodeKind::kOr) {
-    return Shape::kUnsupported;
-  }
-  for (const mcalc::NodePtr& child : root.children) {
-    if (child->kind != mcalc::NodeKind::kKeyword) {
-      return Shape::kUnsupported;
-    }
-    keywords->push_back(child.get());
-  }
-  return root.kind == mcalc::NodeKind::kAnd ? Shape::kConjunction
-                                            : Shape::kDisjunction;
-}
-
-}  // namespace
+using topk::Shape;
 
 std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
                                       const sa::ScoringScheme& scheme,
                                       const index::InvertedIndex& index,
                                       const index::StatsOverlay* overlay) {
   std::vector<const mcalc::Node*> keywords;
-  const Shape shape = QueryShape(query, &keywords);
+  const Shape shape = topk::QueryShape(query, &keywords);
   if (shape == Shape::kUnsupported || keywords.empty()) {
     return "blocked: not a pure keyword conjunction/disjunction";
   }
@@ -65,7 +39,7 @@ std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
 StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     const mcalc::Query& query, size_t k) {
   std::vector<const mcalc::Node*> keywords;
-  const Shape shape = QueryShape(query, &keywords);
+  const Shape shape = topk::QueryShape(query, &keywords);
   const index::InvertedIndex& index = stats_view_.index();
   const std::string verdict =
       GateVerdict(query, *scheme_, index, /*overlay=*/nullptr);
@@ -79,31 +53,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   }
 
   const size_t n = keywords.size();
-  sa::QueryContext query_ctx;
-  query_ctx.num_columns = static_cast<uint32_t>(n);
+  const topk::ColumnScorer scorer(&stats_view_, scheme_, shape,
+                                  static_cast<uint32_t>(n));
 
-  // ---- Scoring (replicated from TopKRankEngine so the scores are
-  // bit-identical to the unpruned paths) ----
-  const auto doc_context = [this](DocId doc) {
-    sa::DocContext ctx;
-    ctx.doc = doc;
-    ctx.length = stats_view_.DocLength(doc);
-    ctx.collection_size = stats_view_.CollectionSize();
-    ctx.avg_doc_length = stats_view_.AverageDocLength();
-    return ctx;
-  };
-  const auto column_score_tf = [&](TermId term, uint32_t tf, DocId doc) {
-    sa::ColumnContext col;
-    col.term = term;
-    col.doc_freq = term == kInvalidTerm ? 0 : stats_view_.DocFreq(term);
-    col.tf_in_doc = tf;
-    const sa::DocContext dctx = doc_context(doc);
-    if (tf == 0) {
-      return scheme_->Init(dctx, col, kEmptyOffset);
-    }
-    const sa::InternalScore unit = scheme_->Init(dctx, col, /*offset=*/0);
-    return tf <= 1 ? unit : scheme_->Scale(unit, tf);
-  };
   // ---- Cursors ----
   struct Cursor {
     TermId term = kInvalidTerm;
@@ -162,14 +114,6 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     }
   };
 
-  // Generic context for ceilings and ∅-cell bounds: length 1 maximizes a
-  // bounded α, and ω ignores the document for gate-licensed schemes (the
-  // same convention rank_join's threshold uses).
-  sa::DocContext generic;
-  generic.length = 1;
-  generic.collection_size = stats_view_.CollectionSize();
-  generic.avg_doc_length = stats_view_.AverageDocLength();
-
   // Ceiling of the cursor's current block: the best-α point of the block's
   // (tf, doc length) Pareto frontier. Boundedness dominates every in-block
   // document by SOME frontier point, and the frontier points are real
@@ -182,13 +126,12 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   // only `a`; Lucene's `b` is the matched count, 1 for every frontier
   // point), so the chosen point dominates slot-wise, which the monotone
   // ⊘/⊚ folds require. ⊕-idempotence makes ⊗ the identity, so one α call
-  // per point bounds the column regardless of tf.
+  // per point bounds the column regardless of tf. Each point is evaluated
+  // under the scorer's generic context with its own length substituted.
   const auto frontier_max = [&](const index::PostingList& list, TermId term,
                                 size_t begin, size_t end) {
-    sa::ColumnContext col;
-    col.term = term;
-    col.doc_freq = stats_view_.DocFreq(term);
-    sa::DocContext dctx = generic;
+    sa::ColumnContext col = scorer.Column(term, /*tf=*/0);
+    sa::DocContext dctx = scorer.Generic();
     sa::InternalScore best;
     bool first = true;
     for (size_t p = begin; p < end; ++p) {
@@ -213,43 +156,11 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     return c.cached_ceiling;
   };
 
-  // ---- Top-k heap (sorted vector; identical tie-breaking to rank_join:
-  // score desc, doc asc) ----
-  std::vector<ma::ScoredDoc> top;
-  const auto worst_kept = [&]() {
-    return top.size() < k ? -std::numeric_limits<double>::infinity()
-                          : top.back().score;
-  };
-  const auto consider = [&](DocId doc, double score) {
-    ma::ScoredDoc candidate{doc, score};
-    const auto position = std::upper_bound(
-        top.begin(), top.end(), candidate,
-        [](const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-          if (a.score != b.score) return a.score > b.score;
-          return a.doc < b.doc;
-        });
-    top.insert(position, candidate);
-    ++stats_.heap_ops;
-    if (top.size() > k) {
-      top.pop_back();
-      ++stats_.heap_ops;
-    }
-  };
-  const auto full_score = [&](DocId doc, const std::vector<uint32_t>& tfs) {
-    sa::InternalScore acc;
-    bool first = true;
-    for (size_t i = 0; i < n; ++i) {
-      sa::InternalScore column = column_score_tf(cursors[i].term, tfs[i], doc);
-      if (first) {
-        acc = std::move(column);
-        first = false;
-      } else {
-        acc = shape == Shape::kConjunction ? scheme_->Conj(acc, column)
-                                           : scheme_->Disj(acc, column);
-      }
-    }
-    return scheme_->Finalize(doc_context(doc), query_ctx, acc);
-  };
+  topk::TopList top(k);
+  std::vector<TermId> terms(n);
+  for (size_t i = 0; i < n; ++i) {
+    terms[i] = cursors[i].term;
+  }
   std::vector<uint32_t> tfs(n);
 
   if (shape == Shape::kConjunction) {
@@ -283,7 +194,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       if (done) break;
       if (!aligned) continue;
 
-      if (top.size() >= k) {
+      if (top.full()) {
         // Fold the current blocks' ceilings (keyword order, like scoring:
         // monotone rounding then guarantees ceiling >= any in-block score
         // at the bit level). Skip to just past the earliest-ending block
@@ -297,13 +208,11 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
             bound = ceiling;
             first = false;
           } else {
-            bound = scheme_->Conj(bound, ceiling);
+            bound = scorer.Combine(bound, ceiling);
           }
           frontier = std::min(frontier, c.list->block_last_doc(c.block()));
         }
-        const double ceiling_score =
-            scheme_->Finalize(generic, query_ctx, bound);
-        if (worst_kept() >= ceiling_score) {
+        if (top.Worst() >= scorer.FinalizeGeneric(bound)) {
           // Every term's postings in [candidate, frontier] lie inside the
           // term's current block, so no document there can reach the heap.
           ++stats_.blocks_skipped;
@@ -319,13 +228,14 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         touch(cursors[i]);
         tfs[i] = cursors[i].list->tf_at(cursors[i].pos);
       }
-      consider(candidate, full_score(candidate, tfs));
+      stats_.heap_ops +=
+          top.Offer(candidate, scorer.Score(candidate, terms, tfs));
       ++stats_.candidates_scored;
       for (Cursor& c : cursors) {
         ++c.pos;
       }
     }
-    return top;
+    return std::move(top).Take();
   }
 
   // ---- Disjunction: MaxScore essential/non-essential partition ----
@@ -337,12 +247,8 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   std::vector<sa::InternalScore> ub(n);
   std::vector<sa::InternalScore> empty_cell(n);
   for (size_t i = 0; i < n; ++i) {
-    sa::ColumnContext col;
-    col.term = cursors[i].term;
-    col.doc_freq =
-        cursors[i].term == kInvalidTerm ? 0 : stats_view_.DocFreq(cursors[i].term);
-    col.tf_in_doc = 0;
-    empty_cell[i] = scheme_->Init(generic, col, kEmptyOffset);
+    empty_cell[i] = scorer.ColumnScore(cursors[i].term, /*tf=*/0,
+                                       scorer.Generic());
     if (cursors[i].list == nullptr) {
       ub[i] = empty_cell[i];
       continue;
@@ -379,16 +285,16 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         bound = v;
         first = false;
       } else {
-        bound = scheme_->Disj(bound, v);
+        bound = scorer.Combine(bound, v);
       }
     }
-    prefix_bound[p] = scheme_->Finalize(generic, query_ctx, bound);
+    prefix_bound[p] = scorer.FinalizeGeneric(bound);
   }
 
   double last_worst = -std::numeric_limits<double>::infinity();
   size_t num_nonessential = 0;
   while (true) {
-    const double worst = worst_kept();
+    const double worst = top.Worst();
     if (worst != last_worst) {
       // The k-th best improved: re-partition. Documents matching only
       // keywords in the non-essential prefix can no longer enter the heap.
@@ -415,7 +321,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       break;  // essential lists exhausted
     }
 
-    if (top.size() >= k) {
+    if (top.full()) {
       // Block-level skip: fold (keyword order) the live essential cursors'
       // current-block ceilings with the non-essential terms' UBs (∅ cell
       // for exhausted lists). If the fold cannot beat the heap, every
@@ -440,12 +346,10 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
           bound = *v;
           first = false;
         } else {
-          bound = scheme_->Disj(bound, *v);
+          bound = scorer.Combine(bound, *v);
         }
       }
-      const double ceiling_score =
-          scheme_->Finalize(generic, query_ctx, bound);
-      if (worst_kept() >= ceiling_score) {
+      if (top.Worst() >= scorer.FinalizeGeneric(bound)) {
         ++stats_.blocks_skipped;
         ++stats_.candidates_pruned;  // the candidate itself matches
         for (size_t i = 0; i < n; ++i) {
@@ -479,7 +383,8 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       }
       tfs[i] = tf;
     }
-    consider(candidate, full_score(candidate, tfs));
+    stats_.heap_ops +=
+        top.Offer(candidate, scorer.Score(candidate, terms, tfs));
     ++stats_.candidates_scored;
     for (size_t i = 0; i < n; ++i) {
       Cursor& c = cursors[i];
@@ -489,7 +394,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       }
     }
   }
-  return top;
+  return std::move(top).Take();
 }
 
 }  // namespace graft::exec

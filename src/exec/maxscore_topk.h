@@ -13,10 +13,11 @@
 // without scoring a single document.
 //
 // Score consistency: pruning only changes WHICH documents get scored,
-// never any returned score. The scoring path is the exact α/⊘/⊚/⊕/ω
-// pipeline of the full engine (replicated from TopKRankEngine), so the
-// result is bit-identical to the unpruned top-k — the differential fuzzer
-// enforces this across every licensed scheme.
+// never any returned score. Documents are scored by the ColumnScorer the
+// unpruned TopKRankEngine also uses (exec/topk_common.h), the exact
+// α/⊘/⊚/⊕/ω pipeline of the full engine, so the result is bit-identical
+// to the unpruned top-k — the differential fuzzer enforces this across
+// every licensed scheme.
 //
 // The gate (Table-1 discipline, extended): α bounded, ⊕ idempotent (so ⊗
 // is the identity and the block ceiling is a single α evaluation), ⊘/⊚

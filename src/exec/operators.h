@@ -47,10 +47,11 @@ struct ExecStats {
                                        // posting (the zig-zag payoff)
   // Rank-processing (threshold algorithm) counters; zero on the full
   // streaming path.
-  uint64_t rank_heap_ops = 0;        // top-k candidate inserts + evictions
-  uint64_t rank_stopping_depth = 0;  // sorted entries pulled before stop
-  uint64_t docs_scored = 0;          // candidates fully scored
-  uint64_t docs_pruned = 0;          // candidate postings never completed
+  uint64_t rank_heap_ops = 0;  // top-k candidate inserts + evictions
+  uint64_t docs_scored = 0;    // candidates fully scored
+  uint64_t docs_pruned = 0;    // candidate postings never completed
+  uint64_t topk_sorted_accesses = 0;  // score-ordered stream entries pulled
+                                      // (HRJN; its stopping depth)
   // Block-max pruning counters; zero unless the MaxScoreTopK path ran.
   uint64_t topk_blocks_skipped = 0;     // whole-block skips via ceilings
   uint64_t topk_blocks_decoded = 0;     // distinct posting blocks read by
@@ -58,11 +59,6 @@ struct ExecStats {
                                         // block on the unpruned top-k)
   uint64_t topk_ceiling_probes = 0;     // block/term ceiling evaluations
   uint64_t topk_threshold_updates = 0;  // k-th-best-score improvements
-  // Fagin middleware-aggregation counters; zero unless the ThresholdTopK
-  // (TA) or NraTopK (NRA) strategy ran.
-  uint64_t topk_sorted_accesses = 0;    // score-ordered stream entries read
-  uint64_t topk_random_accesses = 0;    // TA candidate completions by probe
-  uint64_t topk_bound_refinements = 0;  // NRA candidate upper-bound updates
   // Decoded-block cache traffic (v5 mmap indexes); zero on materialized
   // indexes. Harvested from the thread-local BlockCache accumulator around
   // query execution by the engine.
@@ -88,7 +84,6 @@ struct ExecStats {
     skip_calls += other.skip_calls;
     skip_hits += other.skip_hits;
     rank_heap_ops += other.rank_heap_ops;
-    rank_stopping_depth += other.rank_stopping_depth;
     docs_scored += other.docs_scored;
     docs_pruned += other.docs_pruned;
     topk_blocks_skipped += other.topk_blocks_skipped;
@@ -96,8 +91,6 @@ struct ExecStats {
     topk_ceiling_probes += other.topk_ceiling_probes;
     topk_threshold_updates += other.topk_threshold_updates;
     topk_sorted_accesses += other.topk_sorted_accesses;
-    topk_random_accesses += other.topk_random_accesses;
-    topk_bound_refinements += other.topk_bound_refinements;
     block_cache_hits += other.block_cache_hits;
     block_cache_misses += other.block_cache_misses;
     block_cache_evictions += other.block_cache_evictions;

@@ -1,45 +1,19 @@
 #include "exec/rank_join.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_set>
 
 #include "core/optimization_gate.h"
+#include "exec/topk_common.h"
 
 namespace graft::exec {
 
-namespace {
-
-// Query shape probe: And(keywords...) or Or(keywords...) or one keyword.
-enum class Shape { kUnsupported, kConjunction, kDisjunction };
-
-Shape QueryShape(const mcalc::Query& query,
-                 std::vector<const mcalc::Node*>* keywords) {
-  const mcalc::Node& root = *query.root;
-  if (root.kind == mcalc::NodeKind::kKeyword) {
-    keywords->push_back(&root);
-    return Shape::kConjunction;
-  }
-  if (root.kind != mcalc::NodeKind::kAnd &&
-      root.kind != mcalc::NodeKind::kOr) {
-    return Shape::kUnsupported;
-  }
-  for (const mcalc::NodePtr& child : root.children) {
-    if (child->kind != mcalc::NodeKind::kKeyword) {
-      return Shape::kUnsupported;
-    }
-    keywords->push_back(child.get());
-  }
-  return root.kind == mcalc::NodeKind::kAnd ? Shape::kConjunction
-                                            : Shape::kDisjunction;
-}
-
-}  // namespace
+using topk::Shape;
 
 bool TopKRankEngine::Supports(const mcalc::Query& query,
                               const sa::ScoringScheme& scheme) {
   std::vector<const mcalc::Node*> keywords;
-  const Shape shape = QueryShape(query, &keywords);
+  const Shape shape = topk::QueryShape(query, &keywords);
   if (shape == Shape::kUnsupported || keywords.empty()) {
     return false;
   }
@@ -61,7 +35,7 @@ bool TopKRankEngine::Supports(const mcalc::Query& query,
 StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
     const mcalc::Query& query, size_t k) {
   std::vector<const mcalc::Node*> keywords;
-  const Shape shape = QueryShape(query, &keywords);
+  const Shape shape = topk::QueryShape(query, &keywords);
   if (shape == Shape::kUnsupported) {
     return Status::InvalidArgument(
         "rank processing supports only pure keyword conjunctions or "
@@ -72,11 +46,14 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
         "scheme properties do not admit rank-join/rank-union (Table 1)");
   }
   stats_ = RankStats();
+  if (k == 0) {
+    return std::vector<ma::ScoredDoc>{};
+  }
 
   const index::InvertedIndex& index = stats_view_.index();
   const size_t n = keywords.size();
-  sa::QueryContext query_ctx;
-  query_ctx.num_columns = static_cast<uint32_t>(n);
+  const topk::ColumnScorer scorer(&stats_view_, scheme_, shape,
+                                  static_cast<uint32_t>(n));
 
   struct Input {
     TermId term = kInvalidTerm;
@@ -86,33 +63,6 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
 
     bool empty() const { return entries == nullptr || entries->empty(); }
     size_t size() const { return entries == nullptr ? 0 : entries->size(); }
-  };
-
-  const auto doc_context = [this](DocId doc) {
-    sa::DocContext ctx;
-    ctx.doc = doc;
-    ctx.length = stats_view_.DocLength(doc);
-    ctx.collection_size = stats_view_.CollectionSize();
-    ctx.avg_doc_length = stats_view_.AverageDocLength();
-    return ctx;
-  };
-  // The column score: the ⊕-fold of the tf equal alternates = ⊗.
-  const auto column_score_tf = [&](TermId term, uint32_t tf, DocId doc) {
-    sa::ColumnContext col;
-    col.term = term;
-    col.doc_freq = term == kInvalidTerm ? 0 : stats_view_.DocFreq(term);
-    col.tf_in_doc = tf;
-    const sa::DocContext dctx = doc_context(doc);
-    if (tf == 0) {
-      return scheme_->Init(dctx, col, kEmptyOffset);
-    }
-    const sa::InternalScore unit = scheme_->Init(dctx, col, /*offset=*/0);
-    return tf <= 1 ? unit : scheme_->Scale(unit, tf);
-  };
-  const auto column_score = [&](TermId term, DocId doc) {
-    const uint32_t tf =
-        term == kInvalidTerm ? 0 : stats_view_.TermFreqInDoc(term, doc);
-    return column_score_tf(term, tf, doc);
   };
 
   // Resolve the score-ordered streams. A production system keeps these as
@@ -139,7 +89,7 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
         const uint32_t tf = list.tf_at(p);
         it->second.tf.emplace(doc, tf);
         it->second.entries.emplace_back(
-            doc, column_score_tf(inputs[i].term, tf, doc).a);
+            doc, scorer.ColumnScore(inputs[i].term, tf, doc).a);
       }
       std::sort(it->second.entries.begin(), it->second.entries.end(),
                 [](const std::pair<DocId, double>& a,
@@ -153,12 +103,15 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
     stats_.total_candidates += it->second.entries.size();
   }
 
-  // Combines the per-column scores of a document into its final score.
+  std::vector<TermId> terms(n);
+  for (size_t i = 0; i < n; ++i) {
+    terms[i] = inputs[i].term;
+  }
+  std::vector<uint32_t> tfs(n);
+
   // Random access resolves tf through the cached per-term maps: O(1).
-  const auto full_score = [&](DocId doc, bool* matches) {
-    *matches = true;
-    sa::InternalScore acc;
-    bool first = true;
+  // False when a conjunction's document lacks a keyword.
+  const auto complete = [&](DocId doc) {
     for (size_t i = 0; i < n; ++i) {
       uint32_t tf = 0;
       if (inputs[i].tf != nullptr) {
@@ -166,52 +119,25 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
         tf = it == inputs[i].tf->end() ? 0 : it->second;
       }
       if (shape == Shape::kConjunction && tf == 0) {
-        *matches = false;
-        return 0.0;
+        return false;
       }
-      sa::InternalScore column = column_score_tf(inputs[i].term, tf, doc);
-      if (first) {
-        acc = std::move(column);
-        first = false;
-      } else {
-        acc = shape == Shape::kConjunction ? scheme_->Conj(acc, column)
-                                           : scheme_->Disj(acc, column);
-      }
+      tfs[i] = tf;
     }
-    return scheme_->Finalize(doc_context(doc), query_ctx, acc);
+    return true;
   };
 
   // Threshold-algorithm loop: round-robin pulls in score order; each new
   // document is completed by random access; stop when the k-th best result
   // dominates the threshold assembled from the streams' tails.
-  std::vector<ma::ScoredDoc> top;
+  topk::TopList top(k);
   std::unordered_set<DocId> seen;
-  const auto worst_kept = [&]() {
-    return top.size() < k ? -std::numeric_limits<double>::infinity()
-                          : top.back().score;
-  };
   const auto consider = [&](DocId doc) {
     if (!seen.insert(doc).second) {
       return;
     }
-    bool matches = false;
-    const double score = full_score(doc, &matches);
     ++stats_.candidates_scored;
-    if (!matches) {
-      return;
-    }
-    ma::ScoredDoc candidate{doc, score};
-    const auto position = std::upper_bound(
-        top.begin(), top.end(), candidate,
-        [](const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-          if (a.score != b.score) return a.score > b.score;
-          return a.doc < b.doc;
-        });
-    top.insert(position, candidate);
-    ++stats_.heap_ops;
-    if (top.size() > k) {
-      top.pop_back();
-      ++stats_.heap_ops;
+    if (complete(doc)) {
+      stats_.heap_ops += top.Offer(doc, scorer.Score(doc, terms, tfs));
     }
   };
 
@@ -250,31 +176,24 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
       } else {
         const size_t idx = std::min(input.next, input.size() - 1);
         // Reconstruct the tail's internal score from its document.
-        tail = column_score(input.term, (*input.entries)[idx].first);
+        const DocId tail_doc = (*input.entries)[idx].first;
+        tail = scorer.ColumnScore(
+            input.term, stats_view_.TermFreqInDoc(input.term, tail_doc),
+            tail_doc);
       }
       if (first) {
         bound = std::move(tail);
         first = false;
       } else {
-        bound = shape == Shape::kConjunction ? scheme_->Conj(bound, tail)
-                                             : scheme_->Disj(bound, tail);
+        bound = scorer.Combine(bound, tail);
       }
     }
-    if (bound_valid && top.size() >= k) {
-      // ω is monotone in the aggregate for rank-eligible schemes.
-      sa::DocContext generic;
-      generic.length = 1;
-      generic.collection_size = stats_view_.CollectionSize();
-      generic.avg_doc_length = stats_view_.AverageDocLength();
-      const double threshold =
-          scheme_->Finalize(generic, query_ctx, bound);
-      if (worst_kept() >= threshold) {
-        break;
-      }
+    if (bound_valid && top.full() &&
+        top.Worst() >= scorer.FinalizeGeneric(bound)) {
+      break;
     }
   }
-  stats_.stopping_depth = stats_.entries_pulled;
-  return top;
+  return std::move(top).Take();
 }
 
 }  // namespace graft::exec

@@ -9,7 +9,11 @@
 // the threshold-algorithm formulation of the relational rank-join [17].
 //
 // Score consistency: the scores produced equal the full engine's scores
-// exactly (same α/⊘/⊚/⊕/ω); only the set of documents *examined* shrinks.
+// exactly — they come from the ColumnScorer MaxScoreTopK also uses
+// (exec/topk_common.h) — and only the set of documents *examined* shrinks.
+// This is the operator the engine runs when the rank gate licenses the
+// query but block-max pruning stands down (a stats overlay, an index
+// without block-max metadata, or pruning disabled by request options).
 // The gate conditions are those of Table 1: ⊘ (⊚) monotonic increasing and
 // a diagonal scheme; additionally the query must be a pure keyword
 // conjunction (disjunction) — positional predicates would require
@@ -36,10 +40,6 @@ struct RankStats {
   uint64_t total_candidates = 0;    // stream entries that match at all
   uint64_t streams_built = 0;       // score-ordered streams materialized
   uint64_t heap_ops = 0;            // top-k inserts + evictions
-  // entries_pulled at the moment the threshold stop fired (== the TA
-  // aggregation depth of Fagin et al.); equals entries_pulled when the
-  // streams were exhausted before the threshold bound the result.
-  uint64_t stopping_depth = 0;
   // Stream entries never consumed nor completed by random access: the
   // work the threshold stop avoided.
   uint64_t entries_pruned() const {

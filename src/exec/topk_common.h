@@ -1,26 +1,33 @@
-// Shared machinery for the Fagin-style middleware top-k operators
-// (ThresholdTopK, NraTopK): the pure-keyword query-shape probe and the
-// exact column/row scorer.
+// Shared machinery of the two top-k operators, MaxScoreTopK (block-max
+// pruning) and TopKRankEngine (HRJN rank-join / rank-union): the
+// pure-keyword query-shape probe, the exact column/document scorer, and
+// the running top-k list.
 //
-// The scorer reproduces the full engine's α/⊘/⊚/⊕/ω pipeline bit-for-bit
-// (the same discipline as TopKRankEngine): a column's score is α at the
-// first offset, ⊗-scaled by the term frequency, with tf == 0 mapping to
-// the ∅ cell; the document score folds the columns in keyword order with
-// ⊘/⊚ and applies ω under the real document context. Only the *set of
-// documents scored* may differ between operators — never a score.
+// The scorer reproduces the full engine's α/⊘/⊚/⊕/ω pipeline bit-for-bit:
+// a column's score is α at the first offset, ⊗-scaled by the term
+// frequency, with tf == 0 mapping to the ∅ cell; the document score folds
+// the columns in keyword order with ⊘/⊚ and applies ω under the real
+// document context. Both operators score through this one class, so only
+// the *set of documents scored* may differ between them — never a score.
 
 #ifndef GRAFT_EXEC_TOPK_COMMON_H_
 #define GRAFT_EXEC_TOPK_COMMON_H_
 
+#include <algorithm>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "index/stats.h"
+#include "ma/match_table.h"
 #include "mcalc/ast.h"
 #include "sa/scoring_scheme.h"
 
 namespace graft::exec::topk {
 
-// Query shape probe: And(keywords...) or Or(keywords...) or one keyword.
+// Query shape probe: And(keywords...) or Or(keywords...) or one keyword
+// (a single keyword processes as a conjunction).
 enum class Shape { kUnsupported, kConjunction, kDisjunction };
 
 inline Shape QueryShape(const mcalc::Query& query,
@@ -47,11 +54,70 @@ inline Shape QueryShape(const mcalc::Query& query,
 class ColumnScorer {
  public:
   ColumnScorer(const index::StatsView* view, const sa::ScoringScheme* scheme,
-               uint32_t num_columns)
-      : view_(view), scheme_(scheme) {
+               Shape shape, uint32_t num_columns)
+      : view_(view), scheme_(scheme), shape_(shape) {
     query_ctx_.num_columns = num_columns;
+    generic_.length = 1;
+    generic_.collection_size = view_->CollectionSize();
+    generic_.avg_doc_length = view_->AverageDocLength();
   }
 
+  // A document context of length 1 and no concrete document: the context
+  // of score ceilings and stream-tail thresholds. Length 1 maximizes a
+  // bounded α, and ω is monotone in the aggregate (and ignores the
+  // document) for the rank-eligible schemes.
+  const sa::DocContext& Generic() const { return generic_; }
+
+  // The column context of `term` with `tf` occurrences in the document.
+  sa::ColumnContext Column(TermId term, uint32_t tf) const {
+    sa::ColumnContext col;
+    col.term = term;
+    col.doc_freq = term == kInvalidTerm ? 0 : view_->DocFreq(term);
+    col.tf_in_doc = tf;
+    return col;
+  }
+
+  // The column score: the ⊕-fold of the tf equal alternates = ⊗.
+  sa::InternalScore ColumnScore(TermId term, uint32_t tf,
+                                const sa::DocContext& dctx) const {
+    const sa::ColumnContext col = Column(term, tf);
+    if (tf == 0) {
+      return scheme_->Init(dctx, col, kEmptyOffset);
+    }
+    const sa::InternalScore unit = scheme_->Init(dctx, col, /*offset=*/0);
+    return tf <= 1 ? unit : scheme_->Scale(unit, tf);
+  }
+
+  sa::InternalScore ColumnScore(TermId term, uint32_t tf, DocId doc) const {
+    return ColumnScore(term, tf, DocCtx(doc));
+  }
+
+  // ⊘ (conjunction) or ⊚ (disjunction), per the query's shape.
+  sa::InternalScore Combine(const sa::InternalScore& acc,
+                            const sa::InternalScore& column) const {
+    return shape_ == Shape::kConjunction ? scheme_->Conj(acc, column)
+                                         : scheme_->Disj(acc, column);
+  }
+
+  // The document's final score: its columns (term i occurring tfs[i]
+  // times) folded in keyword order, then ω.
+  double Score(DocId doc, std::span<const TermId> terms,
+               std::span<const uint32_t> tfs) const {
+    const sa::DocContext dctx = DocCtx(doc);
+    sa::InternalScore acc = ColumnScore(terms[0], tfs[0], dctx);
+    for (size_t i = 1; i < terms.size(); ++i) {
+      acc = Combine(acc, ColumnScore(terms[i], tfs[i], dctx));
+    }
+    return scheme_->Finalize(dctx, query_ctx_, acc);
+  }
+
+  // ω under the generic context: the final-score bound of an aggregate
+  // ceiling.
+  double FinalizeGeneric(const sa::InternalScore& acc) const {
+    return scheme_->Finalize(generic_, query_ctx_, acc);
+  }
+
+ private:
   sa::DocContext DocCtx(DocId doc) const {
     sa::DocContext ctx;
     ctx.doc = doc;
@@ -61,45 +127,48 @@ class ColumnScorer {
     return ctx;
   }
 
-  // The column score: the ⊕-fold of the tf equal alternates = ⊗.
-  sa::InternalScore ColumnScoreTf(TermId term, uint32_t tf, DocId doc) const {
-    sa::ColumnContext col;
-    col.term = term;
-    col.doc_freq = term == kInvalidTerm ? 0 : view_->DocFreq(term);
-    col.tf_in_doc = tf;
-    const sa::DocContext dctx = DocCtx(doc);
-    if (tf == 0) {
-      return scheme_->Init(dctx, col, kEmptyOffset);
-    }
-    const sa::InternalScore unit = scheme_->Init(dctx, col, /*offset=*/0);
-    return tf <= 1 ? unit : scheme_->Scale(unit, tf);
-  }
-
-  sa::InternalScore Combine(Shape shape, const sa::InternalScore& acc,
-                            const sa::InternalScore& column) const {
-    return shape == Shape::kConjunction ? scheme_->Conj(acc, column)
-                                        : scheme_->Disj(acc, column);
-  }
-
-  double Finalize(DocId doc, const sa::InternalScore& acc) const {
-    return scheme_->Finalize(DocCtx(doc), query_ctx_, acc);
-  }
-
-  // ω over a generic document context (length 1): used for stream-tail
-  // thresholds, where no concrete document exists. ω is monotone in the
-  // aggregate for the rank-eligible schemes.
-  double FinalizeGeneric(const sa::InternalScore& acc) const {
-    sa::DocContext generic;
-    generic.length = 1;
-    generic.collection_size = view_->CollectionSize();
-    generic.avg_doc_length = view_->AverageDocLength();
-    return scheme_->Finalize(generic, query_ctx_, acc);
-  }
-
- private:
   const index::StatsView* view_;
   const sa::ScoringScheme* scheme_;
+  Shape shape_;
   sa::QueryContext query_ctx_;
+  sa::DocContext generic_;
+};
+
+// The running top-k: at most k documents, sorted by score descending then
+// doc ascending (the engine's ranking order).
+class TopList {
+ public:
+  explicit TopList(size_t k) : k_(k) {}  // k > 0
+
+  bool full() const { return docs_.size() >= k_; }
+
+  // The k-th best score so far; -∞ while fewer than k are kept.
+  double Worst() const {
+    return full() ? docs_.back().score
+                  : -std::numeric_limits<double>::infinity();
+  }
+
+  // Inserts a candidate and evicts the (k+1)-th; returns the heap
+  // operations spent (insert, plus eviction).
+  uint64_t Offer(DocId doc, double score) {
+    const ma::ScoredDoc candidate{doc, score};
+    const auto position = std::upper_bound(
+        docs_.begin(), docs_.end(), candidate,
+        [](const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
+          if (a.score != b.score) return a.score > b.score;
+          return a.doc < b.doc;
+        });
+    docs_.insert(position, candidate);
+    if (docs_.size() <= k_) return 1;
+    docs_.pop_back();
+    return 2;
+  }
+
+  std::vector<ma::ScoredDoc> Take() && { return std::move(docs_); }
+
+ private:
+  size_t k_;
+  std::vector<ma::ScoredDoc> docs_;
 };
 
 }  // namespace graft::exec::topk

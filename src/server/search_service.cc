@@ -63,8 +63,6 @@ void AppendFullExecJson(std::string* out, const exec::ExecStats& s) {
           ",\"skip_calls\":" + std::to_string(s.skip_calls) +
           ",\"skip_hits\":" + std::to_string(s.skip_hits) +
           ",\"rank_heap_ops\":" + std::to_string(s.rank_heap_ops) +
-          ",\"rank_stopping_depth\":" +
-          std::to_string(s.rank_stopping_depth) +
           ",\"docs_scored\":" + std::to_string(s.docs_scored) +
           ",\"docs_pruned\":" + std::to_string(s.docs_pruned) +
           ",\"topk_blocks_skipped\":" +
@@ -77,10 +75,6 @@ void AppendFullExecJson(std::string* out, const exec::ExecStats& s) {
           std::to_string(s.topk_threshold_updates) +
           ",\"topk_sorted_accesses\":" +
           std::to_string(s.topk_sorted_accesses) +
-          ",\"topk_random_accesses\":" +
-          std::to_string(s.topk_random_accesses) +
-          ",\"topk_bound_refinements\":" +
-          std::to_string(s.topk_bound_refinements) +
           ",\"block_cache_hits\":" + std::to_string(s.block_cache_hits) +
           ",\"block_cache_misses\":" + std::to_string(s.block_cache_misses) +
           ",\"block_cache_evictions\":" +

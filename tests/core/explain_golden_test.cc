@@ -160,33 +160,28 @@ TEST(ExplainGolden, TopKBlockedMeanSum) {
               options);
 }
 
-// Forced Fagin middleware strategies: the strategy line names the forced
-// operator when its gate licenses the query + scheme, and shows the
-// full-ranking fallback with the blocking verdict otherwise. The rewrite
-// table carries the per-rule verdicts either way.
+// The rank-processing fallback when MaxScore stands down on a licensed
+// scheme: HRJN serves, and the strategy line carries the verdict that
+// blocked pruning — pruning switched off for a conjunction, a request
+// statistics overlay (which overrides the stored ceilings) for a
+// disjunction.
 
-TEST(ExplainGolden, TopKThresholdForcedAnySum) {
+TEST(ExplainGolden, TopKRankJoinPruningOffAnySum) {
   SearchOptions options;
   options.top_k = 10;
-  options.topk_strategy = TopKStrategy::kThreshold;
-  CheckGolden("explain_topk_ta_forced_anysum", "free software", "AnySum",
-              options);
+  options.allow_block_max_pruning = false;
+  CheckGolden("explain_topk_rankjoin_pruning_off_anysum", "free software",
+              "AnySum", options);
 }
 
-TEST(ExplainGolden, TopKNraForcedAnySum) {
+TEST(ExplainGolden, TopKRankUnionStatsOverlayLucene) {
+  index::StatsOverlay overlay;
+  overlay.SetCollectionSize(1000);
   SearchOptions options;
   options.top_k = 10;
-  options.topk_strategy = TopKStrategy::kNra;
-  CheckGolden("explain_topk_nra_forced_anysum", "free software", "AnySum",
-              options);
-}
-
-TEST(ExplainGolden, TopKNraBlockedMeanSum) {
-  SearchOptions options;
-  options.top_k = 10;
-  options.topk_strategy = TopKStrategy::kNra;
-  CheckGolden("explain_topk_nra_blocked_meansum", "free software", "MeanSum",
-              options);
+  options.stats_overlay = &overlay;
+  CheckGolden("explain_topk_rankunion_overlay_lucene", "free | software",
+              "Lucene", options);
 }
 
 }  // namespace

@@ -80,9 +80,7 @@
 #include "core/request.h"
 #include "core/rewrite_rules.h"
 #include "exec/maxscore_topk.h"
-#include "exec/nra_topk.h"
 #include "exec/rank_join.h"
-#include "exec/threshold_topk.h"
 #include "index/index_io.h"
 #include "index/segmented_index.h"
 #include "ma/plan.h"
@@ -515,8 +513,6 @@ std::string ExplainedOperator(const std::string& explain) {
       explain.substr(begin, explain.find('\n', begin) - begin);
   const std::pair<const char*, const char*> kLabels[] = {
       {"block-max pruned top-k", "maxscore"},
-      {"threshold top-k (TA, forced)", "ta"},
-      {"NRA top-k (forced)", "nra"},
       {"threshold top-k;", "hrjn"},
       {"full ranking + truncate", ""},
   };
@@ -755,59 +751,6 @@ std::string CheckQuery(const mcalc::Query& query,
     return "pruning activated for a scheme whose α is not bounded";
   }
 
-  // Seventh/eighth configurations: the forced Fagin middleware strategies.
-  // TA and NRA must each be bit-identical to the full ranking's prefix when
-  // their gate licenses the query + scheme, and must fall back to full
-  // ranking + truncate (topk_operator empty) when blocked — NEVER run a
-  // different top-k operator. Skipped in single-rule mode, where the top-k
-  // options deliberately pin a single rule's behaviour instead.
-  if (FuzzRuleFilter() == nullptr) {
-    struct ForcedStrategy {
-      TopKStrategy strategy;
-      const char* label;
-      const char* op;
-      std::string verdict;
-    };
-    const ForcedStrategy strategies[] = {
-        {TopKStrategy::kThreshold, "TA top-k", "ta",
-         exec::ThresholdTopK::GateVerdict(query, scheme)},
-        {TopKStrategy::kNra, "NRA top-k", "nra",
-         exec::NraTopK::GateVerdict(query, scheme)},
-    };
-    for (const ForcedStrategy& forced : strategies) {
-      for (const bool segmented : {false, true}) {
-        SearchOptions forced_opts = TopKOptions(kTopK, segmented);
-        forced_opts.topk_strategy = forced.strategy;
-        const Engine& engine = segmented ? SegmentedEngine() : MonoEngine();
-        const std::string label =
-            (segmented ? std::string("segmented ") : std::string()) +
-            forced.label;
-        auto run = engine.SearchQuery(query, scheme, forced_opts);
-        if (!run.ok()) {
-          return label + " failed: " + run.status().ToString();
-        }
-        if (std::string diff = DiffTopK(opt->results, opt_map, run->results,
-                                        kTopK, label.c_str());
-            !diff.empty()) {
-          return diff;
-        }
-        const char* expect_op = forced.verdict.empty() ? forced.op : "";
-        if (run->topk_operator != expect_op) {
-          return label + ": topk_operator='" + run->topk_operator +
-                 "' but the operator gate says '" +
-                 (forced.verdict.empty() ? "licensed" : forced.verdict) + "'";
-        }
-        if (run->used_block_max_pruning) {
-          return label + " reports used_block_max_pruning";
-        }
-        if (std::string diff = DiffExplainedOperator(engine, query, scheme,
-                                                     forced_opts, *run, label);
-            !diff.empty()) {
-          return diff;
-        }
-      }
-    }
-  }
   return "";
 }
 

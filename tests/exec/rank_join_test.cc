@@ -1,5 +1,6 @@
 // Top-k rank-join / rank-union: gating, exactness against the full
-// engine's ranking, and early termination.
+// engine's ranking, and early termination; plus the k edge cases of both
+// top-k operators (HRJN and block-max pruned MaxScore).
 
 #include "exec/rank_join.h"
 
@@ -8,6 +9,7 @@
 #include <cmath>
 
 #include "core/engine.h"
+#include "exec/maxscore_topk.h"
 #include "mcalc/parser.h"
 #include "text/corpus.h"
 
@@ -147,6 +149,46 @@ TEST(RankJoinTest, AbsentTermEmptyConjunction) {
   auto top = rank_engine.TopK(*query, 5);
   ASSERT_TRUE(top.ok());
   EXPECT_TRUE(top->empty());
+}
+
+// k == 0 asks for nothing and must return nothing, without touching the
+// (empty) top-k list's k-th entry; k beyond the match count returns every
+// match. Both operators, conjunction and disjunction.
+TEST(TopKEdgeCaseTest, ZeroKAndOversizedK) {
+  const sa::ScoringScheme* scheme =
+      sa::SchemeRegistry::Global().Lookup("AnySum");
+  core::Engine engine(&CorpusIndex());
+  core::SearchOptions options;
+  options.allow_rank_processing = false;
+  for (const char* text : {"free software", "free | software"}) {
+    auto query = mcalc::ParseQuery(text);
+    ASSERT_TRUE(query.ok());
+    ASSERT_TRUE(MaxScoreTopK::Supports(*query, *scheme, CorpusIndex(),
+                                       /*overlay=*/nullptr));
+    auto full = engine.SearchQuery(*query, *scheme, options);
+    ASSERT_TRUE(full.ok());
+    ASSERT_FALSE(full->results.empty()) << text;
+    const size_t oversized = full->results.size() + 100;
+
+    const auto check = [&](const char* name, auto&& top_k) {
+      auto empty = top_k(0);
+      ASSERT_TRUE(empty.ok()) << name << " " << text;
+      EXPECT_TRUE(empty->empty()) << name << " " << text;
+
+      auto all = top_k(oversized);
+      ASSERT_TRUE(all.ok()) << name << " " << text;
+      ASSERT_EQ(all->size(), full->results.size()) << name << " " << text;
+      for (size_t i = 0; i < all->size(); ++i) {
+        EXPECT_EQ((*all)[i].doc, full->results[i].doc) << name << " " << i;
+        EXPECT_EQ((*all)[i].score, full->results[i].score)
+            << name << " " << i;
+      }
+    };
+    TopKRankEngine hrjn(&CorpusIndex(), scheme);
+    check("hrjn", [&](size_t k) { return hrjn.TopK(*query, k); });
+    MaxScoreTopK maxscore(&CorpusIndex(), scheme);
+    check("maxscore", [&](size_t k) { return maxscore.TopK(*query, k); });
+  }
 }
 
 }  // namespace

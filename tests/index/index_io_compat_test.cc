@@ -412,7 +412,7 @@ TEST(IndexIoCompatTest, V5MaxScoreSkipsBlocksWithoutPayloadDecodes) {
   const std::string path = TempPath("v5prune.idx");
   ASSERT_TRUE(SaveIndexV5(built, path).ok());
 
-  const auto run = [&](bool rank, bool prune, core::TopKStrategy strategy) {
+  const auto run = [&](bool rank, bool prune) {
     auto mapped = LoadIndexMapped(path);
     EXPECT_TRUE(mapped.ok()) << mapped.status();
     core::Engine engine(&*mapped);
@@ -420,7 +420,6 @@ TEST(IndexIoCompatTest, V5MaxScoreSkipsBlocksWithoutPayloadDecodes) {
     options.top_k = 10;
     options.allow_rank_processing = rank;
     options.allow_block_max_pruning = prune;
-    options.topk_strategy = strategy;
     // Mid-frequency filler vocabulary: hundreds of blocks whose per-block
     // max tf varies, the regime where whole-block ceiling skips fire (the
     // planted paper terms have uniform tf 1 and rarely skip).
@@ -429,10 +428,8 @@ TEST(IndexIoCompatTest, V5MaxScoreSkipsBlocksWithoutPayloadDecodes) {
     return std::move(result).value();
   };
 
-  const core::SearchResult pruned =
-      run(true, true, core::TopKStrategy::kAuto);
-  const core::SearchResult full =
-      run(false, false, core::TopKStrategy::kAuto);
+  const core::SearchResult pruned = run(true, true);
+  const core::SearchResult full = run(false, false);
   ASSERT_TRUE(pruned.used_block_max_pruning);
   ASSERT_GT(pruned.exec_stats.topk_blocks_skipped, 0u);
   // Cache traffic was harvested into the result's ExecStats...
@@ -442,16 +439,12 @@ TEST(IndexIoCompatTest, V5MaxScoreSkipsBlocksWithoutPayloadDecodes) {
   // one — skipped blocks stayed packed.
   EXPECT_LT(pruned.exec_stats.packed_payload_decodes,
             full.exec_stats.packed_payload_decodes);
-  // The harvest holds for every top-k operator: a monolithic query runs
-  // inline on the calling thread, whichever operator the table picks.
-  for (const auto& [strategy, op] :
-       {std::pair{core::TopKStrategy::kAuto, "hrjn"},
-        std::pair{core::TopKStrategy::kThreshold, "ta"},
-        std::pair{core::TopKStrategy::kNra, "nra"}}) {
-    const core::SearchResult unpruned = run(true, false, strategy);
-    EXPECT_EQ(unpruned.topk_operator, op);
-    EXPECT_GT(unpruned.exec_stats.block_cache_misses, 0u) << op;
-  }
+  // The harvest holds for the other top-k operator too: a monolithic query
+  // runs inline on the calling thread, whichever operator the table picks.
+  const core::SearchResult unpruned = run(true, false);
+  EXPECT_EQ(unpruned.topk_operator, "hrjn");
+  EXPECT_GT(unpruned.exec_stats.block_cache_misses, 0u);
+  EXPECT_GT(unpruned.exec_stats.topk_sorted_accesses, 0u);
   // Pruning changed the work, not the answer.
   ASSERT_EQ(pruned.results.size(), full.results.size());
   for (size_t i = 0; i < pruned.results.size(); ++i) {

@@ -17,9 +17,7 @@
 #include "core/request.h"
 #include "exec/executor.h"
 #include "exec/maxscore_topk.h"
-#include "exec/nra_topk.h"
 #include "exec/rank_join.h"
-#include "exec/threshold_topk.h"
 #include "index/index_io.h"
 #include "index/inverted_index.h"
 #include "mcalc/parser.h"
@@ -419,20 +417,6 @@ TEST(SegmentedIndexTest, RangeTopKOperatorsEqualMonolithRestrictedToRange) {
           auto got = op.TopK(*query, kK);
           ASSERT_TRUE(got.ok()) << got.status();
           ExpectSameRanking(want, *got, "hrjn " + label);
-          ++runs;
-        }
-        if (exec::ThresholdTopK::Supports(*query, *scheme)) {
-          exec::ThresholdTopK op(&index, scheme, nullptr, range);
-          auto got = op.TopK(*query, kK);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ExpectSameRanking(want, *got, "ta " + label);
-          ++runs;
-        }
-        if (exec::NraTopK::Supports(*query, *scheme)) {
-          exec::NraTopK op(&index, scheme, nullptr, range);
-          auto got = op.TopK(*query, kK);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ExpectSameRanking(want, *got, "nra " + label);
           ++runs;
         }
       }

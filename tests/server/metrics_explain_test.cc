@@ -256,15 +256,14 @@ TEST(ExplainEndpointTest, ExplainBlockCarriesRewritesCountersAndTrace) {
   EXPECT_NE(body.find("\"fired\":true"), std::string::npos)
       << "at least one rewrite must fire for a conjunction under MeanSum";
 
-  // All nineteen operator counters.
+  // All sixteen operator counters.
   for (const char* counter :
        {"docs_visited", "rows_built", "positions_scanned",
         "count_entries_scanned", "blocks_decoded", "gallop_probes",
-        "skip_calls", "skip_hits", "rank_heap_ops", "rank_stopping_depth",
-        "docs_scored", "docs_pruned", "topk_blocks_skipped",
-        "topk_blocks_decoded", "topk_ceiling_probes",
-        "topk_threshold_updates", "topk_sorted_accesses",
-        "topk_random_accesses", "topk_bound_refinements"}) {
+        "skip_calls", "skip_hits", "rank_heap_ops", "docs_scored",
+        "docs_pruned", "topk_blocks_skipped", "topk_blocks_decoded",
+        "topk_ceiling_probes", "topk_threshold_updates",
+        "topk_sorted_accesses"}) {
     EXPECT_NE(body.find("\"" + std::string(counter) + "\":"),
               std::string::npos)
         << "missing counter " << counter;
