@@ -59,8 +59,7 @@ const TopKOperator kTopKOperators[] = {
      [](const SegmentView& view, const mcalc::Query& query,
         const sa::ScoringScheme& scheme, size_t k,
         exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       // The gate admits no overlay, so the view's overlay is null.
-       exec::MaxScoreTopK op(view.index, &scheme, view.range);
+       exec::MaxScoreTopK op(view.index, &scheme, view.overlay, view.range);
        auto results = op.TopK(query, k);
        const exec::PruneStats& s = op.stats();
        stats->rank_heap_ops += s.heap_ops;

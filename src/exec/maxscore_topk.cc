@@ -30,8 +30,8 @@ std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
   if (!index.has_block_max()) {
     return "blocked: no block-max metadata";
   }
-  if (overlay != nullptr) {
-    return "blocked: stats overlay overrides stored ceilings";
+  if (overlay != nullptr && overlay->overrides_documents()) {
+    return "blocked: stats overlay overrides per-document statistics";
   }
   return std::string();
 }
@@ -42,7 +42,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   const Shape shape = topk::QueryShape(query, &keywords);
   const index::InvertedIndex& index = stats_view_.index();
   const std::string verdict =
-      GateVerdict(query, *scheme_, index, /*overlay=*/nullptr);
+      GateVerdict(query, *scheme_, index, stats_view_.overlay());
   if (!verdict.empty()) {
     return Status::FailedPrecondition("block-max pruning not licensed: " +
                                       verdict);
@@ -53,12 +53,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   }
 
   const size_t n = keywords.size();
-  const topk::ColumnScorer scorer(&stats_view_, scheme_, shape,
-                                  static_cast<uint32_t>(n));
 
   // ---- Cursors ----
   struct Cursor {
-    TermId term = kInvalidTerm;
     const index::PostingList* list = nullptr;  // null: term absent / empty
     // Posting positions of the view's range: [pos, end) is still to visit.
     size_t pos = 0;
@@ -75,16 +72,17 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     DocId doc() const { return list->doc_at(pos); }
     size_t block() const { return pos / index::PostingList::kBlockSize; }
   };
+  std::vector<TermId> terms(n);
   std::vector<Cursor> cursors(n);
   for (size_t i = 0; i < n; ++i) {
-    cursors[i].term = index.LookupTerm(keywords[i]->keyword);
-    if (cursors[i].term == kInvalidTerm) {
+    terms[i] = index.LookupTerm(keywords[i]->keyword);
+    if (terms[i] == kInvalidTerm) {
       if (shape == Shape::kConjunction) {
         return std::vector<ma::ScoredDoc>{};  // term absent: no matches
       }
       continue;
     }
-    const index::PostingList& list = index.postings(cursors[i].term);
+    const index::PostingList& list = index.postings(terms[i]);
     const auto [first, last] = list.Bounds(range_);
     if (first == last) {
       if (shape == Shape::kConjunction) {
@@ -96,6 +94,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     cursors[i].pos = first;
     cursors[i].end = last;
   }
+  const topk::ColumnScorer scorer(&stats_view_, scheme_, shape, terms);
 
   // Charges the cursor's current block to blocks_decoded the first time a
   // tf entry (the score payload) is read from it. Doc-id reads for
@@ -127,10 +126,12 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   // point), so the chosen point dominates slot-wise, which the monotone
   // ⊘/⊚ folds require. ⊕-idempotence makes ⊗ the identity, so one α call
   // per point bounds the column regardless of tf. Each point is evaluated
-  // under the scorer's generic context with its own length substituted.
-  const auto frontier_max = [&](const index::PostingList& list, TermId term,
-                                size_t begin, size_t end) {
-    sa::ColumnContext col = scorer.Column(term, /*tf=*/0);
+  // under the scorer's generic context — the view's collection statistics,
+  // overlay included, exactly as documents are scored — with its own
+  // length substituted.
+  const auto frontier_max = [&](size_t column, size_t begin, size_t end) {
+    const index::PostingList& list = *cursors[column].list;
+    sa::ColumnContext col = scorer.Column(column, /*tf=*/0);
     sa::DocContext dctx = scorer.Generic();
     sa::InternalScore best;
     bool first = true;
@@ -145,11 +146,12 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     }
     return best;
   };
-  const auto block_ceiling = [&](Cursor& c) -> const sa::InternalScore& {
+  const auto block_ceiling = [&](size_t column) -> const sa::InternalScore& {
+    Cursor& c = cursors[column];
     const size_t b = c.block();
     if (c.cached_block != b) {
       ++stats_.ceiling_probes;
-      c.cached_ceiling = frontier_max(*c.list, c.term, c.list->frontier_begin(b),
+      c.cached_ceiling = frontier_max(column, c.list->frontier_begin(b),
                                       c.list->frontier_end(b));
       c.cached_block = b;
     }
@@ -157,10 +159,6 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   };
 
   topk::TopList top(k);
-  std::vector<TermId> terms(n);
-  for (size_t i = 0; i < n; ++i) {
-    terms[i] = cursors[i].term;
-  }
   std::vector<uint32_t> tfs(n);
 
   if (shape == Shape::kConjunction) {
@@ -202,8 +200,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         sa::InternalScore bound;
         bool first = true;
         DocId frontier = std::numeric_limits<DocId>::max();
-        for (Cursor& c : cursors) {
-          const sa::InternalScore& ceiling = block_ceiling(c);
+        for (size_t i = 0; i < n; ++i) {
+          const Cursor& c = cursors[i];
+          const sa::InternalScore& ceiling = block_ceiling(i);
           if (first) {
             bound = ceiling;
             first = false;
@@ -229,7 +228,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         tfs[i] = cursors[i].list->tf_at(cursors[i].pos);
       }
       stats_.heap_ops +=
-          top.Offer(candidate, scorer.Score(candidate, terms, tfs));
+          top.Offer(candidate, scorer.Score(candidate, tfs));
       ++stats_.candidates_scored;
       for (Cursor& c : cursors) {
         ++c.pos;
@@ -247,15 +246,14 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   std::vector<sa::InternalScore> ub(n);
   std::vector<sa::InternalScore> empty_cell(n);
   for (size_t i = 0; i < n; ++i) {
-    empty_cell[i] = scorer.ColumnScore(cursors[i].term, /*tf=*/0,
-                                       scorer.Generic());
+    empty_cell[i] = scorer.ColumnScore(i, /*tf=*/0, scorer.Generic());
     if (cursors[i].list == nullptr) {
       ub[i] = empty_cell[i];
       continue;
     }
     const Cursor& c = cursors[i];
     ++stats_.ceiling_probes;
-    ub[i] = frontier_max(*c.list, c.term, c.list->frontier_begin(c.block()),
+    ub[i] = frontier_max(i, c.list->frontier_begin(c.block()),
                          c.list->frontier_end((c.end - 1) /
                                               index::PostingList::kBlockSize));
   }
@@ -335,7 +333,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
             rank[i] >= num_nonessential && !c.exhausted();
         const sa::InternalScore* v;
         if (essential_alive) {
-          v = &block_ceiling(c);
+          v = &block_ceiling(i);
           frontier = std::min(frontier, c.list->block_last_doc(c.block()));
         } else if (c.exhausted()) {
           v = &empty_cell[i];  // no document >= candidate contains it
@@ -384,7 +382,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       tfs[i] = tf;
     }
     stats_.heap_ops +=
-        top.Offer(candidate, scorer.Score(candidate, terms, tfs));
+        top.Offer(candidate, scorer.Score(candidate, tfs));
     ++stats_.candidates_scored;
     for (size_t i = 0; i < n; ++i) {
       Cursor& c = cursors[i];

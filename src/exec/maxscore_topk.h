@@ -23,8 +23,14 @@
 // is the identity and the block ceiling is a single α evaluation), ⊘/⊚
 // monotonic increasing, diagonal scheme; plus execution-time requirements:
 // a pure keyword conjunction/disjunction, an index carrying block-max
-// metadata (v4 files; v3 loads gate themselves off), and no statistics
-// overlay (overridden stats would invalidate the stored ceilings).
+// metadata (v4 files; v3 loads gate themselves off), and no overlay that
+// overrides a per-document statistic. No ceiling is stored: the index
+// stores (tf, doc length) frontier points and each ceiling is α evaluated
+// at query time through the same StatsView that scores documents, so a
+// collection-level overlay (the router's pinned N, total words, df/cf)
+// moves ceilings and scores together. A per-document override (a doc
+// length or tf) would make a stored point stand for statistics no
+// document has, so it blocks pruning.
 //
 // Conjunctions leapfrog the cursors and skip past the earliest-ending
 // block when the folded block ceilings cannot beat the heap. Disjunctions
@@ -66,17 +72,21 @@ struct PruneStats {
 
 class MaxScoreTopK {
  public:
-  // `range` (optional) restricts the cursors to one segment's documents;
-  // scores and the stored block ceilings are the whole index's, so
-  // per-segment pruned scores match the monolithic index exactly. No
-  // overlay parameter: the gate rejects overlays outright (see
-  // GateVerdict).
+  // `overlay` (optional) supplies collection-level statistics — the
+  // router's pinned global ones — to document scores and block ceilings
+  // alike; TopK refuses an overlay that overrides per-document statistics
+  // (see GateVerdict). `range` (optional) restricts the cursors to one
+  // segment's documents; scores and ceilings read the whole index's
+  // statistics, so per-segment pruned scores match the monolithic index
+  // exactly.
   MaxScoreTopK(const index::InvertedIndex* index,
-               const sa::ScoringScheme* scheme, index::DocRange range = {})
-      : stats_view_(index), scheme_(scheme), range_(range) {}
+               const sa::ScoringScheme* scheme,
+               const index::StatsOverlay* overlay = nullptr,
+               index::DocRange range = {})
+      : stats_view_(index, overlay), scheme_(scheme), range_(range) {}
 
   // Empty string when block-max pruning is licensed for this query +
-  // scheme + index; otherwise the human-readable EXPLAIN verdict
+  // scheme + index + overlay; otherwise the human-readable EXPLAIN verdict
   // ("blocked: no block-max metadata", "blocked by gate: ...").
   static std::string GateVerdict(const mcalc::Query& query,
                                  const sa::ScoringScheme& scheme,

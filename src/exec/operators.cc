@@ -674,8 +674,8 @@ class ProjectOp final : public DocOperator {
     doc_ctx_.length = env_->stats.DocLength(current_doc_);
     doc_ctx_.collection_size = env_->stats.CollectionSize();
     doc_ctx_.avg_doc_length = env_->stats.AverageDocLength();
-    if (env_->stats.has_overlay()) {
-      // Statistics overlays (tests) must see every lookup. Documents
+    if (env_->stats.overrides_documents()) {
+      // A per-document overlay (tests) must see every tf lookup. Documents
       // arrive in ascending order, so the fallback index lookups gallop
       // from a per-column probe.
       if (tf_probes_.size() != col_ctx_.size()) {
@@ -705,7 +705,7 @@ class ProjectOp final : public DocOperator {
   EvalEnv* env_;
   std::vector<sa::ColumnContext> base_col_ctx_;
   std::vector<std::pair<size_t, index::CountCursor>> tf_cursors_;
-  std::vector<size_t> tf_probes_;  // per-column gallop seeds (overlay path)
+  std::vector<size_t> tf_probes_;  // per-column gallop seeds (tf overlay)
   sa::DocContext doc_ctx_;
   std::vector<sa::ColumnContext> col_ctx_;
   std::vector<sa::InternalScore> expr_scratch_;
@@ -1086,7 +1086,7 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
       // π{s := α⊗(c) ⊗ c, c}(CA(k)) becomes one operator.
       if (env->scheme != nullptr && node.children[0]->kind ==
               OpKind::kPreCountAtom && node.items.size() == 2 &&
-          !env->stats.has_overlay()) {
+          !env->stats.overrides_documents()) {
         const ma::ProjectItem& scored = node.items[0];
         const ma::ProjectItem& passthrough = node.items[1];
         const ma::PlanNode& ca = *node.children[0];

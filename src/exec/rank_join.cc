@@ -52,11 +52,8 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
 
   const index::InvertedIndex& index = stats_view_.index();
   const size_t n = keywords.size();
-  const topk::ColumnScorer scorer(&stats_view_, scheme_, shape,
-                                  static_cast<uint32_t>(n));
 
   struct Input {
-    TermId term = kInvalidTerm;
     const std::vector<std::pair<DocId, double>>* entries = nullptr;
     const std::unordered_map<DocId, uint32_t>* tf = nullptr;
     size_t next = 0;
@@ -68,19 +65,23 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
   // Resolve the score-ordered streams. A production system keeps these as
   // impact-ordered postings; here they are built once per term and cached
   // on the engine, so repeated queries pay only for consumption.
+  std::vector<TermId> terms(n);
+  for (size_t i = 0; i < n; ++i) {
+    terms[i] = index.LookupTerm(keywords[i]->keyword);
+    if (terms[i] == kInvalidTerm && shape == Shape::kConjunction) {
+      return std::vector<ma::ScoredDoc>{};  // term absent: no matches
+    }
+  }
+  const topk::ColumnScorer scorer(&stats_view_, scheme_, shape, terms);
   std::vector<Input> inputs(n);
   for (size_t i = 0; i < n; ++i) {
-    inputs[i].term = index.LookupTerm(keywords[i]->keyword);
-    if (inputs[i].term == kInvalidTerm) {
-      if (shape == Shape::kConjunction) {
-        return std::vector<ma::ScoredDoc>{};  // term absent: no matches
-      }
+    if (terms[i] == kInvalidTerm) {
       continue;
     }
-    auto [it, inserted] = stream_cache_.try_emplace(inputs[i].term);
+    auto [it, inserted] = stream_cache_.try_emplace(terms[i]);
     if (inserted) {
       ++stats_.streams_built;
-      const index::PostingList& list = index.postings(inputs[i].term);
+      const index::PostingList& list = index.postings(terms[i]);
       const auto [first, last] = list.Bounds(range_);
       it->second.entries.reserve(last - first);
       it->second.tf.reserve(last - first);
@@ -89,7 +90,7 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
         const uint32_t tf = list.tf_at(p);
         it->second.tf.emplace(doc, tf);
         it->second.entries.emplace_back(
-            doc, scorer.ColumnScore(inputs[i].term, tf, doc).a);
+            doc, scorer.ColumnScore(i, tf, doc).a);
       }
       std::sort(it->second.entries.begin(), it->second.entries.end(),
                 [](const std::pair<DocId, double>& a,
@@ -103,10 +104,6 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
     stats_.total_candidates += it->second.entries.size();
   }
 
-  std::vector<TermId> terms(n);
-  for (size_t i = 0; i < n; ++i) {
-    terms[i] = inputs[i].term;
-  }
   std::vector<uint32_t> tfs(n);
 
   // Random access resolves tf through the cached per-term maps: O(1).
@@ -137,7 +134,7 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
     }
     ++stats_.candidates_scored;
     if (complete(doc)) {
-      stats_.heap_ops += top.Offer(doc, scorer.Score(doc, terms, tfs));
+      stats_.heap_ops += top.Offer(doc, scorer.Score(doc, tfs));
     }
   };
 
@@ -175,11 +172,10 @@ StatusOr<std::vector<ma::ScoredDoc>> TopKRankEngine::TopK(
         tail = sa::InternalScore(0.0);
       } else {
         const size_t idx = std::min(input.next, input.size() - 1);
-        // Reconstruct the tail's internal score from its document.
+        // Reconstruct the tail's internal score from its document and the
+        // tf its stream key was built from.
         const DocId tail_doc = (*input.entries)[idx].first;
-        tail = scorer.ColumnScore(
-            input.term, stats_view_.TermFreqInDoc(input.term, tail_doc),
-            tail_doc);
+        tail = scorer.ColumnScore(i, input.tf->at(tail_doc), tail_doc);
       }
       if (first) {
         bound = std::move(tail);

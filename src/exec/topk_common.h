@@ -51,15 +51,29 @@ inline Shape QueryShape(const mcalc::Query& query,
                                             : Shape::kDisjunction;
 }
 
+// Scores the columns of one query: column i is the query's i-th keyword,
+// `terms[i]` (kInvalidTerm for a keyword absent from the index).
+// Collection-level statistics — N, the average length and each column's
+// df — are constants of the query, resolved once at construction, so a
+// scored document or a ceiling probe pays no statistics lookup beyond its
+// own doc length (under an overlay each df lookup is a term-text hash
+// probe).
 class ColumnScorer {
  public:
   ColumnScorer(const index::StatsView* view, const sa::ScoringScheme* scheme,
-               Shape shape, uint32_t num_columns)
+               Shape shape, std::span<const TermId> terms)
       : view_(view), scheme_(scheme), shape_(shape) {
-    query_ctx_.num_columns = num_columns;
+    query_ctx_.num_columns = static_cast<uint32_t>(terms.size());
     generic_.length = 1;
     generic_.collection_size = view_->CollectionSize();
     generic_.avg_doc_length = view_->AverageDocLength();
+    columns_.reserve(terms.size());
+    for (const TermId term : terms) {
+      sa::ColumnContext col;
+      col.term = term;
+      col.doc_freq = term == kInvalidTerm ? 0 : view_->DocFreq(term);
+      columns_.push_back(col);
+    }
   }
 
   // A document context of length 1 and no concrete document: the context
@@ -68,19 +82,17 @@ class ColumnScorer {
   // document) for the rank-eligible schemes.
   const sa::DocContext& Generic() const { return generic_; }
 
-  // The column context of `term` with `tf` occurrences in the document.
-  sa::ColumnContext Column(TermId term, uint32_t tf) const {
-    sa::ColumnContext col;
-    col.term = term;
-    col.doc_freq = term == kInvalidTerm ? 0 : view_->DocFreq(term);
+  // The context of column `i` with `tf` occurrences in the document.
+  sa::ColumnContext Column(size_t i, uint32_t tf) const {
+    sa::ColumnContext col = columns_[i];
     col.tf_in_doc = tf;
     return col;
   }
 
   // The column score: the ⊕-fold of the tf equal alternates = ⊗.
-  sa::InternalScore ColumnScore(TermId term, uint32_t tf,
+  sa::InternalScore ColumnScore(size_t i, uint32_t tf,
                                 const sa::DocContext& dctx) const {
-    const sa::ColumnContext col = Column(term, tf);
+    const sa::ColumnContext col = Column(i, tf);
     if (tf == 0) {
       return scheme_->Init(dctx, col, kEmptyOffset);
     }
@@ -88,8 +100,8 @@ class ColumnScorer {
     return tf <= 1 ? unit : scheme_->Scale(unit, tf);
   }
 
-  sa::InternalScore ColumnScore(TermId term, uint32_t tf, DocId doc) const {
-    return ColumnScore(term, tf, DocCtx(doc));
+  sa::InternalScore ColumnScore(size_t i, uint32_t tf, DocId doc) const {
+    return ColumnScore(i, tf, DocCtx(doc));
   }
 
   // ⊘ (conjunction) or ⊚ (disjunction), per the query's shape.
@@ -99,14 +111,13 @@ class ColumnScorer {
                                          : scheme_->Disj(acc, column);
   }
 
-  // The document's final score: its columns (term i occurring tfs[i]
+  // The document's final score: its columns (column i occurring tfs[i]
   // times) folded in keyword order, then ω.
-  double Score(DocId doc, std::span<const TermId> terms,
-               std::span<const uint32_t> tfs) const {
+  double Score(DocId doc, std::span<const uint32_t> tfs) const {
     const sa::DocContext dctx = DocCtx(doc);
-    sa::InternalScore acc = ColumnScore(terms[0], tfs[0], dctx);
-    for (size_t i = 1; i < terms.size(); ++i) {
-      acc = Combine(acc, ColumnScore(terms[i], tfs[i], dctx));
+    sa::InternalScore acc = ColumnScore(0, tfs[0], dctx);
+    for (size_t i = 1; i < tfs.size(); ++i) {
+      acc = Combine(acc, ColumnScore(i, tfs[i], dctx));
     }
     return scheme_->Finalize(dctx, query_ctx_, acc);
   }
@@ -119,11 +130,9 @@ class ColumnScorer {
 
  private:
   sa::DocContext DocCtx(DocId doc) const {
-    sa::DocContext ctx;
+    sa::DocContext ctx = generic_;
     ctx.doc = doc;
     ctx.length = view_->DocLength(doc);
-    ctx.collection_size = view_->CollectionSize();
-    ctx.avg_doc_length = view_->AverageDocLength();
     return ctx;
   }
 
@@ -132,6 +141,7 @@ class ColumnScorer {
   Shape shape_;
   sa::QueryContext query_ctx_;
   sa::DocContext generic_;
+  std::vector<sa::ColumnContext> columns_;  // tf_in_doc unset
 };
 
 // The running top-k: at most k documents, sorted by score descending then

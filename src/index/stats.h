@@ -3,9 +3,25 @@
 // Scoring schemes consume collection statistics (Figure 1 of the paper:
 // #Docs, #InDoc, document length, collection size). StatsView resolves each
 // statistic against an optional StatsOverlay first and falls back to the
-// live index. The overlay exists so tests can inject the paper's exact
-// Wikipedia statistics (e.g. collectionSize = 4,638,535) around a tiny
-// in-memory index and reproduce the worked examples digit-for-digit.
+// live index. The overlay has two uses:
+//
+//   * the router's pinned global statistics (server/pinned_stats.h): every
+//     routed shard query carries the whole corpus' N, total words and the
+//     query terms' df/cf, so a shard scores bit-identically to one process
+//     over the whole corpus;
+//   * tests that inject the paper's exact Wikipedia statistics (e.g.
+//     collectionSize = 4,638,535) around a tiny in-memory index to
+//     reproduce the worked examples digit-for-digit.
+//
+// Overrides come in two kinds. Collection-level ones (collection size,
+// total words, per-term df/cf) are constants of the query: every fast path
+// that reads per-document statistics straight from the postings — tf from
+// a cursor, a block ceiling from stored (tf, doc length) frontier points —
+// stays exact under them, because those paths still resolve the
+// collection-level statistics through the same StatsView. Per-document
+// ones (SetDocLength, SetTermFreqInDoc; tests only) change what a posting
+// or a stored frontier point means, so those paths must stand down:
+// overrides_documents() is the one predicate they test.
 
 #ifndef GRAFT_INDEX_STATS_H_
 #define GRAFT_INDEX_STATS_H_
@@ -35,6 +51,14 @@ class StatsOverlay {
   }
   void SetTermFreqInDoc(const std::string& term, DocId doc, uint32_t tf) {
     term_freq_[{term}][doc] = tf;
+  }
+
+  // True when a per-document statistic (a doc length or an in-document
+  // term frequency) is overridden: paths that read those statistics from
+  // the postings or from stored (tf, doc length) frontier points must
+  // not serve.
+  bool overrides_documents() const {
+    return !doc_length_.empty() || !term_freq_.empty();
   }
 
   std::optional<uint64_t> collection_size() const { return collection_size_; }
@@ -155,7 +179,10 @@ class StatsView {
   }
 
   const InvertedIndex& index() const { return *index_; }
-  bool has_overlay() const { return overlay_ != nullptr; }
+  const StatsOverlay* overlay() const { return overlay_; }
+  bool overrides_documents() const {
+    return overlay_ != nullptr && overlay_->overrides_documents();
+  }
 
  private:
   const InvertedIndex* index_;

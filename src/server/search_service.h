@@ -10,8 +10,9 @@
 //       the full per-operator counters, and the span trace.
 //       Router extras: &gstats=<encoded PinnedStats> installs the
 //       router-pinned global collection statistics as a per-request
-//       overlay (and forces monolithic execution), so this shard scores
-//       bit-identically to a single-process run over the whole corpus;
+//       overlay (collection-level only, so segment fan-out and block-max
+//       pruning still serve), so this shard scores bit-identically to a
+//       single-process run over the whole corpus;
 //       &expect_gen=<g> answers 409 Conflict when this server's engine
 //       generation differs (a reload raced the router's stats exchange),
 //       so the router re-collects instead of merging mixed-stat scores.

@@ -124,13 +124,15 @@ TEST(EngineTest, TopKTrimsAndUsesRankProcessingWhenEligible) {
 }
 
 TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
-  // A per-request stats overlay stands block-max pruning down (the stored
-  // ceilings assume the index's own statistics). Explain must name the
-  // operator Search runs under the same options, not the one the engine's
-  // constructor overlay alone would license.
+  // A per-request overlay that overrides a per-document statistic stands
+  // block-max pruning down (a stored (tf, doc length) frontier point no
+  // longer describes the document). Explain must name the operator Search
+  // runs under the same options, not the one the engine's constructor
+  // overlay alone would license.
   Engine engine(&CorpusIndex());
   index::StatsOverlay overlay;
   overlay.SetCollectionSize(CorpusIndex().doc_count());
+  overlay.SetDocLength(0, CorpusIndex().doc_length(0));
   SearchOptions options;
   options.top_k = 10;
   options.stats_overlay = &overlay;
@@ -142,8 +144,24 @@ TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
   auto explain = engine.Explain("free software", "AnySum", options);
   ASSERT_TRUE(explain.ok()) << explain.status();
   EXPECT_NE(explain->find("top-k strategy (k=10): threshold top-k; block-max "
-                          "prune blocked: stats overlay overrides stored "
-                          "ceilings\n"),
+                          "prune blocked: stats overlay overrides "
+                          "per-document statistics\n"),
+            std::string::npos)
+      << *explain;
+
+  // A collection-level overlay (the router's pinned statistics) keeps the
+  // pruned operator: ceilings are evaluated through the same statistics.
+  index::StatsOverlay pinned;
+  pinned.SetCollectionSize(CorpusIndex().doc_count() * 3);
+  pinned.SetDocFreq("free", 1);
+  options.stats_overlay = &pinned;
+  result = engine.Search("free software", "AnySum", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->topk_operator, "maxscore");
+  EXPECT_TRUE(result->used_block_max_pruning);
+  explain = engine.Explain("free software", "AnySum", options);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  EXPECT_NE(explain->find("top-k strategy (k=10): block-max pruned top-k\n"),
             std::string::npos)
       << *explain;
 

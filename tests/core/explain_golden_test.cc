@@ -163,8 +163,9 @@ TEST(ExplainGolden, TopKBlockedMeanSum) {
 // The rank-processing fallback when MaxScore stands down on a licensed
 // scheme: HRJN serves, and the strategy line carries the verdict that
 // blocked pruning — pruning switched off for a conjunction, a request
-// statistics overlay (which overrides the stored ceilings) for a
-// disjunction.
+// statistics overlay that overrides a per-document statistic (a doc
+// length) for a disjunction. A collection-level overlay alone (the
+// router's pinned statistics) keeps the pruned plan.
 
 TEST(ExplainGolden, TopKRankJoinPruningOffAnySum) {
   SearchOptions options;
@@ -181,6 +182,17 @@ TEST(ExplainGolden, TopKRankUnionStatsOverlayLucene) {
   options.top_k = 10;
   options.stats_overlay = &overlay;
   CheckGolden("explain_topk_rankunion_overlay_lucene", "free | software",
+              "Lucene", options);
+}
+
+TEST(ExplainGolden, TopKRankUnionDocOverlayLucene) {
+  index::StatsOverlay overlay;
+  overlay.SetCollectionSize(1000);
+  overlay.SetDocLength(0, 3);
+  SearchOptions options;
+  options.top_k = 10;
+  options.stats_overlay = &overlay;
+  CheckGolden("explain_topk_rankunion_doc_overlay_lucene", "free | software",
               "Lucene", options);
 }
 

@@ -2,7 +2,8 @@
 // every scoring scheme from the paper's Section 7 and every segment count,
 // the parallel engine must return bit-identical scores in the identical
 // order as the monolithic engine — both for full result sets and for
-// top-k (rank-processed) searches, with and without a statistics overlay.
+// top-k (rank-processed) searches, with and without a statistics overlay
+// (per-document, and the router's collection-level kind).
 // This is the end-to-end check that a segment is exactly the one index
 // restricted to its doc range.
 
@@ -17,8 +18,11 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "exec/maxscore_topk.h"
+#include "exec/rank_join.h"
 #include "index/inverted_index.h"
 #include "index/segmented_index.h"
+#include "mcalc/parser.h"
 #include "text/corpus.h"
 
 namespace graft::core {
@@ -147,7 +151,8 @@ TEST_P(ParallelConsistencyTest, SerialSegmentedMatchesMonolithic) {
 }
 
 // Pinned-statistics overlay of the router kind (collection-level figures)
-// plus per-document lengths keyed by global doc ids in every segment.
+// plus per-document lengths keyed by global doc ids in every segment. The
+// doc lengths keep every top-k query of it off the pruned operator.
 const index::StatsOverlay& SharedOverlay() {
   static const index::StatsOverlay& overlay = *[] {
     const Fixture& f = SharedFixture();
@@ -182,6 +187,68 @@ TEST_P(ParallelConsistencyTest, StatsOverlayMatchesMonolithic) {
       ExpectIdentical(expected->results, actual->results,
                       "overlay k=" + std::to_string(k) + " segments=" +
                           std::to_string(kSegmentCounts[i]));
+    }
+  }
+}
+
+// The router's pinned statistics as they arrive on a shard: collection-
+// level figures only (N, total words, per-term df/cf), far from the
+// index's own. Unlike SharedOverlay it overrides no per-document
+// statistic, so block-max pruning stays licensed under it.
+const index::StatsOverlay& SharedCollectionOverlay() {
+  static const index::StatsOverlay& overlay = *[] {
+    const Fixture& f = SharedFixture();
+    auto* o = new index::StatsOverlay();
+    o->SetCollectionSize(f.index.doc_count() * 3);
+    o->SetTotalWords(f.index.total_words() * 2);
+    for (const char* term : {"software", "free", "fishing", "fault"}) {
+      const TermId id = f.index.LookupTerm(term);
+      if (id == kInvalidTerm) continue;
+      o->SetDocFreq(term, f.index.DocFreq(id) / 3 + 1);
+      o->SetCollectionFreq(term, f.index.CollectionFreq(id) * 2);
+    }
+    return o;
+  }();
+  return overlay;
+}
+
+TEST_P(ParallelConsistencyTest, CollectionOverlayMatchesMonolithic) {
+  // Segmented + collection-level overlay is bit-identical to monolithic +
+  // the same overlay, the top-k is the full ranking's prefix, and the
+  // pruned operator runs exactly where its gate licenses it.
+  const Fixture& f = SharedFixture();
+  const Case& c = GetParam();
+  const index::StatsOverlay& overlay = SharedCollectionOverlay();
+  auto query = mcalc::ParseQuery(c.query);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const sa::ScoringScheme& scheme =
+      *sa::SchemeRegistry::Global().Lookup(c.scheme);
+  const bool licensed =
+      exec::TopKRankEngine::Supports(*query, scheme) &&
+      exec::MaxScoreTopK::Supports(*query, scheme, f.index, &overlay);
+
+  SearchOptions full_options;
+  full_options.stats_overlay = &overlay;
+  auto full = f.monolithic->Search(c.query, c.scheme, full_options);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  for (size_t k : {0u, 5u}) {
+    SearchOptions options = full_options;
+    options.top_k = k;
+    auto expected = f.monolithic->Search(c.query, c.scheme, options);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    std::vector<ma::ScoredDoc> prefix = full->results;
+    if (k > 0 && prefix.size() > k) prefix.resize(k);
+    ExpectIdentical(prefix, expected->results,
+                    "collection overlay k=" + std::to_string(k) +
+                        " monolithic");
+    EXPECT_EQ(expected->used_block_max_pruning, k > 0 && licensed);
+    for (size_t i = 0; i < std::size(kSegmentCounts); ++i) {
+      auto actual = f.parallel[i]->Search(c.query, c.scheme, options);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(actual->used_block_max_pruning, k > 0 && licensed);
+      ExpectIdentical(expected->results, actual->results,
+                      "collection overlay k=" + std::to_string(k) +
+                          " segments=" + std::to_string(kSegmentCounts[i]));
     }
   }
 }

@@ -20,6 +20,13 @@
 //   v5 seg    the v5 index fanned out over 3 segments: packed blocks
 //             decoded concurrently by pool threads, full ranking and
 //             top-k, bit-identical to the materialized index's results;
+//   overlay   the top-k runs above (monolithic, segmented, v5 packed, v5
+//             packed segmented) under a per-request statistics overlay,
+//             checked against the monolithic full ranking under the same
+//             overlay: a collection-level one of the router's kind, far
+//             from the index's own figures (pruning must still fire where
+//             licensed), and one that also overrides doc lengths (pruning
+//             must stand down);
 //   topk-unpruned  the same top-k with allow_block_max_pruning = false:
 //             the pruned and unpruned top-k must both be bit-identical to
 //             the full ranking's prefix. The fuzzer additionally asserts
@@ -277,6 +284,43 @@ const char* kWords[] = {"free",    "software", "windows",  "service",
                         "line",    "county",   "image",    "species",
                         "fishing", "obama",    "emulator", "foss",
                         "the",     "of",       "city",     "neverseen"};
+
+// ---- Statistics overlays ---------------------------------------------
+//
+// The router's pinned statistics reach every shard as a per-request
+// overlay of collection-level figures (N, total words, per-term df/cf).
+// The fuzz overlay sets them far from the index's own — N tripled, every
+// vocabulary df cut to a quarter — so a ceiling or score that silently
+// read the index's figures instead would drift visibly. The per-document
+// overlay adds doc-length overrides on top, which must keep every top-k
+// run off the pruned operator.
+const index::StatsOverlay& FuzzCollectionOverlay() {
+  static const index::StatsOverlay& overlay = *[] {
+    const index::InvertedIndex& index = FuzzIndex();
+    auto* o = new index::StatsOverlay();
+    o->SetCollectionSize(index.doc_count() * 3);
+    o->SetTotalWords(index.total_words() * 2);
+    for (const char* word : kWords) {
+      const TermId term = index.LookupTerm(word);
+      if (term == kInvalidTerm) continue;
+      o->SetDocFreq(word, index.DocFreq(term) / 4 + 1);
+      o->SetCollectionFreq(word, index.CollectionFreq(term) * 2);
+    }
+    return o;
+  }();
+  return overlay;
+}
+
+const index::StatsOverlay& FuzzDocOverlay() {
+  static const index::StatsOverlay& overlay = *[] {
+    auto* o = new index::StatsOverlay(FuzzCollectionOverlay());
+    for (DocId doc = 5; doc < FuzzIndex().doc_count(); doc += 31) {
+      o->SetDocLength(doc, 1 + doc % 13);
+    }
+    return o;
+  }();
+  return overlay;
+}
 
 class QueryGenerator {
  public:
@@ -542,6 +586,78 @@ std::string DiffExplainedOperator(const Engine& engine,
   return "";
 }
 
+// Overlay configurations: under each fuzz overlay the monolithic full
+// ranking is the reference, and the top-k runs — monolithic, segmented,
+// v5 packed, v5 packed segmented — must equal its prefix bit-identically.
+// The pruned operator fires exactly when MaxScore's gate, given the
+// overlay, licenses it: always for a licensed query under the collection
+// overlay, never under the per-document one.
+std::string CheckOverlays(const mcalc::Query& query,
+                          const sa::ScoringScheme& scheme) {
+  constexpr size_t kTopK = 10;
+  const std::pair<const char*, const index::StatsOverlay*> overlays[] = {
+      {"collection overlay", &FuzzCollectionOverlay()},
+      {"per-document overlay", &FuzzDocOverlay()},
+  };
+  for (const auto& [name, overlay] : overlays) {
+    const std::string label = name;
+    SearchOptions full_opts = OptimizedOptions();
+    full_opts.stats_overlay = overlay;
+    auto full = MonoEngine().SearchQuery(query, scheme, full_opts);
+    if (!full.ok()) {
+      return label + " full ranking failed: " + full.status().ToString();
+    }
+    const std::map<DocId, double> full_map = ToMap(full->results);
+
+    SearchOptions mono_opts = TopKOptions(kTopK, false);
+    mono_opts.stats_overlay = overlay;
+    SearchOptions seg_opts = TopKOptions(kTopK, true);
+    seg_opts.stats_overlay = overlay;
+    const bool expect_prune =
+        mono_opts.allow_rank_processing &&
+        mono_opts.allow_block_max_pruning &&
+        exec::TopKRankEngine::Supports(query, scheme) &&
+        exec::MaxScoreTopK::GateVerdict(query, scheme, FuzzIndex(), overlay)
+            .empty();
+    const struct {
+      const char* config;
+      const Engine& engine;
+      const SearchOptions& options;
+    } runs[] = {
+        {"top-k", MonoEngine(), mono_opts},
+        {"segmented top-k", SegmentedEngine(), seg_opts},
+        {"v5 packed top-k", PackedEngine(), mono_opts},
+        {"v5 packed segmented top-k", PackedSegmentedEngine(), seg_opts},
+    };
+    for (const auto& run : runs) {
+      const std::string config = label + " " + run.config;
+      auto topk = run.engine.SearchQuery(query, scheme, run.options);
+      if (!topk.ok()) {
+        return config + " failed: " + topk.status().ToString();
+      }
+      if (std::string diff = DiffTopK(full->results, full_map, topk->results,
+                                      kTopK, config.c_str());
+          !diff.empty()) {
+        return diff;
+      }
+      if (topk->used_block_max_pruning != expect_prune) {
+        return config + ": used_block_max_pruning=" +
+               (topk->used_block_max_pruning ? "true" : "false") +
+               " but gate says " + (expect_prune ? "licensed" : "blocked");
+      }
+      if (overlay->overrides_documents() && topk->used_block_max_pruning) {
+        return config + ": pruned under per-document statistics";
+      }
+      if (std::string diff = DiffExplainedOperator(
+              run.engine, query, scheme, run.options, *topk, config);
+          !diff.empty()) {
+        return diff;
+      }
+    }
+  }
+  return "";
+}
+
 // Runs one query under one scheme through all four configurations.
 // Returns "" when every pair agrees, else a description of the first
 // disagreement.
@@ -751,7 +867,7 @@ std::string CheckQuery(const mcalc::Query& query,
     return "pruning activated for a scheme whose α is not bounded";
   }
 
-  return "";
+  return CheckOverlays(query, scheme);
 }
 
 // Renders a generated AST in the Section-8 surface syntax that

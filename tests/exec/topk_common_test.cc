@@ -124,8 +124,7 @@ TEST(ColumnScorerTest, ScoresEqualTheFullEngineBitIdentically) {
         terms.push_back(index.LookupTerm(keyword->keyword));
         ASSERT_NE(terms.back(), kInvalidTerm) << keyword->keyword;
       }
-      const topk::ColumnScorer scorer(&view, scheme, shape,
-                                      static_cast<uint32_t>(terms.size()));
+      const topk::ColumnScorer scorer(&view, scheme, shape, terms);
 
       for (const ma::ScoredDoc& hit : full->results) {
         std::vector<uint32_t> tfs;
@@ -136,7 +135,7 @@ TEST(ColumnScorerTest, ScoresEqualTheFullEngineBitIdentically) {
                             ? list.tf_at(pos)
                             : 0);
         }
-        EXPECT_EQ(scorer.Score(hit.doc, terms, tfs), hit.score)
+        EXPECT_EQ(scorer.Score(hit.doc, tfs), hit.score)
             << text << " " << name << " doc " << hit.doc;
       }
     }
@@ -246,11 +245,32 @@ TEST(MaxScoreGateTest, FollowsTheRankGatePlusIdempotence) {
                                       /*overlay=*/nullptr)
                 .find("not a pure keyword"),
             std::string::npos);
-  // An overlay overrides the statistics the stored ceilings were built
-  // from, so it blocks an otherwise licensed query.
-  const index::StatsOverlay overlay;
+  // Ceilings are evaluated at query time through the scoring StatsView,
+  // so an empty or collection-level overlay (the router's pinned N, total
+  // words, df/cf) leaves an otherwise licensed query licensed ...
+  index::StatsOverlay overlay;
   EXPECT_EQ(MaxScoreTopK::GateVerdict(*conjunctive, anysum, index, &overlay),
-            "blocked: stats overlay overrides stored ceilings");
+            "");
+  overlay.SetCollectionSize(index.doc_count() * 3);
+  overlay.SetTotalWords(12345);
+  overlay.SetDocFreq("free", 2);
+  overlay.SetCollectionFreq("free", 7);
+  EXPECT_EQ(MaxScoreTopK::GateVerdict(*conjunctive, anysum, index, &overlay),
+            "");
+  EXPECT_EQ(MaxScoreTopK::GateVerdict(*disjunctive, anysum, index, &overlay),
+            "");
+  // ... while a per-document override makes the stored (tf, doc length)
+  // frontier points stand for statistics no document has, so it blocks.
+  index::StatsOverlay doc_lengths = overlay;
+  doc_lengths.SetDocLength(0, 1);
+  EXPECT_EQ(
+      MaxScoreTopK::GateVerdict(*conjunctive, anysum, index, &doc_lengths),
+      "blocked: stats overlay overrides per-document statistics");
+  index::StatsOverlay term_freqs;
+  term_freqs.SetTermFreqInDoc("free", 0, 9);
+  EXPECT_EQ(
+      MaxScoreTopK::GateVerdict(*disjunctive, anysum, index, &term_freqs),
+      "blocked: stats overlay overrides per-document statistics");
 }
 
 TEST(MaxScoreGateTest, BlockedRunReturnsFailedPrecondition) {
@@ -264,6 +284,13 @@ TEST(MaxScoreGateTest, BlockedRunReturnsFailedPrecondition) {
             StatusCode::kFailedPrecondition);
   MaxScoreTopK anysum(&CorpusIndex(), registry.Lookup("AnySum"));
   EXPECT_EQ(anysum.TopK(*phrase, 10).status().code(),
+            StatusCode::kFailedPrecondition);
+  // The operator enforces the overlay half of the gate itself.
+  index::StatsOverlay doc_lengths;
+  doc_lengths.SetDocLength(0, 1);
+  MaxScoreTopK overridden(&CorpusIndex(), registry.Lookup("AnySum"),
+                          &doc_lengths);
+  EXPECT_EQ(overridden.TopK(*query, 10).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

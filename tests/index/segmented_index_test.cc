@@ -406,7 +406,8 @@ TEST(SegmentedIndexTest, RangeTopKOperatorsEqualMonolithRestrictedToRange) {
         const std::string label = std::string(scheme_name) + " " + text +
                                   " " + RangeLabel(range);
         if (exec::MaxScoreTopK::Supports(*query, *scheme, index, nullptr)) {
-          exec::MaxScoreTopK op(&index, scheme, range);
+          exec::MaxScoreTopK op(&index, scheme, /*overlay=*/nullptr,
+                                range);
           auto got = op.TopK(*query, kK);
           ASSERT_TRUE(got.ok()) << got.status();
           ExpectSameRanking(want, *got, "maxscore " + label);

@@ -5,7 +5,8 @@
 //     corpus, for all eight registered schemes, whenever every shard
 //     answers;
 //   * the two-phase stats exchange: summed df/cf/doc_count/total_words
-//     match the monolithic index exactly;
+//     match the monolithic index exactly, and the pinned statistics leave
+//     the shards' block-max pruning licensed;
 //   * generation conflicts (hot reload racing the exchange) are detected
 //     via 409, invalidate the stats epoch, and the request recovers;
 //   * partial-result policy: cached-term queries degrade gracefully when a
@@ -27,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -246,11 +248,28 @@ TEST(ScatterGatherTest, CollectStatsSumsToMonolithicStatistics) {
   EXPECT_EQ(gather.shard(0).counters().attempts.load(), attempts_before);
 }
 
+// A shard's /stats pruned_searches: top-k searches the block-max pruned
+// operator served.
+uint64_t PrunedSearches(uint16_t port) {
+  auto stats = server::HttpGet(port, "/stats");
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  if (!stats.ok()) return 0;
+  const std::string key = "\"pruned_searches\":";
+  const size_t at = stats->body.find(key);
+  EXPECT_NE(at, std::string::npos) << stats->body;
+  if (at == std::string::npos) return 0;
+  return std::stoull(stats->body.substr(at + key.size()));
+}
+
 TEST(ScatterGatherTest, BitIdenticalToSingleProcessAllSchemes) {
   Topology& topology = SharedTopology();
   ScatterGather gather(topology.replica_ports, FastGatherOptions());
   for (const char* scheme : kSchemes) {
     for (const char* query : kQueries) {
+      std::vector<uint64_t> pruned_before;
+      for (const auto& service : topology.services) {
+        pruned_before.push_back(PrunedSearches(service->port()));
+      }
       auto gathered =
           gather.Search(TermsOf(query), Tail(query, scheme), 10, kBudgetMs);
       ASSERT_TRUE(gathered.ok()) << scheme << " " << query << ": "
@@ -264,6 +283,28 @@ TEST(ScatterGatherTest, BitIdenticalToSingleProcessAllSchemes) {
           server::SearchService::FormatResultsFragment(gathered->results),
           server::SearchService::FormatResultsFragment(expected))
           << scheme << " " << query;
+
+      // The pinned statistics ride as a collection-level overlay, which
+      // leaves block-max pruning licensed: every shard prunes the keyword
+      // queries of the bounded schemes, and nothing else.
+      const std::string_view name = scheme;
+      const bool keyword_query = std::string_view(query) == "software" ||
+                                 std::string_view(query) ==
+                                     "san francisco fault line";
+      const bool prunes = keyword_query && (name == "AnySum" ||
+                                            name == "AnyProd" ||
+                                            name == "Lucene");
+      for (size_t shard = 0; shard < kShards; ++shard) {
+        const uint64_t after =
+            PrunedSearches(topology.services[shard]->port());
+        if (prunes) {
+          EXPECT_GT(after, pruned_before[shard])
+              << scheme << " " << query << " shard " << shard;
+        } else {
+          EXPECT_EQ(after, pruned_before[shard])
+              << scheme << " " << query << " shard " << shard;
+        }
+      }
     }
   }
 }
