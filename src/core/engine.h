@@ -134,6 +134,9 @@ struct SearchResult {
   size_t segments_searched = 1;
 };
 
+// EXPLAIN ANALYZE's "measured operator work" block for `stats`.
+std::string FormatExecStats(const exec::ExecStats& stats);
+
 class Engine {
  public:
   explicit Engine(const index::InvertedIndex* index,

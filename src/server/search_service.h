@@ -187,6 +187,12 @@ class SearchService {
   static std::string FormatResultsFragment(
       const std::vector<ma::ScoredDoc>& results);
 
+  // Appends the full per-operator counter object of ?explain=1's "exec"
+  // key. (Every /search body's own "exec" block keeps its original three
+  // fields.)
+  static void AppendFullExecJson(std::string* out,
+                                 const exec::ExecStats& stats);
+
  private:
   Response HandleSearch(const HttpRequest& request, uint64_t queued_micros);
   Response HandleShardStats(const HttpRequest& request);
