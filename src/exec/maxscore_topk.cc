@@ -47,7 +47,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     return Status::FailedPrecondition("block-max pruning not licensed: " +
                                       verdict);
   }
-  stats_ = PruneStats();
+  stats_ = ExecStats();
   if (k == 0) {
     return std::vector<ma::ScoredDoc>{};
   }
@@ -64,8 +64,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     // and reused while the cursor stays inside the block.
     size_t cached_block = std::numeric_limits<size_t>::max();
     sa::InternalScore cached_ceiling;
-    // Last block charged to blocks_decoded (cursors only move forward, so
-    // one high-water mark per cursor counts distinct blocks exactly).
+    // Last block charged to topk_blocks_decoded (cursors only move
+    // forward, so one high-water mark per cursor counts distinct blocks
+    // exactly).
     size_t counted_block = std::numeric_limits<size_t>::max();
 
     bool exhausted() const { return list == nullptr || pos >= end; }
@@ -96,8 +97,8 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   }
   const topk::ColumnScorer scorer(&stats_view_, scheme_, shape, terms);
 
-  // Charges the cursor's current block to blocks_decoded the first time a
-  // tf entry (the score payload) is read from it. Doc-id reads for
+  // Charges the cursor's current block to topk_blocks_decoded the first
+  // time a tf entry (the score payload) is read from it. Doc-id reads for
   // alignment are boundary probes of the skip structure, not payload
   // decodes: a ceiling-skipped block has its first doc id examined as a
   // candidate and is then abandoned, so charging on doc-id reads would
@@ -108,7 +109,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   const auto touch = [&](Cursor& c) {
     const size_t b = c.block();
     if (c.counted_block != b) {
-      ++stats_.blocks_decoded;
+      ++stats_.topk_blocks_decoded;
       c.counted_block = b;
     }
   };
@@ -150,7 +151,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     Cursor& c = cursors[column];
     const size_t b = c.block();
     if (c.cached_block != b) {
-      ++stats_.ceiling_probes;
+      ++stats_.topk_ceiling_probes;
       c.cached_ceiling = frontier_max(column, c.list->frontier_begin(b),
                                       c.list->frontier_end(b));
       c.cached_block = b;
@@ -214,8 +215,8 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         if (top.Worst() >= scorer.FinalizeGeneric(bound)) {
           // Every term's postings in [candidate, frontier] lie inside the
           // term's current block, so no document there can reach the heap.
-          ++stats_.blocks_skipped;
-          ++stats_.candidates_pruned;  // the aligned candidate, at least
+          ++stats_.topk_blocks_skipped;
+          ++stats_.docs_pruned;  // the aligned candidate, at least
           for (Cursor& c : cursors) {
             c.pos = c.list->GallopTo(c.pos, frontier + 1);
           }
@@ -227,9 +228,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         touch(cursors[i]);
         tfs[i] = cursors[i].list->tf_at(cursors[i].pos);
       }
-      stats_.heap_ops +=
+      stats_.rank_heap_ops +=
           top.Offer(candidate, scorer.Score(candidate, tfs));
-      ++stats_.candidates_scored;
+      ++stats_.docs_scored;
       for (Cursor& c : cursors) {
         ++c.pos;
       }
@@ -252,7 +253,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       continue;
     }
     const Cursor& c = cursors[i];
-    ++stats_.ceiling_probes;
+    ++stats_.topk_ceiling_probes;
     ub[i] = frontier_max(i, c.list->frontier_begin(c.block()),
                          c.list->frontier_end((c.end - 1) /
                                               index::PostingList::kBlockSize));
@@ -297,7 +298,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       // The k-th best improved: re-partition. Documents matching only
       // keywords in the non-essential prefix can no longer enter the heap.
       last_worst = worst;
-      ++stats_.threshold_updates;
+      ++stats_.topk_threshold_updates;
       while (num_nonessential < n &&
              prefix_bound[num_nonessential + 1] <= worst) {
         ++num_nonessential;
@@ -348,8 +349,8 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         }
       }
       if (top.Worst() >= scorer.FinalizeGeneric(bound)) {
-        ++stats_.blocks_skipped;
-        ++stats_.candidates_pruned;  // the candidate itself matches
+        ++stats_.topk_blocks_skipped;
+        ++stats_.docs_pruned;  // the candidate itself matches
         for (size_t i = 0; i < n; ++i) {
           Cursor& c = cursors[i];
           if (rank[i] >= num_nonessential && !c.exhausted()) {
@@ -381,9 +382,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       }
       tfs[i] = tf;
     }
-    stats_.heap_ops +=
+    stats_.rank_heap_ops +=
         top.Offer(candidate, scorer.Score(candidate, tfs));
-    ++stats_.candidates_scored;
+    ++stats_.docs_scored;
     for (size_t i = 0; i < n; ++i) {
       Cursor& c = cursors[i];
       if (rank[i] >= num_nonessential && !c.exhausted() &&

@@ -29,8 +29,8 @@
 // at query time through the same StatsView that scores documents, so a
 // collection-level overlay (the router's pinned N, total words, df/cf)
 // moves ceilings and scores together. A per-document override (a doc
-// length or tf) would make a stored point stand for statistics no
-// document has, so it blocks pruning.
+// length) would make a stored point stand for statistics no document
+// has, so it blocks pruning.
 //
 // Conjunctions leapfrog the cursors and skip past the earliest-ending
 // block when the folded block ceilings cannot beat the heap. Disjunctions
@@ -46,29 +46,13 @@
 #include <vector>
 
 #include "common/status.h"
+#include "exec/operators.h"
 #include "index/stats.h"
 #include "ma/match_table.h"
 #include "mcalc/ast.h"
 #include "sa/scoring_scheme.h"
 
 namespace graft::exec {
-
-// What the pruned top-k actually did; surfaced through ExecStats and
-// EXPLAIN ANALYZE, and the quantity the pruning bench reports.
-struct PruneStats {
-  uint64_t blocks_skipped = 0;      // whole-block skips taken via ceilings
-  uint64_t blocks_decoded = 0;      // distinct posting blocks whose entries
-                                    // the operator read (the unpruned top-k
-                                    // reads EVERY block of every term list
-                                    // to build its impact streams, so this
-                                    // is the decode-work comparison)
-  uint64_t ceiling_probes = 0;      // block/term ceiling evaluations (α calls)
-  uint64_t threshold_updates = 0;   // heap-threshold (k-th score) improvements
-  uint64_t candidates_scored = 0;   // documents fully scored
-  uint64_t candidates_pruned = 0;   // driver candidates bypassed unscored
-                                    // (lower bound: skips bypass >= 1 match)
-  uint64_t heap_ops = 0;            // top-k inserts + evictions
-};
 
 class MaxScoreTopK {
  public:
@@ -103,13 +87,16 @@ class MaxScoreTopK {
   StatusOr<std::vector<ma::ScoredDoc>> TopK(const mcalc::Query& query,
                                             size_t k);
 
-  const PruneStats& stats() const { return stats_; }
+  // What the last TopK did: the rank-processing and block-max pruning
+  // counters of ExecStats (docs_pruned is a lower bound: a block skip
+  // bypasses at least one matching candidate).
+  const ExecStats& stats() const { return stats_; }
 
  private:
   index::StatsView stats_view_;
   const sa::ScoringScheme* scheme_;
   index::DocRange range_;
-  PruneStats stats_;
+  ExecStats stats_;
 };
 
 }  // namespace graft::exec

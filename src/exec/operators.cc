@@ -674,22 +674,6 @@ class ProjectOp final : public DocOperator {
     doc_ctx_.length = env_->stats.DocLength(current_doc_);
     doc_ctx_.collection_size = env_->stats.CollectionSize();
     doc_ctx_.avg_doc_length = env_->stats.AverageDocLength();
-    if (env_->stats.overrides_documents()) {
-      // A per-document overlay (tests) must see every tf lookup. Documents
-      // arrive in ascending order, so the fallback index lookups gallop
-      // from a per-column probe.
-      if (tf_probes_.size() != col_ctx_.size()) {
-        tf_probes_.assign(col_ctx_.size(), 0);
-      }
-      for (size_t i = 0; i < col_ctx_.size(); ++i) {
-        sa::ColumnContext& ctx = col_ctx_[i];
-        if (ctx.term != kInvalidTerm) {
-          ctx.tf_in_doc = env_->stats.TermFreqInDoc(ctx.term, current_doc_,
-                                                    &tf_probes_[i]);
-        }
-      }
-      return;
-    }
     // Only tf varies per document; the rest of col_ctx_ is constant.
     for (auto& [column_index, cursor] : tf_cursors_) {
       CountedSkipTo(&cursor, current_doc_, env_->counters);
@@ -705,7 +689,6 @@ class ProjectOp final : public DocOperator {
   EvalEnv* env_;
   std::vector<sa::ColumnContext> base_col_ctx_;
   std::vector<std::pair<size_t, index::CountCursor>> tf_cursors_;
-  std::vector<size_t> tf_probes_;  // per-column gallop seeds (tf overlay)
   sa::DocContext doc_ctx_;
   std::vector<sa::ColumnContext> col_ctx_;
   std::vector<sa::InternalScore> expr_scratch_;
@@ -1084,9 +1067,9 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
     case OpKind::kProject: {
       // Physical fusion: the aggregated pre-count leaf
       // π{s := α⊗(c) ⊗ c, c}(CA(k)) becomes one operator.
-      if (env->scheme != nullptr && node.children[0]->kind ==
-              OpKind::kPreCountAtom && node.items.size() == 2 &&
-          !env->stats.overrides_documents()) {
+      if (env->scheme != nullptr &&
+          node.children[0]->kind == OpKind::kPreCountAtom &&
+          node.items.size() == 2) {
         const ma::ProjectItem& scored = node.items[0];
         const ma::ProjectItem& passthrough = node.items[1];
         const ma::PlanNode& ca = *node.children[0];

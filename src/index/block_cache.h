@@ -34,11 +34,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
+#include "common/counters.h"
 #include "index/index_format.h"
 
 namespace graft::index {
@@ -142,6 +144,37 @@ class BlockCache {
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> payload_decodes_{0};
 };
+
+// Every Snapshot field, in the order SearchService renders them: the
+// "block_cache" object of /stats and the graft_block_cache_* rows of
+// /metrics.
+inline constexpr common::CounterRow<BlockCache::Snapshot>
+    kBlockCacheCounters[] = {
+        {&BlockCache::Snapshot::hits, "hits", "graft_block_cache_hits_total",
+         "Decoded-block cache lookups served from cache."},
+        {&BlockCache::Snapshot::misses, "misses",
+         "graft_block_cache_misses_total",
+         "Decoded-block cache lookups that decoded from the mapped file."},
+        {&BlockCache::Snapshot::evictions, "evictions",
+         "graft_block_cache_evictions_total",
+         "Decoded blocks evicted by LRU capacity pressure."},
+        {&BlockCache::Snapshot::inserts, "inserts",
+         "graft_block_cache_inserts_total",
+         "Decoded blocks inserted into the cache."},
+        {&BlockCache::Snapshot::payload_decodes, "payload_decodes",
+         "graft_block_cache_payload_decodes_total",
+         "Full-payload (docs+tfs+offsets) block decodes."},
+        {&BlockCache::Snapshot::bytes, "bytes", "graft_block_cache_bytes",
+         "Resident decoded bytes in the cache."},
+        {&BlockCache::Snapshot::capacity_bytes, "capacity_bytes",
+         "graft_block_cache_capacity_bytes",
+         "Configured decoded-block cache capacity."},
+        {&BlockCache::Snapshot::entries, "entries", "graft_block_cache_entries",
+         "Decoded blocks resident in the cache."},
+};
+static_assert(sizeof(BlockCache::Snapshot) ==
+                  std::size(kBlockCacheCounters) * sizeof(uint64_t),
+              "every Snapshot field needs a kBlockCacheCounters row");
 
 }  // namespace graft::index
 

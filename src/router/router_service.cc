@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/counters.h"
 #include "core/request.h"
 #include "mcalc/parser.h"
 #include "sa/scoring_scheme.h"
@@ -69,19 +70,6 @@ void AppendShardOutcomes(std::string* out,
     *out += "}";
   }
   *out += "]";
-}
-
-void AppendCounterMetric(std::string* out, std::string_view name,
-                         std::string_view help, uint64_t value) {
-  *out += "# HELP ";
-  *out += name;
-  *out += " ";
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " counter\n";
-  *out += name;
-  *out += " " + std::to_string(value) + "\n";
 }
 
 }  // namespace
@@ -346,72 +334,21 @@ Response RouterService::HandleHealthz() const {
 }
 
 Response RouterService::HandleStats() const {
-  const GatherCounters& gather = gather_->counters();
   Response response;
-  std::string body = "{\"requests_total\":";
-  body += std::to_string(stats_.requests_total.load(std::memory_order_relaxed));
-  body += ",\"connections_accepted\":";
-  body += std::to_string(
-      stats_.connections_accepted.load(std::memory_order_relaxed));
-  body += ",\"responses_ok\":";
-  body += std::to_string(stats_.responses_ok.load(std::memory_order_relaxed));
-  body += ",\"client_errors\":";
-  body += std::to_string(stats_.client_errors.load(std::memory_order_relaxed));
-  body += ",\"bad_gateway\":";
-  body += std::to_string(stats_.bad_gateway.load(std::memory_order_relaxed));
-  body += ",\"rejected_overload\":";
-  body += std::to_string(
-      stats_.rejected_overload.load(std::memory_order_relaxed));
-  body += ",\"deadline_exceeded\":";
-  body += std::to_string(
-      stats_.deadline_exceeded.load(std::memory_order_relaxed));
-  body += ",\"malformed_requests\":";
-  body += std::to_string(
-      stats_.malformed_requests.load(std::memory_order_relaxed));
-  body += ",\"partial_responses\":";
-  body += std::to_string(
-      stats_.partial_responses.load(std::memory_order_relaxed));
-  body += ",\"gathers\":{\"total\":";
-  body += std::to_string(gather.gathers_total.load(std::memory_order_relaxed));
-  body += ",\"ok\":";
-  body += std::to_string(gather.gathers_ok.load(std::memory_order_relaxed));
-  body += ",\"partial\":";
-  body +=
-      std::to_string(gather.gathers_partial.load(std::memory_order_relaxed));
-  body += ",\"failed\":";
-  body += std::to_string(gather.gathers_failed.load(std::memory_order_relaxed));
-  body += ",\"hedges_launched\":";
-  body +=
-      std::to_string(gather.hedges_launched.load(std::memory_order_relaxed));
-  body += ",\"hedges_won\":";
-  body += std::to_string(gather.hedges_won.load(std::memory_order_relaxed));
-  body += ",\"stats_refreshes\":";
-  body +=
-      std::to_string(gather.stats_refreshes.load(std::memory_order_relaxed));
-  body += ",\"gen_conflicts\":";
-  body += std::to_string(gather.gen_conflicts.load(std::memory_order_relaxed));
+  std::string body = "{";
+  common::AppendJsonCounters(&body, stats_, kRouterCounters);
+  body += ",\"gathers\":{";
+  common::AppendJsonCounters(&body, gather_->counters(), kGatherCounters);
   body += "},\"stats_epoch\":";
   body += std::to_string(gather_->stats_epoch());
   body += ",\"shards\":[";
   for (size_t i = 0; i < gather_->shard_count(); ++i) {
     const ShardClient& shard = gather_->shard(i);
-    const ShardClientCounters& counters = shard.counters();
     if (i > 0) body += ",";
     body += "{\"shard\":" + std::to_string(i);
     body += ",\"replicas\":" + std::to_string(shard.replica_count());
-    body += ",\"healthy\":" + std::to_string(shard.healthy_count());
-    body += ",\"attempts\":" +
-            std::to_string(counters.attempts.load(std::memory_order_relaxed));
-    body += ",\"failures\":" +
-            std::to_string(counters.failures.load(std::memory_order_relaxed));
-    body += ",\"retries\":" +
-            std::to_string(counters.retries.load(std::memory_order_relaxed));
-    body += ",\"ejections\":" +
-            std::to_string(counters.ejections.load(std::memory_order_relaxed));
-    body += ",\"readmissions\":" + std::to_string(counters.readmissions.load(
-                                       std::memory_order_relaxed));
-    body += ",\"probes\":" +
-            std::to_string(counters.probes.load(std::memory_order_relaxed));
+    body += ",\"healthy\":" + std::to_string(shard.healthy_count()) + ",";
+    common::AppendJsonCounters(&body, shard.counters(), kShardClientCounters);
     body += "}";
   }
   body += "],\"search_latency\":";
@@ -426,58 +363,12 @@ Response RouterService::HandleStats() const {
 }
 
 Response RouterService::HandleMetrics() const {
-  const GatherCounters& gather = gather_->counters();
   Response response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   std::string body;
-  AppendCounterMetric(&body, "graft_router_requests_total",
-                      "Requests received by the router.",
-                      stats_.requests_total.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_connections_accepted_total",
-      "TCP connections accepted by the router.",
-      stats_.connections_accepted.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_responses_ok_total",
-                      "2xx responses (including degraded partials).",
-                      stats_.responses_ok.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_client_errors_total",
-                      "4xx responses.",
-                      stats_.client_errors.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_bad_gateway_total",
-                      "502s: shard failures the policy would not degrade.",
-                      stats_.bad_gateway.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_rejected_overload_total",
-      "503s from the admission cap or shutdown.",
-      stats_.rejected_overload.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_deadline_exceeded_total", "504s.",
-      stats_.deadline_exceeded.load(std::memory_order_relaxed));
-  AppendCounterMetric(
-      &body, "graft_router_partial_responses_total",
-      "Degraded 200s: some shard did not contribute.",
-      stats_.partial_responses.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gathers_total",
-                      "Scatter-gather rounds started.",
-                      gather.gathers_total.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gathers_partial_total",
-                      "Gathers merged from a strict subset of shards.",
-                      gather.gathers_partial.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gathers_failed_total",
-                      "Gathers that returned an error to the caller.",
-                      gather.gathers_failed.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_hedges_launched_total",
-                      "Hedged second requests sent to straggler shards.",
-                      gather.hedges_launched.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_hedges_won_total",
-                      "Hedged requests that beat the primary.",
-                      gather.hedges_won.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_stats_refreshes_total",
-                      "Stats-epoch invalidations (generation moved).",
-                      gather.stats_refreshes.load(std::memory_order_relaxed));
-  AppendCounterMetric(&body, "graft_router_gen_conflicts_total",
-                      "409 Conflict replies observed from shards.",
-                      gather.gen_conflicts.load(std::memory_order_relaxed));
+  common::AppendPrometheusCounters(&body, stats_, kRouterCounters);
+  common::AppendPrometheusCounters(&body, gather_->counters(),
+                                   kGatherCounters);
 
   body += "# HELP graft_router_stats_epoch Current pinned-stats epoch.\n";
   body += "# TYPE graft_router_stats_epoch gauge\n";
@@ -485,46 +376,11 @@ Response RouterService::HandleMetrics() const {
           std::to_string(gather_->stats_epoch()) + "\n";
 
   // Per-shard wire counters + health gauges, labeled by shard index.
-  body +=
-      "# HELP graft_router_shard_attempts_total Wire attempts per shard.\n";
-  body += "# TYPE graft_router_shard_attempts_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_attempts_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().attempts.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_failures_total Failed attempts "
-          "(transport or 5xx) per shard.\n";
-  body += "# TYPE graft_router_shard_failures_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_failures_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().failures.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_ejections_total Replica ejections "
-          "per shard.\n";
-  body += "# TYPE graft_router_shard_ejections_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_ejections_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().ejections.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
-  body += "# HELP graft_router_shard_readmissions_total Probe-driven "
-          "replica readmissions per shard.\n";
-  body += "# TYPE graft_router_shard_readmissions_total counter\n";
-  for (size_t i = 0; i < gather_->shard_count(); ++i) {
-    body += "graft_router_shard_readmissions_total{shard=\"" +
-            std::to_string(i) + "\"} " +
-            std::to_string(gather_->shard(i).counters().readmissions.load(
-                std::memory_order_relaxed)) +
-            "\n";
-  }
+  common::AppendLabelledPrometheusCounters(
+      &body, kShardClientCounters, "shard", gather_->shard_count(),
+      [this](size_t i) -> const ShardClientCounters& {
+        return gather_->shard(i).counters();
+      });
   body += "# HELP graft_router_shard_healthy_replicas Non-ejected "
           "replicas per shard.\n";
   body += "# TYPE graft_router_shard_healthy_replicas gauge\n";

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "router/scatter_gather.h"
 #include "server/http.h"
@@ -84,6 +85,33 @@ struct RouterStats final : server::RequestCounters {
   server::SchemeCounters scheme_counts;
 
   void RecordResponseCode(int status_code) override;
+};
+
+// Every RouterStats counter, in /stats and /metrics order.
+inline constexpr common::CounterRow<RouterStats, std::atomic<uint64_t>>
+    kRouterCounters[] = {
+        {&RouterStats::requests_total, "requests_total",
+         "graft_router_requests_total", "Requests received by the router."},
+        {&RouterStats::connections_accepted, "connections_accepted",
+         "graft_router_connections_accepted_total",
+         "TCP connections accepted by the router."},
+        {&RouterStats::responses_ok, "responses_ok",
+         "graft_router_responses_ok_total",
+         "2xx responses (including degraded partials)."},
+        {&RouterStats::client_errors, "client_errors",
+         "graft_router_client_errors_total", "4xx responses."},
+        {&RouterStats::bad_gateway, "bad_gateway",
+         "graft_router_bad_gateway_total",
+         "502s: shard failures the policy would not degrade."},
+        {&RouterStats::rejected_overload, "rejected_overload",
+         "graft_router_rejected_overload_total",
+         "503s from the admission cap or shutdown."},
+        {&RouterStats::deadline_exceeded, "deadline_exceeded",
+         "graft_router_deadline_exceeded_total", "504s."},
+        {&RouterStats::malformed_requests, "malformed_requests"},
+        {&RouterStats::partial_responses, "partial_responses",
+         "graft_router_partial_responses_total",
+         "Degraded 200s: some shard did not contribute."},
 };
 
 class RouterService {

@@ -50,6 +50,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "ma/match_table.h"
@@ -120,6 +122,36 @@ struct GatherCounters {
   std::atomic<uint64_t> stats_refreshes{0};   // epoch invalidations
   std::atomic<uint64_t> gen_conflicts{0};     // 409s observed from shards
 };
+
+// Every GatherCounters counter: the router's /stats "gathers" object and
+// its graft_router_* /metrics rows, in order.
+inline constexpr common::CounterRow<GatherCounters, std::atomic<uint64_t>>
+    kGatherCounters[] = {
+        {&GatherCounters::gathers_total, "total", "graft_router_gathers_total",
+         "Scatter-gather rounds started."},
+        {&GatherCounters::gathers_ok, "ok"},
+        {&GatherCounters::gathers_partial, "partial",
+         "graft_router_gathers_partial_total",
+         "Gathers merged from a strict subset of shards."},
+        {&GatherCounters::gathers_failed, "failed",
+         "graft_router_gathers_failed_total",
+         "Gathers that returned an error to the caller."},
+        {&GatherCounters::hedges_launched, "hedges_launched",
+         "graft_router_hedges_launched_total",
+         "Hedged second requests sent to straggler shards."},
+        {&GatherCounters::hedges_won, "hedges_won",
+         "graft_router_hedges_won_total",
+         "Hedged requests that beat the primary."},
+        {&GatherCounters::stats_refreshes, "stats_refreshes",
+         "graft_router_stats_refreshes_total",
+         "Stats-epoch invalidations (generation moved)."},
+        {&GatherCounters::gen_conflicts, "gen_conflicts",
+         "graft_router_gen_conflicts_total",
+         "409 Conflict replies observed from shards."},
+};
+static_assert(sizeof(GatherCounters) ==
+                  std::size(kGatherCounters) * sizeof(std::atomic<uint64_t>),
+              "every GatherCounters field needs a kGatherCounters row");
 
 class ScatterGather {
  public:

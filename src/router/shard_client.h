@@ -52,12 +52,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "server/http.h"
 
@@ -87,6 +89,30 @@ struct ShardClientCounters {
   std::atomic<uint64_t> readmissions{0};
   std::atomic<uint64_t> probes{0};        // health probes sent
 };
+
+// Every ShardClientCounters counter: one object per shard in the router's
+// /stats "shards" array, one {shard="i"}-labelled series per exported row
+// in its /metrics.
+inline constexpr common::CounterRow<ShardClientCounters, std::atomic<uint64_t>>
+    kShardClientCounters[] = {
+        {&ShardClientCounters::attempts, "attempts",
+         "graft_router_shard_attempts_total", "Wire attempts per shard."},
+        {&ShardClientCounters::failures, "failures",
+         "graft_router_shard_failures_total",
+         "Failed attempts (transport or 5xx) per shard."},
+        {&ShardClientCounters::retries, "retries"},
+        {&ShardClientCounters::ejections, "ejections",
+         "graft_router_shard_ejections_total",
+         "Replica ejections per shard."},
+        {&ShardClientCounters::readmissions, "readmissions",
+         "graft_router_shard_readmissions_total",
+         "Probe-driven replica readmissions per shard."},
+        {&ShardClientCounters::probes, "probes"},
+};
+static_assert(sizeof(ShardClientCounters) ==
+                  std::size(kShardClientCounters) *
+                      sizeof(std::atomic<uint64_t>),
+              "every ShardClientCounters field needs a row");
 
 class ShardClient {
  public:

@@ -163,36 +163,8 @@ void ServerStats::RecordResponseCode(int status_code) {
 }
 
 std::string ServerStats::ToJson() const {
-  std::string out = "{\"requests_total\":";
-  out += std::to_string(requests_total.load(std::memory_order_relaxed));
-  out += ",\"connections_accepted\":";
-  out += std::to_string(connections_accepted.load(std::memory_order_relaxed));
-  out += ",\"responses_ok\":";
-  out += std::to_string(responses_ok.load(std::memory_order_relaxed));
-  out += ",\"client_errors\":";
-  out += std::to_string(client_errors.load(std::memory_order_relaxed));
-  out += ",\"server_errors\":";
-  out += std::to_string(server_errors.load(std::memory_order_relaxed));
-  out += ",\"rejected_overload\":";
-  out += std::to_string(rejected_overload.load(std::memory_order_relaxed));
-  out += ",\"deadline_exceeded\":";
-  out += std::to_string(deadline_exceeded.load(std::memory_order_relaxed));
-  out += ",\"malformed_requests\":";
-  out += std::to_string(malformed_requests.load(std::memory_order_relaxed));
-  out += ",\"reloads_ok\":";
-  out += std::to_string(reloads_ok.load(std::memory_order_relaxed));
-  out += ",\"reloads_failed\":";
-  out += std::to_string(reloads_failed.load(std::memory_order_relaxed));
-  out += ",\"slow_queries\":";
-  out += std::to_string(slow_queries.load(std::memory_order_relaxed));
-  out += ",\"generation_conflicts\":";
-  out += std::to_string(generation_conflicts.load(std::memory_order_relaxed));
-  out += ",\"shard_stats_requests\":";
-  out += std::to_string(shard_stats_requests.load(std::memory_order_relaxed));
-  out += ",\"pruned_searches\":";
-  out += std::to_string(pruned_searches.load(std::memory_order_relaxed));
-  out += ",\"topk_blocks_skipped\":";
-  out += std::to_string(topk_blocks_skipped.load(std::memory_order_relaxed));
+  std::string out = "{";
+  common::AppendJsonCounters(&out, *this, kServerCounters);
   out += ",\"rule_fired\":{";
   {
     const auto& rules = core::RewriteRuleRegistry::Global().All();
@@ -216,23 +188,6 @@ std::string ServerStats::ToJson() const {
 
 namespace {
 
-void AppendMetric(std::string* out, const char* name, const char* help,
-                  const char* type, uint64_t value) {
-  *out += "# HELP ";
-  *out += name;
-  *out += " ";
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " ";
-  *out += type;
-  *out += "\n";
-  *out += name;
-  *out += " ";
-  *out += std::to_string(value);
-  *out += "\n";
-}
-
 void AppendDouble(std::string* out, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
@@ -243,48 +198,7 @@ void AppendDouble(std::string* out, double value) {
 
 std::string ServerStats::ToPrometheus() const {
   std::string out;
-  AppendMetric(&out, "graft_requests_total", "HTTP requests received.",
-               "counter", requests_total.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_connections_accepted_total",
-               "TCP connections accepted (requests_total over this is the "
-               "keep-alive reuse).",
-               "counter", connections_accepted.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_responses_ok_total", "2xx responses.", "counter",
-               responses_ok.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_client_errors_total", "4xx responses.", "counter",
-               client_errors.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_server_errors_total",
-               "5xx responses other than 503/504.", "counter",
-               server_errors.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_rejected_overload_total",
-               "503 admission rejections.", "counter",
-               rejected_overload.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_deadline_exceeded_total", "504 responses.",
-               "counter",
-               deadline_exceeded.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_malformed_requests_total",
-               "Unparsable HTTP requests.", "counter",
-               malformed_requests.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_reloads_ok_total", "Successful hot reloads.",
-               "counter", reloads_ok.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_reloads_failed_total", "Failed hot reloads.",
-               "counter", reloads_failed.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_slow_queries_total",
-               "Searches over the slow-query threshold.", "counter",
-               slow_queries.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_generation_conflicts_total",
-               "409s: router expect_gen stale after a reload.", "counter",
-               generation_conflicts.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_shard_stats_requests_total",
-               "/shard/stats requests (router stats exchange phase 1).",
-               "counter",
-               shard_stats_requests.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_pruned_searches_total",
-               "Searches served by the block-max pruned top-k operator.",
-               "counter", pruned_searches.load(std::memory_order_relaxed));
-  AppendMetric(&out, "graft_topk_blocks_skipped_total",
-               "Posting blocks skipped via block-max ceilings.", "counter",
-               topk_blocks_skipped.load(std::memory_order_relaxed));
+  common::AppendPrometheusCounters(&out, *this, kServerCounters);
 
   {
     const auto& rules = core::RewriteRuleRegistry::Global().All();

@@ -22,6 +22,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/counters.h"
+
 namespace graft::server {
 
 // Log-bucketed latency histogram over microseconds. Thread-safe.
@@ -142,6 +144,49 @@ struct ServerStats final : RequestCounters {
   // per scheme label. The /metrics handler appends its own gauges
   // (in-flight, generation, uptime) after this.
   std::string ToPrometheus() const;
+};
+
+// Every ServerStats counter, in the order ToJson and ToPrometheus render
+// them (both loop over this table).
+inline constexpr common::CounterRow<ServerStats, std::atomic<uint64_t>>
+    kServerCounters[] = {
+        {&ServerStats::requests_total, "requests_total",
+         "graft_requests_total", "HTTP requests received."},
+        {&ServerStats::connections_accepted, "connections_accepted",
+         "graft_connections_accepted_total",
+         "TCP connections accepted (requests_total over this is the "
+         "keep-alive reuse)."},
+        {&ServerStats::responses_ok, "responses_ok",
+         "graft_responses_ok_total", "2xx responses."},
+        {&ServerStats::client_errors, "client_errors",
+         "graft_client_errors_total", "4xx responses."},
+        {&ServerStats::server_errors, "server_errors",
+         "graft_server_errors_total", "5xx responses other than 503/504."},
+        {&ServerStats::rejected_overload, "rejected_overload",
+         "graft_rejected_overload_total", "503 admission rejections."},
+        {&ServerStats::deadline_exceeded, "deadline_exceeded",
+         "graft_deadline_exceeded_total", "504 responses."},
+        {&ServerStats::malformed_requests, "malformed_requests",
+         "graft_malformed_requests_total", "Unparsable HTTP requests."},
+        {&ServerStats::reloads_ok, "reloads_ok", "graft_reloads_ok_total",
+         "Successful hot reloads."},
+        {&ServerStats::reloads_failed, "reloads_failed",
+         "graft_reloads_failed_total", "Failed hot reloads."},
+        {&ServerStats::slow_queries, "slow_queries",
+         "graft_slow_queries_total",
+         "Searches over the slow-query threshold."},
+        {&ServerStats::generation_conflicts, "generation_conflicts",
+         "graft_generation_conflicts_total",
+         "409s: router expect_gen stale after a reload."},
+        {&ServerStats::shard_stats_requests, "shard_stats_requests",
+         "graft_shard_stats_requests_total",
+         "/shard/stats requests (router stats exchange phase 1)."},
+        {&ServerStats::pruned_searches, "pruned_searches",
+         "graft_pruned_searches_total",
+         "Searches served by the block-max pruned top-k operator."},
+        {&ServerStats::topk_blocks_skipped, "topk_blocks_skipped",
+         "graft_topk_blocks_skipped_total",
+         "Posting blocks skipped via block-max ceilings."},
 };
 
 }  // namespace graft::server

@@ -266,11 +266,6 @@ TEST(MaxScoreGateTest, FollowsTheRankGatePlusIdempotence) {
   EXPECT_EQ(
       MaxScoreTopK::GateVerdict(*conjunctive, anysum, index, &doc_lengths),
       "blocked: stats overlay overrides per-document statistics");
-  index::StatsOverlay term_freqs;
-  term_freqs.SetTermFreqInDoc("free", 0, 9);
-  EXPECT_EQ(
-      MaxScoreTopK::GateVerdict(*disjunctive, anysum, index, &term_freqs),
-      "blocked: stats overlay overrides per-document statistics");
 }
 
 TEST(MaxScoreGateTest, BlockedRunReturnsFailedPrecondition) {

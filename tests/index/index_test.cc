@@ -100,7 +100,6 @@ TEST(StatsViewTest, OverlayWins) {
   StatsOverlay overlay;
   overlay.SetCollectionSize(4638535);
   overlay.SetDocFreq("free", 332335);
-  overlay.SetTermFreqInDoc("free", 0, 17);
   overlay.SetDocLength(0, 207);
 
   StatsView plain(&index);
@@ -111,8 +110,6 @@ TEST(StatsViewTest, OverlayWins) {
   EXPECT_EQ(overlaid.CollectionSize(), 4638535u);
   EXPECT_EQ(plain.DocFreq(term), 2u);
   EXPECT_EQ(overlaid.DocFreq(term), 332335u);
-  EXPECT_EQ(plain.TermFreqInDoc(term, 0), 1u);
-  EXPECT_EQ(overlaid.TermFreqInDoc(term, 0), 17u);
   EXPECT_EQ(plain.DocLength(0), 4u);
   EXPECT_EQ(overlaid.DocLength(0), 207u);
   // Unoverlaid doc falls through.

@@ -7,7 +7,7 @@
 //   * /metrics counters agree with the traffic the test actually sent;
 //   * ?explain=1 appends the explain block — pinned generation, the FULL
 //     rewrite-attempt table (one entry per catalog optimization, each with
-//     a gate verdict), all twelve operator counters, and a span trace with
+//     a gate verdict), every ExecStats counter, and a span trace with
 //     parse → optimize → execute spans — and plain requests omit it;
 //   * an explain that overlaps a hot reload reports the generation it
 //     actually executed on (the pinned snapshot), not the post-reload one;
@@ -21,6 +21,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,6 +30,7 @@
 
 #include "core/optimization_gate.h"
 #include "core/request.h"
+#include "exec/operators.h"
 #include "index/index_io.h"
 #include "index/inverted_index.h"
 #include "server/http.h"
@@ -256,18 +258,24 @@ TEST(ExplainEndpointTest, ExplainBlockCarriesRewritesCountersAndTrace) {
   EXPECT_NE(body.find("\"fired\":true"), std::string::npos)
       << "at least one rewrite must fire for a conjunction under MeanSum";
 
-  // All sixteen operator counters.
-  for (const char* counter :
-       {"docs_visited", "rows_built", "positions_scanned",
-        "count_entries_scanned", "blocks_decoded", "gallop_probes",
-        "skip_calls", "skip_hits", "rank_heap_ops", "docs_scored",
-        "docs_pruned", "topk_blocks_skipped", "topk_blocks_decoded",
-        "topk_ceiling_probes", "topk_threshold_updates",
-        "topk_sorted_accesses"}) {
-    EXPECT_NE(body.find("\"" + std::string(counter) + "\":"),
-              std::string::npos)
-        << "missing counter " << counter;
+  // The explain "exec" object carries exactly the ExecStats table's keys,
+  // in table order.
+  const size_t exec_begin = body.find("],\"exec\":{");
+  ASSERT_NE(exec_begin, std::string::npos) << body;
+  const std::string exec_object =
+      body.substr(exec_begin, body.find('}', exec_begin) - exec_begin);
+  std::vector<std::string> keys;
+  const std::regex key("\"([a-z_]+)\":[0-9]+");
+  for (auto it = std::sregex_iterator(exec_object.begin(), exec_object.end(),
+                                      key);
+       it != std::sregex_iterator(); ++it) {
+    keys.push_back((*it)[1]);
   }
+  std::vector<std::string> expected;
+  for (const exec::ExecCounter& counter : exec::kExecCounters) {
+    expected.emplace_back(counter.name);
+  }
+  EXPECT_EQ(keys, expected);
 
   // The span trace shows the pipeline stages. (No parse span here: the
   // server hands the engine a pre-parsed query via ResolveRequest.)

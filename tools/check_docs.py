@@ -5,14 +5,18 @@ Fails (exit 1) when the reference pages under docs/ fall behind the code:
 
   * every top-level subdirectory of src/ must be mentioned (as "src/<name>")
     in docs/architecture.md;
-  * every Prometheus metric name exported by src/server/server_stats.cc and
-    src/server/search_service.cc (any "graft_..." name inside a string
-    literal) must appear in docs/operations.md;
+  * every Prometheus metric name the server exports (any "graft_..." name
+    inside a string literal of METRIC_SOURCES: the declared counter tables
+    of ServerStats and BlockCache::Snapshot, and the files that render the
+    remaining gauges and summaries) must appear in docs/operations.md;
   * every command-line flag graft_server parses (arg == "--flag" in
     tools/graft_server.cc) must appear in docs/operations.md;
   * likewise for the router: every "graft_..." metric name in
-    src/router/router_service.cc and every flag graft_router parses must
-    appear in docs/distributed.md;
+    ROUTER_METRIC_SOURCES (its counter tables and router_service.cc) and
+    every flag graft_router parses must appear in docs/distributed.md;
+  * every counter name of the exec::ExecStats table (kExecCounters in
+    src/exec/operators.h) must have a row ("| `name` |") in
+    docs/operators.md;
   * docs/index-format.md (the normative on-disk spec) must agree with
     src/index/index_format.h: every kFmt* constant's value, every
     FmtV5Section enum entry at its index, both struct sizes asserted by
@@ -32,9 +36,21 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-METRIC_SOURCES = ("src/server/server_stats.cc", "src/server/search_service.cc")
+METRIC_SOURCES = (
+    "src/server/server_stats.h",
+    "src/server/server_stats.cc",
+    "src/server/search_service.cc",
+    "src/index/block_cache.h",
+)
 FLAG_SOURCE = "tools/graft_server.cc"
-ROUTER_METRIC_SOURCES = ("src/router/router_service.cc",)
+ROUTER_METRIC_SOURCES = (
+    "src/router/router_service.h",
+    "src/router/router_service.cc",
+    "src/router/scatter_gather.h",
+    "src/router/shard_client.h",
+)
+EXEC_COUNTER_SOURCE = "src/exec/operators.h"
+OPERATORS_DOC = "docs/operators.md"
 ROUTER_FLAG_SOURCE = "tools/graft_router.cc"
 LINKED_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
@@ -105,6 +121,22 @@ def check_flags(ops_text, flags, page="docs/operations.md", binary="graft_server
         for flag in flags
         if f"`{flag}" not in ops_text and f"| {flag}" not in ops_text
         and flag not in ops_text
+    ]
+
+
+# ---- check 3b: operators page has a row per ExecStats counter ------------
+
+
+def exec_counters(source_text):
+    # Rows of kExecCounters: {&ExecStats::member, "name", ...}.
+    return re.findall(r'\{&ExecStats::\w+,\s*"(\w+)"', source_text)
+
+
+def check_exec_counters(doc_text, names):
+    return [
+        f"{OPERATORS_DOC} has no counter row for ExecStats counter {name}"
+        for name in names
+        if not re.search(rf"^\| `{name}` \|", doc_text, re.MULTILINE)
     ]
 
 
@@ -225,6 +257,9 @@ def run_checks():
         page="docs/distributed.md",
         binary="graft_router",
     )
+    errors += check_exec_counters(
+        read(OPERATORS_DOC), exec_counters(read(EXEC_COUNTER_SOURCE))
+    )
     errors += check_format_spec(read(FORMAT_DOC), format_facts(read(FORMAT_HEADER)))
     for doc in docs_to_link_check():
         errors += check_links(doc, read(doc))
@@ -285,6 +320,20 @@ def self_test():
         dist, router_flags, page="docs/distributed.md", binary="graft_router"
     ):
         failures.append("router flags check fails on the real docs")
+
+    operators = read(OPERATORS_DOC)
+    counters = exec_counters(read(EXEC_COUNTER_SOURCE))
+    if "topk_ceiling_probes" not in counters:
+        failures.append("counter extraction lost topk_ceiling_probes")
+    mutated = "\n".join(
+        line
+        for line in operators.splitlines()
+        if not line.startswith("| `topk_ceiling_probes` |")
+    )
+    if not check_exec_counters(mutated, counters):
+        failures.append("exec counter check missed a removed counter row")
+    if check_exec_counters(operators, counters):
+        failures.append("exec counter check fails on the real docs")
 
     spec = read(FORMAT_DOC)
     facts = format_facts(read(FORMAT_HEADER))
