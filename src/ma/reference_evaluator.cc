@@ -49,8 +49,8 @@ std::vector<sa::ColumnContext> ReferenceEvaluator::MakeColumnContexts(
     }
     contexts[i].term = column.term;
     contexts[i].doc_freq = stats_.DocFreq(column.term);
-    contexts[i].tf_in_doc =
-        stats_.TermFreqInDoc(column.term, doc, &tf_probes_[column.term]);
+    contexts[i].tf_in_doc = stats_.index().TermFreqInDoc(
+        column.term, doc, &tf_probes_[column.term]);
   }
   return contexts;
 }
