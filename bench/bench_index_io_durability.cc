@@ -1,4 +1,4 @@
-// Durability-tax microbenchmark for the v3 index persistence path.
+// Durability-tax microbenchmark for the index persistence path (v5).
 //
 // Quantifies what crash safety costs on this machine:
 //   * CRC32C throughput (the per-byte checksum tax on save AND load);

@@ -3,8 +3,7 @@
 // Over a Wikipedia-like corpus (default 1,000,000 documents; override
 // with GRAFT_BENCH_DOCS):
 //
-//   * compression ratio — v5 (delta + bit-packed blocks) file size vs the
-//     v4 materialized-array format for the same logical index;
+//   * v5 file size (delta + bit-packed blocks) and save time;
 //   * cold QPS — a query sweep on a freshly mapped index whose block
 //     cache starts empty, so every touched block pays mmap page-in plus
 //     bit-unpack;
@@ -12,7 +11,8 @@
 //     resident; the gap is the decode + fault tax the cache amortizes;
 //   * cache hit rate over the whole run (snapshot of the metered cache);
 //   * SCORE SELF-CHECK — every query × scheme is executed on both the
-//     materialized index and the mapped v5 index and compared for
+//     materialized index (an eager LoadIndex of the same v5 file) and the
+//     mapped v5 index and compared for
 //     bit-identical (doc, score) results. Any mismatch prints the
 //     divergence and EXITS NON-ZERO: a wrong decode must fail the bench
 //     job, not ship a pretty number.
@@ -132,26 +132,14 @@ int main() {
   const graft::index::InvertedIndex& index = graft::bench::SharedBenchIndex();
   const uint64_t docs = index.doc_count();
 
-  const std::string v4_path = "graft_bench_postings_v4_scratch.idx";
   const std::string v5_path = "graft_bench_postings_v5_scratch.idx";
 
-  // --- compression: same logical index, both formats ---
-  double save_v4_s = 0.0;
-  double save_v5_s = 0.0;
-  {
-    save_v4_s = MeasureSeconds([&] {
-      if (!graft::index::SaveIndex(index, v4_path).ok()) std::exit(1);
-    });
-    save_v5_s = MeasureSeconds([&] {
-      if (!graft::index::SaveIndexV5(index, v5_path).ok()) std::exit(1);
-    });
-  }
-  const double v4_bytes = FileSizeBytes(v4_path);
+  // --- file size ---
+  const double save_v5_s = MeasureSeconds([&] {
+    if (!graft::index::SaveIndex(index, v5_path).ok()) std::exit(1);
+  });
   const double v5_bytes = FileSizeBytes(v5_path);
-  const double ratio = v5_bytes > 0 ? v4_bytes / v5_bytes : 0.0;
-  std::printf("format_size_v4               %8.1f MB\n", v4_bytes / 1048576);
   std::printf("format_size_v5               %8.1f MB\n", v5_bytes / 1048576);
-  std::printf("compression_ratio            %8.2fx\n", ratio);
 
   // --- mapped load + cold sweep (empty cache) ---
   auto cache =
@@ -187,7 +175,13 @@ int main() {
   }
 
   // --- reference: the same sweep on the materialized index ---
-  graft::core::Engine eager_engine(&index);
+  auto eager = graft::index::LoadIndex(v5_path);
+  if (!eager.ok()) {
+    std::fprintf(stderr, "eager load failed: %s\n",
+                 eager.status().ToString().c_str());
+    return 1;
+  }
+  graft::core::Engine eager_engine(&*eager);
   double eager_qps = 0.0;
   {
     const double seconds = MeasureSeconds([&] { RunSweep(eager_engine); });
@@ -216,10 +210,7 @@ int main() {
     std::fprintf(out, "  \"doc_count\": %llu,\n",
                  static_cast<unsigned long long>(docs));
     graft::bench::WriteHostParallelismFields(out, 1);
-    std::fprintf(out, "  \"v4_bytes\": %.0f,\n", v4_bytes);
     std::fprintf(out, "  \"v5_bytes\": %.0f,\n", v5_bytes);
-    std::fprintf(out, "  \"compression_ratio\": %.4f,\n", ratio);
-    std::fprintf(out, "  \"save_v4_s\": %.4f,\n", save_v4_s);
     std::fprintf(out, "  \"save_v5_s\": %.4f,\n", save_v5_s);
     std::fprintf(out, "  \"queries\": %zu,\n", std::size(kQueries));
     std::fprintf(out, "  \"cold_qps\": %.2f,\n", cold_qps);
@@ -238,7 +229,6 @@ int main() {
     std::fclose(out);
   }
 
-  std::remove(v4_path.c_str());
   // v5 scratch stays mapped until `mapped` dies; remove after use is safe
   // on POSIX (the mapping pins the inode), but exit is cleaner.
   std::remove(v5_path.c_str());

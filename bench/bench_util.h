@@ -39,12 +39,11 @@ inline uint64_t BenchDocCount() {
 inline const index::InvertedIndex& SharedBenchIndex() {
   static const index::InvertedIndex& index = *[] {
     const uint64_t docs = BenchDocCount();
-    // Bump the version whenever WikipediaLikeConfig OR the index file
-    // format changes (v4 = block-max metadata; an older cache would load
-    // fine but without block-max arrays, silently disabling the pruning
-    // benchmarks — so the name forces a rebuild).
+    // Bump the name whenever WikipediaLikeConfig changes, so a stale
+    // corpus is rebuilt rather than loaded. The number is the format
+    // SaveIndex writes; every readable format loads with block-max data.
     const std::string cache_path =
-        "graft_bench_v4_" + std::to_string(docs) + ".idx";
+        "graft_bench_v5_" + std::to_string(docs) + ".idx";
     auto loaded = index::LoadIndex(cache_path);
     if (loaded.ok()) {
       std::fprintf(stderr, "[bench] loaded cached index %s\n",

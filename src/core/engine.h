@@ -67,11 +67,11 @@ struct SearchOptions {
 
   // Score-safe dynamic pruning (block-max top-k). On top-k queries where
   // the extended gate licenses it (α bounded, ⊕ idempotent, ⊘/⊚ monotonic,
-  // diagonal scheme, pure keyword query, index with block-max metadata,
-  // no overlay), posting blocks whose score ceiling cannot reach the k-th
-  // best result are skipped entirely. Results are bit-identical to the
-  // unpruned top-k. Subordinate to allow_rank_processing: disabling rank
-  // processing disables pruning too.
+  // diagonal scheme, pure keyword query, no overlay that overrides
+  // per-document statistics), posting blocks whose score ceiling cannot
+  // reach the k-th best result are skipped entirely. Results are
+  // bit-identical to the unpruned top-k. Subordinate to
+  // allow_rank_processing: disabling rank processing disables pruning too.
   bool allow_block_max_pruning = true;
 
   // Max workers for parallel segmented execution (engines constructed

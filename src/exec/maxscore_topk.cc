@@ -15,7 +15,7 @@ using topk::Shape;
 
 std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
                                       const sa::ScoringScheme& scheme,
-                                      const index::InvertedIndex& index,
+                                      const index::InvertedIndex&,
                                       const index::StatsOverlay* overlay) {
   std::vector<const mcalc::Node*> keywords;
   const Shape shape = topk::QueryShape(query, &keywords);
@@ -26,9 +26,6 @@ std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
       core::Optimization::kBlockMaxPruning, scheme.properties());
   if (!gate.valid) {
     return "blocked by gate: " + gate.reason;
-  }
-  if (!index.has_block_max()) {
-    return "blocked: no block-max metadata";
   }
   if (overlay != nullptr && overlay->overrides_documents()) {
     return "blocked: stats overlay overrides per-document statistics";

@@ -70,8 +70,10 @@ class MaxScoreTopK {
       : stats_view_(index, overlay), scheme_(scheme), range_(range) {}
 
   // Empty string when block-max pruning is licensed for this query +
-  // scheme + index + overlay; otherwise the human-readable EXPLAIN verdict
-  // ("blocked: no block-max metadata", "blocked by gate: ...").
+  // scheme + overlay; otherwise the human-readable EXPLAIN verdict
+  // ("blocked by gate: ...", "blocked: stats overlay overrides ...").
+  // Every loaded or built index carries block-max metadata, so the index
+  // itself never blocks.
   static std::string GateVerdict(const mcalc::Query& query,
                                  const sa::ScoringScheme& scheme,
                                  const index::InvertedIndex& index,

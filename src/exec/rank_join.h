@@ -12,10 +12,10 @@
 // exactly — they come from the ColumnScorer MaxScoreTopK also uses
 // (exec/topk_common.h) — and only the set of documents *examined* shrinks.
 // This is the operator the engine runs when the rank gate licenses the
-// query but block-max pruning stands down (an index without block-max
-// metadata, pruning disabled by request options, or a stats overlay that
-// overrides per-document statistics). The router's collection-level
-// pinned statistics do not stand pruning down.
+// query but block-max pruning stands down (pruning disabled by request
+// options, or a stats overlay that overrides per-document statistics).
+// The router's collection-level pinned statistics do not stand pruning
+// down.
 // The gate conditions are those of Table 1: ⊘ (⊚) monotonic increasing and
 // a diagonal scheme; additionally the query must be a pure keyword
 // conjunction (disjunction) — positional predicates would require

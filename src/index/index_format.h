@@ -22,8 +22,7 @@
 namespace graft::index {
 
 // 7-byte magic + 1 format-version byte. LoadIndex reads '3', '4' and '5';
-// SaveIndex writes kFmtVersionV4 (the in-heap default), SaveIndexV5 the
-// sectioned layout below.
+// SaveIndex writes only kFmtVersionV5, the sectioned layout below.
 inline constexpr char kFmtMagic[7] = {'G', 'R', 'F', 'T', 'I', 'D', 'X'};
 inline constexpr char kFmtVersionV3 = '3';
 inline constexpr char kFmtVersionV4 = '4';

@@ -1,33 +1,13 @@
 // Binary persistence for the inverted index — crash-safe and
 // integrity-checked.
 //
-// Format (little-endian; magic "GRFTIDX" + one version byte, currently
-// '4'; arrays are u64 length-prefixed; every section is followed by a u32
-// CRC32C of the section's bytes):
-//   "GRFTIDX" '4'
-//   | u64 doc_count | u64 total_words | u32[] doc_lengths | u32 crc
-//   | u64 term_count | u32 crc
-//   then per term (one checksummed section each):
-//       u32 text_len | bytes text
-//       u32[] docs | u32[] tfs | u64[] offset_starts
-//       | u8[] delta-encoded offsets
-//       | u32[] frontier_start | u32[] frontier_tf
-//       | u32[] frontier_doc_length
-//       | u64 collection_frequency | u32 crc
-//
-// v4 adds the three block-max frontier arrays: per PostingList::kBlockSize
-// posting block, the Pareto frontier of the block's (tf, document length)
-// pairs — the inputs a bounded scheme needs to compute an exact block
-// score ceiling for dynamic pruning. frontier_start holds block_count+1
-// delimiters into the two flattened point arrays. The arrays live INSIDE
-// the per-term checksummed record, so the header layout is byte-identical
-// to v3 and the existing bit-flip corruption fuzz covers them for free.
-//
-// LoadIndex also accepts version '3' (the previous format, no block-max
-// arrays): the index loads normally with has_block_max() == false and
-// block-max pruning gates itself off ("blocked: no block-max metadata").
-// SaveIndexV3 writes the legacy layout for downgrade tooling and the
-// compatibility tests.
+// SaveIndex writes format v5, the only format this build writes: a
+// sectioned, mmap-able layout with delta + fixed-width bit-packed posting
+// blocks and the block-max Pareto frontiers (normative spec:
+// docs/index-format.md; constants: index/index_format.h). Every byte of
+// the file is accounted for — prologue by direct comparison, section table
+// and each section by CRC32C, inter-section padding validated zero — so
+// the exhaustive bit-flip fuzz holds for it. SaveIndexV5 is a synonym.
 //
 // SaveIndex is atomic with respect to crashes: it writes to `path + ".tmp"`,
 // fsyncs the data, renames over `path`, and fsyncs the parent directory.
@@ -37,28 +17,28 @@
 // index_io.save.{open_tmp,header,term,before_sync,before_rename,
 // before_dirsync} and index_io.load.{open,verify}.
 //
-// v5 (SaveIndexV5) is a different shape entirely — a sectioned, mmap-able
-// layout with delta + fixed-width bit-packed posting blocks (normative
-// spec: docs/index-format.md; constants: index/index_format.h). It keeps
-// BOTH invariants of the older formats: the same tmp+fsync+rename
-// crash-safe protocol, and CRC32C coverage of every byte (prologue by
-// direct comparison, section table and each section by checksum, inter-
-// section padding validated zero), so the exhaustive bit-flip fuzz holds
-// for it too. LoadIndex reads v5 eagerly (materializing the arrays);
-// LoadIndexMapped keeps the file mapped and serves postings zero-copy
-// through a decoded-block cache.
+// The loaders also read the two earlier layouts, as inputs only: v3
+// (per-term u64 length-prefixed arrays, one CRC32C per section) and v4
+// (v3 plus the frontier arrays inside each checksummed term record). A v4
+// file's frontiers are restored as stored; a v3 file's are computed at
+// load. Every index, built or loaded from any version, therefore carries
+// block-max metadata. LoadIndex materializes the arrays; LoadIndexMapped
+// keeps a v5 file mapped and serves postings zero-copy through a
+// decoded-block cache.
 //
-// LoadIndex is hardened against corrupt or truncated input and reports a
+// Loading is hardened against corrupt or truncated input and reports a
 // distinct failure class per Status code:
 //   * kVersionMismatch — magic matches but the version byte is not '3',
 //     '4' or '5' (e.g. an index written by a different build);
 //   * kDataLoss       — the file ends early (short read, or a declared
-//     array length exceeding the bytes remaining): a torn/truncated file;
-//   * kCorruption     — the bytes are all there but wrong: a section CRC
-//     mismatch or an impossible structural invariant (bit rot, bad media).
+//     length exceeding the bytes remaining): a torn/truncated file;
+//   * kCorruption     — the bytes are all there but wrong: a checksum
+//     mismatch or an impossible structural invariant (out-of-range or
+//     non-increasing doc ids, a zero tf, decreasing offsets).
 // Every declared length is validated against the bytes remaining BEFORE
-// allocation, and section CRCs are verified before their content is used,
-// so corrupt input can never cause UB or a giant allocation.
+// allocation, and checksums and posting invariants are verified before
+// content is used, so corrupt input can never cause UB or a giant
+// allocation.
 
 #ifndef GRAFT_INDEX_INDEX_IO_H_
 #define GRAFT_INDEX_INDEX_IO_H_
@@ -73,13 +53,10 @@
 
 namespace graft::index {
 
+// Writes format v5. Requires a materialized index; re-saving a mapped
+// index means eager-loading it first (FailedPrecondition otherwise).
 Status SaveIndex(const InvertedIndex& index, const std::string& path);
-// Legacy writer: emits the v3 layout (no block-max sections). An index
-// round-tripped through this loads with has_block_max() == false.
-Status SaveIndexV3(const InvertedIndex& index, const std::string& path);
-// Compressed sectioned writer (format version '5'). Requires a
-// materialized index; re-saving a mapped index means eager-loading it
-// first (FailedPrecondition otherwise).
+// Same as SaveIndex; kept for callers that name the format.
 Status SaveIndexV5(const InvertedIndex& index, const std::string& path);
 StatusOr<InvertedIndex> LoadIndex(const std::string& path);
 
@@ -93,9 +70,9 @@ struct MappedLoadOptions {
 
 // Zero-copy load: validates every section checksum up front, then keeps
 // the file mapped and serves postings through the block cache on demand.
-// v3/v4 files (which have no packed sections) fall back to the eager
-// LoadIndex path transparently — callers can always opt in to mapped
-// loading regardless of on-disk version.
+// v3/v4 files (which have no packed sections) load materialized, exactly
+// as LoadIndex loads them — callers can always opt in to mapped loading
+// regardless of on-disk version.
 StatusOr<InvertedIndex> LoadIndexMapped(const std::string& path,
                                         MappedLoadOptions options = {});
 

@@ -106,7 +106,6 @@ InvertedIndex IndexBuilder::Build() {
   for (TermId t = 0; t < index_.term_count(); ++t) {
     index_.mutable_postings(t)->BuildBlockMax(index_.doc_lengths());
   }
-  index_.set_has_block_max(true);
   return std::move(index_);
 }
 

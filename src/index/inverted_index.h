@@ -69,17 +69,6 @@ class InvertedIndex {
   // const lookups data-race-free under concurrent query execution.
   uint32_t TermFreqInDoc(TermId term, DocId doc, size_t* probe) const;
 
-  // ---- Block-max metadata (dynamic-pruning score ceilings) ----
-  // True when every posting list carries per-block (max tf, min doc
-  // length) metadata: set by IndexBuilder::Build and by loading a v4 index
-  // file. v3 files have no such sections, so a v3-loaded index reports
-  // false and block-max pruning is gated off ("blocked: no block-max
-  // metadata").
-  bool has_block_max() const { return has_block_max_; }
-  // Builder and loader hook: marks metadata present once every list has
-  // its frontiers (PostingList::BuildBlockMax / RestoreBlockMax).
-  void set_has_block_max(bool value) { has_block_max_ = value; }
-
   // ---- Construction interface (used by IndexBuilder and index_io) ----
   TermId InternTerm(std::string_view term);
   PostingList* mutable_postings(TermId term) { return &postings_[term]; }
@@ -119,7 +108,6 @@ class InvertedIndex {
   std::vector<PostingList> postings_;
   std::vector<uint32_t> doc_lengths_;
   uint64_t total_words_ = 0;
-  bool has_block_max_ = false;
   std::shared_ptr<common::MmapRegion> region_;
   std::shared_ptr<BlockCache> cache_;
   uint64_t cache_generation_ = 0;

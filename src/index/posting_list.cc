@@ -111,14 +111,10 @@ size_t PostingList::GallopTo(size_t from, DocId target,
   return left;
 }
 
-void PostingList::ComputeBlockMax(
-    std::span<const uint32_t> doc_lengths,
-    std::vector<uint32_t>* frontier_start,
-    std::vector<uint32_t>* frontier_tf,
-    std::vector<uint32_t>* frontier_doc_length) const {
-  frontier_start->assign(1, 0);
-  frontier_tf->clear();
-  frontier_doc_length->clear();
+void PostingList::BuildBlockMax(std::span<const uint32_t> doc_lengths) {
+  frontier_start_.assign(1, 0);
+  frontier_tf_.clear();
+  frontier_doc_length_.clear();
   const size_t n = docs_.size();
   std::vector<std::pair<uint32_t, uint32_t>> points;  // (tf, doc length)
   points.reserve(kBlockSize);
@@ -142,29 +138,24 @@ void PostingList::ComputeBlockMax(
                 if (a.first != b.first) return a.first > b.first;
                 return a.second < b.second;
               });
-    const size_t emitted_before = frontier_tf->size();
+    const size_t emitted_before = frontier_tf_.size();
     uint64_t running_min = std::numeric_limits<uint64_t>::max();
     for (const auto& [tf, len] : points) {
       if (len >= running_min) continue;
-      if (frontier_tf->size() - emitted_before == kMaxFrontierPoints - 1 &&
+      if (frontier_tf_.size() - emitted_before == kMaxFrontierPoints - 1 &&
           len != block_min_len) {
         // Cap reached: one synthetic point (this tf, block min length)
         // dominates this and every remaining skyline point.
-        frontier_tf->push_back(tf);
-        frontier_doc_length->push_back(block_min_len);
+        frontier_tf_.push_back(tf);
+        frontier_doc_length_.push_back(block_min_len);
         break;
       }
-      frontier_tf->push_back(tf);
-      frontier_doc_length->push_back(len);
+      frontier_tf_.push_back(tf);
+      frontier_doc_length_.push_back(len);
       running_min = len;
     }
-    frontier_start->push_back(static_cast<uint32_t>(frontier_tf->size()));
+    frontier_start_.push_back(static_cast<uint32_t>(frontier_tf_.size()));
   }
-}
-
-void PostingList::BuildBlockMax(std::span<const uint32_t> doc_lengths) {
-  ComputeBlockMax(doc_lengths, &frontier_start_, &frontier_tf_,
-                  &frontier_doc_length_);
 }
 
 void PostingList::RestoreBlockMax(std::vector<uint32_t> frontier_start,

@@ -158,18 +158,13 @@ class PostingList {
   }
 
   // ---- Block-max metadata (score ceilings for dynamic pruning) ----
-  // Computed by BuildBlockMax (needs per-doc lengths, so IndexBuilder
-  // drives it) or restored verbatim from a v4 index file.
+  // Computed by BuildBlockMax (needs per-doc lengths, so IndexBuilder and
+  // the v3 loader drive it) or restored verbatim from a v4/v5 index file.
+  // frontier_start gets block_count()+1 entries delimiting each block's
+  // run of points in the parallel frontier_tf / frontier_doc_length
+  // arrays; within a block, points are sorted tf-descending with strictly
+  // decreasing lengths.
   void BuildBlockMax(std::span<const uint32_t> doc_lengths);
-  // Side-effect-free variant (index_io uses it to upgrade an index that
-  // was loaded without metadata at save time). `frontier_start` gets
-  // block_count()+1 entries delimiting each block's run of points in the
-  // parallel `frontier_tf` / `frontier_doc_length` arrays; within a block,
-  // points are sorted tf-descending with strictly decreasing lengths.
-  void ComputeBlockMax(std::span<const uint32_t> doc_lengths,
-                       std::vector<uint32_t>* frontier_start,
-                       std::vector<uint32_t>* frontier_tf,
-                       std::vector<uint32_t>* frontier_doc_length) const;
   void RestoreBlockMax(std::vector<uint32_t> frontier_start,
                        std::vector<uint32_t> frontier_tf,
                        std::vector<uint32_t> frontier_doc_length);

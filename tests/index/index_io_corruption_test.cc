@@ -3,65 +3,45 @@
 // — never a crash, never undefined behavior, and never a giant
 // allocation driven by a corrupt length field.
 //
-// The v3 format checksums every section (CRC32C), so the contract is
-// stronger than "doesn't crash": EVERY corrupted or truncated file is
+// Every format checksums every byte it stores (CRC32C), so the contract
+// is stronger than "doesn't crash": EVERY corrupted or truncated file is
 // rejected, with the failure class encoded in the status code —
 //   kDataLoss        truncation / short read / bad magic
 //   kVersionMismatch format-version skew
 //   kCorruption      checksum mismatch or impossible structure
+// The format-generic cases run on the committed v4 fixture and on what
+// SaveIndex writes today (v5); the cases that name v4 byte offsets run on
+// the fixture only.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "index/index_io.h"
 #include "index/inverted_index.h"
-#include "text/corpus.h"
+#include "testutil/index_files.h"
 
 namespace graft::index {
 namespace {
 
-// PID-unique: ctest runs each test of this suite as its own process, in
-// parallel, against the same TempDir — shared names would race.
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/graft_" + std::to_string(::getpid()) +
-         "_" + name;
-}
+using testutil::ReadFile;
+using testutil::TempPath;
+using testutil::WriteFile;
 
-InvertedIndex BuildSmallIndex() {
-  text::CorpusConfig config = text::WikipediaLikeConfig(60, /*seed=*/7);
-  IndexBuilder builder;
-  text::CorpusGenerator generator(config);
-  generator.Generate(
-      [&builder](uint64_t, const std::vector<std::string_view>& tokens) {
-        builder.AddDocument(tokens);
-      });
-  return builder.Build();
-}
+enum class Source { kV4Fixture, kSaveIndex };
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good());
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good());
-}
-
-class IndexIoCorruptionTest : public ::testing::Test {
+// One 60-document corpus either way: the v4 fixture holds the same
+// SeededCorpusIndex(60, 7) that the kSaveIndex case writes.
+class IndexIoCorruptionTest : public ::testing::TestWithParam<Source> {
  protected:
   void SetUp() override {
-    path_ = TempPath("corruption.idx");
-    ASSERT_TRUE(SaveIndex(BuildSmallIndex(), path_).ok());
+    if (GetParam() == Source::kV4Fixture) {
+      path_ = testutil::FixturePath("small60_v4.idx");
+    } else {
+      path_ = TempPath("corruption.idx");
+      ASSERT_TRUE(SaveIndex(testutil::SeededCorpusIndex(60, 7), path_).ok());
+    }
     bytes_ = ReadFile(path_);
     ASSERT_GT(bytes_.size(), 64u);
   }
@@ -70,13 +50,16 @@ class IndexIoCorruptionTest : public ::testing::Test {
   std::string bytes_;
 };
 
-TEST_F(IndexIoCorruptionTest, IntactFileRoundTrips) {
+// Cases that walk the v4 layout by byte offset.
+using IndexIoV4CorruptionTest = IndexIoCorruptionTest;
+
+TEST_P(IndexIoCorruptionTest, IntactFileRoundTrips) {
   auto loaded = LoadIndex(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->doc_count(), 60u);
 }
 
-TEST_F(IndexIoCorruptionTest, TruncationAtEveryRegionFailsCleanly) {
+TEST_P(IndexIoCorruptionTest, TruncationAtEveryRegionFailsCleanly) {
   // Truncation points: inside the magic, inside the header scalars,
   // inside the doc-length array, and a dense sweep over the postings
   // region — every one must load as a non-ok Status.
@@ -102,7 +85,7 @@ TEST_F(IndexIoCorruptionTest, TruncationAtEveryRegionFailsCleanly) {
   }
 }
 
-TEST_F(IndexIoCorruptionTest, MidPayloadTruncationIsDataLoss) {
+TEST_P(IndexIoCorruptionTest, MidPayloadTruncationIsDataLoss) {
   // Chop the file in the middle of the postings region: the loader hits a
   // short read and must say so with kDataLoss specifically.
   const std::string truncated_path = TempPath("truncated_tail.idx");
@@ -113,7 +96,7 @@ TEST_F(IndexIoCorruptionTest, MidPayloadTruncationIsDataLoss) {
       << loaded.status();
 }
 
-TEST_F(IndexIoCorruptionTest, BadMagicRejected) {
+TEST_P(IndexIoCorruptionTest, BadMagicRejected) {
   std::string corrupt = bytes_;
   corrupt[0] = 'X';
   const std::string corrupt_path = TempPath("badmagic.idx");
@@ -124,7 +107,7 @@ TEST_F(IndexIoCorruptionTest, BadMagicRejected) {
   EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos);
 }
 
-TEST_F(IndexIoCorruptionTest, WrongFormatVersionRejectedDistinctly) {
+TEST_P(IndexIoCorruptionTest, WrongFormatVersionRejectedDistinctly) {
   std::string corrupt = bytes_;
   corrupt[7] = '1';  // version byte; magic prefix intact
   const std::string corrupt_path = TempPath("badversion.idx");
@@ -137,7 +120,8 @@ TEST_F(IndexIoCorruptionTest, WrongFormatVersionRejectedDistinctly) {
       << loaded.status().message();
 }
 
-TEST_F(IndexIoCorruptionTest, InflatedLengthFieldsRejectedBeforeAllocating) {
+TEST_P(IndexIoV4CorruptionTest,
+       InflatedLengthFieldsRejectedBeforeAllocating) {
   // Overwrite each of the first few u64 length/count fields with a huge
   // value; the loader must refuse (length exceeds remaining bytes or
   // count mismatch) rather than resize to petabytes.
@@ -154,10 +138,10 @@ TEST_F(IndexIoCorruptionTest, InflatedLengthFieldsRejectedBeforeAllocating) {
   }
 }
 
-TEST_F(IndexIoCorruptionTest, EveryByteFlipIsRejectedWithTheRightClass) {
-  // Deterministic sweep of single-byte flips across the file. With v3's
-  // per-section CRC32C, every byte of the file is covered by the magic
-  // comparison, the version check, or a checksum — so EVERY flip must be
+TEST_P(IndexIoCorruptionTest, EveryByteFlipIsRejectedWithTheRightClass) {
+  // Deterministic sweep of single-byte flips across the file. Every byte
+  // of the file is covered by the magic comparison, the version check, a
+  // checksum, or (v5) a zero-padding check — so EVERY flip must be
   // rejected, and the status code must name the right failure class:
   //   offsets 0..6  magic          -> kDataLoss
   //   offset  7     version byte   -> kVersionMismatch
@@ -195,7 +179,7 @@ TEST_F(IndexIoCorruptionTest, EveryByteFlipIsRejectedWithTheRightClass) {
   }
 }
 
-TEST_F(IndexIoCorruptionTest, ChecksumByteFlipIsCorruption) {
+TEST_P(IndexIoV4CorruptionTest, ChecksumByteFlipIsCorruption) {
   // The 4 bytes right after the doc-length payload are the header
   // section's stored CRC; flipping one must read back as kCorruption with
   // a message naming the section.
@@ -214,6 +198,18 @@ TEST_F(IndexIoCorruptionTest, ChecksumByteFlipIsCorruption) {
             std::string::npos)
       << loaded.status().message();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, IndexIoCorruptionTest,
+    ::testing::Values(Source::kV4Fixture, Source::kSaveIndex),
+    [](const ::testing::TestParamInfo<Source>& info) {
+      return info.param == Source::kV4Fixture ? "V4Fixture" : "SaveIndex";
+    });
+INSTANTIATE_TEST_SUITE_P(Formats, IndexIoV4CorruptionTest,
+                         ::testing::Values(Source::kV4Fixture),
+                         [](const ::testing::TestParamInfo<Source>&) {
+                           return "V4Fixture";
+                         });
 
 TEST(IndexIoTest, MissingFileIsIOError) {
   auto loaded = LoadIndex(TempPath("does-not-exist.idx"));

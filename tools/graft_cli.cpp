@@ -1,9 +1,8 @@
 // graft_cli — index text files and search them from the command line.
 //
-//   graft_cli index [--format v4|v5] <index-file> <text-file>...
-//     build an index; v5 (default) writes delta-encoded bit-packed
-//     posting blocks that graft_server can mmap (--mmap-index), v4 the
-//     uncompressed arrays
+//   graft_cli index <index-file> <text-file>...
+//     build an index and write it in format v5 (delta-encoded bit-packed
+//     posting blocks that graft_server can mmap with --mmap-index)
 //   graft_cli search <index-file> <scheme> <query>   ranked search
 //   graft_cli explain <index-file> <scheme> <query>  show the plan
 //     explain prints the optimized plan, the full rewrite-attempt table
@@ -57,30 +56,16 @@ int Fail(const graft::Status& status) {
 }
 
 int CmdIndex(int argc, char** argv) {
-  // --format v4 writes the materialized array format; v5 (the default)
-  // writes delta-encoded bit-packed blocks that load mmap-ed.
-  std::string format = "v5";
-  std::vector<char*> positional;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--format" && i + 1 < argc) {
-      format = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 2 || (format != "v4" && format != "v5")) {
-    std::fprintf(stderr,
-                 "usage: graft_cli index [--format v4|v5] <index-file> "
-                 "<file>...\n");
+  if (argc < 2 || argv[0][0] == '-') {
+    std::fprintf(stderr, "usage: graft_cli index <index-file> <file>...\n");
     return 2;
   }
-  const std::string output = positional[0];
+  const std::string output = argv[0];
   graft::index::IndexBuilder builder;
-  for (size_t i = 1; i < positional.size(); ++i) {
-    std::ifstream in(positional[i]);
+  for (int i = 1; i < argc; ++i) {
+    std::ifstream in(argv[i]);
     if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", positional[i]);
+      std::fprintf(stderr, "cannot read %s\n", argv[i]);
       return 1;
     }
     std::ostringstream text;
@@ -97,16 +82,14 @@ int CmdIndex(int argc, char** argv) {
     }
     const graft::DocId id = builder.AddDocumentPositioned(tokens, offsets);
     std::printf("doc %u <- %s (%zu tokens, %u sentences, %u paragraphs)\n",
-                id, positional[i], tokens.size(), doc.sentence_count,
+                id, argv[i], tokens.size(), doc.sentence_count,
                 doc.paragraph_count);
   }
   graft::index::InvertedIndex index = builder.Build();
-  const graft::Status saved =
-      format == "v5" ? graft::index::SaveIndexV5(index, output)
-                     : graft::index::SaveIndex(index, output);
+  const graft::Status saved = graft::index::SaveIndex(index, output);
   if (!saved.ok()) return Fail(saved);
-  std::printf("wrote %s (%s): %llu docs, %zu terms, %llu words\n",
-              output.c_str(), format.c_str(),
+  std::printf("wrote %s: %llu docs, %zu terms, %llu words\n",
+              output.c_str(),
               static_cast<unsigned long long>(index.doc_count()),
               index.term_count(),
               static_cast<unsigned long long>(index.total_words()));
