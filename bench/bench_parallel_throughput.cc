@@ -7,8 +7,10 @@
 // queries, monolithic engine) and emits BENCH_topk_pruning.json with QPS
 // for both modes, the skip counters, and docs scored — the artifact CI
 // uploads to show pruning actually skips blocks without slowing the
-// unpruned path. Its pruned and unpruned runs are the engine's two top-k
-// operators, MaxScore and HRJN, checked bit-identical against each other.
+// unpruned path. Its pruned and unpruned runs are the engine's one top-k
+// operator, MaxScore, with block-max ceilings and with term bounds only
+// (allow_block_max_pruning = false), checked bit-identical against each
+// other.
 //
 // Trace-overhead guard mode (GRAFT_BENCH_TRACE_OVERHEAD=1): instead of the
 // sweep, measures the observability layer's cost and emits
@@ -327,8 +329,7 @@ struct PruningResult {
   uint64_t blocks_skipped;
   uint64_t blocks_decoded;  // distinct blocks the pruned operator read
   uint64_t blocks_total;    // Σ block_count over the query's term lists —
-                            // what the unpruned top-k decodes to build its
-                            // impact-ordered streams
+                            // what an exhaustive scan decodes
   uint64_t ceiling_probes;
   uint64_t docs_scored_pruned;
   uint64_t docs_scored_unpruned;
@@ -342,8 +343,8 @@ int RunPruningSweep(const graft::index::InvertedIndex& index) {
   // brackets the pruning payoff.
   constexpr const char* kSchemes[] = {"AnySum", "Lucene"};
 
-  // Posting blocks the unpruned top-k decodes for this query: every block
-  // of every term list (the rank engine's stream build scans them all).
+  // Posting blocks an exhaustive scan decodes for this query: every block
+  // of every term list.
   const auto total_blocks = [&](const char* text) {
     uint64_t blocks = 0;
     std::istringstream in(text);
@@ -446,8 +447,8 @@ int RunPruningSweep(const graft::index::InvertedIndex& index) {
 
   // The artifact's headline claim, enforced so a ceiling regression fails
   // CI instead of silently uploading a JSON full of zeros: at top-10 the
-  // pruned operator must decode fewer posting blocks than the unpruned
-  // top-k (which reads every block) and must land whole-block skips.
+  // pruned operator must decode fewer posting blocks than an exhaustive
+  // scan (which reads every block) and must land whole-block skips.
   uint64_t k10_decoded = 0;
   uint64_t k10_total = 0;
   uint64_t k10_skips = 0;
@@ -460,7 +461,7 @@ int RunPruningSweep(const graft::index::InvertedIndex& index) {
   if (k10_decoded >= k10_total) {
     std::fprintf(stderr,
                  "top-10 pruned runs decoded %llu of %llu posting blocks — "
-                 "no decode reduction over the unpruned top-k\n",
+                 "no decode reduction over an exhaustive scan\n",
                  static_cast<unsigned long long>(k10_decoded),
                  static_cast<unsigned long long>(k10_total));
     return 1;

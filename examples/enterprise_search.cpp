@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "exec/rank_join.h"
 #include "mcalc/parser.h"
 #include "text/corpus.h"
 
@@ -87,20 +86,26 @@ int main() {
     std::printf("\n");
   }
 
-  // Top-k with early termination for an eligible scheme.
-  auto query = graft::mcalc::ParseQuery("free software service");
-  const graft::sa::ScoringScheme* lucene =
-      graft::sa::SchemeRegistry::Global().Lookup("Lucene");
-  graft::exec::TopKRankEngine rank_engine(&index, lucene);
-  auto top = rank_engine.TopK(*query, 10);
-  if (top.ok()) {
-    const graft::exec::RankStats& stats = rank_engine.stats();
-    std::printf("rank-join top-10 for 'free software service' (Lucene): "
-                "scored %llu of %llu candidates before the threshold "
-                "fired\n",
-                static_cast<unsigned long long>(stats.candidates_scored),
-                static_cast<unsigned long long>(stats.total_candidates));
-    for (const graft::ma::ScoredDoc& hit : *top) {
+  // Top-k with early termination for an eligible scheme: MaxScore's
+  // rank-join, bounded by term-level upper bounds alone and then by
+  // per-block score ceilings, against the full match count.
+  const char* text = "free software service";
+  graft::core::SearchOptions full_options;
+  full_options.allow_rank_processing = false;
+  auto full = engine.Search(text, "Lucene", full_options);
+  for (const bool block_max : {false, true}) {
+    graft::core::SearchOptions options;
+    options.top_k = 10;
+    options.allow_block_max_pruning = block_max;
+    auto top = engine.Search(text, "Lucene", options);
+    if (!top.ok() || !full.ok()) continue;
+    std::printf("rank-join top-10 for '%s' (Lucene, %s): scored %llu of "
+                "%zu matches\n",
+                text, block_max ? "block-max ceilings" : "term bounds",
+                static_cast<unsigned long long>(top->exec_stats.docs_scored),
+                full->results.size());
+    if (block_max) continue;
+    for (const graft::ma::ScoredDoc& hit : top->results) {
       std::printf("  doc %-6u %.4f\n", hit.doc, hit.score);
     }
   }

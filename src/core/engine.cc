@@ -21,78 +21,8 @@ struct SegmentView {
   index::DocRange range;
 };
 
-// One top-k physical operator. kTopKOperators is the single top-k dispatch
-// table: Search runs the row SelectTopK picks, and Explain names it.
-struct TopKOperator {
-  const char* id;  // SearchResult::topk_operator
-  // Empty when licensed, else the human-readable verdict.
-  std::string (*gate)(const mcalc::Query& query,
-                      const sa::ScoringScheme& scheme,
-                      const index::InvertedIndex& index,
-                      const index::StatsOverlay* overlay,
-                      const SearchOptions& options);
-  // Runs the operator on one view, folding its counters into `stats`.
-  StatusOr<std::vector<ma::ScoredDoc>> (*run)(const SegmentView& view,
-                                              const mcalc::Query& query,
-                                              const sa::ScoringScheme& scheme,
-                                              size_t k,
-                                              exec::ExecStats* stats);
-  const char* applied;  // SearchResult::applied_optimizations
-  const char* explain;  // Explain's top-k strategy line
-  const char* note;     // suffix of the fired rewrite-table row
-};
-
-// Rows are tried in order; the first licensed row runs. Block-max pruning
-// (MaxScore) is preferred; HRJN serves what its stricter gate refuses.
-const TopKOperator kTopKOperators[] = {
-    {"maxscore",
-     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
-        const index::InvertedIndex& index, const index::StatsOverlay* overlay,
-        const SearchOptions& options) -> std::string {
-       if (!exec::TopKRankEngine::Supports(query, scheme)) {
-         return "blocked: rank processing not licensed";
-       }
-       if (!options.allow_block_max_pruning) {
-         return "blocked: disabled by request options";
-       }
-       return exec::MaxScoreTopK::GateVerdict(query, scheme, index, overlay);
-     },
-     [](const SegmentView& view, const mcalc::Query& query,
-        const sa::ScoringScheme& scheme, size_t k,
-        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::MaxScoreTopK op(view.index, &scheme, view.overlay, view.range);
-       auto results = op.TopK(query, k);
-       *stats = op.stats();
-       return results;
-     },
-     "block-max pruned top-k", "block-max pruned top-k",
-     "; block-max dynamic pruning"},
-    {"hrjn",
-     [](const mcalc::Query& query, const sa::ScoringScheme& scheme,
-        const index::InvertedIndex&, const index::StatsOverlay*,
-        const SearchOptions&) -> std::string {
-       return exec::TopKRankEngine::Supports(query, scheme)
-                  ? ""
-                  : "rank processing not licensed";
-     },
-     [](const SegmentView& view, const mcalc::Query& query,
-        const sa::ScoringScheme& scheme, size_t k,
-        exec::ExecStats* stats) -> StatusOr<std::vector<ma::ScoredDoc>> {
-       exec::TopKRankEngine op(view.index, &scheme, view.overlay, view.range);
-       auto results = op.TopK(query, k);
-       const exec::RankStats& s = op.stats();
-       stats->rank_heap_ops += s.heap_ops;
-       stats->topk_sorted_accesses += s.entries_pulled;
-       stats->docs_scored += s.candidates_scored;
-       stats->docs_pruned += s.entries_pruned();
-       return results;
-     },
-     "rank-join/rank-union (top-k)", "threshold top-k; block-max prune ",
-     "; threshold top-k execution"},
-};
-
 // Streams a resolved plan on one view: the full-ranking counterpart of
-// TopKOperator::run.
+// RunTopK.
 StatusOr<std::vector<ma::ScoredDoc>> RunPlan(const SegmentView& view,
                                              const ma::PlanNode& plan,
                                              const sa::ScoringScheme& scheme,
@@ -117,38 +47,54 @@ void HarvestBlockCache(const index::BlockCacheTls& before,
       after.payload_decodes - before.payload_decodes;
 }
 
-// SelectTopK's verdict: the operator to run, or null for full ranking +
-// truncate, and the gate verdict that explains the choice.
+// SelectTopK's verdict: whether MaxScore runs, with which bounds, and the
+// gate verdict that explains the choice.
 struct TopKChoice {
-  const TopKOperator* op = nullptr;
-  // The last refusing row's verdict: with an operator, why the block-max
-  // row stood down ("" when it runs); without, why HRJN did not run.
+  bool rank = false;       // MaxScoreTopK runs; else full ranking + truncate
+  bool block_max = false;  // with per-block ceilings; else term bounds only
+  // Without rank processing, why it did not run; with term bounds, why
+  // block-max pruning stood down; "" under block-max pruning.
   std::string verdict;
-
-  bool pruned() const {
-    return op != nullptr && std::string_view(op->id) == "maxscore";
-  }
 };
 
-// The one place a top-k operator is chosen; Search and Explain share it.
+// The one place the top-k path is chosen; Search and Explain share it.
 TopKChoice SelectTopK(const mcalc::Query& query,
                       const sa::ScoringScheme& scheme,
                       const SearchOptions& options,
-                      const index::InvertedIndex& index,
                       const index::StatsOverlay* overlay) {
   TopKChoice choice;
   if (options.top_k == 0 || !options.allow_rank_processing) {
     return choice;
   }
-  for (const TopKOperator& op : kTopKOperators) {
-    std::string verdict = op.gate(query, scheme, index, overlay, options);
-    if (verdict.empty()) {
-      choice.op = &op;
-      break;
-    }
-    choice.verdict = std::move(verdict);
+  if (!exec::MaxScoreTopK::Supports(query, scheme, /*overlay=*/nullptr)) {
+    choice.verdict = "rank processing not licensed";
+    return choice;
+  }
+  // A licensed query still falls back to full ranking under an overlay
+  // that overrides a per-document statistic: no stored bound holds there.
+  choice.verdict = exec::MaxScoreTopK::GateVerdict(query, scheme, overlay);
+  if (!choice.verdict.empty()) {
+    return choice;
+  }
+  choice.rank = true;
+  choice.block_max = options.allow_block_max_pruning;
+  if (!choice.block_max) {
+    choice.verdict = "blocked: disabled by request options";
   }
   return choice;
+}
+
+// Runs MaxScore on one view, folding its counters into `stats`.
+StatusOr<std::vector<ma::ScoredDoc>> RunTopK(const SegmentView& view,
+                                             const mcalc::Query& query,
+                                             const sa::ScoringScheme& scheme,
+                                             size_t k, bool block_max,
+                                             exec::ExecStats* stats) {
+  exec::MaxScoreTopK op(view.index, &scheme, view.overlay, view.range,
+                        block_max);
+  auto results = op.TopK(query, k);
+  *stats = op.stats();
+  return results;
 }
 
 // Explain's "top-k strategy" line for a choice.
@@ -157,10 +103,13 @@ std::string TopKExplainLine(const TopKChoice& choice,
   if (!options.allow_rank_processing) {
     return "full ranking + truncate (rank processing disabled)";
   }
-  if (choice.op == nullptr) {
+  if (!choice.rank) {
     return "full ranking + truncate (" + choice.verdict + ")";
   }
-  return choice.op->explain + choice.verdict;
+  if (choice.block_max) {
+    return "block-max pruned top-k";
+  }
+  return "term-bound top-k; block-max prune " + choice.verdict;
 }
 
 // Stamps one count per fired rewrite rule (registry order) into the
@@ -182,12 +131,13 @@ void StampRuleCounters(SearchResult* result) {
 // Rewrite-attempt table for the rank-processing path, where the optimizer
 // never runs: the gate verdicts are still what admitted rank processing,
 // so EXPLAIN ANALYZE and ?explain=1 stay complete on this path too. The
-// block-max row fires when the pruned operator ran; otherwise it carries
-// the choice's verdict on why it stood down.
+// block-max row fires under block-max ceilings; under term bounds the
+// rank-join (rank-union) row fires and the block-max row carries the
+// choice's verdict on why it stood down.
 std::vector<RewriteAttempt> RankPathAttempts(const mcalc::Query& query,
                                              const sa::ScoringScheme& scheme,
                                              const TopKChoice& choice) {
-  const bool pruned = choice.pruned();
+  const bool pruned = choice.block_max;
   const Optimization fired_opt = query.root->kind == mcalc::NodeKind::kOr
                                      ? Optimization::kRankUnion
                                      : Optimization::kRankJoin;
@@ -200,7 +150,8 @@ std::vector<RewriteAttempt> RankPathAttempts(const mcalc::Query& query,
       if (attempt.fired) {
         attempt.verdict = "gate ok: " +
                           ExplainGate(opt, scheme.properties()).reason +
-                          choice.op->note;
+                          (pruned ? "; block-max dynamic pruning"
+                                  : "; term-bound top-k execution");
       } else {
         attempt.verdict = pruned ? "superseded by block-max pruned top-k"
                                  : choice.verdict;
@@ -338,14 +289,13 @@ StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,
   }
   const size_t n = views.size();
 
-  // Top-k rank processing runs the chosen operator on every view; each
-  // view's top-k is exact for its documents, so the merge below is exact.
-  // Otherwise optimize ONCE against the whole index and stream the plan on
-  // every view.
-  const TopKChoice topk =
-      SelectTopK(query, scheme, options, *index_, overlay);
+  // Top-k rank processing runs MaxScore on every view; each view's top-k
+  // is exact for its documents, so the merge below is exact. Otherwise
+  // optimize ONCE against the whole index and stream the plan on every
+  // view.
+  const TopKChoice topk = SelectTopK(query, scheme, options, overlay);
   OptimizedPlan plan;
-  if (topk.op == nullptr) {
+  if (!topk.rank) {
     Optimizer optimizer(&scheme, options.optimizer);
     common::ScopedSpan optimize_span(trace, "optimize");
     GRAFT_ASSIGN_OR_RETURN(plan, optimizer.Optimize(query, *index_, trace));
@@ -358,7 +308,7 @@ StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,
   std::vector<Status> statuses(n, Status::Ok());
   std::vector<std::vector<ma::ScoredDoc>> partials(n);
   std::vector<exec::ExecStats> stats(n);
-  common::ScopedSpan run_span(trace, topk.op != nullptr ? "rank" : "execute",
+  common::ScopedSpan run_span(trace, topk.rank ? "rank" : "execute",
                               "segments=" + std::to_string(n));
   common::ParallelFor(pool_.get(), options.num_threads, n, [&](size_t i) {
     common::ScopedSpan segment_span(trace, "segment " + std::to_string(i));
@@ -367,9 +317,9 @@ StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,
     // thread runs the view; harvest that thread's traffic into the view.
     const index::BlockCacheTls before = index::TlsBlockCacheCounters();
     StatusOr<std::vector<ma::ScoredDoc>> local =
-        topk.op != nullptr
-            ? topk.op->run(view, query, scheme, options.top_k, &stats[i])
-            : RunPlan(view, *plan.plan, scheme, query_ctx, &stats[i]);
+        topk.rank ? RunTopK(view, query, scheme, options.top_k,
+                            topk.block_max, &stats[i])
+                  : RunPlan(view, *plan.plan, scheme, query_ctx, &stats[i]);
     HarvestBlockCache(before, &stats[i]);
     if (!local.ok()) {
       statuses[i] = local.status();
@@ -389,11 +339,13 @@ StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,
   const std::string fan_out_suffix =
       fan_out ? ", segmented ×" + std::to_string(n) : "";
   result.segments_searched = n;
-  if (topk.op != nullptr) {
+  if (topk.rank) {
     result.used_rank_processing = true;
-    result.used_block_max_pruning = topk.pruned();
-    result.topk_operator = topk.op->id;
-    result.applied_optimizations = topk.op->applied + fan_out_suffix;
+    result.used_block_max_pruning = topk.block_max;
+    result.applied_optimizations =
+        (topk.block_max ? "block-max pruned top-k"
+                        : "rank-join/rank-union (top-k)") +
+        fan_out_suffix;
     result.rewrite_attempts = RankPathAttempts(query, scheme, topk);
   } else {
     result.plan_text = ma::PlanToString(*plan.plan);
@@ -430,8 +382,8 @@ StatusOr<std::string> Engine::ExplainQuery(const mcalc::Query& query,
   if (options.top_k > 0) {
     // Deterministic top-k strategy verdict (golden-snapshot friendly):
     // which top-k execution path SearchQuery takes, and why.
-    const TopKChoice topk = SelectTopK(query, scheme, options, *index_,
-                                       EffectiveOverlay(options));
+    const TopKChoice topk =
+        SelectTopK(query, scheme, options, EffectiveOverlay(options));
     out += "top-k strategy (k=" + std::to_string(options.top_k) +
            "): " + TopKExplainLine(topk, options) + "\n";
   }

@@ -25,10 +25,10 @@
 // concurrently on the engine's thread pool. Every view reads the same
 // index, its collection statistics and any overlay, with global doc ids,
 // so scores are bit-identical to the monolithic run. The query is parsed,
-// optimized and its top-k operator chosen ONCE: block-max pruned MaxScore
-// when its gate licenses the query, else the HRJN rank engine, else full
-// ranking + truncate. Every view runs the same resolved plan over its
-// range. The per-view ranked streams are merged by ma::MergeRanked — a
+// optimized and its top-k path chosen ONCE: MaxScore (exec/maxscore_topk.h)
+// when its gate licenses the query — with block-max ceilings, or with
+// term bounds only when the request disables pruning — else full ranking
+// + truncate. Every view runs the same resolved plan over its range. The per-view ranked streams are merged by ma::MergeRanked — a
 // full sort for top_k == 0, a k-way heap merge of per-view top-k lists
 // otherwise. The engine is safe to share across threads for concurrent
 // Search calls (inter-query parallelism).
@@ -47,7 +47,6 @@
 #include "common/trace.h"
 #include "core/optimizer.h"
 #include "exec/executor.h"
-#include "exec/rank_join.h"
 #include "index/segmented_index.h"
 #include "index/stats.h"
 #include "ma/match_table.h"
@@ -58,20 +57,21 @@ namespace graft::core {
 struct SearchOptions {
   OptimizerOptions optimizer;
 
-  // 0 = return all matching documents. > 0: return the k best; when the
-  // gate admits rank-join/rank-union for the query and scheme (and
-  // `allow_rank_processing`), a threshold-based top-k execution that stops
-  // early is used instead of scoring every document.
+  // 0 = return all matching documents. > 0: return the k best; when
+  // MaxScore's gate licenses the query and scheme (α bounded, ⊕
+  // idempotent, ⊘/⊚ monotonic, diagonal scheme, pure keyword query, no
+  // overlay that overrides per-document statistics) and
+  // `allow_rank_processing`, MaxScore's threshold stop — the paper's
+  // rank-join / rank-union — is used instead of scoring every document.
   size_t top_k = 0;
   bool allow_rank_processing = true;
 
-  // Score-safe dynamic pruning (block-max top-k). On top-k queries where
-  // the extended gate licenses it (α bounded, ⊕ idempotent, ⊘/⊚ monotonic,
-  // diagonal scheme, pure keyword query, no overlay that overrides
-  // per-document statistics), posting blocks whose score ceiling cannot
-  // reach the k-th best result are skipped entirely. Results are
-  // bit-identical to the unpruned top-k. Subordinate to
-  // allow_rank_processing: disabling rank processing disables pruning too.
+  // Score-safe dynamic pruning (block-max top-k): MaxScore bounds each
+  // posting block by its exact score ceiling and skips blocks that cannot
+  // reach the k-th best result. When false, MaxScore bounds each term by
+  // its list-wide upper bound only. Results are bit-identical either way.
+  // Subordinate to allow_rank_processing: disabling rank processing
+  // disables pruning too.
   bool allow_block_max_pruning = true;
 
   // Max workers for parallel segmented execution (engines constructed
@@ -120,16 +120,13 @@ struct SearchResult {
   // canonical-reference oracle.
   std::vector<RewriteAttempt> rewrite_attempts;
   exec::ExecStats exec_stats;
+  // True when MaxScore produced the results, under either bound; false on
+  // the full ranking + truncate and streaming paths.
   bool used_rank_processing = false;
-  // True when the block-max pruned top-k operator produced the results
-  // (implies used_rank_processing). The differential fuzzer asserts this
-  // stays false for schemes the gate does not license.
+  // True when MaxScore ran with block-max ceilings (implies
+  // used_rank_processing). The differential fuzzer asserts this stays
+  // false for schemes the gate does not license.
   bool used_block_max_pruning = false;
-  // Which top-k physical operator produced the results: "maxscore" or
-  // "hrjn" (the threshold rank engine); empty on the full ranking +
-  // truncate and streaming paths. The fuzzer's activation
-  // invariant checks this against the operators' gates.
-  std::string topk_operator;
   // Number of index segments the query executed over (1 = monolithic).
   size_t segments_searched = 1;
 };
@@ -178,8 +175,8 @@ class Engine {
 
   // EXPLAIN ANALYZE: executes the query under a trace and renders
   // everything Explain shows plus the measured per-operator counters
-  // (postings blocks decoded, galloping probes, skip hits, rank-join heap
-  // ops and stopping depth, docs scored vs pruned) side by side with the
+  // (postings blocks decoded, galloping probes, skip hits, top-k heap ops,
+  // docs scored vs pruned) side by side with the
   // cost-model estimate, and the span timeline.
   StatusOr<std::string> ExplainAnalyze(std::string_view query_text,
                                        std::string_view scheme_name,

@@ -237,7 +237,8 @@ RewriteRuleRegistry::RewriteRuleRegistry() {
       Optimization::kRankJoin,
       "rank_join",
       "top-k over a pure keyword conjunction",
-      "threshold-algorithm rank-join over score-ordered streams",
+      "term-bound MaxScore top-k: TA threshold stop on list-wide term "
+      "upper bounds",
       RuleStage::kExecution,
       {{"⊘ monotonic increasing", "⊘ not monotonic increasing",
         &ConjMonotonic},
@@ -251,7 +252,8 @@ RewriteRuleRegistry::RewriteRuleRegistry() {
       Optimization::kRankUnion,
       "rank_union",
       "top-k over a pure keyword disjunction",
-      "threshold-algorithm rank-union over score-ordered streams",
+      "term-bound MaxScore top-k: essential/non-essential partition on "
+      "list-wide term upper bounds",
       RuleStage::kExecution,
       {{"⊚ monotonic increasing", "⊚ not monotonic increasing",
         &DisjMonotonic},
@@ -265,7 +267,8 @@ RewriteRuleRegistry::RewriteRuleRegistry() {
       Optimization::kBlockMaxPruning,
       "block_max_pruning",
       "top-k pure keyword query over a block-max index",
-      "MaxScore block skipping against exact per-block score ceilings",
+      "block-max MaxScore top-k: block skipping against exact per-block "
+      "score ceilings",
       RuleStage::kExecution,
       // Fail-check order (first violated property decides the reason);
       // the licensed wording below keeps the canonical Table-1 order.

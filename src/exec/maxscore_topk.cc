@@ -15,7 +15,6 @@ using topk::Shape;
 
 std::string MaxScoreTopK::GateVerdict(const mcalc::Query& query,
                                       const sa::ScoringScheme& scheme,
-                                      const index::InvertedIndex&,
                                       const index::StatsOverlay* overlay) {
   std::vector<const mcalc::Node*> keywords;
   const Shape shape = topk::QueryShape(query, &keywords);
@@ -39,9 +38,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   const Shape shape = topk::QueryShape(query, &keywords);
   const index::InvertedIndex& index = stats_view_.index();
   const std::string verdict =
-      GateVerdict(query, *scheme_, index, stats_view_.overlay());
+      GateVerdict(query, *scheme_, stats_view_.overlay());
   if (!verdict.empty()) {
-    return Status::FailedPrecondition("block-max pruning not licensed: " +
+    return Status::FailedPrecondition("MaxScore top-k not licensed: " +
                                       verdict);
   }
   stats_ = ExecStats();
@@ -69,6 +68,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     bool exhausted() const { return list == nullptr || pos >= end; }
     DocId doc() const { return list->doc_at(pos); }
     size_t block() const { return pos / index::PostingList::kBlockSize; }
+    size_t last_block() const {
+      return (end - 1) / index::PostingList::kBlockSize;
+    }
   };
   std::vector<TermId> terms(n);
   std::vector<Cursor> cursors(n);
@@ -101,8 +103,8 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   // candidate and is then abandoned, so charging on doc-id reads would
   // count every block and hide the skip. Blocks whose payload is never
   // scored — galloped over, ceiling-skipped, or alignment-only — stay
-  // uncharged; the bench compares this against the unpruned engine's
-  // full-list stream build.
+  // uncharged; the bench compares this against the term lists' total
+  // block count, what an exhaustive scan decodes.
   const auto touch = [&](Cursor& c) {
     const size_t b = c.block();
     if (c.counted_block != b) {
@@ -144,7 +146,37 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     }
     return best;
   };
+  // Term-level upper bound: the best α across the frontiers of every block
+  // the view's range touches — the exact maximum column score over those
+  // blocks (a block straddling a range boundary keeps its whole-block
+  // ceiling, which still bounds the range's part of it). The ∅ cell
+  // (tf = 0) is dominated by any ceiling for a bounded scheme. Every
+  // disjunction reads both; a conjunction reads the term bound only as its
+  // term-bound ceiling.
+  std::vector<sa::InternalScore> ub(n);
+  std::vector<sa::InternalScore> empty_cell(n);
+  if (shape == Shape::kDisjunction || !block_max_) {
+    for (size_t i = 0; i < n; ++i) {
+      empty_cell[i] = scorer.ColumnScore(i, /*tf=*/0, scorer.Generic());
+      const Cursor& c = cursors[i];
+      if (c.list == nullptr) {
+        ub[i] = empty_cell[i];
+        continue;
+      }
+      if (block_max_) ++stats_.topk_ceiling_probes;
+      ub[i] = frontier_max(i, c.list->frontier_begin(c.block()),
+                           c.list->frontier_end(c.last_block()));
+    }
+  }
+
+  // The cursor's current skip unit: its posting block under block-max
+  // bounds; under term bounds its whole range, one block whose ceiling is
+  // the term bound. block_ceiling bounds every column score left in the
+  // unit; skip_frontier is the unit's last doc, the skip target (a range
+  // ending mid-block answers its last block's last doc, which skips past
+  // the range all the same, read from the block header without a decode).
   const auto block_ceiling = [&](size_t column) -> const sa::InternalScore& {
+    if (!block_max_) return ub[column];
     Cursor& c = cursors[column];
     const size_t b = c.block();
     if (c.cached_block != b) {
@@ -155,12 +187,15 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     }
     return c.cached_ceiling;
   };
+  const auto skip_frontier = [&](const Cursor& c) {
+    return c.list->block_last_doc(block_max_ ? c.block() : c.last_block());
+  };
 
   topk::TopList top(k);
   std::vector<uint32_t> tfs(n);
 
   if (shape == Shape::kConjunction) {
-    // ---- Conjunction: leapfrog + block-max skip (BMW-style) ----
+    // ---- Conjunction: leapfrog + ceiling skip (BMW-style) ----
     while (true) {
       // Leapfrog alignment on the largest current doc.
       DocId candidate = 0;
@@ -191,9 +226,9 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       if (!aligned) continue;
 
       if (top.full()) {
-        // Fold the current blocks' ceilings (keyword order, like scoring:
-        // monotone rounding then guarantees ceiling >= any in-block score
-        // at the bit level). Skip to just past the earliest-ending block
+        // Fold the current units' ceilings (keyword order, like scoring:
+        // monotone rounding then guarantees ceiling >= any in-unit score
+        // at the bit level). Skip to just past the earliest-ending unit
         // when the fold cannot beat the heap.
         sa::InternalScore bound;
         bool first = true;
@@ -207,12 +242,12 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
           } else {
             bound = scorer.Combine(bound, ceiling);
           }
-          frontier = std::min(frontier, c.list->block_last_doc(c.block()));
+          frontier = std::min(frontier, skip_frontier(c));
         }
         if (top.Worst() >= scorer.FinalizeGeneric(bound)) {
           // Every term's postings in [candidate, frontier] lie inside the
-          // term's current block, so no document there can reach the heap.
-          ++stats_.topk_blocks_skipped;
+          // term's current unit, so no document there can reach the heap.
+          if (block_max_) ++stats_.topk_blocks_skipped;
           ++stats_.docs_pruned;  // the aligned candidate, at least
           for (Cursor& c : cursors) {
             c.pos = c.list->GallopTo(c.pos, frontier + 1);
@@ -236,26 +271,6 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   }
 
   // ---- Disjunction: MaxScore essential/non-essential partition ----
-  // Term-level upper bound: the best α across the frontiers of every block
-  // the view's range touches — the exact maximum column score over those
-  // blocks (a block straddling a range boundary keeps its whole-block
-  // ceiling, which still bounds the range's part of it). The ∅ cell
-  // (tf = 0) is dominated by any ceiling for a bounded scheme.
-  std::vector<sa::InternalScore> ub(n);
-  std::vector<sa::InternalScore> empty_cell(n);
-  for (size_t i = 0; i < n; ++i) {
-    empty_cell[i] = scorer.ColumnScore(i, /*tf=*/0, scorer.Generic());
-    if (cursors[i].list == nullptr) {
-      ub[i] = empty_cell[i];
-      continue;
-    }
-    const Cursor& c = cursors[i];
-    ++stats_.topk_ceiling_probes;
-    ub[i] = frontier_max(i, c.list->frontier_begin(c.block()),
-                         c.list->frontier_end((c.end - 1) /
-                                              index::PostingList::kBlockSize));
-  }
-
   // Keywords sorted by upper bound; rank[i] is keyword i's position in
   // that order. The non-essential set is always a prefix of the order.
   std::vector<size_t> order(n);
@@ -318,10 +333,10 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     }
 
     if (top.full()) {
-      // Block-level skip: fold (keyword order) the live essential cursors'
-      // current-block ceilings with the non-essential terms' UBs (∅ cell
+      // Unit-level skip: fold (keyword order) the live essential cursors'
+      // current-unit ceilings with the non-essential terms' UBs (∅ cell
       // for exhausted lists). If the fold cannot beat the heap, every
-      // essential posting up to the earliest block end is skippable.
+      // essential posting up to the earliest unit end is skippable.
       sa::InternalScore bound;
       bool first = true;
       DocId frontier = std::numeric_limits<DocId>::max();
@@ -332,7 +347,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         const sa::InternalScore* v;
         if (essential_alive) {
           v = &block_ceiling(i);
-          frontier = std::min(frontier, c.list->block_last_doc(c.block()));
+          frontier = std::min(frontier, skip_frontier(c));
         } else if (c.exhausted()) {
           v = &empty_cell[i];  // no document >= candidate contains it
         } else {
@@ -346,7 +361,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         }
       }
       if (top.Worst() >= scorer.FinalizeGeneric(bound)) {
-        ++stats_.topk_blocks_skipped;
+        if (block_max_) ++stats_.topk_blocks_skipped;
         ++stats_.docs_pruned;  // the candidate itself matches
         for (size_t i = 0; i < n; ++i) {
           Cursor& c = cursors[i];

@@ -57,13 +57,14 @@ struct ExecStats {
   uint64_t rank_heap_ops = 0;  // top-k candidate inserts + evictions
   uint64_t docs_scored = 0;    // candidates fully scored
   uint64_t docs_pruned = 0;    // candidate postings never completed
-  uint64_t topk_sorted_accesses = 0;  // score-ordered stream entries pulled
-                                      // (HRJN; its stopping depth)
-  // Block-max pruning counters; zero unless the MaxScoreTopK path ran.
+  uint64_t topk_sorted_accesses = 0;  // score-ordered stream entries
+                                      // pulled; no operator charges it
+  // MaxScoreTopK counters; zero unless the MaxScoreTopK path ran. The
+  // term-bound mode charges neither blocks_skipped nor ceiling_probes.
   uint64_t topk_blocks_skipped = 0;     // whole-block skips via ceilings
-  uint64_t topk_blocks_decoded = 0;     // distinct posting blocks read by
-                                        // the pruned operator (vs. every
-                                        // block on the unpruned top-k)
+  uint64_t topk_blocks_decoded = 0;     // distinct posting blocks whose tf
+                                        // entries MaxScore read (vs. every
+                                        // block of every term list)
   uint64_t topk_ceiling_probes = 0;     // block/term ceiling evaluations
   uint64_t topk_threshold_updates = 0;  // k-th-best-score improvements
   // Decoded-block cache traffic (v5 mmap indexes); zero on materialized

@@ -1,14 +1,14 @@
-// Shared machinery of the two top-k operators, MaxScoreTopK (block-max
-// pruning) and TopKRankEngine (HRJN rank-join / rank-union): the
-// pure-keyword query-shape probe, the exact column/document scorer, and
-// the running top-k list.
+// Machinery of the top-k operator, MaxScoreTopK (exec/maxscore_topk.h):
+// the pure-keyword query-shape probe, the exact column/document scorer,
+// and the running top-k list.
 //
 // The scorer reproduces the full engine's α/⊘/⊚/⊕/ω pipeline bit-for-bit:
 // a column's score is α at the first offset, ⊗-scaled by the term
 // frequency, with tf == 0 mapping to the ∅ cell; the document score folds
 // the columns in keyword order with ⊘/⊚ and applies ω under the real
-// document context. Both operators score through this one class, so only
-// the *set of documents scored* may differ between them — never a score.
+// document context. Every top-k run scores through this one class, so only
+// the *set of documents scored* may differ from the full ranking — never
+// a score.
 
 #ifndef GRAFT_EXEC_TOPK_COMMON_H_
 #define GRAFT_EXEC_TOPK_COMMON_H_
@@ -77,9 +77,9 @@ class ColumnScorer {
   }
 
   // A document context of length 1 and no concrete document: the context
-  // of score ceilings and stream-tail thresholds. Length 1 maximizes a
-  // bounded α, and ω is monotone in the aggregate (and ignores the
-  // document) for the rank-eligible schemes.
+  // of score ceilings. Length 1 maximizes a bounded α, and ω is monotone
+  // in the aggregate (and ignores the document) for the rank-eligible
+  // schemes.
   const sa::DocContext& Generic() const { return generic_; }
 
   // The context of column `i` with `tf` occurrences in the document.
@@ -98,10 +98,6 @@ class ColumnScorer {
     }
     const sa::InternalScore unit = scheme_->Init(dctx, col, /*offset=*/0);
     return tf <= 1 ? unit : scheme_->Scale(unit, tf);
-  }
-
-  sa::InternalScore ColumnScore(size_t i, uint32_t tf, DocId doc) const {
-    return ColumnScore(i, tf, DocCtx(doc));
   }
 
   // ⊘ (conjunction) or ⊚ (disjunction), per the query's shape.

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "core/rewrite_rules.h"
 #include "index/index_io.h"
 #include "text/corpus.h"
 #include "text/tokenizer.h"
@@ -123,12 +127,67 @@ TEST(EngineTest, TopKTrimsAndUsesRankProcessingWhenEligible) {
   EXPECT_FALSE(opted_out->used_rank_processing);
 }
 
+TEST(EngineTest, PruningOffRunsTermBoundMaxScoreAndFiresRankRow) {
+  // With block-max pruning switched off, a licensed top-k query still runs
+  // MaxScore, bounded by term-level upper bounds only: the rank-join
+  // (rank-union) row fires, the block-max row logs why it stood down, and
+  // the ranking is the full ranking's prefix bit for bit.
+  Engine engine(&CorpusIndex());
+  for (const auto& [text, fired_id] :
+       {std::pair<const char*, const char*>{"free software", "rank_join"},
+        {"free | software", "rank_union"}}) {
+    SCOPED_TRACE(text);
+    SearchOptions options;
+    options.top_k = 10;
+    options.allow_block_max_pruning = false;
+    auto result = engine.Search(text, "AnySum", options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->used_rank_processing);
+    EXPECT_FALSE(result->used_block_max_pruning);
+    EXPECT_EQ(result->exec_stats.topk_blocks_skipped, 0u);
+    EXPECT_EQ(result->exec_stats.topk_ceiling_probes, 0u);
+
+    const Optimization fired_opt = std::string(fired_id) == "rank_join"
+                                       ? Optimization::kRankJoin
+                                       : Optimization::kRankUnion;
+    bool rank_row_fired = false;
+    bool block_max_row_fired = true;
+    for (const RewriteAttempt& attempt : result->rewrite_attempts) {
+      if (attempt.opt == fired_opt) rank_row_fired = attempt.fired;
+      if (attempt.opt == Optimization::kBlockMaxPruning) {
+        block_max_row_fired = attempt.fired;
+        EXPECT_EQ(attempt.verdict, "blocked: disabled by request options");
+      }
+    }
+    EXPECT_TRUE(rank_row_fired);
+    EXPECT_FALSE(block_max_row_fired);
+    const auto& rules = RewriteRuleRegistry::Global().All();
+    for (size_t i = 0; i < rules.size(); ++i) {
+      EXPECT_EQ(result->exec_stats.rule_fired[i], rules[i].id == fired_id)
+          << rules[i].id;
+    }
+
+    SearchOptions full_options;
+    full_options.allow_rank_processing = false;
+    auto full = engine.Search(text, "AnySum", full_options);
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_EQ(result->results.size(),
+              std::min<size_t>(10, full->results.size()));
+    for (size_t i = 0; i < result->results.size(); ++i) {
+      EXPECT_EQ(result->results[i].doc, full->results[i].doc) << "rank " << i;
+      EXPECT_EQ(result->results[i].score, full->results[i].score)
+          << "rank " << i;
+    }
+  }
+}
+
 TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
-  // A per-request overlay that overrides a per-document statistic stands
-  // block-max pruning down (a stored (tf, doc length) frontier point no
-  // longer describes the document). Explain must name the operator Search
-  // runs under the same options, not the one the engine's constructor
-  // overlay alone would license.
+  // A per-request overlay that overrides a per-document statistic leaves
+  // no stored (tf, doc length) frontier point describing the document, so
+  // MaxScore stands down and the query falls back to full ranking +
+  // truncate. Explain must name the path Search runs under the same
+  // options, not the one the engine's constructor overlay alone would
+  // license.
   Engine engine(&CorpusIndex());
   index::StatsOverlay overlay;
   overlay.SetCollectionSize(CorpusIndex().doc_count());
@@ -139,13 +198,13 @@ TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
 
   auto result = engine.Search("free software", "AnySum", options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->topk_operator, "hrjn");
+  EXPECT_FALSE(result->used_rank_processing);
   EXPECT_FALSE(result->used_block_max_pruning);
   auto explain = engine.Explain("free software", "AnySum", options);
   ASSERT_TRUE(explain.ok()) << explain.status();
-  EXPECT_NE(explain->find("top-k strategy (k=10): threshold top-k; block-max "
-                          "prune blocked: stats overlay overrides "
-                          "per-document statistics\n"),
+  EXPECT_NE(explain->find("top-k strategy (k=10): full ranking + truncate "
+                          "(blocked: stats overlay overrides per-document "
+                          "statistics)\n"),
             std::string::npos)
       << *explain;
 
@@ -157,7 +216,7 @@ TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
   options.stats_overlay = &pinned;
   result = engine.Search("free software", "AnySum", options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->topk_operator, "maxscore");
+  EXPECT_TRUE(result->used_rank_processing);
   EXPECT_TRUE(result->used_block_max_pruning);
   explain = engine.Explain("free software", "AnySum", options);
   ASSERT_TRUE(explain.ok()) << explain.status();
@@ -169,7 +228,7 @@ TEST(EngineTest, ExplainNamesOperatorSearchRunsUnderRequestOverlay) {
   options.stats_overlay = nullptr;
   result = engine.Search("free software", "AnySum", options);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->topk_operator, "maxscore");
+  EXPECT_TRUE(result->used_block_max_pruning);
   explain = engine.Explain("free software", "AnySum", options);
   ASSERT_TRUE(explain.ok()) << explain.status();
   EXPECT_NE(explain->find("top-k strategy (k=10): block-max pruned top-k\n"),

@@ -160,11 +160,11 @@ TEST(ExplainGolden, TopKBlockedMeanSum) {
               options);
 }
 
-// The rank-processing fallback when MaxScore stands down on a licensed
-// scheme: HRJN serves, and the strategy line carries the verdict that
-// blocked pruning — pruning switched off for a conjunction, a request
-// statistics overlay that overrides a per-document statistic (a doc
-// length) for a disjunction. A collection-level overlay alone (the
+// A licensed scheme whose block-max pruning stands down: with pruning
+// switched off, a conjunction runs MaxScore on term bounds and the
+// strategy line carries the verdict; a request statistics overlay that
+// overrides a per-document statistic (a doc length) sends a disjunction
+// to full ranking + truncate. A collection-level overlay alone (the
 // router's pinned statistics) keeps the pruned plan.
 
 TEST(ExplainGolden, TopKRankJoinPruningOffAnySum) {

@@ -19,7 +19,6 @@
 
 #include "core/engine.h"
 #include "exec/maxscore_topk.h"
-#include "exec/rank_join.h"
 #include "index/inverted_index.h"
 #include "index/segmented_index.h"
 #include "mcalc/parser.h"
@@ -224,8 +223,7 @@ TEST_P(ParallelConsistencyTest, CollectionOverlayMatchesMonolithic) {
   const sa::ScoringScheme& scheme =
       *sa::SchemeRegistry::Global().Lookup(c.scheme);
   const bool licensed =
-      exec::TopKRankEngine::Supports(*query, scheme) &&
-      exec::MaxScoreTopK::Supports(*query, scheme, f.index, &overlay);
+      exec::MaxScoreTopK::Supports(*query, scheme, &overlay);
 
   SearchOptions full_options;
   full_options.stats_overlay = &overlay;

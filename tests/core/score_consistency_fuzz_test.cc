@@ -8,10 +8,10 @@
 //             rank processing off, top_k = 0);
 //   opt       optimized monolithic — same options as production defaults;
 //   seg       optimized segmented (3 segments, thread-pool parallel);
-//   topk      top-k runs (rank processing allowed, so the threshold
-//             rank-join/rank-union engine fires where the gate admits it —
-//             and the block-max PRUNED operator fires where its stricter
-//             gate passes too), checked against the base ranking's prefix;
+//   topk      top-k runs (rank processing allowed, so MaxScore fires
+//             where its gate admits the query, PRUNING with block-max
+//             ceilings unless the run disables it), checked against the
+//             base ranking's prefix;
 //   v5        the same corpus saved as a v5 (bit-packed, mmap-loaded)
 //             index: full ranking and top-k through the packed decode
 //             path, bit-identical to the materialized index's results —
@@ -37,8 +37,9 @@
 //             must carry the blocking verdict.
 //
 // Every configuration also checks operator honesty between EXPLAIN and
-// execution: ExplainQuery, given the run's options, names the top-k
-// operator the run reports in SearchResult::topk_operator.
+// execution: ExplainQuery, given the run's options, names the top-k path
+// the run reports in SearchResult::used_rank_processing and
+// used_block_max_pruning.
 //
 // Comparison contract, verified per execution pair:
 //
@@ -50,9 +51,9 @@
 //     (e.g. x+x+x+x+x vs x*5), and the drift compounds multiplicatively
 //     for the product-flavoured schemes.
 //   * opt vs seg, opt vs topk — BIT-IDENTICAL (==). Execution strategy
-//     (segment fan-out + merge, threshold rank processing) must never
-//     change a single bit: segments score against global statistics and
-//     the rank engine evaluates the same score expression. This is the
+//     (segment fan-out + merge, MaxScore top-k) must never change a
+//     single bit: segments score against global statistics and MaxScore
+//     evaluates the same score expression. This is the
 //     strong claim engine.h makes and the one regressions actually hit.
 //
 // On failure the fuzzer greedily minimizes the AST (subtree promotion,
@@ -87,7 +88,6 @@
 #include "core/request.h"
 #include "core/rewrite_rules.h"
 #include "exec/maxscore_topk.h"
-#include "exec/rank_join.h"
 #include "index/index_io.h"
 #include "index/segmented_index.h"
 #include "ma/plan.h"
@@ -547,17 +547,18 @@ std::string DiffTopK(const std::vector<ma::ScoredDoc>& full_ranked,
   return "";
 }
 
-// The top-k operator Explain's "top-k strategy" line names: "" for full
-// ranking + truncate, and when the line is absent (top_k == 0).
-std::string ExplainedOperator(const std::string& explain) {
+// The top-k path Explain's "top-k strategy" line names: "block-max" or
+// "term-bound" MaxScore, "" for full ranking + truncate and when the line
+// is absent (top_k == 0).
+std::string ExplainedPath(const std::string& explain) {
   const size_t at = explain.find("top-k strategy (k=");
   if (at == std::string::npos) return "";
   const size_t begin = explain.find("): ", at) + 3;
   const std::string line =
       explain.substr(begin, explain.find('\n', begin) - begin);
   const std::pair<const char*, const char*> kLabels[] = {
-      {"block-max pruned top-k", "maxscore"},
-      {"threshold top-k;", "hrjn"},
+      {"block-max pruned top-k", "block-max"},
+      {"term-bound top-k;", "term-bound"},
       {"full ranking + truncate", ""},
   };
   for (const auto& [prefix, op] : kLabels) {
@@ -566,8 +567,14 @@ std::string ExplainedOperator(const std::string& explain) {
   return "<unrecognized: " + line + ">";
 }
 
+// The same label for the path a run reports.
+std::string RunPath(const SearchResult& run) {
+  if (!run.used_rank_processing) return "";
+  return run.used_block_max_pruning ? "block-max" : "term-bound";
+}
+
 // Operator honesty between EXPLAIN and execution: Explain, given the same
-// options as a run, must name the operator that run reports.
+// options as a run, must name the path that run reports.
 std::string DiffExplainedOperator(const Engine& engine,
                                   const mcalc::Query& query,
                                   const sa::ScoringScheme& scheme,
@@ -578,10 +585,10 @@ std::string DiffExplainedOperator(const Engine& engine,
   if (!explain.ok()) {
     return label + ": explain failed: " + explain.status().ToString();
   }
-  const std::string named = ExplainedOperator(*explain);
-  if (named != run.topk_operator) {
-    return label + ": Explain names top-k operator '" + named +
-           "' but the run reports '" + run.topk_operator + "'";
+  const std::string named = ExplainedPath(*explain);
+  if (named != RunPath(run)) {
+    return label + ": Explain names top-k path '" + named +
+           "' but the run reports '" + RunPath(run) + "'";
   }
   return "";
 }
@@ -616,9 +623,7 @@ std::string CheckOverlays(const mcalc::Query& query,
     const bool expect_prune =
         mono_opts.allow_rank_processing &&
         mono_opts.allow_block_max_pruning &&
-        exec::TopKRankEngine::Supports(query, scheme) &&
-        exec::MaxScoreTopK::GateVerdict(query, scheme, FuzzIndex(), overlay)
-            .empty();
+        exec::MaxScoreTopK::Supports(query, scheme, overlay);
     const struct {
       const char* config;
       const Engine& engine;
@@ -831,10 +836,7 @@ std::string CheckQuery(const mcalc::Query& query,
   const bool expect_prune =
       topk_mono_opts.allow_rank_processing &&
       topk_mono_opts.allow_block_max_pruning &&
-      exec::TopKRankEngine::Supports(query, scheme) &&
-      exec::MaxScoreTopK::GateVerdict(query, scheme, FuzzIndex(),
-                                      /*overlay=*/nullptr)
-          .empty();
+      exec::MaxScoreTopK::Supports(query, scheme, /*overlay=*/nullptr);
   for (const auto& [label, run] :
        {std::pair<const char*, const SearchResult*>{"top-k", &*topk},
         {"segmented top-k", &*topk_seg}}) {
