@@ -40,14 +40,14 @@ void BM_GallopingSkip(benchmark::State& state) {
   // targets: the zig-zag access pattern.
   const TermId frequent = Index().LookupTerm("free");
   const TermId rare = Index().LookupTerm("emulator");
-  const index::PostingList& targets = Index().postings(rare);
   for (auto _ : state) {
-    index::CountCursor cursor(&Index().postings(frequent));
+    index::PostingCursor cursor(&Index().postings(frequent));
     uint64_t hits = 0;
-    for (size_t i = 0; i < targets.doc_count(); ++i) {
-      cursor.SkipTo(targets.doc_at(i));
+    for (index::PostingCursor targets(&Index().postings(rare));
+         !targets.AtEnd(); targets.Next()) {
+      cursor.SkipTo(targets.doc());
       if (cursor.AtEnd()) break;
-      hits += cursor.doc() == targets.doc_at(i) ? 1 : 0;
+      hits += cursor.doc() == targets.doc() ? 1 : 0;
     }
     benchmark::DoNotOptimize(hits);
   }

@@ -91,12 +91,13 @@ bool PhraseInDoc(const index::InvertedIndex& index,
                  const std::vector<TermId>& terms, DocId doc) {
   std::vector<std::vector<Offset>> lists;
   for (const TermId term : terms) {
-    const index::PostingList& postings = index.postings(term);
-    const size_t pos = postings.GallopTo(0, doc);
-    if (pos >= postings.doc_count() || postings.doc_at(pos) != doc) {
+    index::PostingCursor cursor(&index.postings(term));
+    cursor.SkipTo(doc);
+    if (cursor.AtEnd() || cursor.doc() != doc) {
       return false;
     }
-    lists.push_back(postings.OffsetsAt(pos));
+    const std::span<const Offset> offsets = cursor.offsets();
+    lists.emplace_back(offsets.begin(), offsets.end());
   }
   for (const Offset start : lists[0]) {
     bool ok = true;
@@ -121,12 +122,12 @@ bool ProximityInDoc(const index::InvertedIndex& index,
   };
   std::vector<Tagged> all;
   for (size_t i = 0; i < terms.size(); ++i) {
-    const index::PostingList& postings = index.postings(terms[i]);
-    const size_t pos = postings.GallopTo(0, doc);
-    if (pos >= postings.doc_count() || postings.doc_at(pos) != doc) {
+    index::PostingCursor cursor(&index.postings(terms[i]));
+    cursor.SkipTo(doc);
+    if (cursor.AtEnd() || cursor.doc() != doc) {
       return false;
     }
-    for (const Offset offset : postings.OffsetsAt(pos)) {
+    for (const Offset offset : cursor.offsets()) {
       all.push_back(Tagged{offset, i});
     }
   }
@@ -212,15 +213,15 @@ StatusOr<std::vector<ma::ScoredDoc>> TerrierLikeEngine::SearchQuery(
 
   for (size_t g = 0; g < resolved.size(); ++g) {
     for (const TermId term : resolved[g].terms) {
-      const index::PostingList& list = index_->postings(term);
       sa::ColumnContext col;
       col.term = term;
       col.doc_freq = index_->DocFreq(term);
-      for (size_t p = 0; p < list.doc_count(); ++p) {
-        const DocId doc = list.doc_at(p);
+      for (index::PostingCursor cursor(&index_->postings(term));
+           !cursor.AtEnd(); cursor.Next()) {
+        const DocId doc = cursor.doc();
         doc_ctx.doc = doc;
         doc_ctx.length = index_->doc_length(doc);
-        col.tf_in_doc = list.tf_at(p);
+        col.tf_in_doc = cursor.tf();
         Accumulator& acc = accumulators[doc];
         acc.score += sa::Bm25(doc_ctx, col);
         acc.groups_hit |= 1u << g;

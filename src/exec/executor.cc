@@ -28,11 +28,7 @@ StatusOr<std::vector<ma::ScoredDoc>> Executor::ExecuteRanked(
     if (doc == kInvalidDoc - 1) break;
     next = doc + 1;
   }
-  std::sort(results.begin(), results.end(),
-            [](const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.doc < b.doc;
-            });
+  std::sort(results.begin(), results.end(), ma::RankedBefore);
   return results;
 }
 

@@ -51,11 +51,11 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
   const size_t n = keywords.size();
 
   // ---- Cursors ----
+  // A posting cursor over the view's range plus the ceiling and charge
+  // bookkeeping of the block it sits in.
   struct Cursor {
     const index::PostingList* list = nullptr;  // null: term absent / empty
-    // Posting positions of the view's range: [pos, end) is still to visit.
-    size_t pos = 0;
-    size_t end = 0;
+    index::PostingCursor postings;
     // Ceiling of the block the cursor currently sits in, computed lazily
     // and reused while the cursor stays inside the block.
     size_t cached_block = std::numeric_limits<size_t>::max();
@@ -65,12 +65,10 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
     // exactly).
     size_t counted_block = std::numeric_limits<size_t>::max();
 
-    bool exhausted() const { return list == nullptr || pos >= end; }
-    DocId doc() const { return list->doc_at(pos); }
-    size_t block() const { return pos / index::PostingList::kBlockSize; }
-    size_t last_block() const {
-      return (end - 1) / index::PostingList::kBlockSize;
-    }
+    bool exhausted() const { return list == nullptr || postings.AtEnd(); }
+    DocId doc() const { return postings.doc(); }
+    size_t block() const { return postings.block(); }
+    size_t last_block() const { return postings.last_block(); }
   };
   std::vector<TermId> terms(n);
   std::vector<Cursor> cursors(n);
@@ -83,16 +81,15 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       continue;
     }
     const index::PostingList& list = index.postings(terms[i]);
-    const auto [first, last] = list.Bounds(range_);
-    if (first == last) {
+    index::PostingCursor postings(&list, range_);
+    if (postings.AtEnd()) {
       if (shape == Shape::kConjunction) {
         return std::vector<ma::ScoredDoc>{};
       }
       continue;
     }
     cursors[i].list = &list;
-    cursors[i].pos = first;
-    cursors[i].end = last;
+    cursors[i].postings = std::move(postings);
   }
   const topk::ColumnScorer scorer(&stats_view_, scheme_, shape, terms);
 
@@ -211,7 +208,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       bool aligned = true;
       for (Cursor& c : cursors) {
         if (c.doc() < candidate) {
-          c.pos = c.list->GallopTo(c.pos, candidate);
+          c.postings.SkipTo(candidate);
           if (c.exhausted()) {
             done = true;
             break;
@@ -250,7 +247,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
           if (block_max_) ++stats_.topk_blocks_skipped;
           ++stats_.docs_pruned;  // the aligned candidate, at least
           for (Cursor& c : cursors) {
-            c.pos = c.list->GallopTo(c.pos, frontier + 1);
+            c.postings.SkipTo(frontier + 1);
           }
           continue;
         }
@@ -258,13 +255,13 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
 
       for (size_t i = 0; i < n; ++i) {
         touch(cursors[i]);
-        tfs[i] = cursors[i].list->tf_at(cursors[i].pos);
+        tfs[i] = cursors[i].postings.tf();
       }
       stats_.rank_heap_ops +=
           top.Offer(candidate, scorer.Score(candidate, tfs));
       ++stats_.docs_scored;
       for (Cursor& c : cursors) {
-        ++c.pos;
+        c.postings.Next();
       }
     }
     return std::move(top).Take();
@@ -366,7 +363,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         for (size_t i = 0; i < n; ++i) {
           Cursor& c = cursors[i];
           if (rank[i] >= num_nonessential && !c.exhausted()) {
-            c.pos = c.list->GallopTo(c.pos, frontier + 1);
+            c.postings.SkipTo(frontier + 1);
           }
         }
         continue;
@@ -382,13 +379,13 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
         if (rank[i] >= num_nonessential) {
           if (!c.exhausted() && c.doc() == candidate) {
             touch(c);
-            tf = c.list->tf_at(c.pos);
+            tf = c.postings.tf();
           }
         } else {
-          c.pos = c.list->GallopTo(c.pos, candidate);
+          c.postings.SkipTo(candidate);
           if (!c.exhausted() && c.doc() == candidate) {
             touch(c);
-            tf = c.list->tf_at(c.pos);
+            tf = c.postings.tf();
           }
         }
       }
@@ -401,7 +398,7 @@ StatusOr<std::vector<ma::ScoredDoc>> MaxScoreTopK::TopK(
       Cursor& c = cursors[i];
       if (rank[i] >= num_nonessential && !c.exhausted() &&
           c.doc() == candidate) {
-        ++c.pos;
+        c.postings.Next();
       }
     }
   }

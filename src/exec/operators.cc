@@ -64,8 +64,8 @@ StatusOr<std::vector<CompiledPredicate>> CompilePredicates(
 // cursor.SkipTo under counter accounting: galloping probes, skip calls,
 // and skip hits (a hit = the gallop leapfrogged at least one posting
 // beyond sequential advance).
-template <typename Cursor>
-void CountedSkipTo(Cursor* cursor, DocId target, ExecStats* counters) {
+void CountedSkipTo(index::PostingCursor* cursor, DocId target,
+                   ExecStats* counters) {
   if (counters == nullptr) {
     cursor->SkipTo(target);
     return;
@@ -206,7 +206,7 @@ class PreCountScanOp final : public DocOperator {
   }
 
  private:
-  index::CountCursor cursor_;
+  index::PostingCursor cursor_;
   uint32_t count_ = 0;
   bool emitted_ = false;
   ExecStats* counters_;
@@ -325,7 +325,7 @@ class FusedScoredCountScan final : public DocOperator {
   }
 
  private:
-  index::CountCursor cursor_;
+  index::PostingCursor cursor_;
   EvalEnv* env_;
   sa::DocContext doc_ctx_;
   sa::ColumnContext col_;
@@ -617,8 +617,8 @@ class ProjectOp final : public DocOperator {
         base_col_ctx_[i].term = column.term;
         base_col_ctx_[i].doc_freq = env_->stats.DocFreq(column.term);
         tf_cursors_.emplace_back(
-            i, index::CountCursor(&env_->stats.index().postings(column.term),
-                               env_->range));
+            i, index::PostingCursor(
+                   &env_->stats.index().postings(column.term), env_->range));
       }
     }
     col_ctx_ = base_col_ctx_;
@@ -688,7 +688,7 @@ class ProjectOp final : public DocOperator {
   const Schema* input_schema_;
   EvalEnv* env_;
   std::vector<sa::ColumnContext> base_col_ctx_;
-  std::vector<std::pair<size_t, index::CountCursor>> tf_cursors_;
+  std::vector<std::pair<size_t, index::PostingCursor>> tf_cursors_;
   sa::DocContext doc_ctx_;
   std::vector<sa::ColumnContext> col_ctx_;
   std::vector<sa::InternalScore> expr_scratch_;

@@ -48,7 +48,7 @@ struct ExecStats {
   uint64_t rows_built = 0;             // join output rows materialized
   uint64_t docs_visited = 0;           // documents surfaced by the root
   uint64_t blocks_decoded = 0;         // varint position blocks decoded
-  uint64_t gallop_probes = 0;          // doc-id comparisons inside GallopTo
+  uint64_t gallop_probes = 0;          // doc-id comparisons inside SkipTo
   uint64_t skip_calls = 0;             // SkipTo invocations by operators
   uint64_t skip_hits = 0;              // SkipTo calls that leapfrogged >= 1
                                        // posting (the zig-zag payoff)

@@ -1,16 +1,18 @@
 // Generation-keyed LRU cache of decoded posting blocks — the only path
 // between a v5 mmap-loaded index's packed bytes and the query engine.
 //
-// A packed PostingList never materializes its arrays. Cursor and accessor
-// reads resolve (term, block) pairs through this cache: a hit returns the
-// already-decoded 128-entry block, a miss bit-unpacks the block from the
-// mapped payload bytes and inserts it. Two decode granularities exist so
-// block-max pruning can align on doc ids without paying for score
-// payloads:
+// A packed PostingList never materializes its arrays. Its one block fetch
+// (PostingList::Block) resolves (term, block) pairs through this cache: a
+// hit returns the already-decoded 128-entry block, a miss bit-unpacks the
+// block from the mapped payload bytes and inserts it. A PostingCursor
+// fetches a block once per visit and holds the returned pointer until it
+// leaves the block, so entries evicted meanwhile stay alive for it. Two
+// decode granularities exist so block-max pruning can align on doc ids
+// without paying for score payloads:
 //
-//   kDocs  doc-id column only — what GallopTo and doc_at need;
-//   kFull  docs + tfs + per-doc position-byte offsets — what scoring
-//          (tf_at) and position decoding (DecodeOffsets) need.
+//   kDocs  doc-id column only — what a cursor fetches on entering a block;
+//   kFull  docs + tfs + per-doc position-byte offsets — the upgrade on the
+//          first tf() or offsets() read inside the block.
 //
 // Keys carry a GENERATION: a process-unique id stamped on every mmap load
 // (BlockCache::NextGeneration). A hot reload loads the new file under a

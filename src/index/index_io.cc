@@ -155,87 +155,72 @@ class V5Writer {
   V5SectionRecord* current_ = nullptr;
 };
 
-// Per-term packing plan: block headers and term records computed in one
-// dry pass (no I/O) so every section knows its sizes before writing.
-struct V5Plan {
-  std::vector<TermMetaV5> metas;
-  std::vector<BlockHeaderV5> headers;
-  uint64_t payload_bytes = 0;
-  uint64_t offsets_bytes = 0;
+// One block's three packed columns (doc gaps, tf - 1, position-varint
+// byte lengths) and the header that describes them. The term-record,
+// header and payload sections all recompute blocks through
+// ForEachV5Block, so the save holds no per-term or per-block array.
+struct V5Block {
+  BlockHeaderV5 header;
+  size_t n = 0;
+  uint32_t columns[3][kFmtV5BlockSize];
+
+  uint64_t payload_bytes() const {
+    return common::PackedBytes(n, header.doc_bits) +
+           common::PackedBytes(n, header.tf_bits) +
+           common::PackedBytes(n, header.off_bits);
+  }
 };
 
-Status BuildV5Plan(const InvertedIndex& index, V5Plan* plan) {
-  plan->metas.resize(index.term_count());
-  // One allocation for every block header: growing the array by doubling
-  // leaves its freed predecessors resident in the saving process's heap.
-  size_t blocks = 0;
-  for (TermId t = 0; t < index.term_count(); ++t) {
-    blocks += (index.postings(t).doc_count() + kFmtV5BlockSize - 1) /
-              kFmtV5BlockSize;
+// Calls fn(block) for each block of term `t` in order; each header's
+// payload offset runs from the term's payload base. Fails when a header
+// cannot address the term's payload or position blob (4 GiB each).
+template <typename Fn>
+Status ForEachV5Block(const InvertedIndex& index, TermId t, Fn fn) {
+  const PostingList& list = index.postings(t);
+  const std::vector<DocId>& docs = list.raw_docs();
+  const std::vector<uint32_t>& tfs = list.raw_tfs();
+  const std::vector<uint32_t>& starts = list.raw_offset_starts();
+  if (list.raw_encoded_offsets().size() > UINT32_MAX) {
+    return Status::Internal(
+        "term position blob exceeds the 4 GiB a v5 block header can "
+        "address: " + index.TermText(t));
   }
-  plan->headers.reserve(blocks);
-  for (TermId t = 0; t < index.term_count(); ++t) {
-    const PostingList& list = index.postings(t);
-    const std::vector<DocId>& docs = list.raw_docs();
-    const std::vector<uint32_t>& tfs = list.raw_tfs();
-    const std::vector<uint64_t>& starts = list.raw_offset_starts();
-    TermMetaV5& m = plan->metas[t];
-    m.doc_count = docs.size();
-    m.collection_frequency = list.collection_frequency();
-    m.block_begin = plan->headers.size();
-    m.payload_begin = plan->payload_bytes;
-    m.offsets_begin = plan->offsets_bytes;
-    m.offsets_length = list.raw_encoded_offsets().size();
-    if (m.offsets_length > UINT32_MAX) {
+  V5Block block;
+  uint64_t term_payload = 0;
+  for (size_t begin = 0; begin < docs.size(); begin += kFmtV5BlockSize) {
+    if (term_payload > UINT32_MAX) {
       return Status::Internal(
-          "term position blob exceeds the 4 GiB a v5 block header can "
+          "term payload exceeds the 4 GiB a v5 block header can "
           "address: " + index.TermText(t));
     }
-    uint64_t term_payload = 0;
-    for (size_t begin = 0; begin < docs.size();
-         begin += kFmtV5BlockSize) {
-      const size_t end = std::min(docs.size(), begin + kFmtV5BlockSize);
-      const size_t n = end - begin;
-      const uint32_t base = begin == 0 ? 0 : docs[begin - 1] + 1;
-      uint32_t max_gap = 0;
-      uint32_t max_tf1 = 0;
-      uint32_t max_len = 0;
-      for (size_t i = begin; i < end; ++i) {
-        const uint32_t gap =
-            i == begin ? docs[i] - base : docs[i] - docs[i - 1] - 1;
-        max_gap = std::max(max_gap, gap);
-        max_tf1 = std::max(max_tf1, tfs[i] - 1);
-        max_len = std::max(
-            max_len, static_cast<uint32_t>(starts[i + 1] - starts[i]));
+    const size_t end = std::min(docs.size(), begin + kFmtV5BlockSize);
+    block.n = end - begin;
+    const uint32_t base = begin == 0 ? 0 : docs[begin - 1] + 1;
+    uint32_t max[3] = {0, 0, 0};
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t values[3] = {
+          i == begin ? docs[i] - base : docs[i] - docs[i - 1] - 1,
+          tfs[i] - 1, starts[i + 1] - starts[i]};
+      for (size_t c = 0; c < 3; ++c) {
+        block.columns[c][i - begin] = values[c];
+        max[c] = std::max(max[c], values[c]);
       }
-      if (term_payload > UINT32_MAX) {
-        return Status::Internal(
-            "term payload exceeds the 4 GiB a v5 block header can "
-            "address: " + index.TermText(t));
-      }
-      BlockHeaderV5 h;
-      h.last_doc = docs[end - 1];
-      h.payload_offset = static_cast<uint32_t>(term_payload);
-      h.offsets_base = static_cast<uint32_t>(starts[begin]);
-      h.doc_bits = static_cast<uint8_t>(common::BitsFor(max_gap));
-      h.tf_bits = static_cast<uint8_t>(common::BitsFor(max_tf1));
-      h.off_bits = static_cast<uint8_t>(common::BitsFor(max_len));
-      h.reserved = 0;
-      plan->headers.push_back(h);
-      term_payload += common::PackedBytes(n, h.doc_bits) +
-                      common::PackedBytes(n, h.tf_bits) +
-                      common::PackedBytes(n, h.off_bits);
     }
-    plan->payload_bytes += term_payload;
-    plan->offsets_bytes += m.offsets_length;
+    BlockHeaderV5& h = block.header;
+    h.last_doc = docs[end - 1];
+    h.payload_offset = static_cast<uint32_t>(term_payload);
+    h.offsets_base = starts[begin];
+    h.doc_bits = static_cast<uint8_t>(common::BitsFor(max[0]));
+    h.tf_bits = static_cast<uint8_t>(common::BitsFor(max[1]));
+    h.off_bits = static_cast<uint8_t>(common::BitsFor(max[2]));
+    h.reserved = 0;
+    GRAFT_RETURN_IF_ERROR(fn(block));
+    term_payload += block.payload_bytes();
   }
   return Status::Ok();
 }
 
 Status WriteIndexBodyV5(const InvertedIndex& index, std::FILE* f) {
-  V5Plan plan;
-  GRAFT_RETURN_IF_ERROR(BuildV5Plan(index, &plan));
-
   char prologue[8];
   std::memcpy(prologue, kFmtMagic, sizeof(kFmtMagic));
   prologue[7] = kFmtVersionV5;
@@ -271,54 +256,55 @@ Status WriteIndexBodyV5(const InvertedIndex& index, std::FILE* f) {
   }
   GRAFT_RETURN_IF_ERROR(w.EndSection());
 
-  // kTermMeta.
+  // kTermMeta: one record per term, placed by running section totals.
   GRAFT_RETURN_IF_ERROR(w.BeginSection(&recs[2]));
-  GRAFT_RETURN_IF_ERROR(w.Write(plan.metas.data(),
-                                plan.metas.size() * kFmtV5TermMetaBytes));
+  uint64_t next_block = 0;
+  uint64_t next_payload = 0;
+  uint64_t next_offsets = 0;
+  for (TermId t = 0; t < index.term_count(); ++t) {
+    const PostingList& list = index.postings(t);
+    TermMetaV5 m;
+    m.doc_count = list.doc_count();
+    m.collection_frequency = list.collection_frequency();
+    m.block_begin = next_block;
+    m.payload_begin = next_payload;
+    m.offsets_begin = next_offsets;
+    m.offsets_length = list.raw_encoded_offsets().size();
+    GRAFT_RETURN_IF_ERROR(w.Write(&m, kFmtV5TermMetaBytes));
+    GRAFT_RETURN_IF_ERROR(ForEachV5Block(index, t, [&](const V5Block& b) {
+      next_payload += b.payload_bytes();
+      return Status::Ok();
+    }));
+    next_block += list.block_count();
+    next_offsets += m.offsets_length;
+  }
   GRAFT_RETURN_IF_ERROR(w.EndSection());
 
   // kBlockHeaders.
   GRAFT_RETURN_IF_ERROR(w.BeginSection(&recs[3]));
-  GRAFT_RETURN_IF_ERROR(w.Write(
-      plan.headers.data(), plan.headers.size() * kFmtV5BlockHeaderBytes));
+  for (TermId t = 0; t < index.term_count(); ++t) {
+    GRAFT_RETURN_IF_ERROR(ForEachV5Block(index, t, [&](const V5Block& b) {
+      return w.Write(&b.header, kFmtV5BlockHeaderBytes);
+    }));
+  }
   GRAFT_RETURN_IF_ERROR(w.EndSection());
 
-  // kPayload: per block, the three packed columns (doc gaps, tf-1,
-  // position-varint byte lengths), each starting on a byte boundary.
+  // kPayload: per block, the three packed columns, each starting on a
+  // byte boundary.
   GRAFT_RETURN_IF_ERROR(w.BeginSection(&recs[4]));
-  uint32_t vals[kFmtV5BlockSize];
   uint8_t packed[common::PackedBytes(kFmtV5BlockSize, 32)];
   for (TermId t = 0; t < index.term_count(); ++t) {
     GRAFT_FAILPOINT_WRITE(g_fp_save_term, f);
-    const PostingList& list = index.postings(t);
-    const std::vector<DocId>& docs = list.raw_docs();
-    const std::vector<uint32_t>& tfs = list.raw_tfs();
-    const std::vector<uint64_t>& starts = list.raw_offset_starts();
-    const TermMetaV5& m = plan.metas[t];
-    for (size_t begin = 0; begin < docs.size();
-         begin += kFmtV5BlockSize) {
-      const size_t end = std::min(docs.size(), begin + kFmtV5BlockSize);
-      const size_t n = end - begin;
-      const BlockHeaderV5& h =
-          plan.headers[m.block_begin + begin / kFmtV5BlockSize];
-      const uint32_t base = begin == 0 ? 0 : docs[begin - 1] + 1;
-      for (size_t i = begin; i < end; ++i) {
-        vals[i - begin] =
-            i == begin ? docs[i] - base : docs[i] - docs[i - 1] - 1;
+    GRAFT_RETURN_IF_ERROR(ForEachV5Block(index, t, [&](const V5Block& b) {
+      const uint8_t bits[3] = {b.header.doc_bits, b.header.tf_bits,
+                               b.header.off_bits};
+      for (size_t c = 0; c < 3; ++c) {
+        common::PackInts(b.columns[c], b.n, bits[c], packed);
+        GRAFT_RETURN_IF_ERROR(
+            w.Write(packed, common::PackedBytes(b.n, bits[c])));
       }
-      common::PackInts(vals, n, h.doc_bits, packed);
-      GRAFT_RETURN_IF_ERROR(w.Write(packed, common::PackedBytes(n, h.doc_bits)));
-      for (size_t i = begin; i < end; ++i) {
-        vals[i - begin] = tfs[i] - 1;
-      }
-      common::PackInts(vals, n, h.tf_bits, packed);
-      GRAFT_RETURN_IF_ERROR(w.Write(packed, common::PackedBytes(n, h.tf_bits)));
-      for (size_t i = begin; i < end; ++i) {
-        vals[i - begin] = static_cast<uint32_t>(starts[i + 1] - starts[i]);
-      }
-      common::PackInts(vals, n, h.off_bits, packed);
-      GRAFT_RETURN_IF_ERROR(w.Write(packed, common::PackedBytes(n, h.off_bits)));
-    }
+      return Status::Ok();
+    }));
   }
   GRAFT_RETURN_IF_ERROR(w.EndSection());
 
@@ -565,6 +551,9 @@ Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
     if (m.collection_frequency < m.doc_count) {
       return Status::Corruption("collection frequency below document count");
     }
+    if (m.offsets_length > UINT32_MAX) {
+      return Status::Corruption("term position blob exceeds 4 GiB");
+    }
     const uint64_t blocks =
         (m.doc_count + kFmtV5BlockSize - 1) / kFmtV5BlockSize;
     if (m.block_begin != running_block ||
@@ -697,7 +686,7 @@ StatusOr<InvertedIndex> BuildIndexFromV5(common::MmapRegion region,
       const size_t n = static_cast<size_t>(m.doc_count);
       std::vector<DocId> docs(n);
       std::vector<uint32_t> tfs(n);
-      std::vector<uint64_t> starts(n + 1);
+      std::vector<uint32_t> starts(n + 1);
       starts[0] = 0;
       for (size_t begin = 0, b = 0; begin < n;
            begin += kFmtV5BlockSize, ++b) {
@@ -721,8 +710,16 @@ StatusOr<InvertedIndex> BuildIndexFromV5(common::MmapRegion region,
         }
         pp += common::PackedBytes(bn, h.tf_bits);
         common::UnpackInts(pp, bn, h.off_bits, scratch);
+        // Summed in 64 bits: ParseV5 capped the blob at 4 GiB, so a block
+        // that stays within it cannot have wrapped a u32 start.
+        uint64_t start = starts[begin];
         for (size_t i = 0; i < bn; ++i) {
-          starts[begin + i + 1] = starts[begin + i] + scratch[i];
+          start += scratch[i];
+          starts[begin + i + 1] = static_cast<uint32_t>(start);
+        }
+        if (start > m.offsets_length) {
+          return Status::Corruption(
+              "packed offset lengths disagree with the offsets blob");
         }
       }
       if (starts[n] != m.offsets_length) {
@@ -849,6 +846,9 @@ Status ValidateLegacyPostings(const std::vector<DocId>& docs,
       starts.back() != encoded_bytes) {
     return Status::Corruption("offset index does not match encoded bytes");
   }
+  if (encoded_bytes > UINT32_MAX) {
+    return Status::Corruption("term position blob exceeds 4 GiB");
+  }
   if (collection_frequency < docs.size()) {
     return Status::Corruption("collection frequency below document count");
   }
@@ -951,7 +951,8 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
       return Status::Corruption("duplicate term in index file: " + text);
     }
     PostingList* list = index.mutable_postings(term);
-    list->RestoreFrom(std::move(docs), std::move(tfs), std::move(starts),
+    list->RestoreFrom(std::move(docs), std::move(tfs),
+                      std::vector<uint32_t>(starts.begin(), starts.end()),
                       std::move(encoded), total_positions);
     if (has_frontiers) {
       list->RestoreBlockMax(std::move(frontier_start), std::move(frontier_tf),

@@ -23,25 +23,10 @@ TermId InvertedIndex::InternTerm(std::string_view term) {
   return it->second;
 }
 
-uint32_t InvertedIndex::TermFreqInDoc(TermId term, DocId doc,
-                                      size_t* probe) const {
-  const PostingList& list = postings_[term];
-  size_t from = probe == nullptr ? 0 : *probe;
-  // GallopTo requires every posting before `from` to precede `target`; a
-  // stale or backwards probe violates that, so fall back to the O(log df)
-  // cold gallop from the front.
-  if (from > list.doc_count() ||
-      (from > 0 && list.doc_at(from - 1) >= doc)) {
-    from = 0;
-  }
-  const size_t pos = list.GallopTo(from, doc);
-  if (probe != nullptr) {
-    *probe = pos;
-  }
-  if (pos >= list.doc_count() || list.doc_at(pos) != doc) {
-    return 0;
-  }
-  return list.tf_at(pos);
+uint32_t InvertedIndex::TermFreqInDoc(TermId term, DocId doc) const {
+  PostingCursor cursor(&postings_[term]);
+  cursor.SkipTo(doc);
+  return !cursor.AtEnd() && cursor.doc() == doc ? cursor.tf() : 0;
 }
 
 IndexBuilder::IndexBuilder() = default;

@@ -56,18 +56,9 @@ class InvertedIndex {
   const PostingList& postings(TermId term) const { return postings_[term]; }
 
   // #InDoc in Figure 1: occurrences of `term` in `doc` (0 if absent).
-  // O(log df) galloping search; used by scoring, not by scans.
-  uint32_t TermFreqInDoc(TermId term, DocId doc) const {
-    return TermFreqInDoc(term, doc, nullptr);
-  }
-
-  // Stateful variant for the common scoring pattern of probing ascending
-  // doc ids: `probe` (caller-owned, start at 0) seeds the gallop from the
-  // last hit, making a monotone scan amortized O(1) per lookup. A
-  // backwards probe falls back to the O(log df) cold gallop from the
-  // front. Keeping the cursor in the caller (not a mutable member) keeps
-  // const lookups data-race-free under concurrent query execution.
-  uint32_t TermFreqInDoc(TermId term, DocId doc, size_t* probe) const;
+  // One cold cursor skip; used by scoring, not by scans (a caller probing
+  // ascending doc ids keeps its own PostingCursor instead).
+  uint32_t TermFreqInDoc(TermId term, DocId doc) const;
 
   // ---- Construction interface (used by IndexBuilder and index_io) ----
   TermId InternTerm(std::string_view term);

@@ -1,38 +1,55 @@
 #include "index/posting_list.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <limits>
 
 #include "common/packed_ints.h"
+#include "index/varint.h"
 
 namespace graft::index {
 
 namespace {
 
-// Thread-local memo of the last few fetched blocks. Tight loops (scoring a
-// run of postings inside one block, gallop refinement) hit the same
-// (list, block, kind) repeatedly; the memo answers those without taking
-// the cache mutex, and the held shared_ptr keeps the block alive so
-// FetchBlock can hand out a raw pointer. Entries are keyed by generation
-// as well as list address, so a reload that reuses a freed list's address
-// can never alias a stale block.
-struct BlockMemoEntry {
-  const void* list = nullptr;
-  uint64_t generation = 0;
-  uint64_t block = 0;
-  BlockKind kind = BlockKind::kDocs;
-  BlockCache::BlockPtr data;
-};
+// First index in [from, n) whose key is >= target, n if none: doubling
+// steps from `from`, then a binary search inside the last bracket, so a
+// short skip costs O(log distance). Adds one to *probes per key compared.
+template <typename Key>
+size_t Gallop(size_t from, size_t n, DocId target, const Key& key,
+              uint64_t* probes) {
+  size_t lo = from;
+  size_t hi = from;
+  for (size_t step = 1; hi < n; step <<= 1) {
+    ++*probes;
+    if (key(hi) >= target) break;
+    lo = hi + 1;
+    hi = from + step;
+  }
+  hi = std::min(hi, n);
+  while (lo < hi) {
+    ++*probes;
+    const size_t mid = lo + (hi - lo) / 2;
+    if (key(mid) < target) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
 
-constexpr size_t kMemoSlots = 16;
-
-BlockMemoEntry* MemoSlot(const void* list, size_t block, BlockKind kind) {
-  thread_local std::array<BlockMemoEntry, kMemoSlots> memo;
-  const size_t h = (reinterpret_cast<uintptr_t>(list) >> 4) ^ (block * 2 + 1) ^
-                   (static_cast<size_t>(kind) << 3);
-  return &memo[h % kMemoSlots];
+// Decodes posting i's delta-varint positions into `out` (cleared first).
+void DecodeOffsets(const PostingBlock& block, size_t i,
+                   std::vector<Offset>* out) {
+  out->clear();
+  const uint32_t tf = block.tfs[i];
+  out->reserve(tf);
+  const uint8_t* p = block.offsets + block.off_starts[i];
+  Offset running = 0;
+  for (uint32_t k = 0; k < tf; ++k) {
+    running += GetVarint32(&p);
+    out->push_back(running);
+  }
 }
 
 }  // namespace
@@ -40,6 +57,8 @@ BlockMemoEntry* MemoSlot(const void* list, size_t block, BlockKind kind) {
 void PostingList::AddDocument(DocId doc, std::span<const Offset> offsets) {
   assert(!offsets.empty());
   assert(docs_.empty() || doc > docs_.back());
+  if (offset_start_.empty()) offset_start_.push_back(0);
+  ++doc_count_;
   docs_.push_back(doc);
   tfs_.push_back(static_cast<uint32_t>(offsets.size()));
   // Delta-encode: first position absolute, then gaps.
@@ -49,66 +68,46 @@ void PostingList::AddDocument(DocId doc, std::span<const Offset> offsets) {
     PutVarint32(&encoded_offsets_, offsets[i] - previous);
     previous = offsets[i];
   }
-  offset_start_.push_back(encoded_offsets_.size());
+  // The u32 starts address a 4 GiB blob, the v5 block header's limit.
+  assert(encoded_offsets_.size() <= UINT32_MAX);
+  offset_start_.push_back(static_cast<uint32_t>(encoded_offsets_.size()));
   total_positions_ += offsets.size();
 }
 
-void PostingList::DecodeOffsets(size_t i, std::vector<Offset>* out) const {
-  if (is_packed()) {
-    PackedDecodeOffsets(i, out);
-    return;
-  }
-  out->clear();
-  const uint32_t tf = tfs_[i];
-  out->reserve(tf);
-  const uint8_t* p = encoded_offsets_.data() + offset_start_[i];
-  Offset running = 0;
-  for (uint32_t k = 0; k < tf; ++k) {
-    running += GetVarint32(&p);
-    out->push_back(running);
-  }
+std::vector<Offset> PostingList::OffsetsAt(size_t i) const {
+  std::vector<Offset> out;
+  DecodeOffsets(Block(i / kBlockSize, BlockKind::kFull), i % kBlockSize,
+                &out);
+  return out;
 }
 
-size_t PostingList::GallopTo(size_t from, DocId target,
-                             uint64_t* probes) const {
-  if (is_packed()) {
-    return PackedGallopTo(from, target, probes);
+PostingBlock PostingList::Block(size_t b, BlockKind kind) const {
+  const size_t begin = b * kBlockSize;
+  const size_t n = std::min(kBlockSize, doc_count_ - begin);
+  if (!is_packed()) {
+    return {std::span<const DocId>(docs_).subspan(begin, n),
+            std::span<const uint32_t>(tfs_).subspan(begin, n),
+            std::span<const uint32_t>(offset_start_).subspan(begin, n + 1),
+            encoded_offsets_.data(), nullptr};
   }
-  const size_t n = docs_.size();
-  if (from >= n || docs_[from] >= target) {
-    if (probes != nullptr && from < n) {
-      ++*probes;
-    }
-    return from;
+  const uint32_t block = static_cast<uint32_t>(b);
+  BlockCache::BlockPtr ptr =
+      packed_.cache->Lookup(packed_.generation, packed_.term, block, kind);
+  if (ptr == nullptr) {
+    auto decoded = std::make_shared<DecodedBlock>();
+    UnpackBlock(b, kind, decoded.get());
+    ptr = std::move(decoded);
+    packed_.cache->Insert(packed_.generation, packed_.term, block, kind, ptr);
   }
-  // Gallop: double the step until we overshoot, then binary search inside
-  // the final bracket. O(log distance) per skip.
-  uint64_t local_probes = 1;  // the docs_[from] >= target check above
-  size_t step = 1;
-  size_t lo = from;
-  size_t hi = from + step;
-  while (hi < n && docs_[hi] < target) {
-    ++local_probes;
-    lo = hi;
-    step <<= 1;
-    hi = from + step;
+  PostingBlock view;
+  view.docs = {ptr->docs, n};
+  if (kind == BlockKind::kFull) {
+    view.tfs = {ptr->tfs, n};
+    view.off_starts = {ptr->off_start, n + 1};
   }
-  hi = std::min(hi, n);
-  size_t left = lo;
-  size_t right = hi;
-  while (left < right) {
-    ++local_probes;
-    const size_t mid = left + (right - left) / 2;
-    if (docs_[mid] < target) {
-      left = mid + 1;
-    } else {
-      right = mid;
-    }
-  }
-  if (probes != nullptr) {
-    *probes += local_probes;
-  }
-  return left;
+  view.offsets = packed_.offsets;
+  view.pin = std::move(ptr);
+  return view;
 }
 
 void PostingList::BuildBlockMax(std::span<const uint32_t> doc_lengths) {
@@ -173,7 +172,7 @@ void PostingList::RestoreBlockMax(std::vector<uint32_t> frontier_start,
 
 void PostingList::RestoreFrom(std::vector<DocId> docs,
                               std::vector<uint32_t> tfs,
-                              std::vector<uint64_t> offset_starts,
+                              std::vector<uint32_t> offset_starts,
                               std::vector<uint8_t> encoded_offsets,
                               uint64_t total_positions) {
   docs_ = std::move(docs);
@@ -181,7 +180,8 @@ void PostingList::RestoreFrom(std::vector<DocId> docs,
   offset_start_ = std::move(offset_starts);
   encoded_offsets_ = std::move(encoded_offsets);
   total_positions_ = total_positions;
-  assert(offset_start_.size() == docs_.size() + 1);
+  doc_count_ = docs_.size();
+  assert(offset_start_.size() == doc_count_ + 1);
 }
 
 void PostingList::RestorePacked(const PackedPostings& packed,
@@ -190,9 +190,7 @@ void PostingList::RestorePacked(const PackedPostings& packed,
   assert(docs_.empty());
   packed_ = packed;
   total_positions_ = collection_frequency;
-  // Drop the materialized-mode sentinel entry so accidental raw access
-  // trips the asserts instead of reading a phantom empty list.
-  offset_start_.clear();
+  doc_count_ = packed.doc_count;
 }
 
 void PostingList::UnpackBlock(size_t b, BlockKind kind,
@@ -231,111 +229,63 @@ void PostingList::UnpackBlock(size_t b, BlockKind kind,
   }
 }
 
-const DecodedBlock* PostingList::FetchBlock(size_t b, BlockKind kind) const {
-  BlockMemoEntry* slot = MemoSlot(this, b, kind);
-  if (slot->list == this && slot->generation == packed_.generation &&
-      slot->block == b && slot->kind == kind && slot->data != nullptr) {
-    return slot->data.get();
+PostingCursor::PostingCursor(const PostingList* list, DocRange range)
+    : list_(list), end_(list->doc_count()) {
+  if (end_ == 0) return;
+  // Unbounded while the range's edges are searched.
+  Load(0, BlockKind::kDocs);
+  SkipTo(range.doc_lo);
+  if (range.doc_hi != kInvalidDoc && !AtEnd()) {
+    // A copy finds the end, so the cursor keeps its starting block.
+    PostingCursor probe = *this;
+    probe.SkipTo(range.doc_hi);
+    end_ = probe.pos_;
   }
-  BlockCache::BlockPtr ptr =
-      packed_.cache->Lookup(packed_.generation, packed_.term,
-                            static_cast<uint32_t>(b), kind);
-  if (ptr == nullptr) {
-    auto decoded = std::make_shared<DecodedBlock>();
-    UnpackBlock(b, kind, decoded.get());
-    ptr = std::move(decoded);
-    packed_.cache->Insert(packed_.generation, packed_.term,
-                          static_cast<uint32_t>(b), kind, ptr);
-  }
-  slot->list = this;
-  slot->generation = packed_.generation;
-  slot->block = b;
-  slot->kind = kind;
-  slot->data = std::move(ptr);
-  return slot->data.get();
+  doc_hi_ = range.doc_hi;
 }
 
-DocId PostingList::PackedDocAt(size_t i) const {
-  const size_t b = i / kBlockSize;
-  return FetchBlock(b, BlockKind::kDocs)->docs[i - b * kBlockSize];
+std::span<const Offset> PostingCursor::offsets() {
+  DecodeOffsets(Full(), pos_ - begin_, &scratch_);
+  return scratch_;
 }
 
-uint32_t PostingList::PackedTfAt(size_t i) const {
-  const size_t b = i / kBlockSize;
-  return FetchBlock(b, BlockKind::kFull)->tfs[i - b * kBlockSize];
+void PostingCursor::Load(size_t b, BlockKind kind) {
+  view_ = list_->Block(b, kind);
+  begin_ = b * PostingList::kBlockSize;
 }
 
-void PostingList::PackedDecodeOffsets(size_t i,
-                                      std::vector<Offset>* out) const {
-  const size_t b = i / kBlockSize;
-  const DecodedBlock* block = FetchBlock(b, BlockKind::kFull);
-  const size_t j = i - b * kBlockSize;
-  out->clear();
-  const uint32_t tf = block->tfs[j];
-  out->reserve(tf);
-  const uint8_t* p = packed_.offsets + block->off_start[j];
-  Offset running = 0;
-  for (uint32_t k = 0; k < tf; ++k) {
-    running += GetVarint32(&p);
-    out->push_back(running);
+void PostingCursor::SkipTo(DocId target, uint64_t* probes) {
+  if (target >= doc_hi_) {
+    pos_ = end_;
+    return;
   }
-}
-
-size_t PostingList::PackedGallopTo(size_t from, DocId target,
-                                   uint64_t* probes) const {
-  const size_t n = packed_.doc_count;
-  if (from >= n) {
-    return from;
-  }
-  uint64_t local_probes = 1;  // the doc_at(from) >= target check
-  const size_t from_block = from / kBlockSize;
-  if (FetchBlock(from_block, BlockKind::kDocs)
-          ->docs[from - from_block * kBlockSize] >= target) {
-    if (probes != nullptr) {
-      *probes += local_probes;
-    }
-    return from;
-  }
-  // Block-level binary search over the header last_doc array (no payload
-  // touched): first block whose last_doc can contain `target`.
-  const size_t num_blocks = (n + kBlockSize - 1) / kBlockSize;
-  size_t left = from_block;
-  size_t right = num_blocks;
-  while (left < right) {
+  if (AtEnd()) return;
+  uint64_t local_probes = 1;  // the doc() >= target check
+  size_t i = pos_ - begin_;
+  if (view_.docs[i] < target) {
+    size_t from = i + 1;
+    const size_t b = begin_ / PostingList::kBlockSize;
     ++local_probes;
-    const size_t mid = left + (right - left) / 2;
-    if (packed_.headers[mid].last_doc < target) {
-      left = mid + 1;
-    } else {
-      right = mid;
+    if (list_->block_last_doc(b) < target) {
+      const size_t next = Gallop(
+          b + 1, list_->block_count(), target,
+          [this](size_t k) { return list_->block_last_doc(k); },
+          &local_probes);
+      if (next == list_->block_count()) {
+        // No posting reaches the target, so the range ends with the list.
+        pos_ = end_;
+        if (probes != nullptr) *probes += local_probes;
+        return;
+      }
+      Load(next, BlockKind::kDocs);
+      from = 0;
     }
+    // The block's last doc reaches the target: the search stays inside.
+    i = Gallop(from, view_.docs.size(), target,
+               [this](size_t k) { return view_.docs[k]; }, &local_probes);
   }
-  if (left == num_blocks) {
-    if (probes != nullptr) {
-      *probes += local_probes;
-    }
-    return n;
-  }
-  // In-block binary search over the decoded doc-id column.
-  const DecodedBlock* block = FetchBlock(left, BlockKind::kDocs);
-  const size_t base = left * kBlockSize;
-  size_t lo = left == from_block ? from - base + 1 : 0;
-  size_t hi = block->count;
-  while (lo < hi) {
-    ++local_probes;
-    const size_t mid = lo + (hi - lo) / 2;
-    if (block->docs[mid] < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (probes != nullptr) {
-    *probes += local_probes;
-  }
-  // The block-level search guarantees a hit inside this block.
-  assert(base + lo < n);
-  return base + lo;
+  pos_ = begin_ + i;
+  if (probes != nullptr) *probes += local_probes;
 }
 
 }  // namespace graft::index

@@ -16,25 +16,28 @@
 //     walks only the docs/tf arrays and never touches (or decodes)
 //     position bytes — "a much smaller term-document index".
 //
-// Document-level skipping (SkipTo) uses galloping search over the document
-// array; this is the skip-pointer / zig-zag-join primitive of Section 5.2.1.
+// Document-level skipping (SkipTo) gallops over the per-block last doc ids
+// and then inside one block; this is the skip-pointer / zig-zag-join
+// primitive of Section 5.2.1.
 //
-// Storage comes in TWO modes:
+// Every read goes through one PostingCursor, and every cursor reads one
+// 128-posting block at a time through PostingList::Block. Block and
+// block_last_doc (the per-block skip keys) are the only code that knows
+// which body holds the list:
 //
-//   * materialized (the default): docs/tfs are in-heap arrays, positions
-//     are an in-heap varint blob — what IndexBuilder produces and what v3/
-//     v4/eager-v5 loads restore;
-//   * packed (v5 mmap loads): nothing is materialized. The list holds
-//     zero-copy pointers into the mapped index file (fixed-width block
-//     headers, bit-packed 128-entry payload blocks, the position-varint
-//     blob) and every accessor decodes blocks on demand through the
-//     generation-keyed BlockCache (index/block_cache.h). Doc-id-only reads
-//     (GallopTo, doc_at) fetch docs-granularity blocks; tf_at and
-//     DecodeOffsets fetch full blocks — so block-max pruning can align on
-//     block boundaries without ever unpacking the score payload of a
-//     skipped block. Decoded values are bit-identical to the materialized
-//     arrays (the differential fuzzer's v5 variant enforces this), only
-//     access cost differs.
+//   * in-heap lists (IndexBuilder output, v3/v4 and eager-v5 loads) answer
+//     with slices of their own docs/tfs/offset-start arrays;
+//   * packed lists (v5 mmap loads) answer with one DecodedBlock fetched
+//     through the generation-keyed BlockCache (index/block_cache.h), and
+//     read last doc ids from the block headers. A cursor fetches each
+//     block at doc-id granularity and upgrades it to the full payload only
+//     when tf() or offsets() is first read there, so block-max pruning can
+//     skip a block without unpacking its scores.
+//
+// A skip past the current block searches the block last doc ids and
+// fetches only the block that holds the target. Decoded values are
+// bit-identical across bodies (the differential fuzzer's v5 variant
+// enforces this); only access cost differs.
 
 #ifndef GRAFT_INDEX_POSTING_LIST_H_
 #define GRAFT_INDEX_POSTING_LIST_H_
@@ -44,14 +47,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "index/block_cache.h"
 #include "index/index_format.h"
 #include "index/types.h"
-#include "index/varint.h"
 
 namespace graft::index {
 
@@ -80,16 +81,29 @@ struct PackedPostings {
   BlockCache* cache = nullptr;  // null <=> the list is not packed
 };
 
+// One block of one posting list, as columns (PostingList::Block). Posting
+// i of the block has doc id docs[i], tf tfs[i], and its position varints
+// start at offsets + off_starts[i].
+struct PostingBlock {
+  std::span<const DocId> docs;
+  // Empty after a doc-id-only fetch (BlockKind::kDocs) of a packed block.
+  std::span<const uint32_t> tfs;
+  std::span<const uint32_t> off_starts;
+  const uint8_t* offsets = nullptr;  // the term's position-varint base
+  BlockCache::BlockPtr pin;          // packed: keeps the decoded block alive
+};
+
 class PostingList {
  public:
-  // Postings are grouped into fixed-size blocks for block-max pruning
-  // metadata: per block, the Pareto frontier of the block's (tf, document
-  // length) pairs (dominance: higher tf AND shorter document). A bounded
-  // scheme's α is monotone ↑tf / ↓length, so every document in the block
-  // is dominated by some frontier point, and the frontier's best α is the
-  // block's EXACT score ceiling — unlike the single (max tf, min length)
-  // point, which pairs extremes that rarely co-occur in one document and
-  // yields a ceiling too loose to ever skip a block.
+  // Postings are grouped into fixed-size blocks: the unit a cursor reads,
+  // and the unit of block-max pruning metadata. Per block, the metadata is
+  // the Pareto frontier of the block's (tf, document length) pairs
+  // (dominance: higher tf AND shorter document). A bounded scheme's α is
+  // monotone ↑tf / ↓length, so every document in the block is dominated by
+  // some frontier point, and the frontier's best α is the block's EXACT
+  // score ceiling — unlike the single (max tf, min length) point, which
+  // pairs extremes that rarely co-occur in one document and yields a
+  // ceiling too loose to ever skip a block.
   static constexpr size_t kBlockSize = 128;
   // Frontier points stored per block, at most. When a block's skyline is
   // larger, the tail collapses into one synthetic dominating point
@@ -103,58 +117,37 @@ class PostingList {
   // strictly increasing doc order; offsets must be strictly increasing.
   void AddDocument(DocId doc, std::span<const Offset> offsets);
 
-  size_t doc_count() const {
-    return is_packed() ? packed_.doc_count : docs_.size();
-  }
+  size_t doc_count() const { return doc_count_; }
   // Total occurrences across all documents (collection frequency).
   uint64_t collection_frequency() const { return total_positions_; }
-
-  // True when the list is a zero-copy view over a v5 mmap load; accessors
-  // then decode through the BlockCache instead of reading in-heap arrays.
-  bool is_packed() const { return packed_.cache != nullptr; }
-
-  // Whole-array spans exist only in materialized mode (baselines that want
-  // them on a packed index must walk via doc_at/GallopTo instead).
-  std::span<const DocId> docs() const {
-    assert(!is_packed());
-    return docs_;
-  }
-  std::span<const uint32_t> tfs() const {
-    assert(!is_packed());
-    return tfs_;
+  // ceil(doc_count / kBlockSize).
+  size_t block_count() const {
+    return (doc_count_ + kBlockSize - 1) / kBlockSize;
   }
 
+  // Block `b`'s columns. An in-heap list always answers with every column;
+  // a packed list decodes (or finds in the cache) only the doc ids for
+  // kDocs and everything for kFull.
+  PostingBlock Block(size_t b, BlockKind kind) const;
+
+  // Cold single-posting reads for tests; scans use PostingCursor.
   DocId doc_at(size_t i) const {
-    return is_packed() ? PackedDocAt(i) : docs_[i];
+    return Block(i / kBlockSize, BlockKind::kDocs).docs[i % kBlockSize];
   }
   uint32_t tf_at(size_t i) const {
-    return is_packed() ? PackedTfAt(i) : tfs_[i];
+    return Block(i / kBlockSize, BlockKind::kFull).tfs[i % kBlockSize];
   }
+  std::vector<Offset> OffsetsAt(size_t i) const;
 
-  // Decodes doc i's positions into `out` (cleared first). The decode cost
-  // is the point: position access is not free.
-  void DecodeOffsets(size_t i, std::vector<Offset>* out) const;
-  std::vector<Offset> OffsetsAt(size_t i) const {
-    std::vector<Offset> out;
-    DecodeOffsets(i, &out);
-    return out;
-  }
-
-  // Index of the first posting with doc >= target, starting the gallop from
-  // `from`. Returns doc_count() if none. When `probes` is non-null, it is
-  // incremented once per document-id comparison the search performed
-  // (gallop doublings + binary-search halvings) — the per-query probe
-  // counter surfaced by EXPLAIN ANALYZE.
-  size_t GallopTo(size_t from, DocId target, uint64_t* probes = nullptr) const;
-
-  // Posting-index range [first, last) of the documents inside `range`. The
-  // full range answers without a search, so whole-index scans pay nothing.
-  std::pair<size_t, size_t> Bounds(DocRange range) const {
-    const size_t first = range.doc_lo == 0 ? 0 : GallopTo(0, range.doc_lo);
-    const size_t last = range.doc_hi == kInvalidDoc
-                            ? doc_count()
-                            : GallopTo(first, range.doc_hi);
-    return {first, last};
+  // Last (largest) document id in `block`: what a skip searches, and the
+  // skip target when the block's ceiling cannot reach the heap threshold.
+  // A packed list reads it from the block header, so it never decodes a
+  // block; copying the headers' last docs into every mapped list instead
+  // costs a per-term allocation on each mapped load.
+  DocId block_last_doc(size_t block) const {
+    return is_packed()
+               ? packed_.headers[block].last_doc
+               : docs_[std::min(doc_count_, (block + 1) * kBlockSize) - 1];
   }
 
   // ---- Block-max metadata (score ceilings for dynamic pruning) ----
@@ -168,10 +161,6 @@ class PostingList {
   void RestoreBlockMax(std::vector<uint32_t> frontier_start,
                        std::vector<uint32_t> frontier_tf,
                        std::vector<uint32_t> frontier_doc_length);
-  // ceil(doc_count / kBlockSize); 0 when metadata is absent.
-  size_t block_count() const {
-    return frontier_start_.empty() ? 0 : frontier_start_.size() - 1;
-  }
   // Frontier-point index range [begin, end) of `block`; always non-empty.
   size_t frontier_begin(size_t block) const { return frontier_start_[block]; }
   size_t frontier_end(size_t block) const {
@@ -181,29 +170,9 @@ class PostingList {
   uint32_t frontier_doc_length(size_t point) const {
     return frontier_doc_length_[point];
   }
-  // The first frontier point carries the block's max tf, the last its min
-  // document length (the sort invariant above).
-  uint32_t block_max_tf(size_t block) const {
-    return frontier_tf_[frontier_start_[block]];
-  }
-  uint32_t block_min_doc_length(size_t block) const {
-    return frontier_doc_length_[frontier_start_[block + 1] - 1];
-  }
-  // Posting-index range [begin, end) covered by `block`.
-  size_t block_begin(size_t block) const { return block * kBlockSize; }
-  size_t block_end(size_t block) const {
-    return std::min(doc_count(), (block + 1) * kBlockSize);
-  }
-  // Last (largest) document id in `block` — the skip target when the
-  // block's ceiling cannot reach the heap threshold. Packed lists answer
-  // from the block header, so skipping a block never decodes it.
-  DocId block_last_doc(size_t block) const {
-    return is_packed() ? packed_.headers[block].last_doc
-                       : docs_[block_end(block) - 1];
-  }
 
-  // Serialization hooks used by index_io (materialized lists only; a
-  // packed list re-saves by round-tripping through an eager load).
+  // Serialization hooks used by index_io (in-heap lists only; a packed
+  // list re-saves by round-tripping through an eager load).
   const std::vector<DocId>& raw_docs() const {
     assert(!is_packed());
     return docs_;
@@ -212,7 +181,7 @@ class PostingList {
     assert(!is_packed());
     return tfs_;
   }
-  const std::vector<uint64_t>& raw_offset_starts() const {
+  const std::vector<uint32_t>& raw_offset_starts() const {
     assert(!is_packed());
     return offset_start_;
   }
@@ -229,8 +198,10 @@ class PostingList {
   const std::vector<uint32_t>& raw_frontier_doc_length() const {
     return frontier_doc_length_;
   }
+  // `offset_starts` has docs.size()+1 entries; the caller has checked that
+  // the position blob fits the u32 starts (4 GiB).
   void RestoreFrom(std::vector<DocId> docs, std::vector<uint32_t> tfs,
-                   std::vector<uint64_t> offset_starts,
+                   std::vector<uint32_t> offset_starts,
                    std::vector<uint8_t> encoded_offsets,
                    uint64_t total_positions);
   // Turns the list into a packed view (v5 mmap load). Mutators and raw
@@ -239,23 +210,19 @@ class PostingList {
                      uint64_t collection_frequency);
 
  private:
-  // Decodes block `b` at the requested granularity, through the cache.
-  // The returned pointer stays valid until the list's next accessor call
-  // on this thread (a thread-local memo pins it).
-  const DecodedBlock* FetchBlock(size_t b, BlockKind kind) const;
-  DocId PackedDocAt(size_t i) const;
-  uint32_t PackedTfAt(size_t i) const;
-  void PackedDecodeOffsets(size_t i, std::vector<Offset>* out) const;
-  size_t PackedGallopTo(size_t from, DocId target, uint64_t* probes) const;
+  // True when the list is a zero-copy view over a v5 mmap load.
+  bool is_packed() const { return packed_.cache != nullptr; }
   // Bit-unpacks block `b` from the mapped payload bytes (cache miss path).
   void UnpackBlock(size_t b, BlockKind kind, DecodedBlock* out) const;
 
   PackedPostings packed_;
+  size_t doc_count_ = 0;
   std::vector<DocId> docs_;
   std::vector<uint32_t> tfs_;
   // offset_start_[i] is the byte offset into encoded_offsets_ of doc i's
-  // first varint; has doc_count()+1 entries.
-  std::vector<uint64_t> offset_start_{0};
+  // first varint; has doc_count()+1 entries once a document is added
+  // (none in a packed list, so a mapped load allocates nothing for it).
+  std::vector<uint32_t> offset_start_;
   std::vector<uint8_t> encoded_offsets_;
   uint64_t total_positions_ = 0;
   // Per-block (tf, doc length) Pareto frontiers, flattened: block b's
@@ -267,72 +234,63 @@ class PostingList {
   std::vector<uint32_t> frontier_doc_length_;
 };
 
-// Document-granular cursor over a posting list (the A scan), bounded by a
-// doc range: it starts at the range's first posting and reports AtEnd at
-// the first posting >= doc_hi. offsets() decodes the current document's
-// positions into an internal scratch buffer whose contents stay valid
-// until the next offsets() call (Next/SkipTo do not touch it).
+// The one document-granular cursor over a posting list, for both scans:
+// the A scan reads doc(), tf() and offsets(); the CA scan never calls
+// offsets(), so it never touches position bytes. It holds the block it
+// sits in and is bounded by a doc range: it starts at the range's first
+// posting and reports AtEnd at the first posting >= doc_hi. offsets()
+// decodes the current document's positions into an internal scratch
+// buffer whose contents stay valid until the next offsets() call
+// (Next/SkipTo do not touch it).
 class PostingCursor {
  public:
-  explicit PostingCursor(const PostingList* list, DocRange range = {})
-      : list_(list), doc_hi_(range.doc_hi) {
-    std::tie(pos_, end_) = list->Bounds(range);
-  }
+  // An exhausted cursor over no list.
+  PostingCursor() = default;
+  explicit PostingCursor(const PostingList* list, DocRange range = {});
 
   bool AtEnd() const { return pos_ >= end_; }
-  DocId doc() const { return list_->doc_at(pos_); }
-  uint32_t tf() const { return list_->tf_at(pos_); }
-  std::span<const Offset> offsets() {
-    list_->DecodeOffsets(pos_, &scratch_);
-    return scratch_;
-  }
+  DocId doc() const { return view_.docs[pos_ - begin_]; }
+  uint32_t tf() { return Full().tfs[pos_ - begin_]; }
+  std::span<const Offset> offsets();
 
   // Posting index the cursor sits on (operators diff it across SkipTo to
-  // count skip hits).
+  // count skip hits), and the blocks of that posting and of the range's
+  // last one. last_block() needs a non-empty range.
   size_t position() const { return pos_; }
+  size_t block() const { return pos_ / PostingList::kBlockSize; }
+  size_t last_block() const { return (end_ - 1) / PostingList::kBlockSize; }
 
-  void Next() { ++pos_; }
-  // Advances to the first posting with doc >= target (galloping skip). A
-  // target at or past the range end lands on the end without a search; a
-  // target inside it gallops to a posting no later than the end.
-  void SkipTo(DocId target, uint64_t* probes = nullptr) {
-    pos_ = target >= doc_hi_ ? end_ : list_->GallopTo(pos_, target, probes);
+  void Next() {
+    if (++pos_ == begin_ + view_.docs.size() && pos_ < end_) {
+      Load(pos_ / PostingList::kBlockSize, BlockKind::kDocs);
+    }
   }
+  // Advances to the first posting with doc >= target. A target at or past
+  // the range end lands on the end without a search. Otherwise the search
+  // gallops over the block last doc ids when the target lies past the
+  // current block, fetches the one block that holds it, and gallops
+  // inside. When `probes` is non-null it is incremented once per doc-id
+  // comparison (the per-query counter surfaced by EXPLAIN ANALYZE).
+  void SkipTo(DocId target, uint64_t* probes = nullptr);
 
  private:
-  const PostingList* list_;
-  DocId doc_hi_;
+  void Load(size_t b, BlockKind kind);
+  // The current block with its payload: a doc-id-only view is upgraded
+  // to kFull on the first tf() or offsets() read inside it.
+  const PostingBlock& Full() {
+    if (view_.tfs.empty()) {
+      Load(begin_ / PostingList::kBlockSize, BlockKind::kFull);
+    }
+    return view_;
+  }
+
+  const PostingList* list_ = nullptr;
+  DocId doc_hi_ = kInvalidDoc;
   size_t pos_ = 0;
   size_t end_ = 0;
+  size_t begin_ = 0;  // posting index of view_.docs[0]
+  PostingBlock view_;
   std::vector<Offset> scratch_;
-};
-
-// Document-granular cursor that touches only the doc/tf arrays (the CA
-// scan). Same navigation interface and range bound as PostingCursor minus
-// offsets().
-class CountCursor {
- public:
-  explicit CountCursor(const PostingList* list, DocRange range = {})
-      : list_(list), doc_hi_(range.doc_hi) {
-    std::tie(pos_, end_) = list->Bounds(range);
-  }
-
-  bool AtEnd() const { return pos_ >= end_; }
-  DocId doc() const { return list_->doc_at(pos_); }
-  uint32_t tf() const { return list_->tf_at(pos_); }
-
-  size_t position() const { return pos_; }
-
-  void Next() { ++pos_; }
-  void SkipTo(DocId target, uint64_t* probes = nullptr) {
-    pos_ = target >= doc_hi_ ? end_ : list_->GallopTo(pos_, target, probes);
-  }
-
- private:
-  const PostingList* list_;
-  DocId doc_hi_;
-  size_t pos_ = 0;
-  size_t end_ = 0;
 };
 
 }  // namespace graft::index

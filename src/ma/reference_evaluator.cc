@@ -49,10 +49,23 @@ std::vector<sa::ColumnContext> ReferenceEvaluator::MakeColumnContexts(
     }
     contexts[i].term = column.term;
     contexts[i].doc_freq = stats_.DocFreq(column.term);
-    contexts[i].tf_in_doc = stats_.index().TermFreqInDoc(
-        column.term, doc, &tf_probes_[column.term]);
+    contexts[i].tf_in_doc = TermFreqInDoc(column.term, doc);
   }
   return contexts;
+}
+
+uint32_t ReferenceEvaluator::TermFreqInDoc(TermId term, DocId doc) const {
+  const index::PostingList& list = stats_.index().postings(term);
+  TfProbe& probe =
+      tf_probes_.try_emplace(term, TfProbe{index::PostingCursor(&list), 0})
+          .first->second;
+  if (doc < probe.target) {
+    probe.cursor = index::PostingCursor(&list);  // backwards: restart
+  }
+  probe.target = doc;
+  index::PostingCursor& cursor = probe.cursor;
+  cursor.SkipTo(doc);
+  return !cursor.AtEnd() && cursor.doc() == doc ? cursor.tf() : 0;
 }
 
 Status ReferenceEvaluator::ApplyPredicates(
@@ -81,10 +94,10 @@ StatusOr<MatchTable> ReferenceEvaluator::EvaluateAtom(
   if (node.term == kInvalidTerm) {
     return table;  // Unknown keyword: empty scan.
   }
-  const index::PostingList& list = stats_.index().postings(node.term);
-  for (size_t i = 0; i < list.doc_count(); ++i) {
-    const DocId doc = list.doc_at(i);
-    for (const Offset offset : list.OffsetsAt(i)) {
+  for (index::PostingCursor cursor(&stats_.index().postings(node.term));
+       !cursor.AtEnd(); cursor.Next()) {
+    const DocId doc = cursor.doc();
+    for (const Offset offset : cursor.offsets()) {
       Tuple row;
       row.doc = doc;
       row.values.push_back(Value::Pos(offset));
@@ -101,11 +114,11 @@ StatusOr<MatchTable> ReferenceEvaluator::EvaluatePreCount(
   if (node.term == kInvalidTerm) {
     return table;
   }
-  const index::PostingList& list = stats_.index().postings(node.term);
-  for (size_t i = 0; i < list.doc_count(); ++i) {
+  for (index::PostingCursor cursor(&stats_.index().postings(node.term));
+       !cursor.AtEnd(); cursor.Next()) {
     Tuple row;
-    row.doc = list.doc_at(i);
-    row.values.push_back(Value::Count(list.tf_at(i)));
+    row.doc = cursor.doc();
+    row.values.push_back(Value::Count(cursor.tf()));
     table.rows.push_back(std::move(row));
   }
   return table;

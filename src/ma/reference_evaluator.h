@@ -51,6 +51,8 @@ class ReferenceEvaluator {
   sa::DocContext MakeDocContext(DocId doc) const;
   std::vector<sa::ColumnContext> MakeColumnContexts(const Schema& schema,
                                                     DocId doc) const;
+  // #InDoc through the term's probe cursor.
+  uint32_t TermFreqInDoc(TermId term, DocId doc) const;
 
   Status ApplyPredicates(const std::vector<mcalc::PredicateCall>& predicates,
                          const Schema& schema, const Tuple& row,
@@ -59,12 +61,16 @@ class ReferenceEvaluator {
   index::StatsView stats_;
   const sa::ScoringScheme* scheme_;
   sa::QueryContext query_ctx_;
-  // Per-term galloping probes for #InDoc lookups: plan nodes visit docs in
-  // ascending order, so seeding each lookup from the previous hit makes
-  // the scan amortized O(1) (a backwards probe falls back to the cold
-  // path). Mutable cache only — never observable in results; evaluators
-  // are single-threaded by contract.
-  mutable std::unordered_map<TermId, size_t> tf_probes_;
+  // Per-term cursors for #InDoc lookups: plan nodes visit docs in
+  // ascending order, so a forward-only cursor makes the scan amortized
+  // O(1); a lookup behind the last target restarts the cursor. Mutable
+  // cache only — never observable in results; evaluators are
+  // single-threaded by contract.
+  struct TfProbe {
+    index::PostingCursor cursor;
+    DocId target = 0;  // the last doc looked up
+  };
+  mutable std::unordered_map<TermId, TfProbe> tf_probes_;
 };
 
 }  // namespace graft::ma

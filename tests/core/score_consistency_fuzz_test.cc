@@ -940,8 +940,13 @@ std::string CheckRouterQuery(const mcalc::Query& query,
   if (!reparsed.ok()) return "";  // not expressible in surface syntax
 
   RouterTopology& topology = FuzzRouter();
-  auto topk =
-      MonoEngine().SearchQuery(*reparsed, scheme, TopKOptions(kTopK, false));
+  // The shards run default options whatever GRAFT_FUZZ_RULE says, so the
+  // reference is a default-options monolithic run, not TopKOptions (which
+  // the rule filter narrows).
+  SearchOptions mono_opts;
+  mono_opts.top_k = kTopK;
+  mono_opts.use_segmented = false;
+  auto topk = MonoEngine().SearchQuery(*reparsed, scheme, mono_opts);
 
   std::vector<std::string> terms;
   for (const auto& variable : reparsed->variables) {

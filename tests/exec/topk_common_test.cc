@@ -129,11 +129,7 @@ TEST(ColumnScorerTest, ScoresEqualTheFullEngineBitIdentically) {
       for (const ma::ScoredDoc& hit : full->results) {
         std::vector<uint32_t> tfs;
         for (const TermId term : terms) {
-          const index::PostingList& list = index.postings(term);
-          const size_t pos = list.GallopTo(0, hit.doc);
-          tfs.push_back(pos < list.doc_count() && list.doc_at(pos) == hit.doc
-                            ? list.tf_at(pos)
-                            : 0);
+          tfs.push_back(index.TermFreqInDoc(term, hit.doc));
         }
         EXPECT_EQ(scorer.Score(hit.doc, tfs), hit.score)
             << text << " " << name << " doc " << hit.doc;

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -115,6 +116,21 @@ TEST(IndexIoCompatTest, V4FixtureLoadsAsBuilt) {
   const InvertedIndex built = BuildSmallIndex();
   ExpectSameIndex(*loaded, built);
   ExpectSameTopK(*loaded, built);
+}
+
+TEST(IndexIoCompatTest, V4FixtureResavesToPinnedV5Bytes) {
+  // The v5 writer is deterministic; this pins its exact output for the
+  // committed v4 fixture, so a writer refactor cannot change a saved byte.
+  auto loaded = LoadIndex(FixturePath("small60_v4.idx"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::string path = TempPath("resave_small60");
+  ASSERT_TRUE(SaveIndex(*loaded, path).ok());
+  const std::string bytes = ReadFile(path);
+  std::remove(path.c_str());
+  // Size and CRC32C of the v5 file the writer produced before it stopped
+  // holding per-term and per-block plan arrays.
+  EXPECT_EQ(bytes.size(), 414228u);
+  EXPECT_EQ(common::Crc32c(bytes.data(), bytes.size()), 0x1e002438u);
 }
 
 TEST(IndexIoCompatTest, V4TinyFixtureLoadsAsBuilt) {
@@ -367,8 +383,6 @@ TEST(IndexIoCompatTest, V5MappedLoadDecodesIdentically) {
   for (DocId d = 0; d < built.doc_count(); ++d) {
     ASSERT_EQ(mapped->doc_length(d), built.doc_length(d)) << "doc " << d;
   }
-  std::vector<Offset> want_offsets;
-  std::vector<Offset> got_offsets;
   for (TermId t = 0; t < built.term_count(); ++t) {
     SCOPED_TRACE("term " + std::to_string(t));
     const PostingList& want = built.postings(t);
@@ -379,18 +393,21 @@ TEST(IndexIoCompatTest, V5MappedLoadDecodesIdentically) {
     for (size_t p = 0; p < want.doc_count(); ++p) {
       ASSERT_EQ(got.doc_at(p), want.doc_at(p)) << "posting " << p;
       ASSERT_EQ(got.tf_at(p), want.tf_at(p)) << "posting " << p;
-      want.DecodeOffsets(p, &want_offsets);
-      got.DecodeOffsets(p, &got_offsets);
-      ASSERT_EQ(got_offsets, want_offsets) << "posting " << p;
+      ASSERT_EQ(got.OffsetsAt(p), want.OffsetsAt(p)) << "posting " << p;
     }
-    // GallopTo agrees at every reachable target (exact and between-docs).
+    // SkipTo agrees at every reachable target (exact and between-docs).
+    const auto skip = [](const PostingList& list, DocId target) {
+      PostingCursor cursor(&list);
+      cursor.SkipTo(target);
+      return cursor.position();
+    };
     for (size_t p = 0; p < want.doc_count(); ++p) {
       const DocId target = want.doc_at(p);
-      ASSERT_EQ(got.GallopTo(0, target), want.GallopTo(0, target));
-      ASSERT_EQ(got.GallopTo(0, target + 1), want.GallopTo(0, target + 1));
+      ASSERT_EQ(skip(got, target), skip(want, target));
+      ASSERT_EQ(skip(got, target + 1), skip(want, target + 1));
     }
-    ASSERT_EQ(got.GallopTo(0, static_cast<DocId>(built.doc_count())),
-              want.GallopTo(0, static_cast<DocId>(built.doc_count())));
+    ASSERT_EQ(skip(got, static_cast<DocId>(built.doc_count())),
+              skip(want, static_cast<DocId>(built.doc_count())));
   }
 }
 
@@ -440,8 +457,12 @@ TEST(IndexIoCompatTest, V5MaxScoreSkipsBlocksWithoutPayloadDecodes) {
   const core::SearchResult full = run(false, false);
   ASSERT_TRUE(pruned.used_block_max_pruning);
   ASSERT_GT(pruned.exec_stats.topk_blocks_skipped, 0u);
-  // Cache traffic was harvested into the result's ExecStats...
+  // Cache traffic was harvested into the result's ExecStats, and the
+  // pruned run's misses include doc-id-only fetches that never unpacked
+  // a score payload...
   EXPECT_GT(pruned.exec_stats.block_cache_misses, 0u);
+  EXPECT_LT(pruned.exec_stats.packed_payload_decodes,
+            pruned.exec_stats.block_cache_misses);
   EXPECT_GT(full.exec_stats.packed_payload_decodes, 0u);
   // ...and the pruned run paid fewer payload decodes than the exhaustive
   // one — skipped blocks stayed packed.

@@ -41,13 +41,22 @@ TEST(PostingListTest, GallopFindsTargets) {
   for (DocId d = 0; d < 1000; d += 3) {
     list.AddDocument(d, one);
   }
-  EXPECT_EQ(list.GallopTo(0, 0), 0u);
-  EXPECT_EQ(list.doc_at(list.GallopTo(0, 301)), 303u);  // next multiple of 3
-  EXPECT_EQ(list.doc_at(list.GallopTo(0, 999)), 999u);
-  EXPECT_EQ(list.GallopTo(0, 1000), list.doc_count());
-  // Galloping from the middle.
-  const size_t mid = list.GallopTo(0, 500);
-  EXPECT_EQ(list.doc_at(list.GallopTo(mid, 800)), 801u);
+  PostingCursor cursor(&list);
+  cursor.SkipTo(0);
+  EXPECT_EQ(cursor.position(), 0u);
+  cursor.SkipTo(301);
+  EXPECT_EQ(cursor.doc(), 303u);  // next multiple of 3
+  cursor.SkipTo(999);
+  EXPECT_EQ(cursor.doc(), 999u);
+  cursor.SkipTo(1000);
+  EXPECT_TRUE(cursor.AtEnd());
+  EXPECT_EQ(cursor.position(), list.doc_count());
+  // Galloping from the middle, across blocks.
+  PostingCursor mid(&list);
+  mid.SkipTo(500);
+  EXPECT_EQ(mid.doc(), 501u);
+  mid.SkipTo(800);
+  EXPECT_EQ(mid.doc(), 801u);
 }
 
 TEST(PostingCursorTest, SkipToAndIterate) {

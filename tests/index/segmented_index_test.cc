@@ -76,7 +76,8 @@ std::string RangeLabel(DocRange range) {
   return label;
 }
 
-// Walks `list` with both bounded cursors over `range`, mixing Next with
+// Walks `list` with bounded cursors over `range` in both scan modes (the
+// A scan reads offsets, the CA scan only doc and tf), mixing Next with
 // SkipTo (targets inside the range, and at or past its end), and checks
 // every step against `want`, the monolithic postings in range.
 void ExpectCursorsVisit(const PostingList& list, DocRange range,
@@ -93,20 +94,20 @@ void ExpectCursorsVisit(const PostingList& list, DocRange range,
     ASSERT_EQ(got, want) << "PostingCursor " << label;
   }
   {
-    CountCursor cursor(&list, range);
+    PostingCursor cursor(&list, range);
     size_t j = 0;
     for (; !cursor.AtEnd(); cursor.Next(), ++j) {
-      ASSERT_LT(j, want.size()) << "CountCursor " << label;
-      ASSERT_EQ(cursor.doc(), want[j].doc) << "CountCursor " << label;
-      ASSERT_EQ(cursor.tf(), want[j].tf) << "CountCursor " << label;
+      ASSERT_LT(j, want.size()) << "count scan " << label;
+      ASSERT_EQ(cursor.doc(), want[j].doc) << "count scan " << label;
+      ASSERT_EQ(cursor.tf(), want[j].tf) << "count scan " << label;
     }
-    ASSERT_EQ(j, want.size()) << "CountCursor " << label;
+    ASSERT_EQ(j, want.size()) << "count scan " << label;
   }
   // Random SkipTo/Next interleavings against the reference position.
   const DocId last = want.empty() ? range.doc_lo : want.back().doc;
   for (int round = 0; round < 4; ++round) {
     PostingCursor cursor(&list, range);
-    CountCursor counts(&list, range);
+    PostingCursor counts(&list, range);
     size_t j = 0;
     while (true) {
       ASSERT_EQ(cursor.AtEnd(), j == want.size()) << label;
@@ -254,7 +255,7 @@ TEST(SegmentedIndexTest, SegmentRangesCoverEveryPostingWithPositions) {
 
 TEST(SegmentedIndexTest, BoundedCursorsVisitExactlyTheRange) {
   // Property test on materialized lists: over random and edge-case
-  // ranges, both cursors visit exactly the monolithic postings in range,
+  // ranges, both scan modes visit exactly the monolithic postings in range,
   // with identical tf and positions, under any Next/SkipTo interleaving.
   const InvertedIndex index = BuildSmallIndex(1200);
   const std::vector<TermId> terms = TestTerms(index);
@@ -262,7 +263,6 @@ TEST(SegmentedIndexTest, BoundedCursorsVisitExactlyTheRange) {
   std::mt19937 rng(20261017);
   for (const TermId t : terms) {
     const PostingList& list = index.postings(t);
-    ASSERT_FALSE(list.is_packed());
     for (const DocRange range : TestRanges(list, index.doc_count(), &rng)) {
       ExpectCursorsVisit(list, range, PostingsInRange(list, range), &rng);
       if (HasFatalFailure()) return;
@@ -287,7 +287,6 @@ TEST(SegmentedIndexTest, BoundedCursorsOnMappedListVisitExactlyTheRange) {
     const TermId mt = mapped->LookupTerm(built.TermText(t));
     ASSERT_NE(mt, kInvalidTerm);
     const PostingList& list = mapped->postings(mt);
-    ASSERT_TRUE(list.is_packed());
     for (const DocRange range : TestRanges(eager, built.doc_count(), &rng)) {
       ExpectCursorsVisit(list, range, PostingsInRange(eager, range), &rng);
       if (HasFatalFailure()) break;
@@ -305,7 +304,7 @@ TEST(SegmentedIndexTest, SkipToAtOrPastRangeEndIsAtEnd) {
   const DocRange range{list.doc_at(1), mid};
   for (const DocId target : {mid, mid + 1, kInvalidDoc}) {
     PostingCursor cursor(&list, range);
-    CountCursor counts(&list, range);
+    PostingCursor counts(&list, range);
     ASSERT_FALSE(cursor.AtEnd());
     cursor.SkipTo(target);
     counts.SkipTo(target);
