@@ -389,11 +389,15 @@ StatusOr<std::string> Engine::ExplainQuery(const mcalc::Query& query,
   }
   out += "rewrites:\n" + FormatRewriteAttempts(plan.attempts);
   if (plan.plan != nullptr) {
-    const CostEstimate estimate = CostModel(index_).Estimate(*plan.plan);
-    char line[96];
+    // The estimate of the counters on EXPLAIN ANALYZE's scan line, under
+    // their names.
+    const CostEstimate e = CostModel(index_).Estimate(*plan.plan);
+    char line[160];
     std::snprintf(line, sizeof(line),
-                  "cost estimate: docs=%.1f rows=%.1f cost=%.1f\n",
-                  estimate.docs, estimate.rows, estimate.cost);
+                  "cost estimate: docs_visited=%.1f rows_built=%.1f "
+                  "positions_scanned=%.1f count_entries_scanned=%.1f\n",
+                  e.docs_visited, e.rows_built, e.positions_scanned,
+                  e.count_entries_scanned);
     out += line;
     out += ma::PlanToString(*plan.plan);
   }

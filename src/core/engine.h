@@ -174,10 +174,11 @@ class Engine {
                                      const SearchOptions& options = {}) const;
 
   // EXPLAIN ANALYZE: executes the query under a trace and renders
-  // everything Explain shows plus the measured per-operator counters
-  // (postings blocks decoded, galloping probes, skip hits, top-k heap ops,
-  // docs scored vs pruned) side by side with the
-  // cost-model estimate, and the span timeline.
+  // everything Explain shows, then the measured ExecStats counters
+  // (FormatExecStats) and the span timeline. The measured scan line
+  // carries the four names of Explain's "cost estimate:" line, so the
+  // estimate and the run read side by side. The estimate is of the
+  // streaming plan; when rank processing runs instead, that plan did not.
   StatusOr<std::string> ExplainAnalyze(std::string_view query_text,
                                        std::string_view scheme_name,
                                        const SearchOptions& options = {}) const;

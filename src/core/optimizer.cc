@@ -1,8 +1,9 @@
 #include "core/optimizer.h"
 
-#include <functional>
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <tuple>
 
 #include "core/cost_model.h"
 
@@ -23,29 +24,6 @@ std::string CntCol(VarId var) { return "c" + std::to_string(var); }
 // Join reordering (always score-consistent: the match table, not the join
 // order, defines scoring; Section 5.2.1).
 // ---------------------------------------------------------------------
-
-// Estimated scan cost of a subtree (term positions touched).
-uint64_t EstimateCost(const PlanNode& node,
-                      const index::InvertedIndex& index) {
-  switch (node.kind) {
-    case OpKind::kAtom: {
-      const TermId term = index.LookupTerm(node.keyword);
-      return term == kInvalidTerm ? 0 : index.CollectionFreq(term);
-    }
-    case OpKind::kPreCountAtom: {
-      const TermId term = index.LookupTerm(node.keyword);
-      return term == kInvalidTerm ? 0 : index.DocFreq(term);
-    }
-    default: {
-      uint64_t total = node.kind == OpKind::kAntiJoin ? 0 : 0;
-      for (size_t i = 0; i < node.children.size(); ++i) {
-        // The anti side of ▷ filters but contributes no rows.
-        total += EstimateCost(*node.children[i], index);
-      }
-      return total;
-    }
-  }
-}
 
 // Flattens a maximal join tree into its non-join leaves, recursing into
 // each leaf so nested join regions (e.g. inside union branches) reorder
@@ -79,33 +57,29 @@ PlanNodePtr ReorderJoins(PlanNodePtr node,
   for (PlanNodePtr& leaf : leaves) {
     leaf = ReorderJoins(std::move(leaf), index, cost_based);
   }
-  if (cost_based) {
-    // Most selective input (fewest estimated documents) outermost: under
-    // the independence assumption the greedy smallest-intermediate order
-    // is ascending document-count order.
-    const CostModel model(&index);
-    std::vector<std::pair<double, size_t>> keys;
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      const CostEstimate estimate = model.Estimate(*leaves[i]);
-      keys.emplace_back(estimate.docs + estimate.cost * 1e-9, i);
-    }
-    std::stable_sort(keys.begin(), keys.end());
-    std::vector<PlanNodePtr> ordered;
-    ordered.reserve(leaves.size());
-    for (const auto& [key, i] : keys) {
-      ordered.push_back(std::move(leaves[i]));
-    }
-    leaves = std::move(ordered);
-  } else {
-    // The paper's heuristic: fewest positions scanned first.
-    std::stable_sort(leaves.begin(), leaves.end(),
-                     [&index](const PlanNodePtr& a, const PlanNodePtr& b) {
-                       return EstimateCost(*a, index) <
-                              EstimateCost(*b, index);
-                     });
+  // Both orders are keys over each input's CostModel estimate. The
+  // paper's heuristic: fewest positions scanned first (A and CA scan
+  // volume). The cost-based order: most selective input (fewest estimated
+  // documents) outermost, which under the independence assumption is the
+  // greedy smallest-intermediate order; the paper's key breaks its ties.
+  // The index in each key keeps equal keys in their original order.
+  const CostModel model(&index);
+  std::vector<std::tuple<double, double, size_t>> keys;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    const CostEstimate estimate = model.Estimate(*leaves[i]);
+    const double scanned =
+        estimate.positions_scanned + estimate.count_entries_scanned;
+    keys.emplace_back(cost_based ? estimate.docs_visited : scanned, scanned,
+                      i);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<PlanNodePtr> ordered;
+  ordered.reserve(leaves.size());
+  for (const auto& [key, tie_break, i] : keys) {
+    ordered.push_back(std::move(leaves[i]));
   }
   PlanNodePtr acc;
-  for (auto it = leaves.rbegin(); it != leaves.rend(); ++it) {
+  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
     acc = acc == nullptr ? std::move(*it)
                          : ma::MakeJoin(std::move(*it), std::move(acc));
   }

@@ -714,6 +714,11 @@ StatusOr<InvertedIndex> BuildIndexFromV5(common::MmapRegion region,
         // that stays within it cannot have wrapped a u32 start.
         uint64_t start = starts[begin];
         for (size_t i = 0; i < bn; ++i) {
+          if (tfs[begin + i] > scratch[i]) {
+            // Every position varint is at least one byte.
+            return Status::Corruption(
+                "term frequency above its position bytes");
+          }
           start += scratch[i];
           starts[begin + i + 1] = static_cast<uint32_t>(start);
         }
@@ -861,6 +866,10 @@ Status ValidateLegacyPostings(const std::vector<DocId>& docs,
     }
     if (starts[i + 1] < starts[i]) {
       return Status::Corruption("offset index decreases");
+    }
+    if (tfs[i] > starts[i + 1] - starts[i]) {
+      // Every position varint is at least one byte.
+      return Status::Corruption("term frequency above its position bytes");
     }
   }
   return Status::Ok();

@@ -39,15 +39,19 @@ size_t Gallop(size_t from, size_t n, DocId target, const Key& key,
 }
 
 // Decodes posting i's delta-varint positions into `out` (cleared first).
+// Reads only the posting's own bytes: a tf above what they hold (every
+// varint is at least one byte) stops at their end.
 void DecodeOffsets(const PostingBlock& block, size_t i,
                    std::vector<Offset>* out) {
   out->clear();
-  const uint32_t tf = block.tfs[i];
-  out->reserve(tf);
   const uint8_t* p = block.offsets + block.off_starts[i];
+  const uint8_t* end = block.offsets + block.off_starts[i + 1];
+  const uint32_t tf = block.tfs[i];
+  out->reserve(std::min<size_t>(tf, end > p ? end - p : 0));
   Offset running = 0;
-  for (uint32_t k = 0; k < tf; ++k) {
-    running += GetVarint32(&p);
+  uint32_t delta = 0;
+  for (uint32_t k = 0; k < tf && GetVarint32(&p, end, &delta); ++k) {
+    running += delta;
     out->push_back(running);
   }
 }

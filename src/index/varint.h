@@ -20,18 +20,21 @@ inline void PutVarint32(std::vector<uint8_t>* out, uint32_t value) {
   out->push_back(static_cast<uint8_t>(value));
 }
 
-// Decodes one varint starting at `p`; advances and returns the value.
-inline uint32_t GetVarint32(const uint8_t** p) {
-  uint32_t value = 0;
-  int shift = 0;
-  while (true) {
+// Decodes one varint from [*p, end) into *value and advances *p past it.
+// Reads at most 5 bytes, the longest PutVarint32 writes. Returns false on
+// a varint cut by `end` or a continuation run longer than 5 bytes; *p
+// then stands after the bytes read and *value is meaningless.
+inline bool GetVarint32(const uint8_t** p, const uint8_t* end,
+                        uint32_t* value) {
+  *value = 0;
+  for (int shift = 0; shift < 35 && *p < end; shift += 7) {
     const uint8_t byte = *(*p)++;
-    value |= static_cast<uint32_t>(byte & 0x7f) << shift;
+    *value |= static_cast<uint32_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
-      return value;
+      return true;
     }
-    shift += 7;
   }
+  return false;
 }
 
 }  // namespace graft::index

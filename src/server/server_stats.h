@@ -117,8 +117,10 @@ struct ServerStats final : RequestCounters {
   std::atomic<uint64_t> shard_stats_requests{0};
   // Block-max top-k pruning on the search path: searches whose plan ran
   // the pruned operator, and the cumulative posting blocks it skipped.
-  // Both stay 0 when the gate blocks pruning (scheme, query shape, v3
-  // index) — a dashboard on these shows whether pruning is earning rent.
+  // Both stay 0 when pruning does not run (an unlicensed scheme or query
+  // shape, an overlay overriding a per-document statistic, or a request
+  // that disables it) — a dashboard on these shows whether pruning is
+  // earning rent.
   std::atomic<uint64_t> pruned_searches{0};
   std::atomic<uint64_t> topk_blocks_skipped{0};
   // Rewrite-rule fire counts, slot-indexed by the declarative catalog

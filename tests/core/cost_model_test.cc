@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "core/engine.h"
 #include "core/optimizer.h"
 #include "exec/executor.h"
-#include "ma/reference_evaluator.h"
 #include "mcalc/parser.h"
-#include "text/tokenizer.h"
+#include "text/corpus.h"
 
 namespace graft::core {
 namespace {
@@ -41,14 +49,17 @@ TEST(CostModelTest, AtomEstimates) {
   index::InvertedIndex index = SkewedIndex();
   CostModel model(&index);
   const auto needle = model.Estimate(*ma::MakeAtom("needle", 0));
-  EXPECT_DOUBLE_EQ(needle.docs, 2.0);
+  EXPECT_DOUBLE_EQ(needle.docs_visited, 2.0);
   EXPECT_DOUBLE_EQ(needle.rows, 24.0);
+  EXPECT_DOUBLE_EQ(needle.positions_scanned, 24.0);
+  EXPECT_DOUBLE_EQ(needle.count_entries_scanned, 0.0);
+  EXPECT_DOUBLE_EQ(needle.rows_built, 0.0);
   const auto hay = model.Estimate(*ma::MakeAtom("hay", 1));
-  EXPECT_DOUBLE_EQ(hay.docs, 30.0);
+  EXPECT_DOUBLE_EQ(hay.docs_visited, 30.0);
   EXPECT_DOUBLE_EQ(hay.rows, 30.0);
   const auto missing = model.Estimate(*ma::MakeAtom("absent", 2));
-  EXPECT_DOUBLE_EQ(missing.docs, 0.0);
-  EXPECT_DOUBLE_EQ(missing.cost, 0.0);
+  EXPECT_DOUBLE_EQ(missing.docs_visited, 0.0);
+  EXPECT_DOUBLE_EQ(missing.positions_scanned, 0.0);
 }
 
 TEST(CostModelTest, PreCountCheaperThanAtom) {
@@ -57,8 +68,10 @@ TEST(CostModelTest, PreCountCheaperThanAtom) {
   const auto positional = model.Estimate(*ma::MakeAtom("needle", 0));
   const auto counted =
       model.Estimate(*ma::MakePreCountAtom("needle", "c0"));
-  EXPECT_LT(counted.cost, positional.cost);
-  EXPECT_DOUBLE_EQ(counted.docs, positional.docs);
+  EXPECT_DOUBLE_EQ(counted.count_entries_scanned, 2.0);
+  EXPECT_DOUBLE_EQ(counted.positions_scanned, 0.0);
+  EXPECT_LT(counted.count_entries_scanned, positional.positions_scanned);
+  EXPECT_DOUBLE_EQ(counted.docs_visited, positional.docs_visited);
 }
 
 TEST(CostModelTest, JoinShrinksDocsAndMultipliesRows) {
@@ -67,10 +80,12 @@ TEST(CostModelTest, JoinShrinksDocsAndMultipliesRows) {
   const auto join = model.Estimate(
       *ma::MakeJoin(ma::MakeAtom("needle", 0), ma::MakeAtom("hay", 1)));
   // 2 * 30 / 40 = 1.5 docs.
-  EXPECT_NEAR(join.docs, 1.5, 1e-9);
-  // rows/doc: needle 12, hay 1 -> 1.5 * 12 = 18.
+  EXPECT_NEAR(join.docs_visited, 1.5, 1e-9);
+  // rows/doc: needle 12, hay 1 -> 1.5 * 12 = 18, all built by the join.
   EXPECT_NEAR(join.rows, 18.0, 1e-9);
-  EXPECT_GT(join.cost, 0.0);
+  EXPECT_NEAR(join.rows_built, 18.0, 1e-9);
+  // Both lists are opened: 24 + 30 positions.
+  EXPECT_DOUBLE_EQ(join.positions_scanned, 54.0);
 }
 
 TEST(CostModelTest, PredicatesReduceRows) {
@@ -81,7 +96,8 @@ TEST(CostModelTest, PredicatesReduceRows) {
   const auto filtered = model.Estimate(*ma::MakeJoin(
       ma::MakeAtom("needle", 0), ma::MakeAtom("grass", 1),
       {mcalc::PredicateCall{"WINDOW", {0, 1}, {5}}}));
-  EXPECT_LT(filtered.rows, plain.rows);
+  EXPECT_LT(filtered.rows_built, plain.rows_built);
+  EXPECT_DOUBLE_EQ(filtered.positions_scanned, plain.positions_scanned);
 }
 
 TEST(CostModelTest, UnionAddsAndAltElimCollapses) {
@@ -92,49 +108,57 @@ TEST(CostModelTest, UnionAddsAndAltElimCollapses) {
   branches.push_back(ma::MakeAtom("grass", 1));
   ma::PlanNodePtr union_plan = ma::MakeOuterUnion(std::move(branches));
   const auto unioned = model.Estimate(*union_plan);
-  EXPECT_NEAR(unioned.docs, 40.0, 1e-9);  // 30 + 10, capped at N
+  // Independent branches: 40 * (1 - (1 - 30/40) * (1 - 10/40)).
+  EXPECT_NEAR(unioned.docs_visited, 32.5, 1e-9);
+  EXPECT_DOUBLE_EQ(unioned.positions_scanned, 50.0);
   const auto collapsed =
       model.Estimate(*ma::MakeAltElim(union_plan->Clone()));
-  EXPECT_LT(collapsed.cost, unioned.cost + unioned.rows);
-  EXPECT_NEAR(collapsed.rows, collapsed.docs, 1e-9);
+  EXPECT_LT(collapsed.rows, unioned.rows);
+  EXPECT_NEAR(collapsed.rows, collapsed.docs_visited, 1e-9);
+}
+
+TEST(CostModelTest, AntiSideAddsScanVolumeButNoRows) {
+  index::InvertedIndex index = SkewedIndex();
+  CostModel model(&index);
+  const auto left = model.Estimate(*ma::MakeAtom("hay", 0));
+  const auto anti = model.Estimate(
+      *ma::MakeAntiJoin(ma::MakeAtom("hay", 0), ma::MakeAtom("grass", 1)));
+  EXPECT_DOUBLE_EQ(anti.positions_scanned, 50.0);
+  EXPECT_NEAR(anti.docs_visited, 30.0 * (1.0 - 10.0 / 40.0), 1e-9);
+  EXPECT_LT(anti.rows, left.rows);
+}
+
+// The outermost keyword of a conjunction's optimized join region.
+std::string OuterKeyword(const index::InvertedIndex& index,
+                         std::string_view query_text,
+                         const OptimizerOptions& options) {
+  auto query = mcalc::ParseQuery(query_text);
+  EXPECT_TRUE(query.ok());
+  const sa::ScoringScheme* scheme =
+      sa::SchemeRegistry::Global().Lookup("BestSumMinDist");
+  Optimizer optimizer(scheme, options);
+  auto plan = optimizer.Optimize(*query, index);
+  EXPECT_TRUE(plan.ok());
+  const ma::PlanNode* node = plan->plan.get();
+  while (node->kind != ma::OpKind::kJoin) {
+    node = node->children[0].get();
+  }
+  const ma::PlanNode* left = node->children[0].get();
+  while (!left->children.empty()) left = left->children[0].get();
+  return left->keyword;
 }
 
 TEST(CostBasedOrderingTest, PicksFewestDocsNotFewestPositions) {
   index::InvertedIndex index = SkewedIndex();
-  auto query = mcalc::ParseQuery("hay needle");
-  ASSERT_TRUE(query.ok());
-  const sa::ScoringScheme* scheme =
-      sa::SchemeRegistry::Global().Lookup("BestSumMinDist");
-
-  const auto outer_keyword = [&](const OptimizerOptions& options) {
-    Optimizer optimizer(scheme, options);
-    auto plan = optimizer.Optimize(*query, index);
-    EXPECT_TRUE(plan.ok());
-    const ma::PlanNode* node = plan->plan.get();
-    while (node->kind != ma::OpKind::kJoin) {
-      node = node->children[0].get();
-    }
-    const ma::PlanNode* left = node->children[0].get();
-    while (!left->children.empty()) left = left->children[0].get();
-    return left->keyword;
-  };
-
-  // Heuristic (positions ascending): hay has 30 positions vs needle's 24,
-  // so the heuristic puts *needle* first despite hay being the more
-  // selective stream... wait: needle cf=24 < hay cf=30, so both agree
-  // here. Use grass (cf=20, df=10) vs needle (cf=24, df=2): heuristic
-  // picks grass (fewer positions); the cost model picks needle (fewer
-  // documents).
-  auto query2 = mcalc::ParseQuery("grass needle");
-  ASSERT_TRUE(query2.ok());
-  query = std::move(query2);
-
+  // grass: cf 20, df 10; needle: cf 24, df 2. The paper's heuristic
+  // (positions ascending) drives with grass; the cost model drives with
+  // needle (fewer documents).
   OptimizerOptions heuristic;
-  EXPECT_EQ(outer_keyword(heuristic), "grass");
+  EXPECT_EQ(OuterKeyword(index, "grass needle", heuristic), "grass");
 
   OptimizerOptions cost_based;
   cost_based.cost_based_join_order = true;
-  EXPECT_EQ(outer_keyword(cost_based), "needle");
+  EXPECT_EQ(OuterKeyword(index, "grass needle", cost_based), "needle");
 }
 
 TEST(CostBasedOrderingTest, ScoreConsistentUnderBothOrders) {
@@ -161,6 +185,161 @@ TEST(CostBasedOrderingTest, ScoreConsistentUnderBothOrders) {
       EXPECT_EQ(results[0][i].doc, results[1][i].doc);
       EXPECT_NEAR(results[0][i].score, results[1][i].score, 1e-9);
     }
+  }
+}
+
+// The keys of a "k=v k=v ..." line, in order.
+std::vector<std::string> Keys(std::string_view line) {
+  std::vector<std::string> keys;
+  std::istringstream fields{std::string(line)};
+  for (std::string field; fields >> field;) {
+    keys.push_back(field.substr(0, field.find('=')));
+  }
+  return keys;
+}
+
+TEST(CostModelTest, ExplainAnalyzeNamesEstimateAsItsScanLine) {
+  index::InvertedIndex index = SkewedIndex();
+  const Engine engine(&index);
+  auto out = engine.ExplainAnalyze("grass needle", "BestSumMinDist");
+  ASSERT_TRUE(out.ok()) << out.status();
+  const std::string_view text = *out;
+  const std::string_view estimate_tag = "cost estimate: ";
+  const std::string_view measured_tag = "measured operator work:\n";
+  const size_t estimate = text.find(estimate_tag);
+  const size_t measured = text.find(measured_tag);
+  ASSERT_NE(estimate, std::string_view::npos) << text;
+  ASSERT_NE(measured, std::string_view::npos) << text;
+  const auto line_at = [&text](size_t begin) {
+    return text.substr(begin, text.find('\n', begin) - begin);
+  };
+  const std::vector<std::string> estimated =
+      Keys(line_at(estimate + estimate_tag.size()));
+  EXPECT_EQ(estimated,
+            (std::vector<std::string>{"docs_visited", "rows_built",
+                                      "positions_scanned",
+                                      "count_entries_scanned"}));
+  EXPECT_EQ(estimated, Keys(line_at(measured + measured_tag.size())));
+}
+
+// ---------------------------------------------------------------------
+// Calibration: the estimate ranks the executor's measured work.
+// ---------------------------------------------------------------------
+
+// Spearman rank correlation; ties take their average rank. 0 when either
+// side is constant (no ranking to agree with).
+double SpearmanRho(const std::vector<double>& x,
+                   const std::vector<double>& y) {
+  const auto ranks = [](const std::vector<double>& v) {
+    std::vector<size_t> order(v.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&v](size_t a, size_t b) { return v[a] < v[b]; });
+    std::vector<double> rank(v.size());
+    for (size_t i = 0; i < order.size();) {
+      size_t j = i;
+      while (j < order.size() && v[order[j]] == v[order[i]]) ++j;
+      for (size_t t = i; t < j; ++t) rank[order[t]] = (i + j - 1) / 2.0;
+      i = j;
+    }
+    return rank;
+  };
+  const std::vector<double> rx = ranks(x);
+  const std::vector<double> ry = ranks(y);
+  const double n = static_cast<double>(x.size());
+  const double mean = (n - 1) / 2.0;
+  double sxy = 0, sxx = 0, syy = 0;
+  for (size_t i = 0; i < rx.size(); ++i) {
+    sxy += (rx[i] - mean) * (ry[i] - mean);
+    sxx += (rx[i] - mean) * (rx[i] - mean);
+    syy += (ry[i] - mean) * (ry[i] - mean);
+  }
+  return sxx == 0 || syy == 0 ? 0.0 : sxy / std::sqrt(sxx * syy);
+}
+
+TEST(CostModelCalibrationTest, EstimateRanksMeasuredWorkOnPaperMix) {
+  // The paper mix the repo benchmark serves: Q4-Q11 (paper Section 8, as
+  // in bench/bench_util.h) and the pure-keyword PK1-PK8, under every
+  // scheme, monolithic, no top-k: 128 runs on a fixed seeded corpus.
+  const char* queries[] = {
+      "san francisco fault line",
+      "dinosaur species list (image | picture | drawing | illustration)",
+      "\"orange county convention center\" orlando",
+      "\"san francisco\" \"fault line\"",
+      "(windows emulator)WINDOW[50] (foss | \"free software\")",
+      "(free wireless internet)PROXIMITY[10] service",
+      "arizona ((fishing | hunting) (rules | regulations))WINDOW[20]",
+      "\"rick warren\" (obama inauguration)PROXIMITY[4] "
+      "(controversy invocation)PROXIMITY[15]",
+      "san francisco fault line",
+      "dinosaur species list",
+      "image | picture | drawing | illustration",
+      "fishing | hunting | rules | regulations",
+      "windows emulator",
+      "city",
+      "city state",
+      "city | state | world",
+  };
+  const index::InvertedIndex index = [] {
+    index::IndexBuilder builder;
+    text::CorpusGenerator generator(text::WikipediaLikeConfig(4000, 23));
+    generator.Generate(
+        [&builder](uint64_t, const std::vector<std::string_view>& tokens) {
+          builder.AddDocument(tokens);
+        });
+    return builder.Build();
+  }();
+  const CostModel model(&index);
+
+  // Per scan-line counter, then their sum: the estimate and the measured
+  // value of every run, and the lowest rank correlation accepted. The
+  // bounds sit below the calibration run recorded in EXPERIMENTS.md
+  // ("Cost model vs. measured work"): 0.80 0.71 0.82 0.98 0.58.
+  struct Series {
+    const char* name;
+    double bound;
+    std::vector<double> estimated = {};
+    std::vector<double> measured = {};
+  };
+  Series series[] = {{"docs_visited", 0.75},
+                     {"rows_built", 0.65},
+                     {"positions_scanned", 0.75},
+                     {"count_entries_scanned", 0.95},
+                     {"sum of the four", 0.55}};
+  for (const char* text : queries) {
+    auto query = mcalc::ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    for (const sa::ScoringScheme* scheme :
+         sa::SchemeRegistry::Global().All()) {
+      Optimizer optimizer(scheme);
+      auto plan = optimizer.Optimize(*query, index);
+      ASSERT_TRUE(plan.ok()) << text;
+      exec::Executor executor(&index, scheme, MakeQueryContext(*query));
+      ASSERT_TRUE(executor.ExecuteRanked(*plan->plan).ok()) << text;
+      const CostEstimate e = model.Estimate(*plan->plan);
+      const exec::ExecStats& s = executor.stats();
+      const double estimated[] = {e.docs_visited, e.rows_built,
+                                  e.positions_scanned,
+                                  e.count_entries_scanned};
+      const uint64_t measured[] = {s.docs_visited, s.rows_built,
+                                   s.positions_scanned,
+                                   s.count_entries_scanned};
+      double estimated_sum = 0;
+      double measured_sum = 0;
+      for (int c = 0; c < 4; ++c) {
+        series[c].estimated.push_back(estimated[c]);
+        series[c].measured.push_back(static_cast<double>(measured[c]));
+        estimated_sum += estimated[c];
+        measured_sum += static_cast<double>(measured[c]);
+      }
+      series[4].estimated.push_back(estimated_sum);
+      series[4].measured.push_back(measured_sum);
+    }
+  }
+  for (const Series& counter : series) {
+    const double rho = SpearmanRho(counter.estimated, counter.measured);
+    std::printf("rank correlation %-22s %.4f\n", counter.name, rho);
+    EXPECT_GE(rho, counter.bound) << counter.name;
   }
 }
 

@@ -288,6 +288,8 @@ TEST(IndexIoCompatTest, LegacyRecordsBreakingPostingInvariantsRejected) {
          sizeof(DocId)},
         {"repeated doc id", r.docs + sizeof(DocId), doc0, sizeof(DocId)},
         {"tf == 0", r.tfs, 0, sizeof(uint32_t)},
+        {"tf above its position bytes", r.tfs,
+         ReadU64(bytes, r.starts + 8) + 1, sizeof(uint32_t)},
         {"decreasing offset starts", r.starts + 8,
          ReadU64(bytes, r.starts + 16) + 1, sizeof(uint64_t)},
         {"collection frequency below posting count", r.crc - 8, 1,

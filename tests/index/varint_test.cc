@@ -15,8 +15,10 @@ uint32_t RoundTrip(uint32_t value, size_t* bytes = nullptr) {
   PutVarint32(&buffer, value);
   if (bytes != nullptr) *bytes = buffer.size();
   const uint8_t* p = buffer.data();
-  const uint32_t decoded = GetVarint32(&p);
-  EXPECT_EQ(p, buffer.data() + buffer.size());
+  const uint8_t* end = buffer.data() + buffer.size();
+  uint32_t decoded = 0;
+  EXPECT_TRUE(GetVarint32(&p, end, &decoded));
+  EXPECT_EQ(p, end);
   return decoded;
 }
 
@@ -52,10 +54,36 @@ TEST(VarintTest, SequencesDecodeInOrder) {
     PutVarint32(&buffer, v);
   }
   const uint8_t* p = buffer.data();
+  const uint8_t* end = buffer.data() + buffer.size();
   for (const uint32_t v : values) {
-    EXPECT_EQ(GetVarint32(&p), v);
+    uint32_t decoded = 0;
+    ASSERT_TRUE(GetVarint32(&p, end, &decoded));
+    EXPECT_EQ(decoded, v);
   }
-  EXPECT_EQ(p, buffer.data() + buffer.size());
+  EXPECT_EQ(p, end);
+}
+
+TEST(VarintTest, ContinuationRunStopsAfterFiveBytes) {
+  // A forged run of continuation bytes: the decoder gives up after the
+  // longest varint PutVarint32 writes instead of shifting past bit 31
+  // and reading on to the next byte below 0x80.
+  const std::vector<uint8_t> run(16, 0x80);
+  const uint8_t* p = run.data();
+  uint32_t value = 0;
+  EXPECT_FALSE(GetVarint32(&p, run.data() + run.size(), &value));
+  EXPECT_EQ(p, run.data() + 5);
+}
+
+TEST(VarintTest, VarintCutByTheEndIsRejected) {
+  std::vector<uint8_t> buffer;
+  PutVarint32(&buffer, 1u << 30);  // five bytes
+  ASSERT_EQ(buffer.size(), 5u);
+  for (size_t cut = 0; cut < buffer.size(); ++cut) {
+    const uint8_t* p = buffer.data();
+    uint32_t value = 0;
+    EXPECT_FALSE(GetVarint32(&p, buffer.data() + cut, &value)) << cut;
+    EXPECT_EQ(p, buffer.data() + cut) << cut;
+  }
 }
 
 TEST(VarintTest, DeltaEncodingOfTypicalOffsets) {
