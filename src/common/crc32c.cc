@@ -1,5 +1,11 @@
 #include "common/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace graft::common {
 
 namespace {
@@ -37,7 +43,7 @@ const Tables& T() {
 
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size) {
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t size) {
   const Tables& tables = T();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = ~crc;
@@ -62,6 +68,42 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size) {
     c = tables.t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
   }
   return ~c;
+}
+
+#if defined(__x86_64__)
+
+bool Crc32cHardwareAvailable() { return __builtin_cpu_supports("sse4.2"); }
+
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendHardware(
+    uint32_t crc, const void* data, size_t size) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t c = ~crc;
+  for (; size >= 8; p += 8, size -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; size > 0; ++p, --size) {
+    c32 = _mm_crc32_u8(c32, *p);
+  }
+  return ~c32;
+}
+
+#else
+
+bool Crc32cHardwareAvailable() { return false; }
+
+uint32_t Crc32cExtendHardware(uint32_t crc, const void* data, size_t size) {
+  return Crc32cExtendPortable(crc, data, size);
+}
+
+#endif
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size) {
+  static const auto impl = Crc32cHardwareAvailable() ? Crc32cExtendHardware
+                                                     : Crc32cExtendPortable;
+  return impl(crc, data, size);
 }
 
 }  // namespace graft::common

@@ -1,7 +1,9 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the checksum the index
-// persistence layer stamps on every on-disk section. Software
-// slicing-by-8 implementation (~1 byte/cycle class throughput), no
-// hardware intrinsics, so results are identical on every platform.
+// persistence layer stamps on every on-disk section. Two implementations
+// compute the same function: the SSE4.2 `crc32` instruction (8 bytes per
+// instruction), chosen once per process when the CPU has it, and a
+// portable slicing-by-8 table fold (~1 byte/cycle), the reference used
+// everywhere else. Crc32cExtend dispatches; the tests call both directly.
 //
 // Conventions match zlib's crc32 API: initial value 0, final XOR applied,
 // and the streaming form takes the finalized CRC of the prefix:
@@ -25,6 +27,13 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size);
 inline uint32_t Crc32c(const void* data, size_t size) {
   return Crc32cExtend(0, data, size);
 }
+
+// The portable slicing-by-8 implementation.
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t size);
+// True when this CPU runs Crc32cExtendHardware (x86-64 with SSE4.2).
+bool Crc32cHardwareAvailable();
+// The SSE4.2 implementation; only call it when Crc32cHardwareAvailable().
+uint32_t Crc32cExtendHardware(uint32_t crc, const void* data, size_t size);
 
 }  // namespace graft::common
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -177,10 +178,10 @@ struct V5Block {
 template <typename Fn>
 Status ForEachV5Block(const InvertedIndex& index, TermId t, Fn fn) {
   const PostingList& list = index.postings(t);
-  const std::vector<DocId>& docs = list.raw_docs();
-  const std::vector<uint32_t>& tfs = list.raw_tfs();
-  const std::vector<uint32_t>& starts = list.raw_offset_starts();
-  if (list.raw_encoded_offsets().size() > UINT32_MAX) {
+  const std::span<const DocId> docs = list.docs();
+  const std::span<const uint32_t> tfs = list.tfs();
+  const std::span<const uint32_t> starts = list.offset_starts();
+  if (list.position_bytes().size() > UINT32_MAX) {
     return Status::Internal(
         "term position blob exceeds the 4 GiB a v5 block header can "
         "address: " + index.TermText(t));
@@ -269,7 +270,7 @@ Status WriteIndexBodyV5(const InvertedIndex& index, std::FILE* f) {
     m.block_begin = next_block;
     m.payload_begin = next_payload;
     m.offsets_begin = next_offsets;
-    m.offsets_length = list.raw_encoded_offsets().size();
+    m.offsets_length = list.position_bytes().size();
     GRAFT_RETURN_IF_ERROR(w.Write(&m, kFmtV5TermMetaBytes));
     GRAFT_RETURN_IF_ERROR(ForEachV5Block(index, t, [&](const V5Block& b) {
       next_payload += b.payload_bytes();
@@ -311,8 +312,7 @@ Status WriteIndexBodyV5(const InvertedIndex& index, std::FILE* f) {
   // kOffsets: each term's position-varint blob, byte-identical to v4.
   GRAFT_RETURN_IF_ERROR(w.BeginSection(&recs[5]));
   for (TermId t = 0; t < index.term_count(); ++t) {
-    const std::vector<uint8_t>& encoded =
-        index.postings(t).raw_encoded_offsets();
+    const std::span<const uint8_t> encoded = index.postings(t).position_bytes();
     GRAFT_RETURN_IF_ERROR(w.Write(encoded.data(), encoded.size()));
   }
   GRAFT_RETURN_IF_ERROR(w.EndSection());
@@ -322,9 +322,9 @@ Status WriteIndexBodyV5(const InvertedIndex& index, std::FILE* f) {
   GRAFT_RETURN_IF_ERROR(w.BeginSection(&recs[6]));
   for (TermId t = 0; t < index.term_count(); ++t) {
     const PostingList& list = index.postings(t);
-    const std::vector<uint32_t>& fs = list.raw_frontier_start();
-    const std::vector<uint32_t>& ftf = list.raw_frontier_tf();
-    const std::vector<uint32_t>& flen = list.raw_frontier_doc_length();
+    const std::span<const uint32_t> fs = list.frontier_starts();
+    const std::span<const uint32_t> ftf = list.frontier_tfs();
+    const std::span<const uint32_t> flen = list.frontier_doc_lengths();
     GRAFT_RETURN_IF_ERROR(
         w.WriteScalar<uint32_t>(static_cast<uint32_t>(ftf.size())));
     GRAFT_RETURN_IF_ERROR(w.Write(fs.data(), fs.size() * 4));
@@ -390,13 +390,6 @@ Status WriteTempAndRename(const InvertedIndex& index,
 // section CRC, canonical placement with zero padding, then structural
 // invariants (contiguous term records, monotone doc ids, in-range offsets).
 
-struct V5FrontierView {
-  const uint32_t* start = nullptr;  // blocks + 1 delimiters
-  const uint32_t* tf = nullptr;
-  const uint32_t* len = nullptr;
-  uint32_t n_pts = 0;
-};
-
 struct V5Parsed {
   uint64_t doc_count = 0;
   uint64_t total_words = 0;
@@ -409,7 +402,11 @@ struct V5Parsed {
   uint64_t payload_len = 0;
   const uint8_t* offsets = nullptr;
   uint64_t offsets_len = 0;
-  std::vector<V5FrontierView> frontiers;
+  // The frontier section as u32 words, and the word where each term's
+  // frontier run (its delimiters, past its u32 n_pts) begins.
+  const uint32_t* frontiers = nullptr;
+  uint64_t frontier_words = 0;
+  std::vector<uint64_t> frontier_at;
 };
 
 Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
@@ -567,6 +564,7 @@ Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
     }
     uint64_t term_payload = 0;
     uint32_t prev_last = 0;
+    uint32_t prev_base = 0;
     for (uint64_t b = 0; b < blocks; ++b) {
       const BlockHeaderV5& h = out->headers[m.block_begin + b];
       const size_t bn = static_cast<size_t>(
@@ -582,11 +580,14 @@ Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
           h.last_doc >= out->doc_count) {
         return Status::Corruption("block last_doc not monotone in range");
       }
-      if (h.offsets_base > m.offsets_length ||
+      // Monotone bases bound each block's position bytes by the next
+      // block's base, which the mapped decode relies on.
+      if (h.offsets_base > m.offsets_length || h.offsets_base < prev_base ||
           (b == 0 && h.offsets_base != 0)) {
         return Status::Corruption("block offsets base out of range");
       }
       prev_last = h.last_doc;
+      prev_base = h.offsets_base;
       term_payload += common::PackedBytes(bn, h.doc_bits) +
                       common::PackedBytes(bn, h.tf_bits) +
                       common::PackedBytes(bn, h.off_bits);
@@ -608,7 +609,9 @@ Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
   {
     const auto& rec = recs[static_cast<size_t>(FmtV5Section::kFrontiers)];
     const uint8_t* s = data + rec.offset;
-    out->frontiers.resize(term_count);
+    out->frontiers = reinterpret_cast<const uint32_t*>(s);
+    out->frontier_words = rec.length / 4;
+    out->frontier_at.resize(term_count);
     uint64_t pos = 0;
     for (uint64_t t = 0; t < term_count; ++t) {
       const uint64_t blocks = (out->metas[t].doc_count + kFmtV5BlockSize - 1) /
@@ -622,20 +625,15 @@ Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
       if (need > rec.length - pos) {
         return Status::Corruption("frontier record exceeds its section");
       }
-      V5FrontierView& v = out->frontiers[t];
-      v.n_pts = n_pts;
-      v.start = reinterpret_cast<const uint32_t*>(s + pos);
-      pos += (blocks + 1) * 4;
-      v.tf = reinterpret_cast<const uint32_t*>(s + pos);
-      pos += uint64_t{n_pts} * 4;
-      v.len = reinterpret_cast<const uint32_t*>(s + pos);
-      pos += uint64_t{n_pts} * 4;
-      if (v.start[0] != 0 || v.start[blocks] != n_pts) {
+      out->frontier_at[t] = pos / 4;
+      const uint32_t* start = out->frontiers + pos / 4;
+      pos += (blocks + 1 + uint64_t{2} * n_pts) * 4;
+      if (start[0] != 0 || start[blocks] != n_pts) {
         return Status::Corruption(
             "block frontier arrays do not match posting block count");
       }
       for (uint64_t b = 0; b < blocks; ++b) {
-        if (v.start[b] >= v.start[b + 1]) {
+        if (start[b] >= start[b + 1]) {
           return Status::Corruption(
               "block frontier delimiters are not strictly increasing");
         }
@@ -648,9 +646,96 @@ Status ParseV5(const uint8_t* data, uint64_t size, V5Parsed* out) {
   return Status::Ok();
 }
 
+// Eager v5 load: decodes every list into index-wide docs / tfs /
+// offset-start columns and copies the position bytes and frontiers out
+// of the file, one allocation per column, so the index keeps nothing of
+// the file. Checks what only a full decode can see.
+Status DecodeV5Columns(const V5Parsed& p, PostingStorage* storage,
+                       InvertedIndex* index) {
+  const uint64_t terms = p.terms.size();
+  uint64_t postings = 0;
+  for (uint64_t t = 0; t < terms; ++t) postings += p.metas[t].doc_count;
+  storage->docs = std::make_unique_for_overwrite<DocId[]>(postings);
+  storage->tfs = std::make_unique_for_overwrite<uint32_t[]>(postings);
+  storage->offset_starts =
+      std::make_unique_for_overwrite<uint32_t[]>(postings + terms);
+  storage->offsets = std::make_unique_for_overwrite<uint8_t[]>(p.offsets_len);
+  std::memcpy(storage->offsets.get(), p.offsets, p.offsets_len);
+  storage->frontiers =
+      std::make_unique_for_overwrite<uint32_t[]>(p.frontier_words);
+  std::memcpy(storage->frontiers.get(), p.frontiers, p.frontier_words * 4);
+
+  uint32_t scratch[kFmtV5BlockSize];
+  uint64_t at = 0;  // the term's first posting in the columns
+  for (uint64_t t = 0; t < terms; ++t) {
+    const TermMetaV5& m = p.metas[t];
+    const BlockHeaderV5* hs = p.headers + m.block_begin;
+    const uint8_t* payload = p.payload + m.payload_begin;
+    const size_t n = static_cast<size_t>(m.doc_count);
+    DocId* docs = storage->docs.get() + at;
+    uint32_t* tfs = storage->tfs.get() + at;
+    uint32_t* starts = storage->offset_starts.get() + at + t;
+    starts[0] = 0;
+    for (size_t begin = 0, b = 0; begin < n; begin += kFmtV5BlockSize, ++b) {
+      const size_t bn = std::min(kFmtV5BlockSize, n - begin);
+      const BlockHeaderV5& h = hs[b];
+      const uint8_t* pp = payload + h.payload_offset;
+      common::UnpackInts(pp, bn, h.doc_bits, scratch);
+      // Summed in 64 bits, so ids only grow: the last one matching the
+      // header's in-range last_doc bounds them all.
+      uint64_t running = b == 0 ? 0 : uint64_t{hs[b - 1].last_doc} + 1;
+      for (size_t i = 0; i < bn; ++i) {
+        running += scratch[i] + (i > 0 ? 1 : 0);
+        docs[begin + i] = static_cast<DocId>(running);
+      }
+      if (running != h.last_doc) {
+        return Status::Corruption(
+            "block payload disagrees with its header last_doc");
+      }
+      pp += common::PackedBytes(bn, h.doc_bits);
+      common::UnpackInts(pp, bn, h.tf_bits, scratch);
+      for (size_t i = 0; i < bn; ++i) {
+        tfs[begin + i] = scratch[i] + 1;
+        if (tfs[begin + i] == 0) {
+          return Status::Corruption("zero term frequency");
+        }
+      }
+      pp += common::PackedBytes(bn, h.tf_bits);
+      common::UnpackInts(pp, bn, h.off_bits, scratch);
+      // Summed in 64 bits: ParseV5 capped the blob at 4 GiB, so a block
+      // that stays within it cannot have wrapped a u32 start.
+      uint64_t start = starts[begin];
+      for (size_t i = 0; i < bn; ++i) {
+        if (tfs[begin + i] > scratch[i]) {
+          // Every position varint is at least one byte.
+          return Status::Corruption("term frequency above its position bytes");
+        }
+        start += scratch[i];
+        starts[begin + i + 1] = static_cast<uint32_t>(start);
+      }
+      if (start > m.offsets_length) {
+        return Status::Corruption(
+            "packed offset lengths disagree with the offsets blob");
+      }
+    }
+    if (starts[n] != m.offsets_length) {
+      return Status::Corruption(
+          "packed offset lengths disagree with the offsets blob");
+    }
+    *index->mutable_postings(static_cast<TermId>(t)) = PostingList(
+        n, m.collection_frequency,
+        {docs, tfs, starts, storage->offsets.get() + m.offsets_begin},
+        Frontiers::At(storage->frontiers.get() + p.frontier_at[t],
+                      (n + kFmtV5BlockSize - 1) / kFmtV5BlockSize));
+    at += n;
+  }
+  return Status::Ok();
+}
+
 // Shared tail of the v5 loaders: builds the InvertedIndex from a parsed
-// region, either materializing every list (eager) or installing zero-copy
-// packed views plus the decoded-block cache (mapped).
+// region, either decoding every list (eager) or keeping the region and
+// installing zero-copy packed views plus the decoded-block cache
+// (mapped).
 StatusOr<InvertedIndex> BuildIndexFromV5(common::MmapRegion region,
                                          bool eager,
                                          MappedLoadOptions options) {
@@ -658,85 +743,28 @@ StatusOr<InvertedIndex> BuildIndexFromV5(common::MmapRegion region,
   GRAFT_RETURN_IF_ERROR(ParseV5(region.data(), region.size(), &p));
 
   InvertedIndex index;
-  std::vector<uint32_t> doc_lengths(p.doc_count);
-  std::memcpy(doc_lengths.data(), p.doc_lengths, p.doc_count * 4);
-  index.SetDocLengths(std::move(doc_lengths), p.total_words);
-
-  std::shared_ptr<BlockCache> cache;
-  uint64_t generation = 0;
-  if (!eager) {
-    cache = options.cache != nullptr
-                ? options.cache
-                : std::make_shared<BlockCache>(options.private_cache_bytes);
-    generation = BlockCache::NextGeneration();
-  }
-
-  uint32_t scratch[kFmtV5BlockSize];
+  index.SetDocLengths(
+      std::vector<uint32_t>(p.doc_lengths, p.doc_lengths + p.doc_count),
+      p.total_words);
+  index.ReserveTerms(p.terms.size());
   for (uint64_t t = 0; t < p.terms.size(); ++t) {
-    const TermId term = index.InternTerm(p.terms[t]);
-    if (term != t) {
+    if (index.InternTerm(p.terms[t]) != t) {
       return Status::Corruption("duplicate term in index file: " +
                                 std::string(p.terms[t]));
     }
-    const TermMetaV5& m = p.metas[t];
-    PostingList* list = index.mutable_postings(term);
-    if (eager) {
-      const BlockHeaderV5* hs = p.headers + m.block_begin;
-      const uint8_t* payload = p.payload + m.payload_begin;
-      const size_t n = static_cast<size_t>(m.doc_count);
-      std::vector<DocId> docs(n);
-      std::vector<uint32_t> tfs(n);
-      std::vector<uint32_t> starts(n + 1);
-      starts[0] = 0;
-      for (size_t begin = 0, b = 0; begin < n;
-           begin += kFmtV5BlockSize, ++b) {
-        const size_t bn = std::min(kFmtV5BlockSize, n - begin);
-        const BlockHeaderV5& h = hs[b];
-        const uint8_t* pp = payload + h.payload_offset;
-        common::UnpackInts(pp, bn, h.doc_bits, scratch);
-        uint32_t running = b == 0 ? 0 : hs[b - 1].last_doc + 1;
-        for (size_t i = 0; i < bn; ++i) {
-          running += scratch[i] + (i > 0 ? 1 : 0);
-          docs[begin + i] = running;
-        }
-        if (docs[begin + bn - 1] != h.last_doc) {
-          return Status::Corruption(
-              "block payload disagrees with its header last_doc");
-        }
-        pp += common::PackedBytes(bn, h.doc_bits);
-        common::UnpackInts(pp, bn, h.tf_bits, scratch);
-        for (size_t i = 0; i < bn; ++i) {
-          tfs[begin + i] = scratch[i] + 1;
-        }
-        pp += common::PackedBytes(bn, h.tf_bits);
-        common::UnpackInts(pp, bn, h.off_bits, scratch);
-        // Summed in 64 bits: ParseV5 capped the blob at 4 GiB, so a block
-        // that stays within it cannot have wrapped a u32 start.
-        uint64_t start = starts[begin];
-        for (size_t i = 0; i < bn; ++i) {
-          if (tfs[begin + i] > scratch[i]) {
-            // Every position varint is at least one byte.
-            return Status::Corruption(
-                "term frequency above its position bytes");
-          }
-          start += scratch[i];
-          starts[begin + i + 1] = static_cast<uint32_t>(start);
-        }
-        if (start > m.offsets_length) {
-          return Status::Corruption(
-              "packed offset lengths disagree with the offsets blob");
-        }
-      }
-      if (starts[n] != m.offsets_length) {
-        return Status::Corruption(
-            "packed offset lengths disagree with the offsets blob");
-      }
-      std::vector<uint8_t> encoded(
-          p.offsets + m.offsets_begin,
-          p.offsets + m.offsets_begin + m.offsets_length);
-      list->RestoreFrom(std::move(docs), std::move(tfs), std::move(starts),
-                        std::move(encoded), m.collection_frequency);
-    } else {
+  }
+
+  PostingStorage storage;
+  if (eager) {
+    GRAFT_RETURN_IF_ERROR(DecodeV5Columns(p, &storage, &index));
+  } else {
+    std::shared_ptr<BlockCache> cache =
+        options.cache != nullptr
+            ? options.cache
+            : std::make_shared<BlockCache>(options.private_cache_bytes);
+    const uint64_t generation = BlockCache::NextGeneration();
+    for (uint64_t t = 0; t < p.terms.size(); ++t) {
+      const TermMetaV5& m = p.metas[t];
       PackedPostings packed;
       packed.headers = p.headers + m.block_begin;
       packed.payload = p.payload + m.payload_begin;
@@ -744,23 +772,18 @@ StatusOr<InvertedIndex> BuildIndexFromV5(common::MmapRegion region,
       packed.offsets_length = m.offsets_length;
       packed.doc_count = m.doc_count;
       packed.generation = generation;
-      packed.term = static_cast<uint32_t>(term);
+      packed.term = static_cast<uint32_t>(t);
       packed.cache = cache.get();
-      list->RestorePacked(packed, m.collection_frequency);
+      *index.mutable_postings(static_cast<TermId>(t)) = PostingList(
+          packed, m.collection_frequency,
+          Frontiers::At(p.frontiers + p.frontier_at[t],
+                        (m.doc_count + kFmtV5BlockSize - 1) /
+                            kFmtV5BlockSize));
     }
-    const V5FrontierView& fv = p.frontiers[t];
-    const uint64_t blocks =
-        (m.doc_count + kFmtV5BlockSize - 1) / kFmtV5BlockSize;
-    list->RestoreBlockMax(
-        std::vector<uint32_t>(fv.start, fv.start + blocks + 1),
-        std::vector<uint32_t>(fv.tf, fv.tf + fv.n_pts),
-        std::vector<uint32_t>(fv.len, fv.len + fv.n_pts));
+    storage.region = std::make_shared<common::MmapRegion>(std::move(region));
+    index.AttachBlockCache(std::move(cache), generation);
   }
-  if (!eager) {
-    index.AttachPackedStorage(
-        std::make_shared<common::MmapRegion>(std::move(region)),
-        std::move(cache), generation);
-  }
+  index.AdoptStorage(std::move(storage));
   GRAFT_FAILPOINT(g_fp_load_verify);
   return index;
 }
@@ -834,7 +857,7 @@ class LegacyReader {
 // The posting invariants ParseV5 enforces for v5, checked on a v3/v4 term
 // record after its CRC and before any of it is used. A CRC-valid record
 // that breaks them would otherwise index doc_lengths out of bounds
-// (BuildBlockMax, scoring) or convert into a v5 file that cannot load.
+// (AppendFrontiers, scoring) or convert into a v5 file that cannot load.
 Status ValidateLegacyPostings(const std::vector<DocId>& docs,
                               const std::vector<uint32_t>& tfs,
                               const std::vector<uint64_t>& starts,
@@ -875,9 +898,22 @@ Status ValidateLegacyPostings(const std::vector<DocId>& docs,
   return Status::Ok();
 }
 
+// One v3/v4 term record, read and validated, before it is copied into
+// the index's columns.
+struct LegacyTerm {
+  std::vector<DocId> docs;
+  std::vector<uint32_t> tfs;
+  std::vector<uint64_t> starts;
+  std::vector<uint8_t> encoded;
+  std::vector<uint32_t> frontiers;  // the Frontiers layout
+  uint64_t total_positions = 0;
+};
+
 // Converts a v3/v4 image into a materialized index. v4 frontier arrays are
 // restored verbatim; a v3 record gets them computed here, so every loaded
-// index carries block-max metadata.
+// index carries block-max metadata. The records' lengths are only known
+// once every record is read, so they are read first and then copied into
+// columns laid out as an eager v5 load lays them out.
 StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
                                    bool has_frontiers) {
   LegacyReader r(region.data(), region.size());
@@ -900,6 +936,7 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
   if (term_count > kSanityCap || term_count > region.size()) {
     return Status::Corruption("implausible term count");
   }
+  std::vector<LegacyTerm> records;
   for (uint64_t i = 0; i < term_count; ++i) {
     uint32_t text_len = 0;
     GRAFT_RETURN_IF_ERROR(r.ReadScalar(&text_len));
@@ -909,37 +946,35 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
     std::string text(text_len, '\0');
     GRAFT_RETURN_IF_ERROR(r.ReadBytes(text.data(), text_len));
 
-    std::vector<DocId> docs;
-    std::vector<uint32_t> tfs;
-    std::vector<uint64_t> starts;
-    std::vector<uint8_t> encoded;
+    LegacyTerm rec;
     std::vector<uint32_t> frontier_start;
     std::vector<uint32_t> frontier_tf;
     std::vector<uint32_t> frontier_len;
-    uint64_t total_positions = 0;
-    GRAFT_RETURN_IF_ERROR(r.ReadVector(&docs));
-    GRAFT_RETURN_IF_ERROR(r.ReadVector(&tfs));
-    GRAFT_RETURN_IF_ERROR(r.ReadVector(&starts));
-    GRAFT_RETURN_IF_ERROR(r.ReadVector(&encoded));
+    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.docs));
+    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.tfs));
+    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.starts));
+    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.encoded));
     if (has_frontiers) {
       GRAFT_RETURN_IF_ERROR(r.ReadVector(&frontier_start));
       GRAFT_RETURN_IF_ERROR(r.ReadVector(&frontier_tf));
       GRAFT_RETURN_IF_ERROR(r.ReadVector(&frontier_len));
     }
-    GRAFT_RETURN_IF_ERROR(r.ReadScalar(&total_positions));
+    GRAFT_RETURN_IF_ERROR(r.ReadScalar(&rec.total_positions));
     // Verify the section's checksum BEFORE mutating the index with its
     // content — a term record either enters the index intact or not at
     // all.
     GRAFT_RETURN_IF_ERROR(r.VerifyCrc("term record " + std::to_string(i)));
-    GRAFT_RETURN_IF_ERROR(ValidateLegacyPostings(
-        docs, tfs, starts, encoded.size(), total_positions, doc_count));
+    GRAFT_RETURN_IF_ERROR(
+        ValidateLegacyPostings(rec.docs, rec.tfs, rec.starts,
+                               rec.encoded.size(), rec.total_positions,
+                               doc_count));
     if (has_frontiers) {
-      // The frontier section must be structurally coherent before
-      // RestoreBlockMax installs it: one delimiter run per posting block,
-      // monotone with at least one point per block, and the two point
-      // arrays exactly as long as the last delimiter says.
+      // The frontier section must be structurally coherent before it is
+      // installed: one delimiter run per posting block, monotone with at
+      // least one point per block, and the two point arrays exactly as
+      // long as the last delimiter says.
       const uint64_t expected_blocks =
-          (docs.size() + PostingList::kBlockSize - 1) /
+          (rec.docs.size() + PostingList::kBlockSize - 1) /
           PostingList::kBlockSize;
       if (frontier_start.size() != expected_blocks + 1 ||
           frontier_start.front() != 0 ||
@@ -954,22 +989,63 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
               "block frontier delimiters are not strictly increasing");
         }
       }
+      rec.frontiers = std::move(frontier_start);
+      rec.frontiers.insert(rec.frontiers.end(), frontier_tf.begin(),
+                           frontier_tf.end());
+      rec.frontiers.insert(rec.frontiers.end(), frontier_len.begin(),
+                           frontier_len.end());
+    } else {
+      AppendFrontiers(rec.docs, rec.tfs, index.doc_lengths(),
+                      &rec.frontiers);
     }
-    const TermId term = index.InternTerm(text);
-    if (term != i) {
+    if (index.InternTerm(text) != i) {
       return Status::Corruption("duplicate term in index file: " + text);
     }
-    PostingList* list = index.mutable_postings(term);
-    list->RestoreFrom(std::move(docs), std::move(tfs),
-                      std::vector<uint32_t>(starts.begin(), starts.end()),
-                      std::move(encoded), total_positions);
-    if (has_frontiers) {
-      list->RestoreBlockMax(std::move(frontier_start), std::move(frontier_tf),
-                            std::move(frontier_len));
-    } else {
-      list->BuildBlockMax(index.doc_lengths());
-    }
+    records.push_back(std::move(rec));
   }
+
+  uint64_t postings = 0;
+  uint64_t position_bytes = 0;
+  uint64_t frontier_words = 0;
+  for (const LegacyTerm& rec : records) {
+    postings += rec.docs.size();
+    position_bytes += rec.encoded.size();
+    frontier_words += rec.frontiers.size();
+  }
+  PostingStorage storage;
+  storage.docs = std::make_unique_for_overwrite<DocId[]>(postings);
+  storage.tfs = std::make_unique_for_overwrite<uint32_t[]>(postings);
+  storage.offset_starts =
+      std::make_unique_for_overwrite<uint32_t[]>(postings + term_count);
+  storage.offsets = std::make_unique_for_overwrite<uint8_t[]>(position_bytes);
+  storage.frontiers =
+      std::make_unique_for_overwrite<uint32_t[]>(frontier_words);
+  DocId* docs = storage.docs.get();
+  uint32_t* tfs = storage.tfs.get();
+  uint32_t* starts = storage.offset_starts.get();
+  uint8_t* offsets = storage.offsets.get();
+  uint32_t* frontiers = storage.frontiers.get();
+  for (TermId t = 0; t < records.size(); ++t) {
+    const LegacyTerm& rec = records[t];
+    const size_t n = rec.docs.size();
+    std::copy(rec.docs.begin(), rec.docs.end(), docs);
+    std::copy(rec.tfs.begin(), rec.tfs.end(), tfs);
+    // ValidateLegacyPostings capped every start at 4 GiB.
+    std::transform(rec.starts.begin(), rec.starts.end(), starts,
+                   [](uint64_t v) { return static_cast<uint32_t>(v); });
+    std::copy(rec.encoded.begin(), rec.encoded.end(), offsets);
+    std::copy(rec.frontiers.begin(), rec.frontiers.end(), frontiers);
+    *index.mutable_postings(t) = PostingList(
+        n, rec.total_positions, {docs, tfs, starts, offsets},
+        Frontiers::At(frontiers, (n + PostingList::kBlockSize - 1) /
+                                     PostingList::kBlockSize));
+    docs += n;
+    tfs += n;
+    starts += n + 1;
+    offsets += rec.encoded.size();
+    frontiers += rec.frontiers.size();
+  }
+  index.AdoptStorage(std::move(storage));
   GRAFT_FAILPOINT(g_fp_load_verify);
   return index;
 }

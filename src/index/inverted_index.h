@@ -1,5 +1,23 @@
 // The term-position inverted index plus collection statistics: the physical
 // substrate beneath every GRAFT plan leaf.
+//
+// An InvertedIndex owns every array its posting lists view (PostingList
+// is a non-owning view, posting_list.h), in one of three shapes set by
+// how the index was made:
+//
+//   * IndexBuilder output keeps the builder's per-term arrays
+//     (TermPostings), handed over without a copy;
+//   * an eager v5 load or a v3/v4 conversion decodes into index-wide
+//     columns (docs, tfs, offset starts, position bytes), one allocation
+//     each, and keeps nothing of the file, so replacing the file in place
+//     cannot fault a query;
+//   * a mapped v5 load keeps the file region, and its lists point into it.
+//
+// Built, eager and converted indexes keep every term's block-max
+// frontiers in one more index-wide column; mapped lists read them from
+// the region. Moving an index moves the owners, never the arrays, so the
+// views survive the move. The term dictionary is a flat open-addressing
+// table of term ids over the term texts.
 
 #ifndef GRAFT_INDEX_INVERTED_INDEX_H_
 #define GRAFT_INDEX_INVERTED_INDEX_H_
@@ -9,7 +27,7 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mmap_region.h"
@@ -19,6 +37,40 @@
 #include "index/types.h"
 
 namespace graft::index {
+
+// One term's postings as IndexBuilder accumulates them, and the arrays a
+// built index's posting list views.
+struct TermPostings {
+  std::vector<DocId> docs;
+  std::vector<uint32_t> tfs;
+  // offset_starts[i] is the byte offset into `offsets` of doc i's first
+  // varint; doc count + 1 entries once a document is added.
+  std::vector<uint32_t> offset_starts;
+  std::vector<uint8_t> offsets;
+  uint64_t total_positions = 0;
+
+  // Appends one document's occurrences. Documents must be appended in
+  // strictly increasing doc order; offsets must be strictly increasing.
+  void AddDocument(DocId doc, std::span<const Offset> doc_offsets);
+};
+
+// What an index's posting lists view; one shape is filled per index (see
+// the head of this file).
+struct PostingStorage {
+  // Eager v5 loads and v3/v4 conversions: every term's postings, term
+  // after term.
+  std::unique_ptr<DocId[]> docs;
+  std::unique_ptr<uint32_t[]> tfs;
+  std::unique_ptr<uint32_t[]> offset_starts;
+  std::unique_ptr<uint8_t[]> offsets;
+  // IndexBuilder output, by term id.
+  std::vector<TermPostings> built;
+  // Every term's frontier run (posting_list.h's Frontiers layout), unless
+  // the index is mapped.
+  std::unique_ptr<uint32_t[]> frontiers;
+  // Mapped v5 loads: the file region every list points into.
+  std::shared_ptr<common::MmapRegion> region;
+};
 
 class InvertedIndex {
  public:
@@ -61,6 +113,10 @@ class InvertedIndex {
   uint32_t TermFreqInDoc(TermId term, DocId doc) const;
 
   // ---- Construction interface (used by IndexBuilder and index_io) ----
+  // Sizes the term table and list array for `terms` terms, so interning
+  // that many never rehashes or reallocates.
+  void ReserveTerms(size_t terms);
+  // The term's id; a new term gets the next id and an empty list.
   TermId InternTerm(std::string_view term);
   PostingList* mutable_postings(TermId term) { return &postings_[term]; }
   void AppendDocLength(uint32_t length) {
@@ -72,17 +128,17 @@ class InvertedIndex {
     total_words_ = total_words;
   }
   const std::vector<uint32_t>& doc_lengths() const { return doc_lengths_; }
+  // Takes ownership of the arrays the posting lists view.
+  void AdoptStorage(PostingStorage storage) { storage_ = std::move(storage); }
 
   // ---- Packed (v5 mmap) storage ----
   // A LoadIndexMapped index owns the mapped file region and shares a
   // decoded-block cache; its posting lists are zero-copy views keyed by a
   // process-unique cache generation. A materialized index reports
   // is_packed() == false and a null cache.
-  bool is_packed() const { return region_ != nullptr; }
-  void AttachPackedStorage(std::shared_ptr<common::MmapRegion> region,
-                           std::shared_ptr<BlockCache> cache,
-                           uint64_t generation) {
-    region_ = std::move(region);
+  bool is_packed() const { return storage_.region != nullptr; }
+  void AttachBlockCache(std::shared_ptr<BlockCache> cache,
+                        uint64_t generation) {
     cache_ = std::move(cache);
     cache_generation_ = generation;
   }
@@ -91,15 +147,23 @@ class InvertedIndex {
   // with it after a hot-reload swap frees the dead entries immediately.
   uint64_t cache_generation() const { return cache_generation_; }
   // True when the packed bytes are a real mmap (false: heap fallback).
-  bool mapped() const { return region_ != nullptr && region_->mapped(); }
+  bool mapped() const { return is_packed() && storage_.region->mapped(); }
 
  private:
-  std::unordered_map<std::string, TermId> dictionary_;
+  // The table slot holding `term`, or the empty slot where it goes.
+  size_t FindSlot(std::string_view term) const;
+  // Re-spreads every term over `slots` slots (a power of two).
+  void Rehash(size_t slots);
+
+  // Open addressing with linear probing over terms_: each slot holds a
+  // term id or kInvalidTerm. Its size is a power of two, at least twice
+  // the term count.
+  std::vector<TermId> table_;
   std::vector<std::string> terms_;
   std::vector<PostingList> postings_;
   std::vector<uint32_t> doc_lengths_;
   uint64_t total_words_ = 0;
-  std::shared_ptr<common::MmapRegion> region_;
+  PostingStorage storage_;
   std::shared_ptr<BlockCache> cache_;
   uint64_t cache_generation_ = 0;
 };
@@ -128,11 +192,12 @@ class IndexBuilder {
   DocId FlushDocument(uint32_t length);
 
   InvertedIndex index_;
+  std::vector<TermPostings> postings_;  // by term id
   DocId next_doc_ = 0;
-  // Scratch: per-term offsets for the current document. Entries persist
-  // across documents (vectors are cleared, not erased) so steady-state
-  // builds neither rehash the map nor reallocate offset storage.
-  std::unordered_map<TermId, std::vector<Offset>> doc_offsets_;
+  // Scratch: per-term offsets for the current document, by term id.
+  // Vectors are cleared, not freed, between documents, so steady-state
+  // builds do not reallocate offset storage.
+  std::vector<std::vector<Offset>> doc_offsets_;
   std::vector<TermId> doc_terms_;
 };
 

@@ -58,76 +58,22 @@ void DecodeOffsets(const PostingBlock& block, size_t i,
 
 }  // namespace
 
-void PostingList::AddDocument(DocId doc, std::span<const Offset> offsets) {
-  assert(!offsets.empty());
-  assert(docs_.empty() || doc > docs_.back());
-  if (offset_start_.empty()) offset_start_.push_back(0);
-  ++doc_count_;
-  docs_.push_back(doc);
-  tfs_.push_back(static_cast<uint32_t>(offsets.size()));
-  // Delta-encode: first position absolute, then gaps.
-  Offset previous = 0;
-  for (size_t i = 0; i < offsets.size(); ++i) {
-    assert(i == 0 || offsets[i] > previous);
-    PutVarint32(&encoded_offsets_, offsets[i] - previous);
-    previous = offsets[i];
-  }
-  // The u32 starts address a 4 GiB blob, the v5 block header's limit.
-  assert(encoded_offsets_.size() <= UINT32_MAX);
-  offset_start_.push_back(static_cast<uint32_t>(encoded_offsets_.size()));
-  total_positions_ += offsets.size();
-}
-
-std::vector<Offset> PostingList::OffsetsAt(size_t i) const {
-  std::vector<Offset> out;
-  DecodeOffsets(Block(i / kBlockSize, BlockKind::kFull), i % kBlockSize,
-                &out);
-  return out;
-}
-
-PostingBlock PostingList::Block(size_t b, BlockKind kind) const {
-  const size_t begin = b * kBlockSize;
-  const size_t n = std::min(kBlockSize, doc_count_ - begin);
-  if (!is_packed()) {
-    return {std::span<const DocId>(docs_).subspan(begin, n),
-            std::span<const uint32_t>(tfs_).subspan(begin, n),
-            std::span<const uint32_t>(offset_start_).subspan(begin, n + 1),
-            encoded_offsets_.data(), nullptr};
-  }
-  const uint32_t block = static_cast<uint32_t>(b);
-  BlockCache::BlockPtr ptr =
-      packed_.cache->Lookup(packed_.generation, packed_.term, block, kind);
-  if (ptr == nullptr) {
-    auto decoded = std::make_shared<DecodedBlock>();
-    UnpackBlock(b, kind, decoded.get());
-    ptr = std::move(decoded);
-    packed_.cache->Insert(packed_.generation, packed_.term, block, kind, ptr);
-  }
-  PostingBlock view;
-  view.docs = {ptr->docs, n};
-  if (kind == BlockKind::kFull) {
-    view.tfs = {ptr->tfs, n};
-    view.off_starts = {ptr->off_start, n + 1};
-  }
-  view.offsets = packed_.offsets;
-  view.pin = std::move(ptr);
-  return view;
-}
-
-void PostingList::BuildBlockMax(std::span<const uint32_t> doc_lengths) {
-  frontier_start_.assign(1, 0);
-  frontier_tf_.clear();
-  frontier_doc_length_.clear();
-  const size_t n = docs_.size();
-  std::vector<std::pair<uint32_t, uint32_t>> points;  // (tf, doc length)
-  points.reserve(kBlockSize);
-  for (size_t begin = 0; begin < n; begin += kBlockSize) {
-    const size_t end = std::min(n, begin + kBlockSize);
+void AppendFrontiers(std::span<const DocId> docs,
+                     std::span<const uint32_t> tfs,
+                     std::span<const uint32_t> doc_lengths,
+                     std::vector<uint32_t>* out) {
+  const size_t n = docs.size();
+  std::vector<std::pair<uint32_t, uint32_t>> frontier;  // (tf, doc length)
+  std::vector<std::pair<uint32_t, uint32_t>> points;
+  points.reserve(PostingList::kBlockSize);
+  out->push_back(0);
+  for (size_t begin = 0; begin < n; begin += PostingList::kBlockSize) {
+    const size_t end = std::min(n, begin + PostingList::kBlockSize);
     points.clear();
     uint32_t block_min_len = std::numeric_limits<uint32_t>::max();
     for (size_t i = begin; i < end; ++i) {
-      const uint32_t len = doc_lengths[docs_[i]];
-      points.emplace_back(tfs_[i], len);
+      const uint32_t len = doc_lengths[docs[i]];
+      points.emplace_back(tfs[i], len);
       block_min_len = std::min(block_min_len, len);
     }
     // Skyline sweep, tf descending: a point survives iff its length is
@@ -141,78 +87,108 @@ void PostingList::BuildBlockMax(std::span<const uint32_t> doc_lengths) {
                 if (a.first != b.first) return a.first > b.first;
                 return a.second < b.second;
               });
-    const size_t emitted_before = frontier_tf_.size();
+    const size_t emitted_before = frontier.size();
     uint64_t running_min = std::numeric_limits<uint64_t>::max();
     for (const auto& [tf, len] : points) {
       if (len >= running_min) continue;
-      if (frontier_tf_.size() - emitted_before == kMaxFrontierPoints - 1 &&
+      if (frontier.size() - emitted_before ==
+              PostingList::kMaxFrontierPoints - 1 &&
           len != block_min_len) {
         // Cap reached: one synthetic point (this tf, block min length)
         // dominates this and every remaining skyline point.
-        frontier_tf_.push_back(tf);
-        frontier_doc_length_.push_back(block_min_len);
+        frontier.emplace_back(tf, block_min_len);
         break;
       }
-      frontier_tf_.push_back(tf);
-      frontier_doc_length_.push_back(len);
+      frontier.emplace_back(tf, len);
       running_min = len;
     }
-    frontier_start_.push_back(static_cast<uint32_t>(frontier_tf_.size()));
+    out->push_back(static_cast<uint32_t>(frontier.size()));
   }
+  for (const auto& point : frontier) out->push_back(point.first);
+  for (const auto& point : frontier) out->push_back(point.second);
 }
 
-void PostingList::RestoreBlockMax(std::vector<uint32_t> frontier_start,
-                                  std::vector<uint32_t> frontier_tf,
-                                  std::vector<uint32_t> frontier_doc_length) {
-  frontier_start_ = std::move(frontier_start);
-  frontier_tf_ = std::move(frontier_tf);
-  frontier_doc_length_ = std::move(frontier_doc_length);
-  assert(frontier_tf_.size() == frontier_doc_length_.size());
-  assert(frontier_start_.size() ==
-         (doc_count() + kBlockSize - 1) / kBlockSize + 1);
-  assert(frontier_start_.front() == 0);
-  assert(frontier_start_.back() == frontier_tf_.size());
+PostingList::PostingList(size_t doc_count, uint64_t collection_frequency,
+                         const DecodedPostings& decoded,
+                         const Frontiers& frontiers)
+    : doc_count_(doc_count),
+      total_positions_(collection_frequency),
+      offsets_(decoded.offsets),
+      offsets_length_(decoded.offset_starts[doc_count]),
+      frontiers_(frontiers),
+      docs_(decoded.docs),
+      tfs_(decoded.tfs),
+      offset_starts_(decoded.offset_starts) {}
+
+PostingList::PostingList(const PackedPostings& packed,
+                         uint64_t collection_frequency,
+                         const Frontiers& frontiers)
+    : doc_count_(packed.doc_count),
+      total_positions_(collection_frequency),
+      offsets_(packed.offsets),
+      offsets_length_(packed.offsets_length),
+      frontiers_(frontiers),
+      headers_(packed.headers),
+      payload_(packed.payload),
+      cache_(packed.cache),
+      generation_(packed.generation),
+      term_(packed.term) {
+  assert(cache_ != nullptr);
 }
 
-void PostingList::RestoreFrom(std::vector<DocId> docs,
-                              std::vector<uint32_t> tfs,
-                              std::vector<uint32_t> offset_starts,
-                              std::vector<uint8_t> encoded_offsets,
-                              uint64_t total_positions) {
-  docs_ = std::move(docs);
-  tfs_ = std::move(tfs);
-  offset_start_ = std::move(offset_starts);
-  encoded_offsets_ = std::move(encoded_offsets);
-  total_positions_ = total_positions;
-  doc_count_ = docs_.size();
-  assert(offset_start_.size() == doc_count_ + 1);
+std::vector<Offset> PostingList::OffsetsAt(size_t i) const {
+  std::vector<Offset> out;
+  DecodeOffsets(Block(i / kBlockSize, BlockKind::kFull), i % kBlockSize,
+                &out);
+  return out;
 }
 
-void PostingList::RestorePacked(const PackedPostings& packed,
-                                uint64_t collection_frequency) {
-  assert(packed.cache != nullptr);
-  assert(docs_.empty());
-  packed_ = packed;
-  total_positions_ = collection_frequency;
-  doc_count_ = packed.doc_count;
+PostingBlock PostingList::Block(size_t b, BlockKind kind) const {
+  const size_t begin = b * kBlockSize;
+  const size_t n = std::min<size_t>(kBlockSize, doc_count_ - begin);
+  if (!is_packed()) {
+    return {{docs_ + begin, n},
+            {tfs_ + begin, n},
+            {offset_starts_ + begin, n + 1},
+            offsets_,
+            nullptr};
+  }
+  const uint32_t block = static_cast<uint32_t>(b);
+  BlockCache::BlockPtr ptr = cache_->Lookup(generation_, term_, block, kind);
+  if (ptr == nullptr) {
+    auto decoded = std::make_shared<DecodedBlock>();
+    UnpackBlock(b, kind, decoded.get());
+    ptr = std::move(decoded);
+    cache_->Insert(generation_, term_, block, kind, ptr);
+  }
+  PostingBlock view;
+  view.docs = {ptr->docs, n};
+  if (kind == BlockKind::kFull) {
+    view.tfs = {ptr->tfs, n};
+    view.off_starts = {ptr->off_start, n + 1};
+  }
+  view.offsets = offsets_;
+  view.pin = std::move(ptr);
+  return view;
 }
 
 void PostingList::UnpackBlock(size_t b, BlockKind kind,
                               DecodedBlock* out) const {
-  const BlockHeaderV5& h = packed_.headers[b];
+  const BlockHeaderV5& h = headers_[b];
   const size_t begin = b * kBlockSize;
-  const size_t n =
-      std::min<size_t>(kBlockSize, packed_.doc_count - begin);
+  const size_t n = std::min<size_t>(kBlockSize, doc_count_ - begin);
   out->count = static_cast<uint32_t>(n);
-  const uint8_t* p = packed_.payload + h.payload_offset;
+  const uint8_t* p = payload_ + h.payload_offset;
   // Doc gaps -> absolute ids. gap_0 is relative to the previous block's
   // last_doc + 1 (0 for the first block); later gaps store doc_i -
-  // doc_{i-1} - 1 since ids are strictly increasing.
+  // doc_{i-1} - 1 since ids are strictly increasing. The header's last_doc
+  // (checked against the collection at load) caps them, so a forged gap
+  // cannot name a document past the collection.
   common::UnpackInts(p, n, h.doc_bits, out->docs);
-  uint32_t running = b == 0 ? 0 : packed_.headers[b - 1].last_doc + 1;
+  uint32_t running = b == 0 ? 0 : headers_[b - 1].last_doc + 1;
   for (size_t i = 0; i < n; ++i) {
     running += out->docs[i] + (i > 0 ? 1 : 0);
-    out->docs[i] = running;
+    out->docs[i] = std::min(running, h.last_doc);
   }
   if (kind == BlockKind::kDocs) {
     return;
@@ -224,12 +200,20 @@ void PostingList::UnpackBlock(size_t b, BlockKind kind,
   }
   p += common::PackedBytes(n, h.tf_bits);
   // Per-doc position-varint byte lengths, prefix-summed into offsets
-  // (relative to the term's offsets base) with one delimiting entry.
+  // (relative to the term's offsets base) with one delimiting entry. The
+  // block's bytes end where the next block's begin (the term's end for
+  // the last block); the load checked that those bases are monotone and
+  // inside the term's bytes, and every start is capped there, so a forged
+  // length cannot point a decode outside the term.
+  const uint64_t limit =
+      b + 1 < block_count() ? headers_[b + 1].offsets_base : offsets_length_;
   uint32_t lens[kFmtV5BlockSize];
   common::UnpackInts(p, n, h.off_bits, lens);
+  uint64_t start = h.offsets_base;
   out->off_start[0] = h.offsets_base;
   for (size_t i = 0; i < n; ++i) {
-    out->off_start[i + 1] = out->off_start[i] + lens[i];
+    start = std::min(start + lens[i], limit);
+    out->off_start[i + 1] = static_cast<uint32_t>(start);
   }
 }
 

@@ -1,11 +1,13 @@
 // CRC32C (Castagnoli) correctness: known-answer vectors from RFC 3720
 // §B.4 pin the polynomial and bit order, and the streaming property pins
 // Crc32cExtend — the index file format depends on both never changing.
+// The SSE4.2 and portable implementations must agree on every input.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,52 @@ TEST(Crc32cTest, SingleBitFlipsAlwaysDetected) {
       EXPECT_NE(Crc32c(flipped.data(), flipped.size()), baseline)
           << "undetected flip at byte " << byte << " bit " << bit;
     }
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  EXPECT_EQ(Crc32cExtendPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cExtendHardware(0, "123456789", 9), 0xE3069283u);
+
+  // Every length 0..64 at every start offset 0..7, so the hardware path's
+  // 8-byte words and byte tail meet every alignment.
+  std::vector<uint8_t> bytes(64 + 8);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 197 + 13);
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(Crc32cExtendHardware(0, bytes.data() + start, length),
+                Crc32cExtendPortable(0, bytes.data() + start, length))
+          << "start " << start << " length " << length;
+    }
+  }
+
+  std::mt19937_64 rng(20261020);
+  std::vector<uint8_t> big(size_t{1} << 20);
+  for (int round = 0; round < 4; ++round) {
+    for (uint8_t& b : big) b = static_cast<uint8_t>(rng());
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    EXPECT_EQ(Crc32cExtendHardware(seed, big.data(), big.size()),
+              Crc32cExtendPortable(seed, big.data(), big.size()))
+        << "round " << round;
+  }
+
+  // Extending at every split point equals the one-shot CRC.
+  const uint32_t whole = Crc32cExtendPortable(0, bytes.data(), 40);
+  for (size_t split = 0; split <= 40; ++split) {
+    const uint32_t head = Crc32cExtendHardware(0, bytes.data(), split);
+    EXPECT_EQ(Crc32cExtendHardware(head, bytes.data() + split, 40 - split),
+              whole)
+        << "split " << split;
+    EXPECT_EQ(Crc32cExtendPortable(
+                  Crc32cExtendPortable(0, bytes.data(), split),
+                  bytes.data() + split, 40 - split),
+              whole)
+        << "split " << split;
   }
 }
 

@@ -23,12 +23,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/packed_ints.h"
 #include "core/engine.h"
+#include "index/index_format.h"
 #include "index/index_io.h"
 #include "index/inverted_index.h"
 #include "index/posting_list.h"
@@ -56,6 +59,11 @@ InvertedIndex BuildPruneIndex() {
 // afford to flip EVERY byte of the file.
 InvertedIndex BuildTinyIndex() { return testutil::SeededCorpusIndex(8, 21); }
 
+template <typename T>
+std::vector<T> Vec(std::span<const T> values) {
+  return {values.begin(), values.end()};
+}
+
 void ExpectSameIndex(const InvertedIndex& got, const InvertedIndex& want) {
   EXPECT_EQ(got.doc_count(), want.doc_count());
   EXPECT_EQ(got.total_words(), want.total_words());
@@ -66,14 +74,14 @@ void ExpectSameIndex(const InvertedIndex& got, const InvertedIndex& want) {
     const PostingList& g = got.postings(t);
     const PostingList& w = want.postings(t);
     EXPECT_EQ(got.TermText(t), want.TermText(t));
-    EXPECT_EQ(g.raw_docs(), w.raw_docs());
-    EXPECT_EQ(g.raw_tfs(), w.raw_tfs());
-    EXPECT_EQ(g.raw_offset_starts(), w.raw_offset_starts());
-    EXPECT_EQ(g.raw_encoded_offsets(), w.raw_encoded_offsets());
+    EXPECT_EQ(Vec(g.docs()), Vec(w.docs()));
+    EXPECT_EQ(Vec(g.tfs()), Vec(w.tfs()));
+    EXPECT_EQ(Vec(g.offset_starts()), Vec(w.offset_starts()));
+    EXPECT_EQ(Vec(g.position_bytes()), Vec(w.position_bytes()));
     EXPECT_EQ(g.collection_frequency(), w.collection_frequency());
-    EXPECT_EQ(g.raw_frontier_start(), w.raw_frontier_start());
-    EXPECT_EQ(g.raw_frontier_tf(), w.raw_frontier_tf());
-    EXPECT_EQ(g.raw_frontier_doc_length(), w.raw_frontier_doc_length());
+    EXPECT_EQ(Vec(g.frontier_starts()), Vec(w.frontier_starts()));
+    EXPECT_EQ(Vec(g.frontier_tfs()), Vec(w.frontier_tfs()));
+    EXPECT_EQ(Vec(g.frontier_doc_lengths()), Vec(w.frontier_doc_lengths()));
   }
 }
 
@@ -246,7 +254,7 @@ TEST(IndexIoCompatTest, BlockMaxSectionBitFlipsRejected) {
   const size_t start_entry = r.frontier + 8;          // first delimiter
   const size_t tf_prefix = r.frontier + 8 + delimiters * 4;
   const uint64_t points = ReadU64(bytes, tf_prefix);
-  ASSERT_EQ(points, built.postings(0).raw_frontier_tf().size());
+  ASSERT_EQ(points, built.postings(0).frontier_tfs().size());
   ASSERT_GE(points, 1u);
   const size_t tf_entry = tf_prefix + 8;              // first frontier tf
   const size_t len_entry = tf_prefix + 8 + points * 4 + 8;  // first length
@@ -577,6 +585,134 @@ TEST(IndexIoCompatTest, V5PackedIndexRefusesReSave) {
   EXPECT_EQ(SaveIndex(*mapped, out).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(SaveIndexV5(*mapped, out).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(IndexIoCompatTest, EagerLoadOutlivesItsFile) {
+  // An eager load copies out everything it serves, so overwriting the
+  // file in place (same inode, no rename) and then unlinking it must not
+  // change, or fault, any answer.
+  const InvertedIndex built = BuildPruneIndex();
+  const std::string path = TempPath("v5outlives.idx");
+  ASSERT_TRUE(SaveIndex(built, path).ok());
+  auto loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const size_t size = ReadFile(path).size();
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::string junk(size, '\xA5');
+  ASSERT_EQ(std::fwrite(junk.data(), 1, junk.size(), f), junk.size());
+  ASSERT_EQ(std::fclose(f), 0);
+  ASSERT_EQ(ReadFile(path), junk);
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  ExpectSameIndex(*loaded, built);
+  ExpectSameTopK(*loaded, built);
+}
+
+// {offset, length} of v5 section `section` in a saved file; its CRC32C
+// follows it.
+std::pair<size_t, size_t> V5Section(const std::string& bytes,
+                                    FmtV5Section section) {
+  const size_t entry = 8 + 4 + static_cast<size_t>(section) * 16;
+  return {ReadU64(bytes, entry), ReadU64(bytes, entry + 8)};
+}
+
+TEST(IndexIoCompatTest, MappedDecodeStaysInsideTheTermsBytes) {
+  // A CRC-valid v5 file whose packed columns lie: in the last block of a
+  // long list, every doc gap or every position byte length is raised to
+  // its column's maximum and the payload CRC restamped. The mapped load
+  // reads payloads only when a query decodes them, so it accepts the
+  // file; the decode must still keep every doc id at or below the block
+  // header's last doc and every position start inside the term's bytes,
+  // and a phrase query over the list must run.
+  const InvertedIndex built = BuildPruneIndex();
+  const std::string path = TempPath("v5forge.idx");
+  ASSERT_TRUE(SaveIndex(built, path).ok());
+  const std::string bytes = ReadFile(path);
+  const auto [meta_at, meta_len] = V5Section(bytes, FmtV5Section::kTermMeta);
+  const auto [header_at, header_len] =
+      V5Section(bytes, FmtV5Section::kBlockHeaders);
+  const auto [payload_at, payload_len] =
+      V5Section(bytes, FmtV5Section::kPayload);
+
+  // The longest list whose last block spans several docs with non-empty
+  // doc-gap and position-length columns.
+  TermId term = kInvalidTerm;
+  TermMetaV5 meta{};
+  BlockHeaderV5 header{};
+  size_t last = 0;
+  size_t n = 0;
+  for (TermId t = 0; t < built.term_count(); ++t) {
+    TermMetaV5 m;
+    std::memcpy(&m, bytes.data() + meta_at + t * sizeof(m), sizeof(m));
+    const size_t blocks = built.postings(t).block_count();
+    BlockHeaderV5 h;
+    std::memcpy(&h,
+                bytes.data() + header_at +
+                    (m.block_begin + blocks - 1) * sizeof(h),
+                sizeof(h));
+    const size_t last_n = m.doc_count - (blocks - 1) * kFmtV5BlockSize;
+    if (blocks >= 2 && last_n >= 8 && h.doc_bits > 0 && h.off_bits > 0 &&
+        (term == kInvalidTerm || m.doc_count > meta.doc_count)) {
+      term = t;
+      meta = m;
+      header = h;
+      last = blocks - 1;
+      n = last_n;
+    }
+  }
+  ASSERT_NE(term, kInvalidTerm);
+  const size_t docs_at =
+      payload_at + meta.payload_begin + header.payload_offset;
+  const size_t tfs_at = docs_at + common::PackedBytes(n, header.doc_bits);
+  const size_t lens_at = tfs_at + common::PackedBytes(n, header.tf_bits);
+  const struct {
+    const char* name;
+    size_t at;
+    size_t length;
+  } columns[] = {
+      {"doc gaps", docs_at, common::PackedBytes(n, header.doc_bits)},
+      {"position byte lengths", lens_at,
+       common::PackedBytes(n, header.off_bits)},
+  };
+
+  const std::string text = built.TermText(term);
+  const std::string forged_path = TempPath("v5forge_forged.idx");
+  for (const auto& column : columns) {
+    SCOPED_TRACE(std::string(column.name) + " of term " + text);
+    std::string forged = bytes;
+    std::memset(forged.data() + column.at, 0xFF, column.length);
+    const uint32_t crc =
+        common::Crc32c(forged.data() + payload_at, payload_len);
+    std::memcpy(forged.data() + payload_at + payload_len, &crc, sizeof(crc));
+    WriteFile(forged_path, forged);
+    auto eager = LoadIndex(forged_path);
+    EXPECT_FALSE(eager.ok()) << "the eager decode checks the columns";
+    auto mapped = LoadIndexMapped(forged_path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+
+    const PostingList& list = mapped->postings(term);
+    const PostingBlock block = list.Block(last, BlockKind::kFull);
+    ASSERT_EQ(block.docs.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_LE(block.docs[i], header.last_doc) << "posting " << i;
+    }
+    EXPECT_EQ(block.off_starts.front(), header.offsets_base);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_LE(block.off_starts[i], block.off_starts[i + 1]);
+    }
+    EXPECT_LE(block.off_starts.back(), list.position_bytes().size());
+
+    const core::Engine engine(&*mapped);
+    core::SearchOptions options;
+    for (const size_t k : {size_t{0}, size_t{10}}) {
+      options.top_k = k;
+      auto result = engine.Search("\"" + text + " " + text + "\"",
+                                  "AnySum", options);
+      ASSERT_TRUE(result.ok()) << result.status();
+    }
+  }
+  std::remove(forged_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

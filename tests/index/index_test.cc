@@ -20,12 +20,21 @@ InvertedIndex SmallIndex() {
   return builder.Build();
 }
 
+// A decoded list over `postings`' own arrays, without frontiers.
+PostingList ViewOf(const TermPostings& postings) {
+  return PostingList(postings.docs.size(), postings.total_positions,
+                     {postings.docs.data(), postings.tfs.data(),
+                      postings.offset_starts.data(), postings.offsets.data()},
+                     {});
+}
+
 TEST(PostingListTest, AddAndAccess) {
-  PostingList list;
+  TermPostings postings;
   const Offset d0[] = {1, 5, 9};
   const Offset d1[] = {0};
-  list.AddDocument(10, d0);
-  list.AddDocument(42, d1);
+  postings.AddDocument(10, d0);
+  postings.AddDocument(42, d1);
+  const PostingList list = ViewOf(postings);
   EXPECT_EQ(list.doc_count(), 2u);
   EXPECT_EQ(list.collection_frequency(), 4u);
   EXPECT_EQ(list.doc_at(0), 10u);
@@ -36,11 +45,12 @@ TEST(PostingListTest, AddAndAccess) {
 }
 
 TEST(PostingListTest, GallopFindsTargets) {
-  PostingList list;
+  TermPostings postings;
   const Offset one[] = {0};
   for (DocId d = 0; d < 1000; d += 3) {
-    list.AddDocument(d, one);
+    postings.AddDocument(d, one);
   }
+  const PostingList list = ViewOf(postings);
   PostingCursor cursor(&list);
   cursor.SkipTo(0);
   EXPECT_EQ(cursor.position(), 0u);
@@ -60,11 +70,12 @@ TEST(PostingListTest, GallopFindsTargets) {
 }
 
 TEST(PostingCursorTest, SkipToAndIterate) {
-  PostingList list;
+  TermPostings postings;
   const Offset one[] = {7};
   for (DocId d = 2; d < 100; d += 2) {
-    list.AddDocument(d, one);
+    postings.AddDocument(d, one);
   }
+  const PostingList list = ViewOf(postings);
   PostingCursor cursor(&list);
   EXPECT_FALSE(cursor.AtEnd());
   EXPECT_EQ(cursor.doc(), 2u);

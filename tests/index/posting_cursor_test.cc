@@ -1,10 +1,12 @@
-// PostingCursor reads both posting bodies through one block view: an
-// in-heap list hands out slices of its arrays, a v5-mapped list decoded
-// blocks from the block cache. The contract under test: for the same
-// logical list, the same scripted walk (Next, SkipTo, tf, offsets) gives
-// the same sequence on both bodies, under doc ranges whose edges sit on
-// block boundaries (postings 127/128/129), mid-block, and at the list end,
-// and with skips at and past the range end.
+// PostingCursor reads both posting bodies through one block view: a
+// decoded list hands out slices of the arrays its index owns, a v5-mapped
+// list decoded blocks from the block cache. The contract under test: for
+// the same logical list, the same scripted walk (Next, SkipTo, tf,
+// offsets) gives the same sequence over every storage owner (builder
+// arrays, v3/v4 conversion columns, eager v5 columns, the mapped file),
+// under doc ranges whose edges sit on block boundaries (postings
+// 127/128/129), mid-block, and at the list end, with skips at and past
+// the range end, and again after every index is moved.
 
 #include <gtest/gtest.h>
 
@@ -116,82 +118,113 @@ std::vector<TermId> WalkTerms(const InvertedIndex& index) {
   return picked;
 }
 
+// Walks the picked terms of bodies[0] (the reference) over every edge
+// range on each body: every body's walk must equal the reference's, and
+// the reference's must land where a linear scan says.
+void ExpectWalksAgree(const std::vector<InvertedIndex>& bodies,
+                      const std::vector<std::string>& names,
+                      size_t min_longest) {
+  const InvertedIndex& reference = bodies.front();
+  const std::vector<TermId> terms = WalkTerms(reference);
+  ASSERT_GE(reference.DocFreq(terms.front()), min_longest);
+
+  for (const TermId t : terms) {
+    const PostingList& heap = reference.postings(t);
+    const size_t n = heap.doc_count();
+    const std::vector<size_t> edges = EdgePostings(n);
+    // Targets on, between and past every edge, then past the list.
+    std::vector<DocId> targets;
+    for (const size_t p : edges) {
+      const DocId doc = DocAtOrPast(heap, p);
+      if (doc > 0) targets.push_back(doc - 1);
+      targets.push_back(doc);
+      targets.push_back(doc + 1);
+    }
+    targets.push_back(kInvalidDoc);
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+
+    std::vector<DocRange> ranges = {DocRange{}};
+    for (const size_t lo : edges) {
+      for (const size_t hi : edges) {
+        if (lo <= hi) {
+          ranges.push_back({DocAtOrPast(heap, lo), DocAtOrPast(heap, hi)});
+        }
+      }
+      ranges.push_back({DocAtOrPast(heap, lo), kInvalidDoc});
+    }
+    for (const DocRange range : ranges) {
+      SCOPED_TRACE("term " + reference.TermText(t) + " range [" +
+                   std::to_string(range.doc_lo) + ", " +
+                   std::to_string(range.doc_hi) + ")");
+      const std::vector<Step> want = Walk(heap, range, targets);
+      for (size_t i = 1; i < bodies.size(); ++i) {
+        ASSERT_EQ(Walk(bodies[i].postings(t), range, targets), want)
+            << names[i];
+      }
+      // The reference walk itself lands where a linear scan says.
+      const size_t end = ReferenceSkip(heap, 0, n, range.doc_hi);
+      size_t at = ReferenceSkip(heap, 0, end, range.doc_lo);
+      ASSERT_EQ(want[0].position, at);
+      size_t s = 1;
+      for (const DocId target : targets) {
+        at = target >= range.doc_hi ? end
+                                    : ReferenceSkip(heap, at, end, target);
+        ASSERT_EQ(want[s].position, at) << "target " << target;
+        ASSERT_EQ(want[s].at_end, at == end) << "target " << target;
+        ++s;
+        if (at < end) {
+          ++at;
+          ++s;
+        }
+      }
+      ASSERT_EQ(s, want.size());
+    }
+  }
+}
+
 TEST(PostingCursorTest, InHeapAndMappedWalksAgree) {
-  struct Pair {
+  struct Source {
     std::string name;
-    InvertedIndex in_heap;
+    InvertedIndex index;
     size_t min_longest;  // the longest list must span this many postings
   };
-  std::vector<Pair> pairs;
-  pairs.push_back({"built 1200 docs", testutil::SeededCorpusIndex(1200, 5),
-                   3 * PostingList::kBlockSize});
+  std::vector<Source> sources;
+  sources.push_back({"built 1200 docs", testutil::SeededCorpusIndex(1200, 5),
+                     3 * PostingList::kBlockSize});
   auto fixture = LoadIndex(FixturePath("small60_v4.idx"));
   ASSERT_TRUE(fixture.ok()) << fixture.status();
-  pairs.push_back({"v4 fixture", std::move(*fixture), 1});
+  sources.push_back({"v4 fixture, eager", std::move(*fixture), 1});
 
-  for (const Pair& pair : pairs) {
-    SCOPED_TRACE(pair.name);
+  for (Source& source : sources) {
+    SCOPED_TRACE(source.name);
     const std::string path = TempPath("cursor_walk.idx");
-    ASSERT_TRUE(SaveIndexV5(pair.in_heap, path).ok());
+    ASSERT_TRUE(SaveIndexV5(source.index, path).ok());
     auto mapped = LoadIndexMapped(path);
     ASSERT_TRUE(mapped.ok()) << mapped.status();
     ASSERT_TRUE(mapped->is_packed());
-    const std::vector<TermId> terms = WalkTerms(pair.in_heap);
-    ASSERT_GE(pair.in_heap.DocFreq(terms.front()), pair.min_longest);
-
-    for (const TermId t : terms) {
-      const PostingList& heap = pair.in_heap.postings(t);
-      const PostingList& packed = mapped->postings(t);
-      const size_t n = heap.doc_count();
-      const std::vector<size_t> edges = EdgePostings(n);
-      // Targets on, between and past every edge, then past the list.
-      std::vector<DocId> targets;
-      for (const size_t p : edges) {
-        const DocId doc = DocAtOrPast(heap, p);
-        if (doc > 0) targets.push_back(doc - 1);
-        targets.push_back(doc);
-        targets.push_back(doc + 1);
-      }
-      targets.push_back(kInvalidDoc);
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-
-      std::vector<DocRange> ranges = {DocRange{}};
-      for (const size_t lo : edges) {
-        for (const size_t hi : edges) {
-          if (lo <= hi) {
-            ranges.push_back({DocAtOrPast(heap, lo), DocAtOrPast(heap, hi)});
-          }
-        }
-        ranges.push_back({DocAtOrPast(heap, lo), kInvalidDoc});
-      }
-      for (const DocRange range : ranges) {
-        SCOPED_TRACE("term " + pair.in_heap.TermText(t) + " range [" +
-                     std::to_string(range.doc_lo) + ", " +
-                     std::to_string(range.doc_hi) + ")");
-        const std::vector<Step> want = Walk(heap, range, targets);
-        ASSERT_EQ(Walk(packed, range, targets), want);
-        // The in-heap walk itself lands where a linear scan says.
-        const size_t end = ReferenceSkip(heap, 0, n, range.doc_hi);
-        size_t at = ReferenceSkip(heap, 0, end, range.doc_lo);
-        ASSERT_EQ(want[0].position, at);
-        size_t s = 1;
-        for (const DocId target : targets) {
-          at = target >= range.doc_hi ? end
-                                      : ReferenceSkip(heap, at, end, target);
-          ASSERT_EQ(want[s].position, at) << "target " << target;
-          ASSERT_EQ(want[s].at_end, at == end) << "target " << target;
-          ++s;
-          if (at < end) {
-            ++at;
-            ++s;
-          }
-        }
-        ASSERT_EQ(s, want.size());
-      }
-    }
+    auto eager = LoadIndex(path);
+    ASSERT_TRUE(eager.ok()) << eager.status();
+    ASSERT_FALSE(eager->is_packed());
     std::remove(path.c_str());
+
+    const std::vector<std::string> names = {source.name, "v5 mapped",
+                                            "v5 eager"};
+    std::vector<InvertedIndex> bodies;
+    bodies.push_back(std::move(source.index));
+    bodies.push_back(std::move(*mapped));
+    bodies.push_back(std::move(*eager));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectWalksAgree(bodies, names, source.min_longest));
+
+    // The lists view arrays their index owns: moving every index and
+    // destroying the moved-from ones must leave every walk unchanged.
+    std::vector<InvertedIndex> moved;
+    for (InvertedIndex& body : bodies) moved.push_back(std::move(body));
+    bodies.clear();
+    SCOPED_TRACE("after moving every index");
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectWalksAgree(moved, names, source.min_longest));
   }
 }
 
