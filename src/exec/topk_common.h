@@ -140,8 +140,7 @@ class ColumnScorer {
   std::vector<sa::ColumnContext> columns_;  // tf_in_doc unset
 };
 
-// The running top-k: at most k documents, sorted by score descending then
-// doc ascending (the engine's ranking order).
+// The running top-k: at most k documents in ma::RankedBefore order.
 class TopList {
  public:
   explicit TopList(size_t k) : k_(k) {}  // k > 0
@@ -158,12 +157,8 @@ class TopList {
   // operations spent (insert, plus eviction).
   uint64_t Offer(DocId doc, double score) {
     const ma::ScoredDoc candidate{doc, score};
-    const auto position = std::upper_bound(
-        docs_.begin(), docs_.end(), candidate,
-        [](const ma::ScoredDoc& a, const ma::ScoredDoc& b) {
-          if (a.score != b.score) return a.score > b.score;
-          return a.doc < b.doc;
-        });
+    const auto position = std::upper_bound(docs_.begin(), docs_.end(),
+                                           candidate, ma::RankedBefore);
     docs_.insert(position, candidate);
     if (docs_.size() <= k_) return 1;
     docs_.pop_back();

@@ -655,14 +655,9 @@ Status DecodeV5Columns(const V5Parsed& p, PostingStorage* storage,
   const uint64_t terms = p.terms.size();
   uint64_t postings = 0;
   for (uint64_t t = 0; t < terms; ++t) postings += p.metas[t].doc_count;
-  storage->docs = std::make_unique_for_overwrite<DocId[]>(postings);
-  storage->tfs = std::make_unique_for_overwrite<uint32_t[]>(postings);
-  storage->offset_starts =
-      std::make_unique_for_overwrite<uint32_t[]>(postings + terms);
-  storage->offsets = std::make_unique_for_overwrite<uint8_t[]>(p.offsets_len);
+  *storage = PostingStorage::Columns(terms, postings, p.offsets_len,
+                                     p.frontier_words);
   std::memcpy(storage->offsets.get(), p.offsets, p.offsets_len);
-  storage->frontiers =
-      std::make_unique_for_overwrite<uint32_t[]>(p.frontier_words);
   std::memcpy(storage->frontiers.get(), p.frontiers, p.frontier_words * 4);
 
   uint32_t scratch[kFmtV5BlockSize];
@@ -898,22 +893,21 @@ Status ValidateLegacyPostings(const std::vector<DocId>& docs,
   return Status::Ok();
 }
 
-// One v3/v4 term record, read and validated, before it is copied into
+// One v3/v4 term record, read and validated, before it is gathered into
 // the index's columns.
 struct LegacyTerm {
   std::vector<DocId> docs;
   std::vector<uint32_t> tfs;
-  std::vector<uint64_t> starts;
-  std::vector<uint8_t> encoded;
-  std::vector<uint32_t> frontiers;  // the Frontiers layout
+  std::vector<uint32_t> offset_starts;
+  std::vector<uint8_t> offsets;
   uint64_t total_positions = 0;
 };
 
 // Converts a v3/v4 image into a materialized index. v4 frontier arrays are
 // restored verbatim; a v3 record gets them computed here, so every loaded
 // index carries block-max metadata. The records' lengths are only known
-// once every record is read, so they are read first and then copied into
-// columns laid out as an eager v5 load lays them out.
+// once every record is read, so they are read first and then gathered
+// into the columns an eager v5 load fills.
 StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
                                    bool has_frontiers) {
   LegacyReader r(region.data(), region.size());
@@ -937,6 +931,7 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
     return Status::Corruption("implausible term count");
   }
   std::vector<LegacyTerm> records;
+  std::vector<uint32_t> frontiers;  // every term's run, term after term
   for (uint64_t i = 0; i < term_count; ++i) {
     uint32_t text_len = 0;
     GRAFT_RETURN_IF_ERROR(r.ReadScalar(&text_len));
@@ -947,13 +942,14 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
     GRAFT_RETURN_IF_ERROR(r.ReadBytes(text.data(), text_len));
 
     LegacyTerm rec;
+    std::vector<uint64_t> starts;
     std::vector<uint32_t> frontier_start;
     std::vector<uint32_t> frontier_tf;
     std::vector<uint32_t> frontier_len;
     GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.docs));
     GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.tfs));
-    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.starts));
-    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.encoded));
+    GRAFT_RETURN_IF_ERROR(r.ReadVector(&starts));
+    GRAFT_RETURN_IF_ERROR(r.ReadVector(&rec.offsets));
     if (has_frontiers) {
       GRAFT_RETURN_IF_ERROR(r.ReadVector(&frontier_start));
       GRAFT_RETURN_IF_ERROR(r.ReadVector(&frontier_tf));
@@ -965,9 +961,10 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
     // all.
     GRAFT_RETURN_IF_ERROR(r.VerifyCrc("term record " + std::to_string(i)));
     GRAFT_RETURN_IF_ERROR(
-        ValidateLegacyPostings(rec.docs, rec.tfs, rec.starts,
-                               rec.encoded.size(), rec.total_positions,
-                               doc_count));
+        ValidateLegacyPostings(rec.docs, rec.tfs, starts, rec.offsets.size(),
+                               rec.total_positions, doc_count));
+    // ValidateLegacyPostings capped every start at 4 GiB.
+    rec.offset_starts.assign(starts.begin(), starts.end());
     if (has_frontiers) {
       // The frontier section must be structurally coherent before it is
       // installed: one delimiter run per posting block, monotone with at
@@ -989,14 +986,12 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
               "block frontier delimiters are not strictly increasing");
         }
       }
-      rec.frontiers = std::move(frontier_start);
-      rec.frontiers.insert(rec.frontiers.end(), frontier_tf.begin(),
-                           frontier_tf.end());
-      rec.frontiers.insert(rec.frontiers.end(), frontier_len.begin(),
-                           frontier_len.end());
+      for (const auto* words :
+           {&frontier_start, &frontier_tf, &frontier_len}) {
+        frontiers.insert(frontiers.end(), words->begin(), words->end());
+      }
     } else {
-      AppendFrontiers(rec.docs, rec.tfs, index.doc_lengths(),
-                      &rec.frontiers);
+      AppendFrontiers(rec.docs, rec.tfs, index.doc_lengths(), &frontiers);
     }
     if (index.InternTerm(text) != i) {
       return Status::Corruption("duplicate term in index file: " + text);
@@ -1004,48 +999,7 @@ StatusOr<InvertedIndex> LoadLegacy(const common::MmapRegion& region,
     records.push_back(std::move(rec));
   }
 
-  uint64_t postings = 0;
-  uint64_t position_bytes = 0;
-  uint64_t frontier_words = 0;
-  for (const LegacyTerm& rec : records) {
-    postings += rec.docs.size();
-    position_bytes += rec.encoded.size();
-    frontier_words += rec.frontiers.size();
-  }
-  PostingStorage storage;
-  storage.docs = std::make_unique_for_overwrite<DocId[]>(postings);
-  storage.tfs = std::make_unique_for_overwrite<uint32_t[]>(postings);
-  storage.offset_starts =
-      std::make_unique_for_overwrite<uint32_t[]>(postings + term_count);
-  storage.offsets = std::make_unique_for_overwrite<uint8_t[]>(position_bytes);
-  storage.frontiers =
-      std::make_unique_for_overwrite<uint32_t[]>(frontier_words);
-  DocId* docs = storage.docs.get();
-  uint32_t* tfs = storage.tfs.get();
-  uint32_t* starts = storage.offset_starts.get();
-  uint8_t* offsets = storage.offsets.get();
-  uint32_t* frontiers = storage.frontiers.get();
-  for (TermId t = 0; t < records.size(); ++t) {
-    const LegacyTerm& rec = records[t];
-    const size_t n = rec.docs.size();
-    std::copy(rec.docs.begin(), rec.docs.end(), docs);
-    std::copy(rec.tfs.begin(), rec.tfs.end(), tfs);
-    // ValidateLegacyPostings capped every start at 4 GiB.
-    std::transform(rec.starts.begin(), rec.starts.end(), starts,
-                   [](uint64_t v) { return static_cast<uint32_t>(v); });
-    std::copy(rec.encoded.begin(), rec.encoded.end(), offsets);
-    std::copy(rec.frontiers.begin(), rec.frontiers.end(), frontiers);
-    *index.mutable_postings(t) = PostingList(
-        n, rec.total_positions, {docs, tfs, starts, offsets},
-        Frontiers::At(frontiers, (n + PostingList::kBlockSize - 1) /
-                                     PostingList::kBlockSize));
-    docs += n;
-    tfs += n;
-    starts += n + 1;
-    offsets += rec.encoded.size();
-    frontiers += rec.frontiers.size();
-  }
-  index.AdoptStorage(std::move(storage));
+  index.GatherColumns(std::span<const LegacyTerm>(records), frontiers);
   GRAFT_FAILPOINT(g_fp_load_verify);
   return index;
 }

@@ -5,28 +5,26 @@
 #include <cassert>
 #include <functional>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "index/varint.h"
 
 namespace graft::index {
 
-void TermPostings::AddDocument(DocId doc,
-                               std::span<const Offset> doc_offsets) {
-  assert(!doc_offsets.empty());
-  assert(docs.empty() || doc > docs.back());
-  if (offset_starts.empty()) offset_starts.push_back(0);
-  docs.push_back(doc);
-  tfs.push_back(static_cast<uint32_t>(doc_offsets.size()));
-  // Delta-encode: first position absolute, then gaps.
-  Offset previous = 0;
-  for (size_t i = 0; i < doc_offsets.size(); ++i) {
-    assert(i == 0 || doc_offsets[i] > previous);
-    PutVarint32(&offsets, doc_offsets[i] - previous);
-    previous = doc_offsets[i];
-  }
-  // The u32 starts address a 4 GiB blob, the v5 block header's limit.
-  assert(offsets.size() <= UINT32_MAX);
-  offset_starts.push_back(static_cast<uint32_t>(offsets.size()));
-  total_positions += doc_offsets.size();
+PostingStorage PostingStorage::Columns(uint64_t terms, uint64_t postings,
+                                       uint64_t position_bytes,
+                                       uint64_t frontier_words) {
+  PostingStorage storage;
+  storage.docs = std::make_unique_for_overwrite<DocId[]>(postings);
+  storage.tfs = std::make_unique_for_overwrite<uint32_t[]>(postings);
+  storage.offset_starts =
+      std::make_unique_for_overwrite<uint32_t[]>(postings + terms);
+  storage.offsets = std::make_unique_for_overwrite<uint8_t[]>(position_bytes);
+  storage.frontiers =
+      std::make_unique_for_overwrite<uint32_t[]>(frontier_words);
+  return storage;
 }
 
 size_t InvertedIndex::FindSlot(std::string_view term) const {
@@ -77,28 +75,39 @@ uint32_t InvertedIndex::TermFreqInDoc(TermId term, DocId doc) const {
 
 IndexBuilder::IndexBuilder() = default;
 
-// A term's first occurrence in the current document is detected by its
-// (cleared) offset vector being empty.
+// A term's first occurrence in the current document opens its posting.
+// Positions are delta-encoded: the first absolute, then gaps.
 void IndexBuilder::AccumulateOffset(TermId term, Offset offset) {
-  if (term == doc_offsets_.size()) {
-    doc_offsets_.emplace_back().reserve(4);
-    postings_.emplace_back();
+  if (term == postings_.size()) {
+    postings_.emplace_back().offset_starts.push_back(0);
   }
-  std::vector<Offset>& offsets = doc_offsets_[term];
-  if (offsets.empty()) doc_terms_.push_back(term);
-  offsets.push_back(offset);
+  TermPostings& postings = postings_[term];
+  Offset previous = 0;
+  if (postings.docs.empty() || postings.docs.back() != next_doc_) {
+    postings.docs.push_back(next_doc_);
+    postings.tfs.push_back(0);
+    doc_terms_.push_back(term);
+  } else {
+    assert(offset > postings.last_offset);
+    previous = postings.last_offset;
+  }
+  PutVarint32(&postings.offsets, offset - previous);
+  postings.last_offset = offset;
+  ++postings.tfs.back();
+  ++postings.total_positions;
 }
 
 DocId IndexBuilder::FlushDocument(uint32_t length) {
-  const DocId doc = next_doc_++;
   for (const TermId term : doc_terms_) {
-    std::vector<Offset>& offsets = doc_offsets_[term];
-    postings_[term].AddDocument(doc, offsets);
-    offsets.clear();  // keep capacity for the next document
+    TermPostings& postings = postings_[term];
+    // The u32 starts address a 4 GiB blob, the v5 block header's limit.
+    assert(postings.offsets.size() <= UINT32_MAX);
+    postings.offset_starts.push_back(
+        static_cast<uint32_t>(postings.offsets.size()));
   }
   doc_terms_.clear();
   index_.AppendDocLength(length);
-  return doc;
+  return next_doc_++;
 }
 
 DocId IndexBuilder::AddDocument(std::span<const std::string_view> tokens) {
@@ -129,34 +138,21 @@ DocId IndexBuilder::AddDocumentStrings(const std::vector<std::string>& tokens) {
   return AddDocument(views);
 }
 
-// The lists view the builder's own arrays; only the frontiers, computed
-// here, are gathered into one column.
 InvertedIndex IndexBuilder::Build() {
-  const size_t terms = postings_.size();
-  std::vector<uint32_t> frontiers;
-  std::vector<size_t> frontier_at(terms);
-  for (TermId t = 0; t < terms; ++t) {
-    frontier_at[t] = frontiers.size();
-    AppendFrontiers(postings_[t].docs, postings_[t].tfs, index_.doc_lengths(),
-                    &frontiers);
+  {
+    std::vector<uint32_t> frontiers;
+    for (const TermPostings& term : postings_) {
+      AppendFrontiers(term.docs, term.tfs, index_.doc_lengths(), &frontiers);
+    }
+    index_.GatherColumns(std::span<const TermPostings>(postings_), frontiers);
   }
-  PostingStorage storage;
-  storage.frontiers = std::make_unique_for_overwrite<uint32_t[]>(
-      frontiers.size());
-  std::copy(frontiers.begin(), frontiers.end(), storage.frontiers.get());
-  for (TermId t = 0; t < terms; ++t) {
-    const TermPostings& built = postings_[t];
-    const size_t n = built.docs.size();
-    *index_.mutable_postings(t) = PostingList(
-        n, built.total_positions,
-        {built.docs.data(), built.tfs.data(), built.offset_starts.data(),
-         built.offsets.data()},
-        Frontiers::At(storage.frontiers.get() + frontier_at[t],
-                      (n + PostingList::kBlockSize - 1) /
-                          PostingList::kBlockSize));
-  }
-  storage.built = std::move(postings_);
-  index_.AdoptStorage(std::move(storage));
+  postings_ = std::vector<TermPostings>();
+  doc_terms_ = std::vector<TermId>();
+#ifdef __GLIBC__
+  // glibc keeps freed pages resident unless they top the heap; the
+  // accumulators just freed are most of a build's heap, so return them.
+  malloc_trim(0);
+#endif
   return std::move(index_);
 }
 

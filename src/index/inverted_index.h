@@ -2,26 +2,24 @@
 // substrate beneath every GRAFT plan leaf.
 //
 // An InvertedIndex owns every array its posting lists view (PostingList
-// is a non-owning view, posting_list.h), in one of three shapes set by
+// is a non-owning view, posting_list.h), in one of two layouts set by
 // how the index was made:
 //
-//   * IndexBuilder output keeps the builder's per-term arrays
-//     (TermPostings), handed over without a copy;
-//   * an eager v5 load or a v3/v4 conversion decodes into index-wide
-//     columns (docs, tfs, offset starts, position bytes), one allocation
-//     each, and keeps nothing of the file, so replacing the file in place
+//   * IndexBuilder output, an eager v5 load and a v3/v4 conversion hold
+//     index-wide columns (docs, tfs, offset starts, position bytes and
+//     block-max frontiers), term after term, one exact-size allocation
+//     each, and keep nothing of any file, so replacing the file in place
 //     cannot fault a query;
 //   * a mapped v5 load keeps the file region, and its lists point into it.
 //
-// Built, eager and converted indexes keep every term's block-max
-// frontiers in one more index-wide column; mapped lists read them from
-// the region. Moving an index moves the owners, never the arrays, so the
-// views survive the move. The term dictionary is a flat open-addressing
-// table of term ids over the term texts.
+// Moving an index moves the owners, never the arrays, so the views
+// survive the move. The term dictionary is a flat open-addressing table
+// of term ids over the term texts.
 
 #ifndef GRAFT_INDEX_INVERTED_INDEX_H_
 #define GRAFT_INDEX_INVERTED_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -38,38 +36,26 @@
 
 namespace graft::index {
 
-// One term's postings as IndexBuilder accumulates them, and the arrays a
-// built index's posting list views.
-struct TermPostings {
-  std::vector<DocId> docs;
-  std::vector<uint32_t> tfs;
-  // offset_starts[i] is the byte offset into `offsets` of doc i's first
-  // varint; doc count + 1 entries once a document is added.
-  std::vector<uint32_t> offset_starts;
-  std::vector<uint8_t> offsets;
-  uint64_t total_positions = 0;
-
-  // Appends one document's occurrences. Documents must be appended in
-  // strictly increasing doc order; offsets must be strictly increasing.
-  void AddDocument(DocId doc, std::span<const Offset> doc_offsets);
-};
-
-// What an index's posting lists view; one shape is filled per index (see
-// the head of this file).
+// What an index's posting lists view: the columns, or the region of a
+// mapped v5 load (see the head of this file).
 struct PostingStorage {
-  // Eager v5 loads and v3/v4 conversions: every term's postings, term
-  // after term.
+  // Every term's postings, term after term; term t's offset starts begin
+  // t entries past its first posting.
   std::unique_ptr<DocId[]> docs;
   std::unique_ptr<uint32_t[]> tfs;
   std::unique_ptr<uint32_t[]> offset_starts;
   std::unique_ptr<uint8_t[]> offsets;
-  // IndexBuilder output, by term id.
-  std::vector<TermPostings> built;
-  // Every term's frontier run (posting_list.h's Frontiers layout), unless
-  // the index is mapped.
+  // Every term's frontier run (an eager v5 load keeps the file's u32
+  // point count before each).
   std::unique_ptr<uint32_t[]> frontiers;
   // Mapped v5 loads: the file region every list points into.
   std::shared_ptr<common::MmapRegion> region;
+
+  // Uninitialized columns for `terms` terms holding `postings` postings,
+  // `position_bytes` position bytes and `frontier_words` frontier words.
+  static PostingStorage Columns(uint64_t terms, uint64_t postings,
+                                uint64_t position_bytes,
+                                uint64_t frontier_words);
 };
 
 class InvertedIndex {
@@ -130,6 +116,15 @@ class InvertedIndex {
   const std::vector<uint32_t>& doc_lengths() const { return doc_lengths_; }
   // Takes ownership of the arrays the posting lists view.
   void AdoptStorage(PostingStorage storage) { storage_ = std::move(storage); }
+  // Copies each interned term's postings, terms[t] for term t, and
+  // `frontiers` (every term's run, term after term) into
+  // PostingStorage::Columns, and points each term's list at its part. A
+  // Term holds docs and tfs, offset_starts (one more entry: byte offsets
+  // into offsets, the term's position varints, the last being their
+  // length) and total_positions, as IndexBuilder accumulates them.
+  template <typename Term>
+  void GatherColumns(std::span<const Term> terms,
+                     std::span<const uint32_t> frontiers);
 
   // ---- Packed (v5 mmap) storage ----
   // A LoadIndexMapped index owns the mapped file region and shares a
@@ -168,6 +163,43 @@ class InvertedIndex {
   uint64_t cache_generation_ = 0;
 };
 
+template <typename Term>
+void InvertedIndex::GatherColumns(std::span<const Term> terms,
+                                  std::span<const uint32_t> frontiers) {
+  uint64_t postings = 0;
+  uint64_t position_bytes = 0;
+  for (const Term& term : terms) {
+    postings += term.docs.size();
+    position_bytes += term.offsets.size();
+  }
+  storage_ = PostingStorage::Columns(terms.size(), postings, position_bytes,
+                                     frontiers.size());
+  DocId* docs = storage_.docs.get();
+  uint32_t* tfs = storage_.tfs.get();
+  uint32_t* starts = storage_.offset_starts.get();
+  uint8_t* offsets = storage_.offsets.get();
+  std::ranges::copy(frontiers, storage_.frontiers.get());
+  const uint32_t* run = storage_.frontiers.get();
+  for (TermId t = 0; t < terms.size(); ++t) {
+    const Term& term = terms[t];
+    const size_t n = term.docs.size();
+    const size_t blocks =
+        (n + PostingList::kBlockSize - 1) / PostingList::kBlockSize;
+    std::ranges::copy(term.docs, docs);
+    std::ranges::copy(term.tfs, tfs);
+    std::ranges::copy(term.offset_starts, starts);
+    std::ranges::copy(term.offsets, offsets);
+    postings_[t] = PostingList(n, term.total_positions,
+                               {docs, tfs, starts, offsets},
+                               Frontiers::At(run, blocks));
+    docs += n;
+    tfs += n;
+    starts += n + 1;
+    offsets += term.offsets.size();
+    run += blocks + 1 + 2 * size_t{run[blocks]};
+  }
+}
+
 // Incremental index construction. Documents must be added in increasing
 // doc-id order (ids are assigned sequentially from 0).
 class IndexBuilder {
@@ -184,21 +216,33 @@ class IndexBuilder {
   DocId AddDocumentPositioned(std::span<const std::string_view> tokens,
                               std::span<const Offset> offsets);
 
-  // Finalizes and returns the index. The builder is consumed.
+  // Finalizes and returns the index. The builder is consumed: its
+  // postings are gathered into the index's columns and freed, and the
+  // freed heap goes back to the operating system.
   InvertedIndex Build();
 
  private:
+  // One term's postings as they accumulate.
+  struct TermPostings {
+    std::vector<DocId> docs;
+    std::vector<uint32_t> tfs;
+    // offset_starts[i] is the byte offset into `offsets` of doc i's first
+    // varint; one more entry closes each flushed document.
+    std::vector<uint32_t> offset_starts;
+    std::vector<uint8_t> offsets;
+    uint64_t total_positions = 0;
+    Offset last_offset = 0;  // the latest position in the last doc
+  };
+
+  // Appends one occurrence to the current document, whose positions must
+  // be strictly increasing per term.
   void AccumulateOffset(TermId term, Offset offset);
   DocId FlushDocument(uint32_t length);
 
   InvertedIndex index_;
   std::vector<TermPostings> postings_;  // by term id
   DocId next_doc_ = 0;
-  // Scratch: per-term offsets for the current document, by term id.
-  // Vectors are cleared, not freed, between documents, so steady-state
-  // builds do not reallocate offset storage.
-  std::vector<std::vector<Offset>> doc_offsets_;
-  std::vector<TermId> doc_terms_;
+  std::vector<TermId> doc_terms_;  // terms in the current document
 };
 
 }  // namespace graft::index

@@ -27,11 +27,12 @@
 //
 // A PostingList owns nothing: it is a view of pointers into arrays its
 // InvertedIndex owns (inverted_index.h), so it is cheap to copy and its
-// pointers survive moving the index. The two bodies:
+// pointers survive moving the index. The index has two storage layouts,
+// and a list one body for each:
 //
 //   * decoded lists (IndexBuilder output, eager v5 loads and v3/v4
-//     conversions) answer with slices of docs / tfs / offset-start
-//     columns;
+//     conversions, all in one layout) answer with slices of the index's
+//     docs / tfs / offset-start columns;
 //   * packed lists (v5 mmap loads) view the mapped file and answer with
 //     one DecodedBlock fetched through the generation-keyed BlockCache
 //     (index/block_cache.h), and read last doc ids from the block

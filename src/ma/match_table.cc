@@ -123,11 +123,6 @@ StatusOr<std::vector<ScoredDoc>> ExtractRankedResults(
   return results;
 }
 
-bool RankedBefore(const ScoredDoc& a, const ScoredDoc& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.doc < b.doc;
-}
-
 std::vector<ScoredDoc> MergeRanked(std::vector<std::vector<ScoredDoc>> partials,
                                    size_t k) {
   if (partials.size() == 1) {

@@ -44,7 +44,10 @@ struct ScoredDoc {
 };
 
 // Score descending, doc ascending: the order of every ranked result list.
-bool RankedBefore(const ScoredDoc& a, const ScoredDoc& b);
+inline bool RankedBefore(const ScoredDoc& a, const ScoredDoc& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.doc < b.doc;
+}
 
 // Merges ranked lists, each already in RankedBefore order, into the global
 // top-k (k == 0: every result): the merge of independently ranked streams

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -712,6 +713,180 @@ TEST(IndexIoCompatTest, MappedDecodeStaysInsideTheTermsBytes) {
     }
   }
   std::remove(forged_path.c_str());
+  std::remove(path.c_str());
+}
+
+// `bytes`, a saved v5 file, with column `column` (0 doc gaps, 1 tf - 1,
+// 2 position byte lengths) of block `block` of term `term` repacked at 32
+// bits after `forge` rewrites its values. Later blocks and terms move by
+// the bytes the column grew, and every section and the table are laid
+// out and checksummed again, so the file passes every CRC.
+std::string WidenV5Column(
+    const std::string& bytes, TermId term, size_t block, size_t column,
+    const std::function<void(std::vector<uint32_t>*)>& forge) {
+  std::vector<std::string> sections;
+  for (uint32_t s = 0; s < kFmtV5SectionCount; ++s) {
+    const auto [at, length] = V5Section(bytes, static_cast<FmtV5Section>(s));
+    sections.push_back(bytes.substr(at, length));
+  }
+  std::string& metas =
+      sections[static_cast<size_t>(FmtV5Section::kTermMeta)];
+  std::string& headers =
+      sections[static_cast<size_t>(FmtV5Section::kBlockHeaders)];
+  std::string& payload =
+      sections[static_cast<size_t>(FmtV5Section::kPayload)];
+  const auto meta_at = [&](size_t t) {
+    return reinterpret_cast<TermMetaV5*>(metas.data()) + t;
+  };
+  const auto header_at = [&](size_t b) {
+    return reinterpret_cast<BlockHeaderV5*>(headers.data()) +
+           meta_at(term)->block_begin + b;
+  };
+  const TermMetaV5 meta = *meta_at(term);
+  BlockHeaderV5* h = header_at(block);
+  const size_t n = std::min<size_t>(kFmtV5BlockSize,
+                                    meta.doc_count - block * kFmtV5BlockSize);
+  uint8_t* bits[3] = {&h->doc_bits, &h->tf_bits, &h->off_bits};
+  size_t at = meta.payload_begin + h->payload_offset;
+  for (size_t c = 0; c < column; ++c) at += common::PackedBytes(n, *bits[c]);
+  const size_t old_length = common::PackedBytes(n, *bits[column]);
+  std::vector<uint32_t> values(n);
+  common::UnpackInts(reinterpret_cast<const uint8_t*>(payload.data()) + at,
+                     n, *bits[column], values.data());
+  forge(&values);
+  std::string widened(common::PackedBytes(n, 32), '\0');
+  common::PackInts(values.data(), n, 32,
+                   reinterpret_cast<uint8_t*>(widened.data()));
+  payload.replace(at, old_length, widened);
+  const size_t grown = widened.size() - old_length;
+  *bits[column] = 32;
+  const size_t blocks = (meta.doc_count + kFmtV5BlockSize - 1) /
+                        kFmtV5BlockSize;
+  for (size_t b = block + 1; b < blocks; ++b) {
+    header_at(b)->payload_offset += grown;
+  }
+  for (size_t t = term + 1; t < metas.size() / sizeof(TermMetaV5); ++t) {
+    meta_at(t)->payload_begin += grown;
+  }
+
+  // The canonical layout: prologue, table, then each section 8-aligned
+  // and followed by its CRC32C.
+  std::string table(4 + kFmtV5SectionCount * 16, '\0');
+  const uint32_t count = kFmtV5SectionCount;
+  std::memcpy(table.data(), &count, 4);
+  std::string body;
+  uint64_t offset = 8 + table.size() + 4;
+  for (uint32_t s = 0; s < kFmtV5SectionCount; ++s) {
+    body.resize(body.size() + (8 - offset % 8) % 8, '\0');
+    offset += (8 - offset % 8) % 8;
+    const uint64_t length = sections[s].size();
+    std::memcpy(table.data() + 4 + s * 16, &offset, 8);
+    std::memcpy(table.data() + 4 + s * 16 + 8, &length, 8);
+    const uint32_t crc = common::Crc32c(sections[s].data(), length);
+    body += sections[s];
+    body.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    offset += length + sizeof(crc);
+  }
+  const uint32_t table_crc = common::Crc32c(table.data(), table.size());
+  table.append(reinterpret_cast<const char*>(&table_crc), sizeof(table_crc));
+  return bytes.substr(0, 8) + table + body;
+}
+
+TEST(IndexIoCompatTest, EagerDecodeRejectsWrappedGapsAndZeroTf) {
+  // Two CRC-valid forgeries that only the eager decode's arithmetic can
+  // catch: the first block of the longest list gets its doc-gap or its
+  // tf column widened to 32 bits. Raising two gaps by 2^31 each wraps
+  // their u32 sum back onto the header's last_doc, so only a 64-bit sum
+  // sees ids past the collection; a stored tf - 1 of 2^32 - 1 wraps to tf
+  // 0. The unforged widening loads as built, so the rows fail for the
+  // values alone.
+  const InvertedIndex built = BuildPruneIndex();
+  const std::string path = TempPath("v5widen.idx");
+  ASSERT_TRUE(SaveIndex(built, path).ok());
+  const std::string bytes = ReadFile(path);
+  TermId term = 0;
+  for (TermId t = 1; t < built.term_count(); ++t) {
+    if (built.DocFreq(t) > built.DocFreq(term)) term = t;
+  }
+  ASSERT_GE(built.DocFreq(term), kFmtV5BlockSize);
+
+  const std::string widened_path = TempPath("v5widen_forged.idx");
+  for (const size_t column : {size_t{0}, size_t{1}}) {
+    WriteFile(widened_path, WidenV5Column(bytes, term, 0, column,
+                                          [](std::vector<uint32_t>*) {}));
+    auto control = LoadIndex(widened_path);
+    ASSERT_TRUE(control.ok()) << "column " << column << ": "
+                              << control.status();
+    ExpectSameIndex(*control, built);
+  }
+
+  const struct {
+    const char* name;
+    size_t column;
+    std::function<void(std::vector<uint32_t>*)> forge;
+    const char* message;
+  } rows[] = {
+      {"doc gaps wrapping onto last_doc", 0,
+       [](std::vector<uint32_t>* gaps) {
+         (*gaps)[0] += uint32_t{1} << 31;
+         (*gaps)[1] += uint32_t{1} << 31;
+       },
+       "block payload disagrees with its header last_doc"},
+      {"stored tf of 2^32 - 1", 1,
+       [](std::vector<uint32_t>* tfs) { (*tfs)[0] = UINT32_MAX; },
+       "zero term frequency"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    WriteFile(widened_path,
+              WidenV5Column(bytes, term, 0, row.column, row.forge));
+    auto eager = LoadIndex(widened_path);
+    ASSERT_FALSE(eager.ok()) << "the forged column loaded";
+    EXPECT_EQ(eager.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(eager.status().ToString().find(row.message), std::string::npos)
+        << eager.status();
+  }
+  std::remove(widened_path.c_str());
+  std::remove(path.c_str());
+}
+
+// Every term's columns start where the previous term's end: one
+// allocation per column, the layout built, converted and eager-loaded
+// indexes share. Frontier runs are not compared, since an eager load
+// keeps the file's point count before each.
+void ExpectContiguousColumns(const InvertedIndex& index) {
+  size_t apart = 0;
+  for (TermId t = 1; t < index.term_count(); ++t) {
+    const PostingList& prev = index.postings(t - 1);
+    const PostingList& list = index.postings(t);
+    apart += list.docs().data() != prev.docs().data() + prev.docs().size();
+    apart += list.tfs().data() != prev.tfs().data() + prev.tfs().size();
+    apart += list.offset_starts().data() !=
+             prev.offset_starts().data() + prev.offset_starts().size();
+    apart += list.position_bytes().data() !=
+             prev.position_bytes().data() + prev.position_bytes().size();
+  }
+  EXPECT_EQ(apart, 0u) << "columns not continued by the next term";
+}
+
+TEST(IndexBuilderTest, BuiltColumnsMatchEagerReload) {
+  // A built index and a converted v4 fixture hold the same columns as
+  // the eager v5 reload of their saved files, term for term.
+  const InvertedIndex built = testutil::SeededCorpusIndex(2000, 17);
+  auto converted = LoadIndex(FixturePath("small60_v4.idx"));
+  ASSERT_TRUE(converted.ok()) << converted.status();
+  const std::pair<const char*, const InvertedIndex*> sources[] = {
+      {"built", &built}, {"converted v4", &*converted}};
+  const std::string path = TempPath("layout.idx");
+  for (const auto& [name, source] : sources) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(SaveIndex(*source, path).ok());
+    auto reloaded = LoadIndex(path);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+    ExpectSameIndex(*source, *reloaded);
+    ExpectContiguousColumns(*source);
+    ExpectContiguousColumns(*reloaded);
+  }
   std::remove(path.c_str());
 }
 

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "index/index_io.h"
 #include "index/inverted_index.h"
 #include "index/posting_list.h"
 #include "index/stats.h"
+#include "text/corpus.h"
 #include "text/tokenizer.h"
 
 namespace graft::index {
@@ -20,21 +25,26 @@ InvertedIndex SmallIndex() {
   return builder.Build();
 }
 
-// A decoded list over `postings`' own arrays, without frontiers.
-PostingList ViewOf(const TermPostings& postings) {
-  return PostingList(postings.docs.size(), postings.total_positions,
-                     {postings.docs.data(), postings.tfs.data(),
-                      postings.offset_starts.data(), postings.offsets.data()},
-                     {});
+// A built index of `docs` documents over one term, whose positions in
+// document d are `positions(d)` (none: d lacks the term).
+InvertedIndex OneTermIndex(
+    DocId docs, const std::function<std::vector<Offset>(DocId)>& positions) {
+  IndexBuilder builder;
+  for (DocId d = 0; d < docs; ++d) {
+    const std::vector<Offset> offsets = positions(d);
+    const std::vector<std::string_view> tokens(offsets.size(), "t");
+    builder.AddDocumentPositioned(tokens, offsets);
+  }
+  return builder.Build();
 }
 
 TEST(PostingListTest, AddAndAccess) {
-  TermPostings postings;
-  const Offset d0[] = {1, 5, 9};
-  const Offset d1[] = {0};
-  postings.AddDocument(10, d0);
-  postings.AddDocument(42, d1);
-  const PostingList list = ViewOf(postings);
+  const InvertedIndex index = OneTermIndex(43, [](DocId d) {
+    return d == 10   ? std::vector<Offset>{1, 5, 9}
+           : d == 42 ? std::vector<Offset>{0}
+                     : std::vector<Offset>{};
+  });
+  const PostingList& list = index.postings(0);
   EXPECT_EQ(list.doc_count(), 2u);
   EXPECT_EQ(list.collection_frequency(), 4u);
   EXPECT_EQ(list.doc_at(0), 10u);
@@ -45,12 +55,10 @@ TEST(PostingListTest, AddAndAccess) {
 }
 
 TEST(PostingListTest, GallopFindsTargets) {
-  TermPostings postings;
-  const Offset one[] = {0};
-  for (DocId d = 0; d < 1000; d += 3) {
-    postings.AddDocument(d, one);
-  }
-  const PostingList list = ViewOf(postings);
+  const InvertedIndex index = OneTermIndex(1000, [](DocId d) {
+    return d % 3 == 0 ? std::vector<Offset>{0} : std::vector<Offset>{};
+  });
+  const PostingList& list = index.postings(0);
   PostingCursor cursor(&list);
   cursor.SkipTo(0);
   EXPECT_EQ(cursor.position(), 0u);
@@ -70,12 +78,11 @@ TEST(PostingListTest, GallopFindsTargets) {
 }
 
 TEST(PostingCursorTest, SkipToAndIterate) {
-  TermPostings postings;
-  const Offset one[] = {7};
-  for (DocId d = 2; d < 100; d += 2) {
-    postings.AddDocument(d, one);
-  }
-  const PostingList list = ViewOf(postings);
+  const InvertedIndex index = OneTermIndex(100, [](DocId d) {
+    return d >= 2 && d % 2 == 0 ? std::vector<Offset>{7}
+                                : std::vector<Offset>{};
+  });
+  const PostingList& list = index.postings(0);
   PostingCursor cursor(&list);
   EXPECT_FALSE(cursor.AtEnd());
   EXPECT_EQ(cursor.doc(), 2u);
@@ -134,6 +141,63 @@ TEST(StatsViewTest, OverlayWins) {
   EXPECT_EQ(overlaid.DocLength(0), 207u);
   // Unoverlaid doc falls through.
   EXPECT_EQ(overlaid.DocLength(1), 4u);
+}
+
+// This process's resident set, in bytes.
+uint64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;
+    }
+  }
+  ADD_FAILURE() << "no VmRSS line in /proc/self/status";
+  return 0;
+}
+
+TEST(IndexBuilderTest, BuildLeavesNoBuilderHeapResident) {
+  // Build() hands the index exact-size columns and returns the builder's
+  // freed heap to the system, so once the builder is gone the process
+  // holds little more than what the index owns. The allocator check
+  // needs glibc's heap; sanitizer runtimes keep freed memory on purpose.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc malloc without a sanitizer runtime";
+#else
+  const uint64_t before = ResidentBytes();
+  InvertedIndex index;
+  {
+    IndexBuilder builder;
+    {
+      text::CorpusGenerator generator(text::WikipediaLikeConfig(20000));
+      generator.Generate(
+          [&builder](uint64_t, const std::vector<std::string_view>& tokens) {
+            builder.AddDocument(tokens);
+          });
+    }
+    index = builder.Build();
+  }
+  const uint64_t growth = ResidentBytes() - before;
+
+  // What the index holds: its columns, and a dictionary of term texts,
+  // one list view per term and a table of under four slots per term.
+  uint64_t held = index.doc_lengths().size() * sizeof(uint32_t) +
+                  index.term_count() * 4 * sizeof(TermId);
+  for (TermId t = 0; t < index.term_count(); ++t) {
+    const PostingList& list = index.postings(t);
+    held += sizeof(std::string) + index.TermText(t).size() +
+            sizeof(PostingList) + list.docs().size_bytes() +
+            list.tfs().size_bytes() + list.offset_starts().size_bytes() +
+            list.position_bytes().size_bytes() +
+            list.frontier_starts().size_bytes() +
+            list.frontier_tfs().size_bytes() +
+            list.frontier_doc_lengths().size_bytes();
+  }
+  EXPECT_LE(static_cast<double>(growth), 1.2 * static_cast<double>(held))
+      << "resident growth " << growth << " bytes for " << held
+      << " bytes held (ratio "
+      << static_cast<double>(growth) / static_cast<double>(held) << ")";
+#endif
 }
 
 TEST(IndexIoTest, SaveLoadRoundTrip) {
