@@ -20,11 +20,16 @@
 #define GRAFT_INDEX_INVERTED_INDEX_H_
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <memory_resource>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -201,10 +206,30 @@ void InvertedIndex::GatherColumns(std::span<const Term> terms,
 }
 
 // Incremental index construction. Documents must be added in increasing
-// doc-id order (ids are assigned sequentially from 0).
+// doc-id order (ids are assigned sequentially from 0), from one thread.
+//
+// The builder is a two-stage pipeline. The calling thread only interns
+// each token and appends (term id, offset) to a batch of kBatchTokens
+// tokens. A full batch goes to the one worker thread the builder owns,
+// which inverts it into per-term postings while the caller fills the
+// other batch; the caller waits only when the worker is still on the
+// previous one. The worker starts at the first full batch, and Build()
+// and the destructor join it, so no thread outlives either. Build()
+// inverts the last partial batch itself, so a build under one batch runs
+// on the calling thread alone. An exception the worker meets (an
+// allocation failure) reaches the caller at its next hand-off or in
+// Build(). The worker holds a pointer to the builder, which therefore can
+// be neither copied nor moved.
 class IndexBuilder {
  public:
+  // Tokens per batch: a constant, so batching never changes a saved byte.
+  static constexpr size_t kBatchTokens = size_t{1} << 18;
+
   IndexBuilder();
+  ~IndexBuilder();
+
+  IndexBuilder(const IndexBuilder&) = delete;
+  IndexBuilder& operator=(const IndexBuilder&) = delete;
 
   // Adds the next document. Tokens are term texts in offset order.
   DocId AddDocument(std::span<const std::string_view> tokens);
@@ -222,27 +247,82 @@ class IndexBuilder {
   InvertedIndex Build();
 
  private:
+  struct Token {
+    TermId term;
+    Offset offset;
+  };
+  // Consecutive tokens of consecutive documents. A document may continue
+  // from the previous batch and into the next.
+  struct Batch {
+    std::unique_ptr<Token[]> tokens;
+    size_t size = 0;
+    // The document tokens[0] belongs to.
+    DocId first_doc = 0;
+    // Where each document from first_doc on ends in tokens; tokens past
+    // the last end belong to a document still being added.
+    std::vector<uint32_t> doc_ends;
+    // Terms interned when the batch was sealed: an upper bound on its ids.
+    size_t term_count = 0;
+  };
   // One term's postings as they accumulate.
   struct TermPostings {
-    std::vector<DocId> docs;
-    std::vector<uint32_t> tfs;
+    explicit TermPostings(std::pmr::memory_resource* memory)
+        : docs(memory), tfs(memory), offset_starts(memory), offsets(memory) {}
+
+    std::pmr::vector<DocId> docs;
+    std::pmr::vector<uint32_t> tfs;
     // offset_starts[i] is the byte offset into `offsets` of doc i's first
-    // varint; one more entry closes each flushed document.
-    std::vector<uint32_t> offset_starts;
-    std::vector<uint8_t> offsets;
+    // varint. Opening a document appends its start; Build() appends the
+    // end of the last.
+    std::pmr::vector<uint32_t> offset_starts;
+    std::pmr::vector<uint8_t> offsets;
     uint64_t total_positions = 0;
     Offset last_offset = 0;  // the latest position in the last doc
   };
+  // One occurrence, as the inversion orders it.
+  struct Occurrence {
+    DocId doc;
+    Offset offset;
+  };
 
-  // Appends one occurrence to the current document, whose positions must
-  // be strictly increasing per term.
-  void AccumulateOffset(TermId term, Offset offset);
-  DocId FlushDocument(uint32_t length);
+  // Caller stage.
+  void AppendToken(TermId term, Offset offset);
+  DocId EndDocument(uint32_t length);
+  // Hands the filled batch to the worker (starting it the first time)
+  // once it has finished the previous one, and takes the other buffer.
+  void HandOff();
 
+  // Worker stage: the worker's loop, and the inversion it and Build() run.
+  void RunWorker();
+  // Appends the batch's occurrences to their terms' postings, each term's
+  // in (doc, offset) order: a stable counting sort by term id.
+  void Invert(const Batch& batch);
+  // Lets the worker finish its batch and joins it.
+  void StopWorker();
+
+  // Owned by the calling thread.
   InvertedIndex index_;
-  std::vector<TermPostings> postings_;  // by term id
+  Batch filling_;
   DocId next_doc_ = 0;
-  std::vector<TermId> doc_terms_;  // terms in the current document
+
+  // Owned by whichever thread inverts: the worker while it runs, then
+  // the caller. Their memory comes from pool_, which maps it directly
+  // rather than through malloc: glibc keeps the freed top of a thread's
+  // arena resident up to a trim threshold that grows with the largest
+  // mapping the process has freed, and malloc_trim leaves it there.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::vector<TermPostings> postings_{&pool_};  // by term id
+  std::pmr::vector<uint32_t> run_ends_{&pool_};      // by term id, per batch
+  std::pmr::vector<Occurrence> sorted_{&pool_};      // the batch, by term
+
+  // The hand-off between the stages.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Batch handed_;       // the batch the worker inverts
+  bool busy_ = false;  // handed_ holds a batch not yet inverted
+  bool stop_ = false;  // no more batches will come
+  std::exception_ptr failure_;  // what ended the worker early, if anything
+  std::thread worker_;
 };
 
 }  // namespace graft::index

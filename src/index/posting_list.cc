@@ -62,35 +62,39 @@ void AppendFrontiers(std::span<const DocId> docs,
                      std::span<const uint32_t> tfs,
                      std::span<const uint32_t> doc_lengths,
                      std::vector<uint32_t>* out) {
+  constexpr size_t kBlock = PostingList::kBlockSize;
   const size_t n = docs.size();
   std::vector<std::pair<uint32_t, uint32_t>> frontier;  // (tf, doc length)
-  std::vector<std::pair<uint32_t, uint32_t>> points;
-  points.reserve(PostingList::kBlockSize);
+  uint32_t block_tfs[kBlock];
+  uint32_t block_lens[kBlock];
   out->push_back(0);
-  for (size_t begin = 0; begin < n; begin += PostingList::kBlockSize) {
-    const size_t end = std::min(n, begin + PostingList::kBlockSize);
-    points.clear();
+  for (size_t begin = 0; begin < n; begin += kBlock) {
+    const size_t m = std::min(n - begin, kBlock);
     uint32_t block_min_len = std::numeric_limits<uint32_t>::max();
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t len = doc_lengths[docs[i]];
-      points.emplace_back(tfs[i], len);
-      block_min_len = std::min(block_min_len, len);
+    for (size_t i = 0; i < m; ++i) {
+      block_tfs[i] = tfs[begin + i];
+      block_lens[i] = doc_lengths[docs[begin + i]];
+      block_min_len = std::min(block_min_len, block_lens[i]);
     }
-    // Skyline sweep, tf descending: a point survives iff its length is
-    // strictly below every length seen at a higher (or equal, via the
-    // secondary length-ascending sort) tf. The result is the Pareto
-    // frontier with tf strictly decreasing and length strictly decreasing,
-    // so the last emitted point always carries block_min_len.
-    std::sort(points.begin(), points.end(),
-              [](const std::pair<uint32_t, uint32_t>& a,
-                 const std::pair<uint32_t, uint32_t>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
+    // The skyline, tf descending, one pass over the block per point: the
+    // next point is the highest tf among postings strictly shorter than
+    // the last point, at its shortest length. Tf and length both strictly
+    // decrease, and the last point carries block_min_len, so a posting
+    // that short always remains until it is emitted.
     const size_t emitted_before = frontier.size();
     uint64_t running_min = std::numeric_limits<uint64_t>::max();
-    for (const auto& [tf, len] : points) {
-      if (len >= running_min) continue;
+    while (running_min != block_min_len) {
+      size_t best = m;
+      for (size_t i = 0; i < m; ++i) {
+        if (block_lens[i] < running_min &&
+            (best == m || block_tfs[i] > block_tfs[best] ||
+             (block_tfs[i] == block_tfs[best] &&
+              block_lens[i] < block_lens[best]))) {
+          best = i;
+        }
+      }
+      const uint32_t tf = block_tfs[best];
+      const uint32_t len = block_lens[best];
       if (frontier.size() - emitted_before ==
               PostingList::kMaxFrontierPoints - 1 &&
           len != block_min_len) {

@@ -12,7 +12,9 @@
 
 namespace graft::index {
 
-inline void PutVarint32(std::vector<uint8_t>* out, uint32_t value) {
+// Appends `value` to a byte vector of any allocator.
+template <typename Allocator>
+void PutVarint32(std::vector<uint8_t, Allocator>* out, uint32_t value) {
   while (value >= 0x80) {
     out->push_back(static_cast<uint8_t>(value) | 0x80);
     value >>= 7;
