@@ -38,6 +38,11 @@ class Executor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
+  // Builds the plan's operator tree and drives it document by document,
+  // calling visit(root) once per document the root surfaces.
+  template <typename Visit>
+  Status Drive(const ma::PlanNode& plan, Visit visit);
+
   const index::InvertedIndex* index_;
   const sa::ScoringScheme* scheme_;
   sa::QueryContext query_ctx_;

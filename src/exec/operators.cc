@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "ma/match_table.h"
 
@@ -110,32 +109,47 @@ class RowBuffer {
   bool exhausted_ = true;
 };
 
-// ------------------------------------------------------------- ScanOp --
-// A(k): one row per term position, doc-ordered, galloping SkipTo.
-class ScanOp final : public DocOperator {
+// ------------------------------------------------------------ LeafScan --
+// The stepping every index scan shares: a counted SkipTo to the target,
+// the at-end test, the leaf's read of the posting under the cursor
+// (Leaf::Read, bound at compile time), and the pre-advance so the next
+// SkipTo starts beyond it. Leaves keep only what they read and emit.
+template <typename Leaf>
+class LeafScan : public DocOperator {
  public:
-  ScanOp(const index::PostingList* list, index::DocRange range,
-         ExecStats* counters)
-      : cursor_(list, range), counters_(counters) {}
+  LeafScan(const index::PostingList* list, index::DocRange range,
+           ExecStats* counters)
+      : counters_(counters), cursor_(list, range) {}
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      // The buffered document is still valid (the cursor is pre-advanced).
-      return true;
-    }
-    started_ = true;
+ protected:
+  ExecStats* const counters_;
+
+ private:
+  DocId Seek(DocId min_doc) final {
     CountedSkipTo(&cursor_, min_doc, counters_);
     if (cursor_.AtEnd()) {
-      return false;
+      return kInvalidDoc;
     }
-    current_doc_ = cursor_.doc();
-    offsets_ = cursor_.offsets();
+    const DocId doc = cursor_.doc();
+    static_cast<Leaf*>(this)->Read(&cursor_);
+    cursor_.Next();
+    return doc;
+  }
+
+  index::PostingCursor cursor_;
+};
+
+// A(k): one row per term position, doc-ordered, galloping SkipTo.
+class ScanOp final : public LeafScan<ScanOp> {
+ public:
+  using LeafScan::LeafScan;
+
+  void Read(index::PostingCursor* cursor) {
+    offsets_ = cursor->offsets();
     if (counters_ != nullptr) {
       ++counters_->blocks_decoded;
     }
     next_offset_ = 0;
-    cursor_.Next();  // pre-advance so the next SkipTo starts beyond.
-    return true;
   }
 
   bool NextRow(Tuple* out) override {
@@ -145,96 +159,76 @@ class ScanOp final : public DocOperator {
     if (counters_ != nullptr) {
       ++counters_->positions_scanned;
     }
-    out->doc = current_doc_;
+    out->doc = doc();
     out->values.clear();
     out->values.push_back(Value::Pos(offsets_[next_offset_++]));
     return true;
   }
 
  private:
-  index::PostingCursor cursor_;
   std::span<const Offset> offsets_;
   size_t next_offset_ = 0;
-  ExecStats* counters_;
 };
 
-// Scan over a keyword absent from the index: empty.
-class EmptyOp final : public DocOperator {
+// A leaf that emits one row per document from the keyword's count there:
+// Leaf::Count reads the count, Leaf::Emit fills the row's values. By
+// default the count is the posting's tf from the term-document arrays
+// (pre-counting: O(1) per doc, no position memory touched) and the row is
+// that count alone.
+template <typename Leaf>
+class CountScan : public LeafScan<Leaf> {
  public:
-  bool AdvanceDoc(DocId) override { return false; }
-  bool NextRow(Tuple*) override { return false; }
-};
+  using LeafScan<Leaf>::LeafScan;
 
-// -------------------------------------------------- Count scan ops --
-// CA(k) (pre-count): reads the term-document arrays; O(1) per doc, no
-// position memory touched.
-class PreCountScanOp final : public DocOperator {
- public:
-  PreCountScanOp(const index::PostingList* list, index::DocRange range,
-                 ExecStats* counters)
-      : cursor_(list, range), counters_(counters) {}
-
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      // The buffered document is still valid (the cursor is pre-advanced).
-      return true;
-    }
-    started_ = true;
-    CountedSkipTo(&cursor_, min_doc, counters_);
-    if (cursor_.AtEnd()) {
-      return false;
-    }
-    current_doc_ = cursor_.doc();
-    count_ = cursor_.tf();
+  void Read(index::PostingCursor* cursor) {
+    count_ = static_cast<Leaf*>(this)->Count(cursor);
     emitted_ = false;
-    cursor_.Next();
-    if (counters_ != nullptr) {
-      ++counters_->count_entries_scanned;
-    }
-    return true;
   }
 
-  bool NextRow(Tuple* out) override {
+  uint32_t Count(index::PostingCursor* cursor) {
+    if (this->counters_ != nullptr) {
+      ++this->counters_->count_entries_scanned;
+    }
+    return cursor->tf();
+  }
+
+  void Emit(Tuple* out) { out->values.push_back(Value::Count(count_)); }
+
+  bool NextRow(Tuple* out) final {
     if (emitted_) {
       return false;
     }
     emitted_ = true;
-    out->doc = current_doc_;
+    out->doc = this->doc();
     out->values.clear();
-    out->values.push_back(Value::Count(count_));
+    static_cast<Leaf*>(this)->Emit(out);
     return true;
   }
 
- private:
-  index::PostingCursor cursor_;
+ protected:
   uint32_t count_ = 0;
+
+ private:
   bool emitted_ = false;
-  ExecStats* counters_;
+};
+
+// CA(k) (pre-count).
+class PreCountScanOp final : public CountScan<PreCountScanOp> {
+ public:
+  using CountScan::CountScan;
 };
 
 // γ_{d|c:COUNT}(π_d(A(k))) (classical eager counting): the count is
 // produced by iterating the document's position list — same output as
 // pre-counting, but the position memory is walked.
-class EagerCountScanOp final : public DocOperator {
+class EagerCountScanOp final : public CountScan<EagerCountScanOp> {
  public:
-  EagerCountScanOp(const index::PostingList* list, index::DocRange range,
-                   ExecStats* counters)
-      : cursor_(list, range), counters_(counters) {}
+  using CountScan::CountScan;
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      // The buffered document is still valid (the cursor is pre-advanced).
-      return true;
-    }
-    started_ = true;
-    CountedSkipTo(&cursor_, min_doc, counters_);
-    if (cursor_.AtEnd()) {
-      return false;
-    }
-    current_doc_ = cursor_.doc();
+  uint32_t Count(index::PostingCursor* cursor) {
     // Walk the offsets (the "π_d then COUNT" of the logical rewrite); the
     // checksum forces the position memory to actually be read.
-    const std::span<const Offset> offsets = cursor_.offsets();
+    const std::span<const Offset> offsets = cursor->offsets();
     for (const Offset offset : offsets) {
       checksum_ += offset;
     }
@@ -242,29 +236,11 @@ class EagerCountScanOp final : public DocOperator {
       counters_->positions_scanned += offsets.size();
       ++counters_->blocks_decoded;
     }
-    count_ = offsets.size();
-    emitted_ = false;
-    cursor_.Next();
-    return true;
-  }
-
-  bool NextRow(Tuple* out) override {
-    if (emitted_) {
-      return false;
-    }
-    emitted_ = true;
-    out->doc = current_doc_;
-    out->values.clear();
-    out->values.push_back(Value::Count(count_));
-    return true;
+    return static_cast<uint32_t>(offsets.size());
   }
 
  private:
-  index::PostingCursor cursor_;
-  uint64_t count_ = 0;
   uint64_t checksum_ = 0;
-  bool emitted_ = false;
-  ExecStats* counters_;
 };
 
 // ----------------------------------------------- FusedScoredCountScan --
@@ -273,64 +249,43 @@ class EagerCountScanOp final : public DocOperator {
 // per-document ⟨column score, count⟩ pair straight from the term-document
 // arrays — no intermediate tuples, no statistics lookups (tf is the
 // cursor's count; df is a constant).
-class FusedScoredCountScan final : public DocOperator {
+class FusedScoredCountScan final : public CountScan<FusedScoredCountScan> {
  public:
   FusedScoredCountScan(const index::PostingList* list, TermId term,
                        EvalEnv* env)
-      : cursor_(list, env->range), env_(env) {
+      : CountScan(list, env->range, env->counters), env_(env) {
     col_.term = term;
     col_.doc_freq = env->stats.DocFreq(term);
     doc_ctx_.collection_size = env->stats.CollectionSize();
     doc_ctx_.avg_doc_length = env->stats.AverageDocLength();
   }
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    CountedSkipTo(&cursor_, min_doc, env_->counters);
-    if (cursor_.AtEnd()) {
-      current_doc_ = kInvalidDoc;
-      return false;
-    }
-    current_doc_ = cursor_.doc();
-    count_ = cursor_.tf();
-    emitted_ = false;
-    cursor_.Next();
-    if (env_->counters != nullptr) {
-      ++env_->counters->count_entries_scanned;
-    }
-    return true;
-  }
-
-  bool NextRow(Tuple* out) override {
-    if (emitted_) {
-      return false;
-    }
-    emitted_ = true;
-    doc_ctx_.doc = current_doc_;
-    doc_ctx_.length = env_->stats.DocLength(current_doc_);
+  void Emit(Tuple* out) {
+    doc_ctx_.doc = doc();
+    doc_ctx_.length = env_->stats.DocLength(doc());
     col_.tf_in_doc = count_;
     sa::InternalScore score =
         env_->scheme->Init(doc_ctx_, col_, /*offset=*/0);
     if (count_ > 1) {
       score = env_->scheme->Scale(score, count_);
     }
-    out->doc = current_doc_;
-    out->values.clear();
     out->values.push_back(Value::Score(std::move(score)));
     out->values.push_back(Value::Count(count_));
-    return true;
   }
 
  private:
-  index::PostingCursor cursor_;
   EvalEnv* env_;
   sa::DocContext doc_ctx_;
   sa::ColumnContext col_;
-  uint32_t count_ = 0;
-  bool emitted_ = false;
+};
+
+// Scan over a keyword absent from the index: empty.
+class EmptyOp final : public DocOperator {
+ public:
+  bool NextRow(Tuple*) override { return false; }
+
+ private:
+  DocId Seek(DocId) override { return kInvalidDoc; }
 };
 
 // --------------------------------------------------------------- JoinOp --
@@ -344,49 +299,6 @@ class JoinOp final : public DocOperator {
         right_(std::move(right)),
         predicates_(std::move(predicates)),
         counters_(counters) {}
-
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    DocId target = min_doc;
-    while (true) {
-      if (!left_->AdvanceDoc(target)) {
-        current_doc_ = kInvalidDoc;
-        return false;
-      }
-      const DocId d = left_->doc();
-      if (!right_->AdvanceDoc(d)) {
-        current_doc_ = kInvalidDoc;
-        return false;
-      }
-      if (right_->doc() != d) {
-        target = right_->doc();
-        continue;
-      }
-      // Aligned. With residual predicates we must verify that at least one
-      // combination survives; without them alignment alone guarantees a
-      // row, so the odometer is deferred until someone actually asks — an
-      // outer join level that skips this document never pays for its rows.
-      left_rows_.Attach(left_.get());
-      right_rows_.Attach(right_.get());
-      li_ = 0;
-      ri_ = 0;
-      if (predicates_.empty()) {
-        pending_ = false;
-        combo_deferred_ = true;
-        current_doc_ = d;
-        return true;
-      }
-      combo_deferred_ = false;
-      if (FindCombo()) {
-        current_doc_ = d;
-        return true;
-      }
-      target = d + 1;
-    }
-  }
 
   bool NextRow(Tuple* out) override {
     if (combo_deferred_) {
@@ -404,6 +316,39 @@ class JoinOp final : public DocOperator {
   }
 
  private:
+  DocId Seek(DocId min_doc) override {
+    DocId target = min_doc;
+    while (left_->AdvanceDoc(target)) {
+      const DocId d = left_->doc();
+      if (!right_->AdvanceDoc(d)) {
+        return kInvalidDoc;
+      }
+      if (right_->doc() != d) {
+        target = right_->doc();
+        continue;
+      }
+      // Aligned. With residual predicates we must verify that at least one
+      // combination survives; without them alignment alone guarantees a
+      // row, so the odometer is deferred until someone actually asks — an
+      // outer join level that skips this document never pays for its rows.
+      left_rows_.Attach(left_.get());
+      right_rows_.Attach(right_.get());
+      li_ = 0;
+      ri_ = 0;
+      if (predicates_.empty()) {
+        pending_ = false;
+        combo_deferred_ = true;
+        return d;
+      }
+      combo_deferred_ = false;
+      if (FindCombo()) {
+        return d;
+      }
+      target = d + 1;
+    }
+    return kInvalidDoc;
+  }
+
   // Scans the odometer from (li_, ri_) for the next passing combination;
   // assembles it in pending_row_ (storage reused across combinations).
   bool FindCombo() {
@@ -466,34 +411,13 @@ class UnionOp final : public DocOperator {
           std::vector<std::vector<int>> mappings, const Schema* schema)
       : children_(std::move(children)),
         mappings_(std::move(mappings)),
-        schema_(schema),
-        alive_(children_.size(), true) {}
-
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    DocId best = kInvalidDoc;
-    for (size_t i = 0; i < children_.size(); ++i) {
-      alive_[i] = children_[i]->AdvanceDoc(min_doc);
-      if (alive_[i]) {
-        best = std::min(best, children_[i]->doc());
-      }
-    }
-    if (best == kInvalidDoc) {
-      current_doc_ = kInvalidDoc;
-      return false;
-    }
-    current_doc_ = best;
-    active_child_ = 0;
-    return true;
-  }
+        schema_(schema) {}
 
   bool NextRow(Tuple* out) override {
     while (active_child_ < children_.size()) {
       const size_t c = active_child_;
-      if (!alive_[c] || children_[c]->doc() != current_doc_) {
+      // An exhausted child reads kInvalidDoc, never the current doc.
+      if (children_[c]->doc() != doc()) {
         ++active_child_;
         continue;
       }
@@ -502,7 +426,7 @@ class UnionOp final : public DocOperator {
         ++active_child_;
         continue;
       }
-      out->doc = current_doc_;
+      out->doc = doc();
       out->values.clear();
       out->values.reserve(schema_->columns.size());
       const std::vector<int>& mapping = mappings_[c];
@@ -521,10 +445,20 @@ class UnionOp final : public DocOperator {
   }
 
  private:
+  DocId Seek(DocId min_doc) override {
+    DocId best = kInvalidDoc;
+    for (const DocOperatorPtr& child : children_) {
+      if (child->AdvanceDoc(min_doc)) {
+        best = std::min(best, child->doc());
+      }
+    }
+    active_child_ = 0;
+    return best;
+  }
+
   std::vector<DocOperatorPtr> children_;
   std::vector<std::vector<int>> mappings_;  // output col -> child col / -1
   const Schema* schema_;
-  std::vector<bool> alive_;
   size_t active_child_ = 0;
 };
 
@@ -533,23 +467,6 @@ class FilterOp final : public DocOperator {
  public:
   FilterOp(DocOperatorPtr child, std::vector<CompiledPredicate> predicates)
       : child_(std::move(child)), predicates_(std::move(predicates)) {}
-
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    DocId target = min_doc;
-    while (child_->AdvanceDoc(target)) {
-      if (PullPassing()) {
-        current_doc_ = child_->doc();
-        return true;
-      }
-      target = child_->doc() + 1;
-    }
-    current_doc_ = kInvalidDoc;
-    return false;
-  }
 
   bool NextRow(Tuple* out) override {
     if (!pending_) {
@@ -562,6 +479,17 @@ class FilterOp final : public DocOperator {
   }
 
  private:
+  DocId Seek(DocId min_doc) override {
+    DocId target = min_doc;
+    while (child_->AdvanceDoc(target)) {
+      if (PullPassing()) {
+        return child_->doc();
+      }
+      target = child_->doc() + 1;
+    }
+    return kInvalidDoc;
+  }
+
   bool PullPassing() {
     Tuple row;
     while (child_->NextRow(&row)) {
@@ -624,20 +552,6 @@ class ProjectOp final : public DocOperator {
     col_ctx_ = base_col_ctx_;
   }
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    if (!child_->AdvanceDoc(min_doc)) {
-      current_doc_ = kInvalidDoc;
-      return false;
-    }
-    current_doc_ = child_->doc();
-    PrepareDocContexts();
-    return true;
-  }
-
   bool NextRow(Tuple* out) override {
     Tuple row;
     if (!child_->NextRow(&row)) {
@@ -669,17 +583,24 @@ class ProjectOp final : public DocOperator {
   }
 
  private:
-  void PrepareDocContexts() {
-    doc_ctx_.doc = current_doc_;
-    doc_ctx_.length = env_->stats.DocLength(current_doc_);
+  DocId Seek(DocId min_doc) override {
+    if (!child_->AdvanceDoc(min_doc)) {
+      return kInvalidDoc;
+    }
+    PrepareDocContexts(child_->doc());
+    return child_->doc();
+  }
+
+  void PrepareDocContexts(DocId doc) {
+    doc_ctx_.doc = doc;
+    doc_ctx_.length = env_->stats.DocLength(doc);
     doc_ctx_.collection_size = env_->stats.CollectionSize();
     doc_ctx_.avg_doc_length = env_->stats.AverageDocLength();
     // Only tf varies per document; the rest of col_ctx_ is constant.
     for (auto& [column_index, cursor] : tf_cursors_) {
-      CountedSkipTo(&cursor, current_doc_, env_->counters);
+      CountedSkipTo(&cursor, doc, env_->counters);
       col_ctx_[column_index].tf_in_doc =
-          (!cursor.AtEnd() && cursor.doc() == current_doc_) ? cursor.tf()
-                                                            : 0;
+          (!cursor.AtEnd() && cursor.doc() == doc) ? cursor.tf() : 0;
     }
   }
 
@@ -695,8 +616,9 @@ class ProjectOp final : public DocOperator {
 };
 
 // -------------------------------------------------------------- GroupOp --
-// γ: consumes the document's rows and emits one row per group (first-seen
-// order), hosting ⊕ (with optional ⊗ count weighting) and counts.
+// γ_d: folds the document's rows into one row, hosting ⊕ (with optional ⊗
+// count weighting) and COUNT(*). Buffers are members, reused across
+// documents.
 class GroupOp final : public DocOperator {
  public:
   struct Agg {
@@ -704,180 +626,70 @@ class GroupOp final : public DocOperator {
     int scale = -1;
   };
 
-  GroupOp(DocOperatorPtr child, std::vector<int> key_idx,
-          std::vector<Agg> aggs, bool want_count, int count_in, EvalEnv* env)
+  GroupOp(DocOperatorPtr child, std::vector<Agg> aggs, bool want_count,
+          EvalEnv* env)
       : child_(std::move(child)),
-        key_idx_(std::move(key_idx)),
         aggs_(std::move(aggs)),
         want_count_(want_count),
-        count_in_(count_in),
-        env_(env) {}
-
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    if (!child_->AdvanceDoc(min_doc)) {
-      current_doc_ = kInvalidDoc;
-      return false;
-    }
-    current_doc_ = child_->doc();
-    BuildGroups();
-    return true;
-  }
+        env_(env),
+        scores_(aggs_.size()) {}
 
   bool NextRow(Tuple* out) override {
-    if (next_group_ >= output_.size()) {
+    if (!pending_) {
       return false;
     }
-    *out = std::move(output_[next_group_++]);
+    pending_ = false;
+    std::swap(*out, output_);  // both sides keep their capacity
     return true;
   }
 
  private:
-  struct GroupState {
-    std::vector<Value> key_values;
-    std::vector<sa::InternalScore> scores;
-    std::vector<bool> initialized;
+  DocId Seek(DocId min_doc) override {
+    if (!child_->AdvanceDoc(min_doc)) {
+      return kInvalidDoc;
+    }
     uint64_t count = 0;
-  };
-
-  // Fast path for the ubiquitous keyless γ_d: one accumulator, no
-  // per-document allocations (buffers are members, reused across docs).
-  void BuildSingleGroup() {
-    scratch_scores_.assign(aggs_.size(), sa::InternalScore());
-    scratch_init_.assign(aggs_.size(), false);
-    uint64_t count = 0;
-    bool any = false;
-    while (child_->NextRow(&scratch_row_)) {
-      any = true;
+    while (child_->NextRow(&input_)) {
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        sa::InternalScore contribution =
-            scratch_row_.values[aggs_[a].input].score;
-        if (aggs_[a].scale >= 0) {
-          const uint64_t weight = std::max<uint64_t>(
-              1, scratch_row_.values[aggs_[a].scale].count);
-          if (weight != 1) {
-            contribution = env_->scheme->Scale(contribution, weight);
-          }
-        }
-        if (scratch_init_[a]) {
-          scratch_scores_[a] =
-              env_->scheme->Alt(scratch_scores_[a], contribution);
-        } else {
-          scratch_scores_[a] = std::move(contribution);
-          scratch_init_[a] = true;
-        }
-      }
-      if (want_count_) {
-        count +=
-            count_in_ >= 0 ? scratch_row_.values[count_in_].count : 1;
-      }
-    }
-    output_.clear();
-    if (any) {
-      output_.emplace_back();
-      Tuple& out = output_.back();
-      out.doc = current_doc_;
-      out.values.reserve(aggs_.size() + (want_count_ ? 1 : 0));
-      for (sa::InternalScore& score : scratch_scores_) {
-        out.values.push_back(Value::Score(std::move(score)));
-      }
-      if (want_count_) {
-        out.values.push_back(Value::Count(count));
-      }
-    }
-    next_group_ = 0;
-  }
-
-  void BuildGroups() {
-    if (key_idx_.empty()) {
-      BuildSingleGroup();
-      return;
-    }
-    std::vector<GroupState> groups;
-    Tuple row;
-    while (child_->NextRow(&row)) {
-      std::vector<Value> key_values;
-      key_values.reserve(key_idx_.size());
-      for (const int idx : key_idx_) {
-        key_values.push_back(row.values[idx]);
-      }
-      GroupState* state = nullptr;
-      for (GroupState& g : groups) {
-        bool same = true;
-        for (size_t k = 0; k < key_values.size(); ++k) {
-          if (ma::CompareValue(g.key_values[k], key_values[k]) != 0) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          state = &g;
-          break;
-        }
-      }
-      if (state == nullptr) {
-        groups.emplace_back();
-        state = &groups.back();
-        state->key_values = std::move(key_values);
-        state->scores.resize(aggs_.size());
-        state->initialized.assign(aggs_.size(), false);
-      }
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        sa::InternalScore contribution = row.values[aggs_[a].input].score;
+        sa::InternalScore contribution = input_.values[aggs_[a].input].score;
         if (aggs_[a].scale >= 0) {
           const uint64_t weight =
-              std::max<uint64_t>(1, row.values[aggs_[a].scale].count);
+              std::max<uint64_t>(1, input_.values[aggs_[a].scale].count);
           if (weight != 1) {
             contribution = env_->scheme->Scale(contribution, weight);
           }
         }
-        if (state->initialized[a]) {
-          state->scores[a] =
-              env_->scheme->Alt(state->scores[a], contribution);
+        if (count == 0) {
+          scores_[a] = std::move(contribution);
         } else {
-          state->scores[a] = std::move(contribution);
-          state->initialized[a] = true;
+          scores_[a] = env_->scheme->Alt(scores_[a], contribution);
         }
       }
-      if (want_count_) {
-        state->count += count_in_ >= 0 ? row.values[count_in_].count : 1;
-      }
+      ++count;
     }
-
-    output_.clear();
-    output_.reserve(groups.size());
-    for (GroupState& g : groups) {
-      Tuple out;
-      out.doc = current_doc_;
-      for (Value& key : g.key_values) {
-        out.values.push_back(std::move(key));
-      }
-      for (sa::InternalScore& score : g.scores) {
-        out.values.push_back(Value::Score(std::move(score)));
+    pending_ = count > 0;
+    if (pending_) {
+      output_.doc = child_->doc();
+      output_.values.clear();
+      output_.values.reserve(aggs_.size() + (want_count_ ? 1 : 0));
+      for (sa::InternalScore& score : scores_) {
+        output_.values.push_back(Value::Score(std::move(score)));
       }
       if (want_count_) {
-        out.values.push_back(Value::Count(g.count));
+        output_.values.push_back(Value::Count(count));
       }
-      output_.push_back(std::move(out));
     }
-    next_group_ = 0;
+    return child_->doc();
   }
 
   DocOperatorPtr child_;
-  std::vector<int> key_idx_;
   std::vector<Agg> aggs_;
   bool want_count_;
-  int count_in_;
   EvalEnv* env_;
-  std::vector<Tuple> output_;
-  size_t next_group_ = 0;
-  // Reused scratch for the keyless fast path.
-  Tuple scratch_row_;
-  std::vector<sa::InternalScore> scratch_scores_;
-  std::vector<bool> scratch_init_;
+  Tuple input_;
+  std::vector<sa::InternalScore> scores_;
+  Tuple output_;
+  bool pending_ = false;
 };
 
 // ------------------------------------------------------------ AltElimOp --
@@ -888,20 +700,6 @@ class AltElimOp final : public DocOperator {
  public:
   explicit AltElimOp(DocOperatorPtr child) : child_(std::move(child)) {}
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    if (!child_->AdvanceDoc(min_doc)) {
-      current_doc_ = kInvalidDoc;
-      return false;
-    }
-    current_doc_ = child_->doc();
-    emitted_ = false;
-    return true;
-  }
-
   bool NextRow(Tuple* out) override {
     if (emitted_) {
       return false;
@@ -911,6 +709,14 @@ class AltElimOp final : public DocOperator {
   }
 
  private:
+  DocId Seek(DocId min_doc) override {
+    if (!child_->AdvanceDoc(min_doc)) {
+      return kInvalidDoc;
+    }
+    emitted_ = false;
+    return child_->doc();
+  }
+
   DocOperatorPtr child_;
   bool emitted_ = false;
 };
@@ -921,34 +727,29 @@ class AntiJoinOp final : public DocOperator {
   AntiJoinOp(DocOperatorPtr left, DocOperatorPtr right)
       : left_(std::move(left)), right_(std::move(right)) {}
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
+  bool NextRow(Tuple* out) override { return left_->NextRow(out); }
+
+ private:
+  DocId Seek(DocId min_doc) override {
     DocId target = min_doc;
     while (left_->AdvanceDoc(target)) {
       const DocId d = left_->doc();
       if (right_exhausted_ || !right_->AdvanceDoc(d)) {
         right_exhausted_ = true;
-        current_doc_ = d;
-        return true;
+        return d;
       }
       if (right_->doc() != d) {
-        current_doc_ = d;
-        return true;
+        return d;
       }
       target = d + 1;
     }
-    current_doc_ = kInvalidDoc;
-    return false;
+    return kInvalidDoc;
   }
 
-  bool NextRow(Tuple* out) override { return left_->NextRow(out); }
-
- private:
   DocOperatorPtr left_;
   DocOperatorPtr right_;
+  // Once the right side runs out it is not asked again: a re-seek of an
+  // exhausted scan would still charge a skip call per document.
   bool right_exhausted_ = false;
 };
 
@@ -960,16 +761,19 @@ class SortOp final : public DocOperator {
   SortOp(DocOperatorPtr child, std::vector<size_t> column_order)
       : child_(std::move(child)), column_order_(std::move(column_order)) {}
 
-  bool AdvanceDoc(DocId min_doc) override {
-    if (started_ && current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
-      return true;
-    }
-    started_ = true;
-    if (!child_->AdvanceDoc(min_doc)) {
-      current_doc_ = kInvalidDoc;
+  bool NextRow(Tuple* out) override {
+    if (next_row_ >= rows_.size()) {
       return false;
     }
-    current_doc_ = child_->doc();
+    *out = std::move(rows_[next_row_++]);
+    return true;
+  }
+
+ private:
+  DocId Seek(DocId min_doc) override {
+    if (!child_->AdvanceDoc(min_doc)) {
+      return kInvalidDoc;
+    }
     rows_.clear();
     Tuple row;
     while (child_->NextRow(&row)) {
@@ -985,18 +789,9 @@ class SortOp final : public DocOperator {
                        return false;
                      });
     next_row_ = 0;
-    return true;
+    return child_->doc();
   }
 
-  bool NextRow(Tuple* out) override {
-    if (next_row_ >= rows_.size()) {
-      return false;
-    }
-    *out = std::move(rows_[next_row_++]);
-    return true;
-  }
-
- private:
   DocOperatorPtr child_;
   std::vector<size_t> column_order_;
   std::vector<Tuple> rows_;
@@ -1132,8 +927,7 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
       // Physical fast path: the eager-counting pattern
       // γ_{d|c:COUNT}(π_d(A(k))) executes as a dedicated count scan that
       // walks the position list once per doc instead of building tuples.
-      if (node.group.keys.empty() && node.group.score_aggs.empty() &&
-          !node.group.count_output.empty() && node.group.count_input.empty()) {
+      if (node.group.score_aggs.empty() && !node.group.count_output.empty()) {
         const ma::PlanNode& child = *node.children[0];
         if (child.kind == OpKind::kProject && child.items.empty() &&
             child.children[0]->kind == OpKind::kAtom) {
@@ -1153,10 +947,6 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
       GRAFT_ASSIGN_OR_RETURN(DocOperatorPtr child,
                              BuildOperator(*node.children[0], env));
       const Schema& input = node.children[0]->schema;
-      std::vector<int> key_idx;
-      for (const std::string& key : node.group.keys) {
-        key_idx.push_back(input.Find(key));
-      }
       std::vector<GroupOp::Agg> aggs;
       for (const ma::GroupSpec::ScoreAgg& agg : node.group.score_aggs) {
         GroupOp::Agg a;
@@ -1165,13 +955,9 @@ StatusOr<DocOperatorPtr> BuildOperator(const ma::PlanNode& node,
             agg.scale_count.empty() ? -1 : input.Find(agg.scale_count);
         aggs.push_back(a);
       }
-      const bool want_count = !node.group.count_output.empty();
-      const int count_in = node.group.count_input.empty()
-                               ? -1
-                               : input.Find(node.group.count_input);
       return DocOperatorPtr(std::make_unique<GroupOp>(
-          std::move(child), std::move(key_idx), std::move(aggs), want_count,
-          count_in, env));
+          std::move(child), std::move(aggs),
+          !node.group.count_output.empty(), env));
     }
     case OpKind::kAltElim: {
       GRAFT_ASSIGN_OR_RETURN(DocOperatorPtr child,

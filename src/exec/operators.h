@@ -47,7 +47,8 @@ struct ExecStats {
   uint64_t count_entries_scanned = 0;  // doc/tf entries read (CA scans)
   uint64_t rows_built = 0;             // join output rows materialized
   uint64_t docs_visited = 0;           // documents surfaced by the root
-  uint64_t blocks_decoded = 0;         // varint position blocks decoded
+  uint64_t blocks_decoded = 0;         // documents whose positions a
+                                       // scan decoded
   uint64_t gallop_probes = 0;          // doc-id comparisons inside SkipTo
   uint64_t skip_calls = 0;             // SkipTo invocations by operators
   uint64_t skip_hits = 0;              // SkipTo calls that leapfrogged >= 1
@@ -172,8 +173,15 @@ class DocOperator {
   // Positions the operator at the first document with at least one output
   // row whose id is >= min_doc. If the current document already satisfies
   // that, stays (without disturbing row iteration). Returns false when no
-  // such document exists.
-  virtual bool AdvanceDoc(DocId min_doc) = 0;
+  // such document exists; doc() is then kInvalidDoc, and an operator that
+  // has run out stays out.
+  bool AdvanceDoc(DocId min_doc) {
+    if (current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
+      return true;  // the buffered document is still valid
+    }
+    current_doc_ = Seek(min_doc);
+    return current_doc_ != kInvalidDoc;
+  }
 
   // Valid after AdvanceDoc returned true.
   DocId doc() const { return current_doc_; }
@@ -182,9 +190,13 @@ class DocOperator {
   // Moving to a new document resets iteration.
   virtual bool NextRow(ma::Tuple* out) = 0;
 
- protected:
+ private:
+  // Moves to the first document >= min_doc with at least one output row
+  // (the buffered document, if any, is below min_doc) and returns it, or
+  // kInvalidDoc when there is none. Row iteration restarts there.
+  virtual DocId Seek(DocId min_doc) = 0;
+
   DocId current_doc_ = kInvalidDoc;
-  bool started_ = false;
 };
 
 using DocOperatorPtr = std::unique_ptr<DocOperator>;

@@ -268,13 +268,6 @@ Status ResolveNode(PlanNode* node, const index::InvertedIndex& index) {
         return Status::InvalidArgument("group must have one child");
       }
       const Schema& input = node->children[0]->schema;
-      for (const std::string& key : node->group.keys) {
-        const int idx = input.Find(key);
-        if (idx < 0) {
-          return Status::InvalidArgument("group key not found: " + key);
-        }
-        node->schema.columns.push_back(input.columns[idx]);
-      }
       for (const GroupSpec::ScoreAgg& agg : node->group.score_aggs) {
         const int idx = input.Find(agg.input);
         if (idx < 0 || input.columns[idx].kind != Column::Kind::kScore) {
@@ -293,20 +286,9 @@ Status ResolveNode(PlanNode* node, const index::InvertedIndex& index) {
         node->schema.columns.push_back(Column::Score(agg.output));
       }
       if (!node->group.count_output.empty()) {
-        TermId term = kInvalidTerm;
-        std::string keyword;
-        if (!node->group.count_input.empty()) {
-          const int cidx = input.Find(node->group.count_input);
-          if (cidx < 0 || input.columns[cidx].kind != Column::Kind::kCount) {
-            return Status::InvalidArgument("SUM over non-count column: " +
-                                           node->group.count_input);
-          }
-          term = input.columns[cidx].term;
-          keyword = input.columns[cidx].keyword;
-        } else if (!node->group.count_keyword.empty()) {
-          keyword = node->group.count_keyword;
-          term = index.LookupTerm(keyword);
-        }
+        const std::string& keyword = node->group.count_keyword;
+        const TermId term =
+            keyword.empty() ? kInvalidTerm : index.LookupTerm(keyword);
         node->schema.columns.push_back(
             Column::CountCol(node->group.count_output, term, keyword));
       }
@@ -374,11 +356,7 @@ void PrintNode(const PlanNode& node, int depth, std::string* out) {
       break;
     }
     case OpKind::kGroup: {
-      out->append("{d");
-      for (const std::string& key : node.group.keys) {
-        out->append("," + key);
-      }
-      out->append(" | ");
+      out->append("{d | ");
       bool first = true;
       for (const GroupSpec::ScoreAgg& agg : node.group.score_aggs) {
         if (!first) out->append(", ");
@@ -391,10 +369,7 @@ void PrintNode(const PlanNode& node, int depth, std::string* out) {
       }
       if (!node.group.count_output.empty()) {
         if (!first) out->append(", ");
-        out->append(node.group.count_output + ":" +
-                    (node.group.count_input.empty()
-                         ? "COUNT(*)"
-                         : "SUM(" + node.group.count_input + ")"));
+        out->append(node.group.count_output + ":COUNT(*)");
       }
       out->append("}");
       break;

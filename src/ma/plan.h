@@ -98,13 +98,11 @@ struct ProjectItem {
   }
 };
 
-// γ specification. Groups by (d, keys...); aggregates score columns with ⊕
-// (each input row's contribution optionally pre-scaled by a count column —
-// the eager-aggregation bookkeeping of Section 5.2.1) and maintains counts.
+// γ specification. Groups by d only: one output row per document, which
+// aggregates score columns with ⊕ (each input row's contribution optionally
+// pre-scaled by a count column — the eager-aggregation bookkeeping of
+// Section 5.2.1) and may count the document's rows.
 struct GroupSpec {
-  // Additional group-key columns beyond the implicit d (usually empty).
-  std::vector<std::string> keys;
-
   struct ScoreAgg {
     std::string input;         // input score column
     std::string output;        // output score column
@@ -112,10 +110,8 @@ struct GroupSpec {
   };
   std::vector<ScoreAgg> score_aggs;
 
-  // Count maintenance: if count_output is set, emits a count column that is
-  // COUNT(*) (count_input empty) or SUM(count_input).
+  // If set, emits a COUNT(*) column of this name.
   std::string count_output;
-  std::string count_input;
   // Keyword whose occurrences the COUNT(*) column counts (eager counting
   // over one atom); gives the output count column its term identity so
   // hosted α⊗ calls can recover the keyword's statistics.

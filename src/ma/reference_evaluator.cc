@@ -348,10 +348,6 @@ StatusOr<MatchTable> ReferenceEvaluator::EvaluateGroup(
   table.schema = node.schema;
 
   const Schema& in_schema = input.schema;
-  std::vector<int> key_idx;
-  for (const std::string& key : node.group.keys) {
-    key_idx.push_back(in_schema.Find(key));
-  }
   struct Agg {
     int input = -1;
     int scale = -1;
@@ -363,56 +359,18 @@ StatusOr<MatchTable> ReferenceEvaluator::EvaluateGroup(
     a.scale = agg.scale_count.empty() ? -1 : in_schema.Find(agg.scale_count);
     aggs.push_back(a);
   }
-  const bool want_count = !node.group.count_output.empty();
-  const int count_in = node.group.count_input.empty()
-                           ? -1
-                           : in_schema.Find(node.group.count_input);
 
-  struct GroupState {
-    std::vector<Value> key_values;
-    std::vector<sa::InternalScore> scores;
-    std::vector<bool> initialized;
-    uint64_t count = 0;
-  };
-
-  // Input is doc-ordered; process one doc run at a time, groups within a
-  // run in first-seen order (this preserves match-table row order for
-  // non-commutative ⊕).
+  // Input is doc-ordered; each doc run folds into one row, its rows in
+  // match-table order (which matters for non-commutative ⊕).
   size_t i = 0;
   while (i < input.rows.size()) {
     const DocId doc = input.rows[i].doc;
     size_t end = i;
     while (end < input.rows.size() && input.rows[end].doc == doc) ++end;
 
-    std::vector<GroupState> groups;
+    std::vector<sa::InternalScore> scores(aggs.size());
     for (size_t r = i; r < end; ++r) {
       const Tuple& row = input.rows[r];
-      std::vector<Value> key_values;
-      key_values.reserve(key_idx.size());
-      for (const int idx : key_idx) {
-        key_values.push_back(row.values[idx]);
-      }
-      GroupState* state = nullptr;
-      for (GroupState& g : groups) {
-        bool same = true;
-        for (size_t k = 0; k < key_values.size(); ++k) {
-          if (CompareValue(g.key_values[k], key_values[k]) != 0) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          state = &g;
-          break;
-        }
-      }
-      if (state == nullptr) {
-        groups.emplace_back();
-        state = &groups.back();
-        state->key_values = std::move(key_values);
-        state->scores.resize(aggs.size());
-        state->initialized.assign(aggs.size(), false);
-      }
       for (size_t a = 0; a < aggs.size(); ++a) {
         sa::InternalScore contribution = row.values[aggs[a].input].score;
         if (aggs[a].scale >= 0) {
@@ -423,33 +381,21 @@ StatusOr<MatchTable> ReferenceEvaluator::EvaluateGroup(
             contribution = scheme_->Scale(contribution, weight);
           }
         }
-        if (state->initialized[a]) {
-          state->scores[a] = scheme_->Alt(state->scores[a], contribution);
-        } else {
-          state->scores[a] = std::move(contribution);
-          state->initialized[a] = true;
-        }
-      }
-      if (want_count) {
-        state->count += count_in >= 0 ? row.values[count_in].count : 1;
+        scores[a] = r == i ? std::move(contribution)
+                           : scheme_->Alt(scores[a], contribution);
       }
     }
 
-    for (GroupState& g : groups) {
-      Tuple out;
-      out.doc = doc;
-      out.values.reserve(table.schema.columns.size());
-      for (Value& key : g.key_values) {
-        out.values.push_back(std::move(key));
-      }
-      for (sa::InternalScore& score : g.scores) {
-        out.values.push_back(Value::Score(std::move(score)));
-      }
-      if (want_count) {
-        out.values.push_back(Value::Count(g.count));
-      }
-      table.rows.push_back(std::move(out));
+    Tuple out;
+    out.doc = doc;
+    out.values.reserve(table.schema.columns.size());
+    for (sa::InternalScore& score : scores) {
+      out.values.push_back(Value::Score(std::move(score)));
     }
+    if (!node.group.count_output.empty()) {
+      out.values.push_back(Value::Count(end - i));
+    }
+    table.rows.push_back(std::move(out));
     i = end;
   }
   return table;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "core/rewrite_rules.h"
@@ -78,6 +80,32 @@ std::vector<EngineCase> SweepCases() {
 
 INSTANTIATE_TEST_SUITE_P(PaperQueriesAllSchemes, EngineSweepTest,
                          ::testing::ValuesIn(SweepCases()));
+
+TEST(EngineTest, SweepExecCountersPinned) {
+  // Every ExecStats counter, summed over the sweep's 56 full-ranking
+  // searches. perfbench reports exec.rows_built and exec.postings_scanned
+  // from these counters, so a change to the streaming operators that is
+  // meant to keep their work must leave every sum where it is.
+  Engine engine(&CorpusIndex());
+  exec::ExecStats total;
+  for (const EngineCase& c : SweepCases()) {
+    auto result = engine.Search(c.query, c.scheme);
+    ASSERT_TRUE(result.ok()) << c.query << " / " << c.scheme;
+    total.Accumulate(result->exec_stats);
+  }
+  const std::map<std::string, uint64_t> pinned = {
+      {"docs_visited", 1232},    {"rows_built", 6733},
+      {"positions_scanned", 5493}, {"count_entries_scanned", 2438},
+      {"blocks_decoded", 4877},  {"gallop_probes", 42967},
+      {"skip_calls", 13935},     {"skip_hits", 4277},
+  };
+  for (const exec::ExecCounter& counter : exec::kExecCounters) {
+    const auto it = pinned.find(counter.name);
+    // Full ranking runs no top-k operator and an in-heap index no cache.
+    EXPECT_EQ(total.*counter.member, it == pinned.end() ? 0 : it->second)
+        << counter.name;
+  }
+}
 
 TEST(EngineTest, FrequentQueriesFindDocuments) {
   Engine engine(&CorpusIndex());

@@ -165,5 +165,67 @@ TEST(ExecutorTest, UnknownKeywordYieldsEmptyStream) {
   EXPECT_TRUE(table->rows.empty());
 }
 
+TEST(ExecutorTest, ExhaustedOperatorStaysExhausted) {
+  // Every leaf, once it has run past its last document, must keep
+  // answering "no document" (with doc() invalid) even for a target it
+  // already passed, as the inner operators do.
+  index::IndexBuilder builder;
+  builder.AddDocumentStrings(text::Tokenize("alpha beta alpha"));
+  builder.AddDocumentStrings(text::Tokenize("beta"));
+  builder.AddDocumentStrings(text::Tokenize("alpha gamma alpha alpha"));
+  const index::InvertedIndex index = builder.Build();
+  const sa::ScoringScheme* scheme =
+      sa::SchemeRegistry::Global().Lookup("Lucene");
+  ASSERT_NE(scheme, nullptr);
+
+  struct Leaf {
+    const char* name;
+    ma::PlanNodePtr plan;
+    std::vector<DocId> docs;
+  };
+  const std::vector<DocId> alpha_docs = {0, 2};
+  std::vector<Leaf> leaves;
+  leaves.push_back({"A", ma::MakeAtom("alpha", 0), alpha_docs});
+  leaves.push_back({"CA", ma::MakePreCountAtom("alpha", "c0"), alpha_docs});
+  ma::GroupSpec count;
+  count.count_output = "c0";
+  count.count_keyword = "alpha";
+  leaves.push_back(
+      {"eager count",
+       ma::MakeGroup(ma::MakeProject(ma::MakeAtom("alpha", 0), {}), count),
+       alpha_docs});
+  std::vector<ma::ProjectItem> items;
+  items.push_back(ma::ProjectItem::Scored(
+      "s0", ma::ScoreExpr::ScaleByCount(ma::ScoreExpr::InitFromCount("c0"),
+                                        "c0")));
+  items.push_back(ma::ProjectItem::Passthrough("c0"));
+  leaves.push_back(
+      {"fused scored count",
+       ma::MakeProject(ma::MakePreCountAtom("alpha", "c0"), std::move(items)),
+       alpha_docs});
+  leaves.push_back({"absent term", ma::MakeAtom("nonexistent", 0), {}});
+
+  for (Leaf& leaf : leaves) {
+    SCOPED_TRACE(leaf.name);
+    ASSERT_TRUE(ma::ResolvePlan(leaf.plan.get(), index).ok());
+    ExecStats stats;
+    EvalEnv env(&index, scheme, sa::QueryContext{}, nullptr, &stats);
+    auto op = BuildOperator(*leaf.plan, &env);
+    ASSERT_TRUE(op.ok()) << op.status();
+    std::vector<DocId> docs;
+    ma::Tuple row;
+    DocId next = 0;
+    while ((*op)->AdvanceDoc(next)) {
+      docs.push_back((*op)->doc());
+      while ((*op)->NextRow(&row)) {
+      }
+      next = (*op)->doc() + 1;
+    }
+    EXPECT_EQ(docs, leaf.docs);
+    EXPECT_FALSE((*op)->AdvanceDoc(0));
+    EXPECT_EQ((*op)->doc(), kInvalidDoc);
+  }
+}
+
 }  // namespace
 }  // namespace graft::exec

@@ -17,6 +17,10 @@ Fails (exit 1) when the reference pages under docs/ fall behind the code:
   * every counter name of the exec::ExecStats table (kExecCounters in
     src/exec/operators.h) must have a row ("| `name` |") in
     docs/operators.md;
+  * every final operator class of src/exec/operators.cc (one deriving
+    from DocOperator, directly or through a base template such as
+    LeafScan) must have a row in docs/operators.md's streaming-operator
+    table, and every row of that table must name such a class;
   * docs/index-format.md (the normative on-disk spec) must agree with
     src/index/index_format.h: every kFmt* constant's value, every
     FmtV5Section enum entry at its index, both struct sizes asserted by
@@ -50,6 +54,7 @@ ROUTER_METRIC_SOURCES = (
     "src/router/shard_client.h",
 )
 EXEC_COUNTER_SOURCE = "src/exec/operators.h"
+OPERATOR_SOURCE = "src/exec/operators.cc"
 OPERATORS_DOC = "docs/operators.md"
 ROUTER_FLAG_SOURCE = "tools/graft_router.cc"
 LINKED_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -138,6 +143,53 @@ def check_exec_counters(doc_text, names):
         for name in names
         if not re.search(rf"^\| `{name}` \|", doc_text, re.MULTILINE)
     ]
+
+
+# ---- check 3c: operators page has a row per streaming operator -----------
+
+OPERATOR_TABLE_HEADING = "## Streaming operators"
+
+
+def operator_classes(source_text):
+    # Class heads: "class Name [final] : public Base[<...>] {". A class is an
+    # operator when its base is DocOperator or another operator base.
+    heads = re.findall(r"^class (\w+)( final)? : public (\w+)", source_text,
+                       re.MULTILINE)
+    operators = {"DocOperator"}
+    grown = True
+    while grown:
+        grown = False
+        for name, _, base in heads:
+            if base in operators and name not in operators:
+                operators.add(name)
+                grown = True
+    return sorted(name for name, final, _ in heads
+                  if final and name in operators)
+
+
+def operator_rows(doc_text):
+    start = doc_text.find(OPERATOR_TABLE_HEADING)
+    if start < 0:
+        return []
+    end = doc_text.find("\n## ", start + 1)
+    section = doc_text[start:] if end < 0 else doc_text[start:end]
+    return re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+
+
+def check_operator_table(doc_text, classes):
+    rows = operator_rows(doc_text)
+    errors = [
+        f"{OPERATORS_DOC} has no streaming-operator row for {name}"
+        for name in classes
+        if name not in rows
+    ]
+    errors += [
+        f"{OPERATORS_DOC} streaming-operator row {name} names no operator "
+        f"class in {OPERATOR_SOURCE}"
+        for name in rows
+        if name not in classes
+    ]
+    return errors
 
 
 # ---- check 4: index-format spec mirrors index_format.h -------------------
@@ -260,6 +312,9 @@ def run_checks():
     errors += check_exec_counters(
         read(OPERATORS_DOC), exec_counters(read(EXEC_COUNTER_SOURCE))
     )
+    errors += check_operator_table(
+        read(OPERATORS_DOC), operator_classes(read(OPERATOR_SOURCE))
+    )
     errors += check_format_spec(read(FORMAT_DOC), format_facts(read(FORMAT_HEADER)))
     for doc in docs_to_link_check():
         errors += check_links(doc, read(doc))
@@ -334,6 +389,24 @@ def self_test():
         failures.append("exec counter check missed a removed counter row")
     if check_exec_counters(operators, counters):
         failures.append("exec counter check fails on the real docs")
+
+    classes = operator_classes(read(OPERATOR_SOURCE))
+    for name in ("GroupOp", "ScanOp", "FusedScoredCountScan"):
+        if name not in classes:
+            failures.append(f"operator class extraction lost {name}")
+    mutated = "\n".join(
+        line for line in operators.splitlines()
+        if not line.startswith("| `GroupOp` |")
+    )
+    if not check_operator_table(mutated, classes):
+        failures.append("operator table check missed a removed operator row")
+    mutated = operators.replace(
+        "| `ScanOp` |", "| `RetiredOp` | gone | — | — |\n| `ScanOp` |", 1
+    )
+    if not check_operator_table(mutated, classes):
+        failures.append("operator table check missed a stale operator row")
+    if check_operator_table(operators, classes):
+        failures.append("operator table check fails on the real docs")
 
     spec = read(FORMAT_DOC)
     facts = format_facts(read(FORMAT_HEADER))
