@@ -1,10 +1,8 @@
 #include "router/router_service.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/counters.h"
-#include "core/request.h"
 #include "mcalc/parser.h"
 #include "sa/scoring_scheme.h"
 
@@ -12,36 +10,12 @@ namespace graft::router {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-using server::ErrorBody;
+using server::ErrorResponse;
 using server::HttpCodeForStatus;
 using server::HttpRequest;
 using server::JsonAppendEscaped;
 using server::Response;
-
-server::HttpServerOptions HttpOptions(const RouterOptions& options) {
-  server::HttpServerOptions http;
-  http.port = options.port;
-  http.handler_threads = options.handler_threads;
-  http.max_inflight = options.max_inflight;
-  http.io_timeout_ms = options.io_timeout_ms;
-  http.retry_after_s = options.retry_after_s;
-  http.name = "router";
-  return http;
-}
-
-uint64_t MicrosSince(Clock::time_point t0) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
-void AppendMsField(std::string* out, std::string_view name, double micros) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%.*s\":%.3f",
-                static_cast<int>(name.size()), name.data(), micros / 1000.0);
-  *out += buf;
-}
+using server::SearchCall;
 
 void AppendShardOutcomes(std::string* out,
                          const std::vector<ShardOutcome>& outcomes) {
@@ -74,146 +48,52 @@ void AppendShardOutcomes(std::string* out,
 
 }  // namespace
 
-void RouterStats::RecordResponseCode(int status_code) {
-  if (status_code >= 200 && status_code < 300) {
-    responses_ok.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 503) {
-    rejected_overload.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 504) {
-    deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code == 502) {
-    bad_gateway.fetch_add(1, std::memory_order_relaxed);
-  } else if (status_code >= 400 && status_code < 500) {
-    client_errors.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    bad_gateway.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 RouterService::RouterService(
     std::vector<std::vector<uint16_t>> shard_replicas, RouterOptions options)
     : options_(std::move(options)),
       gather_(std::make_unique<ScatterGather>(std::move(shard_replicas),
                                               options_.gather)),
-      http_(HttpOptions(options_),
-            [this](const HttpRequest& request, uint64_t queued_micros) {
-              return Handle(request, queued_micros);
-            },
-            &stats_) {}
+      front_("router", options_, &stats_,
+             [this](const SearchCall& call) { return HandleSearch(call); },
+             [this](const HttpRequest& request) {
+               return HandleEndpoint(request);
+             }) {}
 
 RouterService::~RouterService() { Shutdown(); }
 
 Status RouterService::Start() {
-  if (http_.started()) {
-    return Status::FailedPrecondition("router already started");
-  }
-  started_at_ = Clock::now();  // before any handler thread can read it
-  GRAFT_RETURN_IF_ERROR(http_.Start());
+  GRAFT_RETURN_IF_ERROR(front_.Start());
   gather_->StartProbes();
   return Status::Ok();
 }
 
 void RouterService::Shutdown() {
-  http_.Shutdown();
+  front_.Shutdown();
   gather_->StopProbes();
 }
 
-Response RouterService::Handle(const HttpRequest& request,
-                               uint64_t queued_micros) {
-  Response response;
-  if (request.method != "GET") {
-    response.status_code = 405;
-    response.body =
-        ErrorBody(Status::InvalidArgument("only GET is supported"));
-    return response;
-  }
+std::optional<Response> RouterService::HandleEndpoint(
+    const HttpRequest& request) const {
   if (request.path == "/healthz") return HandleHealthz();
   if (request.path == "/stats") return HandleStats();
   if (request.path == "/metrics") return HandleMetrics();
-  if (request.path == "/search") return HandleSearch(request, queued_micros);
-  response.status_code = 404;
-  response.body =
-      ErrorBody(Status::NotFound("no such endpoint: " + request.path));
-  return response;
+  return std::nullopt;
 }
 
-Response RouterService::HandleSearch(const HttpRequest& request,
-                                     uint64_t queued_micros) {
-  const Clock::time_point handle_start = Clock::now();
-  Response response;
-  const auto record_latency = [&] {
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-  };
-
-  // ---- parameter parsing (every failure is a 4xx) ----
-  const auto get = [&request](const char* name) -> const std::string* {
-    const auto it = request.params.find(name);
-    return it == request.params.end() ? nullptr : &it->second;
-  };
-  const std::string* q = get("q");
-  if (q == nullptr) {
-    response.status_code = 400;
-    response.body =
-        ErrorBody(Status::InvalidArgument("missing required parameter: q"));
-    record_latency();
-    return response;
+Response RouterService::HandleSearch(const SearchCall& call) {
+  if (call.k == 0) {
+    return ErrorResponse(Status::InvalidArgument(
+        "k must be > 0 (distributed search cannot return unbounded result "
+        "sets)"));
   }
-  std::string scheme = "MeanSum";
-  if (const std::string* text = get("scheme")) scheme = *text;
-  size_t k = options_.default_top_k;
-  if (const std::string* text = get("k")) {
-    StatusOr<size_t> value = core::ParseCount(*text, "k");
-    if (!value.ok()) {
-      response.status_code = HttpCodeForStatus(value.status());
-      response.body = ErrorBody(value.status());
-      record_latency();
-      return response;
-    }
-    k = *value;
-  }
-  if (k == 0 || k > options_.max_top_k) {
-    response.status_code = 400;
-    response.body = ErrorBody(Status::InvalidArgument(
-        "k must be in [1, " + std::to_string(options_.max_top_k) +
-        "] (distributed search cannot return unbounded result sets)"));
-    record_latency();
-    return response;
-  }
-  uint64_t deadline_ms = options_.default_deadline_ms;
-  if (const std::string* text = get("deadline_ms")) {
-    StatusOr<size_t> value = core::ParseCount(*text, "deadline_ms");
-    if (!value.ok() || *value == 0) {
-      const Status status =
-          value.ok() ? Status::InvalidArgument("deadline_ms must be > 0")
-                     : value.status();
-      response.status_code = HttpCodeForStatus(status);
-      response.body = ErrorBody(status);
-      record_latency();
-      return response;
-    }
-    deadline_ms = std::min<uint64_t>(*value, options_.max_deadline_ms);
-  }
-  bool explain = false;
-  if (const std::string* text = get("explain")) {
-    explain = *text == "1" || *text == "true";
-  }
-
   // The router validates the query and scheme itself (same parser and
   // registry as the shards), so malformed input burns zero shard budget
   // and the term list for the stats exchange falls out of the parse.
-  StatusOr<mcalc::Query> parsed = mcalc::ParseQuery(*q);
-  if (!parsed.ok()) {
-    response.status_code = HttpCodeForStatus(parsed.status());
-    response.body = ErrorBody(parsed.status());
-    record_latency();
-    return response;
-  }
-  if (sa::SchemeRegistry::Global().Lookup(scheme) == nullptr) {
-    response.status_code = 404;
-    response.body =
-        ErrorBody(Status::NotFound("unknown scoring scheme: " + scheme));
-    record_latency();
-    return response;
+  StatusOr<mcalc::Query> parsed = mcalc::ParseQuery(call.query);
+  if (!parsed.ok()) return ErrorResponse(parsed.status());
+  if (sa::SchemeRegistry::Global().Lookup(call.scheme) == nullptr) {
+    return ErrorResponse(Status::NotFound("unknown scoring scheme: " +
+                                          std::string(call.scheme)));
   }
   std::vector<std::string> terms;
   terms.reserve(parsed->variables.size());
@@ -221,41 +101,24 @@ Response RouterService::HandleSearch(const HttpRequest& request,
     terms.push_back(variable.keyword);
   }
 
-  stats_.scheme_counts.Record(scheme);
+  stats_.scheme_counts.Record(call.scheme);
 
-  // ---- fan out ----
-  const uint64_t spent_ms =
-      (queued_micros + MicrosSince(handle_start)) / 1000;
-  if (spent_ms >= deadline_ms) {
-    response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
-    response.body = ErrorBody(Status::FailedPrecondition(
-        "deadline of " + std::to_string(deadline_ms) +
-        "ms elapsed before fan-out"));
-    record_latency();
-    return response;
-  }
-  const std::string tail = "q=" + server::UrlEncode(*q) +
-                           "&scheme=" + server::UrlEncode(scheme);
+  // ---- fan out, with what is left of the deadline ----
+  const uint64_t budget_ms = call.remaining_ms();
+  if (budget_ms == 0) return call.DeadlineExceeded("elapsed before fan-out");
+  const std::string tail = "q=" + server::UrlEncode(call.query) +
+                           "&scheme=" + server::UrlEncode(call.scheme);
   StatusOr<GatherResult> gathered =
-      gather_->Search(terms, tail, k, deadline_ms - spent_ms);
+      gather_->Search(terms, tail, call.k, budget_ms);
   if (!gathered.ok()) {
     // A client mistake stays 4xx; everything else is the gateway speaking
     // for unreachable/failed shards.
     const int mapped = HttpCodeForStatus(gathered.status());
-    response.status_code = mapped == 400 || mapped == 404 ? mapped : 502;
-    response.body = ErrorBody(gathered.status());
-    record_latency();
-    return response;
+    return ErrorResponse(mapped == 400 || mapped == 404 ? mapped : 502,
+                         gathered.status());
   }
-  if ((queued_micros + MicrosSince(handle_start)) / 1000 >= deadline_ms) {
-    response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
-    response.body = ErrorBody(Status::FailedPrecondition(
-        "deadline of " + std::to_string(deadline_ms) +
-        "ms exceeded during fan-out"));
-    record_latency();
-    return response;
+  if (call.remaining_ms() == 0) {
+    return call.DeadlineExceeded("exceeded during fan-out");
   }
 
   if (gathered->degraded) {
@@ -264,10 +127,10 @@ Response RouterService::HandleSearch(const HttpRequest& request,
 
   // ---- 200 body: the degradation contract is always present ----
   std::string body = "{\"query\":\"";
-  JsonAppendEscaped(&body, *q);
+  JsonAppendEscaped(&body, call.query);
   body += "\",\"scheme\":\"";
-  JsonAppendEscaped(&body, scheme);
-  body += "\",\"k\":" + std::to_string(k);
+  JsonAppendEscaped(&body, call.scheme);
+  body += "\",\"k\":" + std::to_string(call.k);
   body += ",\"degraded\":";
   body += gathered->degraded ? "true" : "false";
   body += ",\"shards_total\":" + std::to_string(gathered->shards_total);
@@ -275,13 +138,13 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   body += ",";
   AppendShardOutcomes(&body, gathered->outcomes);
   body += ",\"timings\":{";
-  AppendMsField(&body, "queue_ms", static_cast<double>(queued_micros));
+  server::AppendMsField(&body, "queue_ms",
+                        static_cast<double>(call.queued_micros));
   body += ",";
-  AppendMsField(&body, "total_ms",
-                static_cast<double>(queued_micros +
-                                    MicrosSince(handle_start)));
+  server::AppendMsField(&body, "total_ms",
+                        static_cast<double>(call.elapsed_micros()));
   body += "},";
-  if (explain) {
+  if (call.explain) {
     body += "\"explain\":{\"stats_epoch\":";
     body += std::to_string(gathered->stats_epoch);
     body += ",\"terms\":[";
@@ -303,8 +166,8 @@ Response RouterService::HandleSearch(const HttpRequest& request,
   }
   body += server::SearchService::FormatResultsFragment(gathered->results);
   body += "}";
+  Response response;
   response.body = std::move(body);
-  record_latency();
   return response;
 }
 
@@ -356,7 +219,7 @@ Response RouterService::HandleStats() const {
   body += ",\"by_scheme\":";
   body += stats_.scheme_counts.ToJson();
   body += ",\"uptime_s\":";
-  body += std::to_string(MicrosSince(started_at_) / 1000000);
+  body += std::to_string(front_.uptime_s());
   body += "}";
   response.body = std::move(body);
   return response;
@@ -416,7 +279,7 @@ Response RouterService::HandleMetrics() const {
   body += "# HELP graft_router_uptime_seconds Seconds since Start().\n";
   body += "# TYPE graft_router_uptime_seconds gauge\n";
   body += "graft_router_uptime_seconds " +
-          std::to_string(MicrosSince(started_at_) / 1000000) + "\n";
+          std::to_string(front_.uptime_s()) + "\n";
   response.body = std::move(body);
   return response;
 }

@@ -21,20 +21,21 @@
 //   GET /healthz -> 200 while any shard is reachable; reports per-shard
 //                   healthy replica counts.
 //
-// Runs on the same connection layer as server::SearchService
-// (server::HttpServer: epoll reactor + handler pool, keep-alive,
-// per-request admission cap, Retry-After on 503/504, draining shutdown);
-// the request deadline budget is handed to ScatterGather, which spends it
-// across stats collection, retries, backoff, and hedges. Shard legs travel
-// over ShardClient's pooled keep-alive connections.
+// Runs behind the same /search front as server::SearchService
+// (server/search_front.h: shared parameters, limits, deadline, latency,
+// and the connection layer). The router adds its k >= 1 rule and checks
+// the query and scheme itself; what is left of the request deadline is
+// handed to ScatterGather, which spends it across stats collection,
+// retries, backoff, and hedges. Shard legs travel over ShardClient's
+// pooled keep-alive connections.
 
 #ifndef GRAFT_ROUTER_ROUTER_SERVICE_H_
 #define GRAFT_ROUTER_ROUTER_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,48 +44,29 @@
 #include "router/scatter_gather.h"
 #include "server/http.h"
 #include "server/http_server.h"
+#include "server/search_front.h"
 #include "server/search_service.h"
 #include "server/server_stats.h"
 
 namespace graft::router {
 
-struct RouterOptions {
-  // 0 = kernel-assigned ephemeral port (tests; read back via port()).
-  uint16_t port = 0;
-  // Handler pool workers. 0 = hardware concurrency.
-  size_t handler_threads = 0;
-  // Admission cap, as in server::ServiceOptions.
-  size_t max_inflight = 64;
-  // Deadline budget applied when the client sends no deadline_ms; client
-  // values are clamped to max_deadline_ms.
-  uint64_t default_deadline_ms = 2000;
-  uint64_t max_deadline_ms = 30000;
-  size_t default_top_k = 10;
-  size_t max_top_k = 10000;
-  int io_timeout_ms = 5000;
-  unsigned retry_after_s = 1;
+// The shared connection fields and /search limits (server::FrontOptions;
+// the deadline is the budget handed to ScatterGather), plus the router's
+// own.
+struct RouterOptions : server::FrontOptions {
   // Fan-out behavior (shard client retry discipline, hedging, partial
   // policy, probe cadence).
   ScatterGatherOptions gather;
 };
 
-// Cumulative router request counters. Same outcome identity as
-// server::ServerStats: responses_ok + client_errors + bad_gateway +
-// rejected_overload + deadline_exceeded (+ the malformed subset of 4xx)
-// partitions requests_total once drained.
+// Cumulative router request counters: the shared ones, with the same
+// outcome identity as the server's (server_errors is rendered as
+// bad_gateway: the router's 5xx are the 502s of failed shards), plus
+// degraded answers.
 struct RouterStats final : server::RequestCounters {
-  std::atomic<uint64_t> responses_ok{0};        // 2xx (incl. degraded 200s)
-  std::atomic<uint64_t> client_errors{0};       // 4xx
-  std::atomic<uint64_t> bad_gateway{0};         // 502 (shard failures)
-  std::atomic<uint64_t> rejected_overload{0};   // 503
-  std::atomic<uint64_t> deadline_exceeded{0};   // 504
   // Degraded 200s: a partial merge was served under --policy partial.
   // Subset of responses_ok.
   std::atomic<uint64_t> partial_responses{0};
-  server::LatencyHistogram search_latency;
-  server::SchemeCounters scheme_counts;
-
-  void RecordResponseCode(int status_code) override;
 };
 
 // Every RouterStats counter, in /stats and /metrics order.
@@ -100,7 +82,7 @@ inline constexpr common::CounterRow<RouterStats, std::atomic<uint64_t>>
          "2xx responses (including degraded partials)."},
         {&RouterStats::client_errors, "client_errors",
          "graft_router_client_errors_total", "4xx responses."},
-        {&RouterStats::bad_gateway, "bad_gateway",
+        {&RouterStats::server_errors, "bad_gateway",
          "graft_router_bad_gateway_total",
          "502s: shard failures the policy would not degrade."},
         {&RouterStats::rejected_overload, "rejected_overload",
@@ -133,19 +115,23 @@ class RouterService {
   // joins everything.
   void Shutdown();
 
-  uint16_t port() const { return http_.port(); }
+  uint16_t port() const { return front_.port(); }
   const RouterStats& stats() const { return stats_; }
   ScatterGather& gather() { return *gather_; }
   const ScatterGather& gather() const { return *gather_; }
 
-  // Routes one parsed request; exposed so tests can drive the handler
-  // without sockets (mirrors SearchService::Handle).
+  // Routes one parsed request through the shared front; exposed so tests
+  // can drive the handler without sockets (mirrors SearchService::Handle).
   server::Response Handle(const server::HttpRequest& request,
-                          uint64_t queued_micros);
+                          uint64_t queued_micros) {
+    return front_.Handle(request, queued_micros);
+  }
 
  private:
-  server::Response HandleSearch(const server::HttpRequest& request,
-                                uint64_t queued_micros);
+  server::Response HandleSearch(const server::SearchCall& call);
+  // /stats, /metrics and /healthz; nullopt for any other path.
+  std::optional<server::Response> HandleEndpoint(
+      const server::HttpRequest& request) const;
   server::Response HandleStats() const;
   server::Response HandleMetrics() const;
   server::Response HandleHealthz() const;
@@ -153,10 +139,9 @@ class RouterService {
   const RouterOptions options_;
   std::unique_ptr<ScatterGather> gather_;
   RouterStats stats_;
-  std::chrono::steady_clock::time_point started_at_;
   // Declared last: shut down (by the destructor) while everything its
   // handlers use is still alive.
-  server::HttpServer http_;
+  server::SearchFront front_;
 };
 
 }  // namespace graft::router

@@ -262,35 +262,21 @@ StatusOr<server::PinnedStats> ScatterGather::CollectStats(
   // was healthy still be answered (partially) after that shard dies.
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    if (stats_cache_.primed) {
-      bool all_cached = true;
-      for (const std::string& term : unique) {
-        if (stats_cache_.terms.find(term) == stats_cache_.terms.end()) {
-          all_cached = false;
-          break;
-        }
-      }
-      if (all_cached) {
-        server::PinnedStats pinned;
-        pinned.doc_count = stats_cache_.doc_count;
-        pinned.total_words = stats_cache_.total_words;
-        for (const std::string& term : unique) {
-          const TermStats& cached = stats_cache_.terms[term];
-          pinned.terms.push_back(
-              server::PinnedTermStats{term, cached.df, cached.cf});
-        }
-        *bases = stats_cache_.bases;
-        *generations = stats_cache_.generations;
-        return pinned;
-      }
+    if (stats_cache_.primed &&
+        std::all_of(unique.begin(), unique.end(),
+                    [this](const std::string& term) {
+                      return stats_cache_.terms.contains(term);
+                    })) {
+      return PinnedFromCacheLocked(unique, bases, generations);
     }
   }
 
   // Slow path: one collection round over every shard. Correct global
-  // statistics are a sum over ALL shards, so a round only succeeds when
+  // statistics are a sum over ALL shards, so the round only succeeds when
   // every shard answers (each ShardClient retries and fails over across
-  // replicas internally). A round that observes a generation change
-  // invalidates the cache and runs again, bounded by max_stats_refreshes.
+  // replicas internally). A reply at a generation other than the cached
+  // one re-primes the cache from this same round; a reload that lands
+  // after it surfaces as Search's 409, which re-collects.
   std::string target = "/shard/stats?terms=";
   {
     std::string joined;
@@ -301,117 +287,101 @@ StatusOr<server::PinnedStats> ScatterGather::CollectStats(
     target += server::UrlEncode(joined);
   }
 
-  for (size_t round = 0; round <= options_.max_stats_refreshes; ++round) {
-    const uint64_t elapsed = ElapsedMs(start);
-    if (elapsed >= budget_ms) {
-      return Status::IOError("stats collection deadline exhausted");
-    }
-    const uint64_t remaining = budget_ms - elapsed;
-
-    const size_t n = shards_.size();
-    std::vector<StatusOr<ShardStatsReply>> replies(
-        n, Status::Internal("unreached"));
-    common::ParallelFor(pool_.get(), 0, n, [&](size_t i) {
-      StatusOr<server::HttpClientResponse> response =
-          shards_[i]->Get(target, remaining);
-      if (!response.ok()) {
-        replies[i] = response.status();
-        return;
-      }
-      if (response->status_code != 200) {
-        replies[i] = Status::IOError(
-            "shard " + std::to_string(i) + " /shard/stats answered " +
-            std::to_string(response->status_code));
-        return;
-      }
-      replies[i] = ParseShardStatsReply(response->body);
-    });
-
-    for (size_t i = 0; i < n; ++i) {
-      if (!replies[i].ok()) {
-        return Status::IOError(
-            "stats collection failed for shard " + std::to_string(i) + ": " +
-            std::string(replies[i].status().message()));
-      }
-    }
-
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    // A concurrent round may have primed the cache at different
-    // generations, or a shard may have reloaded since the cache was
-    // primed. Either way the safe reaction is identical: rebuild the
-    // cache from this round's replies under a fresh epoch.
-    bool stale = false;
-    if (stats_cache_.primed) {
-      for (size_t i = 0; i < n; ++i) {
-        if (stats_cache_.generations[i] != (*replies[i]).generation) {
-          stale = true;
-          break;
-        }
-      }
-    }
-    if (stale) InvalidateStats();
-
-    if (!stats_cache_.primed) {
-      stats_cache_.primed = true;
-      stats_cache_.doc_count = 0;
-      stats_cache_.total_words = 0;
-      stats_cache_.bases.assign(n, 0);
-      stats_cache_.generations.assign(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        stats_cache_.bases[i] = stats_cache_.doc_count;
-        stats_cache_.doc_count += (*replies[i]).doc_count;
-        stats_cache_.total_words += (*replies[i]).total_words;
-        stats_cache_.generations[i] = (*replies[i]).generation;
-      }
-    } else {
-      // The cache is primed and this round's generations must match it to
-      // be mergeable; a mismatch would have set `stale` above. A benign
-      // re-fetch of already-cached terms just overwrites equal sums.
-      bool mismatch = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (stats_cache_.generations[i] != (*replies[i]).generation) {
-          mismatch = true;
-          break;
-        }
-      }
-      if (mismatch) {
-        InvalidateStats();
-        continue;  // next round rebuilds from scratch
-      }
-    }
-
-    // Fold per-term sums. Every reply lists the same terms in the same
-    // order (the shards parse the same `terms=` string).
-    std::unordered_map<std::string, TermStats> sums;
-    for (size_t i = 0; i < n; ++i) {
-      for (const server::PinnedTermStats& term : (*replies[i]).terms) {
-        TermStats& slot = sums[term.term];
-        slot.df += term.doc_freq;
-        slot.cf += term.collection_freq;
-      }
-    }
-    for (auto& [term, stats] : sums) {
-      stats_cache_.terms[term] = stats;
-    }
-
-    server::PinnedStats pinned;
-    pinned.doc_count = stats_cache_.doc_count;
-    pinned.total_words = stats_cache_.total_words;
-    for (const std::string& term : unique) {
-      const auto it = stats_cache_.terms.find(term);
-      if (it == stats_cache_.terms.end()) {
-        return Status::Internal("stats collection lost term: " + term);
-      }
-      pinned.terms.push_back(
-          server::PinnedTermStats{term, it->second.df, it->second.cf});
-    }
-    *bases = stats_cache_.bases;
-    *generations = stats_cache_.generations;
-    return pinned;
+  const uint64_t elapsed = ElapsedMs(start);
+  if (elapsed >= budget_ms) {
+    return Status::IOError("stats collection deadline exhausted");
   }
-  return Status::IOError(
-      "stats collection kept racing generation changes (" +
-      std::to_string(options_.max_stats_refreshes + 1) + " rounds)");
+  const uint64_t remaining = budget_ms - elapsed;
+
+  const size_t n = shards_.size();
+  std::vector<StatusOr<ShardStatsReply>> replies(
+      n, Status::Internal("unreached"));
+  common::ParallelFor(pool_.get(), 0, n, [&](size_t i) {
+    StatusOr<server::HttpClientResponse> response =
+        shards_[i]->Get(target, remaining);
+    if (!response.ok()) {
+      replies[i] = response.status();
+      return;
+    }
+    if (response->status_code != 200) {
+      replies[i] = Status::IOError(
+          "shard " + std::to_string(i) + " /shard/stats answered " +
+          std::to_string(response->status_code));
+      return;
+    }
+    replies[i] = ParseShardStatsReply(response->body);
+  });
+
+  for (size_t i = 0; i < n; ++i) {
+    if (!replies[i].ok()) {
+      return Status::IOError(
+          "stats collection failed for shard " + std::to_string(i) + ": " +
+          std::string(replies[i].status().message()));
+    }
+  }
+
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  // A concurrent round may have primed the cache at different
+  // generations, or a shard may have reloaded since the cache was
+  // primed. Either way the safe reaction is identical: rebuild the
+  // cache from this round's replies under a fresh epoch. (A benign
+  // re-fetch of already-cached terms just overwrites equal sums.)
+  if (stats_cache_.primed) {
+    for (size_t i = 0; i < n; ++i) {
+      if (stats_cache_.generations[i] != (*replies[i]).generation) {
+        InvalidateStats();
+        break;
+      }
+    }
+  }
+
+  if (!stats_cache_.primed) {
+    stats_cache_.primed = true;
+    stats_cache_.doc_count = 0;
+    stats_cache_.total_words = 0;
+    stats_cache_.bases.assign(n, 0);
+    stats_cache_.generations.assign(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      stats_cache_.bases[i] = stats_cache_.doc_count;
+      stats_cache_.doc_count += (*replies[i]).doc_count;
+      stats_cache_.total_words += (*replies[i]).total_words;
+      stats_cache_.generations[i] = (*replies[i]).generation;
+    }
+  }
+
+  // Fold per-term sums. Every reply lists the same terms in the same
+  // order (the shards parse the same `terms=` string).
+  std::unordered_map<std::string, TermStats> sums;
+  for (size_t i = 0; i < n; ++i) {
+    for (const server::PinnedTermStats& term : (*replies[i]).terms) {
+      TermStats& slot = sums[term.term];
+      slot.df += term.doc_freq;
+      slot.cf += term.collection_freq;
+    }
+  }
+  for (auto& [term, stats] : sums) {
+    stats_cache_.terms[term] = stats;
+  }
+  return PinnedFromCacheLocked(unique, bases, generations);
+}
+
+StatusOr<server::PinnedStats> ScatterGather::PinnedFromCacheLocked(
+    const std::set<std::string>& terms, std::vector<uint64_t>* bases,
+    std::vector<uint64_t>* generations) const {
+  server::PinnedStats pinned;
+  pinned.doc_count = stats_cache_.doc_count;
+  pinned.total_words = stats_cache_.total_words;
+  for (const std::string& term : terms) {
+    const auto it = stats_cache_.terms.find(term);
+    if (it == stats_cache_.terms.end()) {
+      return Status::Internal("stats collection lost term: " + term);
+    }
+    pinned.terms.push_back(
+        server::PinnedTermStats{term, it->second.df, it->second.cf});
+  }
+  *bases = stats_cache_.bases;
+  *generations = stats_cache_.generations;
+  return pinned;
 }
 
 StatusOr<server::HttpClientResponse> ScatterGather::FanOne(

@@ -23,12 +23,14 @@
 //
 // The stats-epoch protocol: phase-1 results are cached under a
 // monotonically increasing epoch. The cached per-shard generation vector
-// is the epoch's validity condition — a shard answering 409 Conflict (its
-// generation moved, e.g. a hot reload) or a /shard/stats reply with a new
-// generation invalidates the epoch, flushes the term cache, and the
-// request re-collects before retrying, so merged rankings never mix
-// statistics from different index generations. Terms missing from the
-// cache are fetched on demand and folded in under the same epoch.
+// is the epoch's validity condition. A /shard/stats reply with a new
+// generation (e.g. after a hot reload) invalidates the epoch, flushes the
+// term cache and re-primes it from that same round's replies; a shard
+// answering 409 Conflict (its generation moved after the exchange) does
+// the same through a fresh collection before the request retries. So
+// merged rankings never mix statistics from different index generations.
+// Terms missing from the cache are fetched on demand and folded in under
+// the same epoch.
 //
 // Robustness (the ISSUE 8 headline):
 //   * per-shard deadline = the request's remaining budget; every retry,
@@ -53,6 +55,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -78,8 +81,9 @@ struct ScatterGatherOptions {
   // 0 disables hedging; otherwise a straggler shard gets a second racing
   // request after this many milliseconds (if a healthy replica remains).
   uint64_t hedge_ms = 0;
-  // Bound on (re-)collect rounds when generations move mid-request: the
-  // first round plus this many conflict-driven refreshes.
+  // Bound on Search's rounds when a shard answers 409 (its generation
+  // moved after the stats exchange): the first round plus this many
+  // re-collects.
   size_t max_stats_refreshes = 2;
   // Background readmission probe cadence (StartProbes).
   uint64_t probe_interval_ms = 200;
@@ -211,6 +215,12 @@ class ScatterGather {
 
   // Invalidate the cache and bump the epoch (a generation moved).
   void InvalidateStats();
+
+  // The cached statistics of `terms` (sorted, unique) and the cache's
+  // bases and generations. Caller holds stats_mu_.
+  StatusOr<server::PinnedStats> PinnedFromCacheLocked(
+      const std::set<std::string>& terms, std::vector<uint64_t>* bases,
+      std::vector<uint64_t>* generations) const;
 
   // One shard's phase-2 leg: primary request plus optional hedge race.
   // Returns the winning response (or the primary's failure).

@@ -43,6 +43,12 @@ struct HttpRequest {
   // Whether the client asked to keep the connection open after the
   // response (HTTP/1.1 default unless "close"; 1.0 only on "keep-alive").
   bool keep_alive = false;
+
+  // The decoded query parameter `name`; nullptr when absent.
+  const std::string* param(const std::string& name) const {
+    const auto it = params.find(name);
+    return it == params.end() ? nullptr : &it->second;
+  }
 };
 
 // Percent-decodes a URL component ('+' becomes space). Invalid escapes are

@@ -28,12 +28,6 @@ constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
 // the reactor sleeps still meets its idle deadline closely.
 constexpr int kMaxTickMs = 100;
 
-uint64_t MicrosSince(Clock::time_point t0) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
 std::string RetryAfterHeader(unsigned seconds) {
   return "Retry-After: " + std::to_string(seconds) + "\r\n";
 }
@@ -53,6 +47,16 @@ bool DrainAvailable(int fd) {
   return true;
 }
 
+// {"error":"<code name>","message":"..."} body for an error response.
+std::string ErrorBody(const Status& status) {
+  std::string body = "{\"error\":\"";
+  JsonAppendEscaped(&body, StatusCodeName(status.code()));
+  body += "\",\"message\":\"";
+  JsonAppendEscaped(&body, status.message());
+  body += "\"}";
+  return body;
+}
+
 }  // namespace
 
 int HttpCodeForStatus(const Status& status) {
@@ -67,18 +71,27 @@ int HttpCodeForStatus(const Status& status) {
   }
 }
 
-std::string ErrorBody(const Status& status) {
-  std::string body = "{\"error\":\"";
-  JsonAppendEscaped(&body, StatusCodeName(status.code()));
-  body += "\",\"message\":\"";
-  JsonAppendEscaped(&body, status.message());
-  body += "\"}";
-  return body;
+Response ErrorResponse(const Status& status) {
+  return ErrorResponse(HttpCodeForStatus(status), status);
 }
 
-HttpServer::HttpServer(HttpServerOptions options, Handler handler,
-                       RequestCounters* counters)
-    : options_(std::move(options)),
+Response ErrorResponse(int status_code, const Status& status) {
+  Response response;
+  response.status_code = status_code;
+  response.body = ErrorBody(status);
+  return response;
+}
+
+uint64_t MicrosSince(Clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
+          .count());
+}
+
+HttpServer::HttpServer(std::string name, const HttpServerOptions& options,
+                       Handler handler, RequestCounters* counters)
+    : name_(std::move(name)),
+      options_(options),
       handler_(std::move(handler)),
       counters_(counters) {}
 
@@ -355,17 +368,17 @@ void HttpServer::OnReadable(Conn* conn) {
   counters_->requests_total.fetch_add(1, std::memory_order_relaxed);
   const size_t inflight = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (inflight > options_.max_inflight) {
-    Reject(conn, Status::FailedPrecondition(options_.name +
+    Reject(conn, Status::FailedPrecondition(name_ +
                                             " overloaded; retry"));
     return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    Reject(conn, Status::FailedPrecondition(options_.name + " shutting down"));
+    Reject(conn, Status::FailedPrecondition(name_ + " shutting down"));
     return;
   }
   const Clock::time_point admitted = Clock::now();
   if (!pool_->Submit([this, conn, admitted] { Serve(conn, admitted); })) {
-    Reject(conn, Status::FailedPrecondition(options_.name + " shutting down"));
+    Reject(conn, Status::FailedPrecondition(name_ + " shutting down"));
   }
 }
 
@@ -396,8 +409,7 @@ void HttpServer::Serve(Conn* conn, Clock::time_point admitted) {
   Response response;
   if (!request.ok()) {
     counters_->malformed_requests.fetch_add(1, std::memory_order_relaxed);
-    response.status_code = 400;
-    response.body = ErrorBody(request.status());
+    response = ErrorResponse(400, request.status());
   } else {
     response = handler_(*request, queued_micros);
   }

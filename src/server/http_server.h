@@ -59,17 +59,22 @@ struct Response {
 // InvalidArgument/OutOfRange -> 400, NotFound -> 404, everything else 500.
 int HttpCodeForStatus(const Status& status);
 
-// {"error":"<code name>","message":"..."} body for an error response.
-std::string ErrorBody(const Status& status);
+// An error response with a {"error":"<code name>","message":"..."} body,
+// answered with `status_code` (HttpCodeForStatus(status) when not given).
+Response ErrorResponse(const Status& status);
+Response ErrorResponse(int status_code, const Status& status);
 
+// Microseconds elapsed since `t0` on the steady clock.
+uint64_t MicrosSince(std::chrono::steady_clock::time_point t0);
+
+// The connection fields of a service's options (FrontOptions in
+// server/search_front.h adds the /search limits).
 struct HttpServerOptions {
   uint16_t port = 0;           // 0 = kernel-assigned ephemeral port
   size_t handler_threads = 0;  // 0 = hardware concurrency
   size_t max_inflight = 64;    // admitted, unanswered requests
   int io_timeout_ms = 5000;    // socket send/receive + idle timeout
-  unsigned retry_after_s = 1;  // Retry-After on the fast 503
-  // Who speaks in the 503 bodies: "<name> overloaded; retry".
-  std::string name = "server";
+  unsigned retry_after_s = 1;  // Retry-After on 503/504
 };
 
 class HttpServer {
@@ -80,9 +85,10 @@ class HttpServer {
       std::function<Response(const HttpRequest& request,
                              uint64_t queued_micros)>;
 
+  // `name` speaks in the 503 bodies ("<name> overloaded; retry").
   // `counters` must outlive the server.
-  HttpServer(HttpServerOptions options, Handler handler,
-             RequestCounters* counters);
+  HttpServer(std::string name, const HttpServerOptions& options,
+             Handler handler, RequestCounters* counters);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -132,6 +138,7 @@ class HttpServer {
   void SweepLocked(std::chrono::steady_clock::time_point now);
   int NextTimeoutMsLocked(std::chrono::steady_clock::time_point now) const;
 
+  const std::string name_;
   const HttpServerOptions options_;
   const Handler handler_;
   RequestCounters* const counters_;

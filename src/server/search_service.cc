@@ -22,36 +22,6 @@ using Clock = std::chrono::steady_clock;
 // can hold a reload failure at the last possible moment.
 GRAFT_DEFINE_FAILPOINT(g_fp_reload_swap, "service.reload.swap");
 
-uint64_t MicrosSince(Clock::time_point t0) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
-HttpServerOptions HttpOptions(const ServiceOptions& options) {
-  HttpServerOptions http;
-  http.port = options.port;
-  http.handler_threads = options.handler_threads;
-  http.max_inflight = options.max_inflight;
-  http.io_timeout_ms = options.io_timeout_ms;
-  http.retry_after_s = options.retry_after_s;
-  http.name = "server";
-  return http;
-}
-
-HttpServer::Handler MakeHandler(SearchService* service) {
-  return [service](const HttpRequest& request, uint64_t queued_micros) {
-    return service->Handle(request, queued_micros);
-  };
-}
-
-void AppendMsField(std::string* out, std::string_view name, double micros) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%.*s\":%.3f",
-                static_cast<int>(name.size()), name.data(), micros / 1000.0);
-  *out += buf;
-}
-
 // The counters of every /search body's own "exec" block (?explain=1 adds
 // the full set).
 auto BriefExecCounters() {
@@ -138,7 +108,7 @@ SearchService::SearchService(const core::Engine* engine,
       engine_(std::shared_ptr<const core::Engine>(engine,
                                                   [](const core::Engine*) {})),
       reloadable_(false),
-      http_(HttpOptions(options_), MakeHandler(this), &stats_) {
+      front_(MakeFront()) {
   // A packed (mmap-loaded) index brings its own decoded-block cache; adopt
   // it so /stats and /metrics can report on it. Set once here, never
   // reassigned — handlers read block_cache_ without a lock.
@@ -154,7 +124,7 @@ SearchService::SearchService(std::shared_ptr<const core::EngineBundle> bundle,
       engine_(std::shared_ptr<const core::Engine>(bundle,
                                                   bundle->engine.get())),
       reloadable_(!options_.index_path.empty()),
-      http_(HttpOptions(options_), MakeHandler(this), &stats_) {
+      front_(MakeFront()) {
   // One decoded-block cache for the service's whole lifetime: adopt the
   // initial bundle's cache when it was mmap-loaded, otherwise create one
   // up front when mmap reloads are configured. Set once here, never
@@ -170,15 +140,16 @@ SearchService::SearchService(std::shared_ptr<const core::EngineBundle> bundle,
 
 SearchService::~SearchService() { Shutdown(); }
 
-Status SearchService::Start() {
-  if (http_.started()) {
-    return Status::FailedPrecondition("service already started");
-  }
-  started_at_ = Clock::now();  // before any handler thread can read it
-  return http_.Start();
+SearchFront SearchService::MakeFront() {
+  return SearchFront(
+      "server", options_, &stats_,
+      [this](const SearchCall& call) { return HandleSearch(call); },
+      [this](const HttpRequest& request) { return HandleEndpoint(request); });
 }
 
-void SearchService::Shutdown() { http_.Shutdown(); }
+Status SearchService::Start() { return front_.Start(); }
+
+void SearchService::Shutdown() { front_.Shutdown(); }
 
 Status SearchService::Reload() {
   // The replaced generation. Declared before the lock guard, so when no
@@ -236,25 +207,14 @@ Status SearchService::Reload() {
   return Status::Ok();
 }
 
-Response SearchService::Handle(const HttpRequest& request,
-                               uint64_t queued_micros) {
-  Response response;
-  if (request.method != "GET") {
-    response.status_code = 405;
-    response.body = ErrorBody(
-        Status::InvalidArgument("only GET is supported"));
-    return response;
-  }
+std::optional<Response> SearchService::HandleEndpoint(
+    const HttpRequest& request) {
   if (request.path == "/healthz") return HandleHealthz();
   if (request.path == "/shard/stats") return HandleShardStats(request);
   if (request.path == "/stats") return HandleStats();
   if (request.path == "/metrics") return HandleMetrics();
   if (request.path == "/admin/reload") return HandleReload();
-  if (request.path == "/search") return HandleSearch(request, queued_micros);
-  response.status_code = 404;
-  response.body =
-      ErrorBody(Status::NotFound("no such endpoint: " + request.path));
-  return response;
+  return std::nullopt;
 }
 
 Response SearchService::HandleShardStats(const HttpRequest& request) {
@@ -274,10 +234,9 @@ Response SearchService::HandleShardStats(const HttpRequest& request) {
   body += ",\"total_words\":";
   body += std::to_string(index.total_words());
   body += ",\"terms\":[";
-  const auto it = request.params.find("terms");
-  std::string_view terms = it == request.params.end()
-                               ? std::string_view()
-                               : std::string_view(it->second);
+  const std::string* terms_param = request.param("terms");
+  std::string_view terms =
+      terms_param == nullptr ? std::string_view() : *terms_param;
   bool first = true;
   while (!terms.empty()) {
     const size_t comma = terms.find(',');
@@ -328,7 +287,7 @@ Response SearchService::HandleStats() const {
   // Splice uptime + reload state into the stats object.
   body.pop_back();  // trailing '}'
   body += ",\"uptime_s\":";
-  body += std::to_string(MicrosSince(started_at_) / 1000000);
+  body += std::to_string(front_.uptime_s());
   body += ",\"index_generation\":";
   body += std::to_string(generation());
   body += ",\"degraded\":";
@@ -339,7 +298,7 @@ Response SearchService::HandleStats() const {
     JsonAppendEscaped(&body, last_reload_error_);
   }
   body += "\",\"inflight\":";
-  body += std::to_string(http_.inflight());
+  body += std::to_string(front_.inflight());
   if (block_cache_ != nullptr) {
     body += ",\"block_cache\":{";
     common::AppendJsonCounters(&body, block_cache_->snapshot(),
@@ -358,7 +317,7 @@ Response SearchService::HandleMetrics() const {
   // Service-level gauges live here, next to the counters ServerStats owns.
   body += "# HELP graft_inflight_requests Admitted but unanswered requests.\n";
   body += "# TYPE graft_inflight_requests gauge\n";
-  body += "graft_inflight_requests " + std::to_string(http_.inflight()) + "\n";
+  body += "graft_inflight_requests " + std::to_string(front_.inflight()) + "\n";
   body += "# HELP graft_index_generation Engine generation (1 + reloads).\n";
   body += "# TYPE graft_index_generation gauge\n";
   body += "graft_index_generation " + std::to_string(generation()) + "\n";
@@ -367,8 +326,7 @@ Response SearchService::HandleMetrics() const {
   body += std::string("graft_degraded ") + (degraded() ? "1" : "0") + "\n";
   body += "# HELP graft_uptime_seconds Seconds since Start().\n";
   body += "# TYPE graft_uptime_seconds gauge\n";
-  body += "graft_uptime_seconds " +
-          std::to_string(MicrosSince(started_at_) / 1000000) + "\n";
+  body += "graft_uptime_seconds " + std::to_string(front_.uptime_s()) + "\n";
   if (block_cache_ != nullptr) {
     common::AppendPrometheusCounters(&body, block_cache_->snapshot(),
                                      index::kBlockCacheCounters);
@@ -399,69 +357,25 @@ Response SearchService::HandleReload() {
   return response;
 }
 
-Response SearchService::HandleSearch(const HttpRequest& request,
-                                     uint64_t queued_micros) {
-  const Clock::time_point handle_start = Clock::now();
-  Response response;
-
-  // ---- parameter parsing: every failure is a 4xx, never a crash ----
+Response SearchService::HandleSearch(const SearchCall& call) {
+  // ---- the server's own parameters; the front parsed the shared ones ----
   core::SearchRequestParams params;
-  uint64_t deadline_ms = options_.default_deadline_ms;
-  const auto get = [&request](const char* name) -> const std::string* {
-    const auto it = request.params.find(name);
-    return it == request.params.end() ? nullptr : &it->second;
-  };
-  const std::string* q = get("q");
-  if (q == nullptr) {
-    response.status_code = 400;
-    response.body = ErrorBody(
-        Status::InvalidArgument("missing required parameter: q"));
-    return response;
-  }
-  params.query = *q;
-  params.top_k = options_.default_top_k;
-  if (const std::string* scheme = get("scheme")) params.scheme = *scheme;
+  params.query = call.query;
+  params.scheme = call.scheme;
+  params.top_k = call.k;
   const struct {
     const char* name;
     size_t* out;
   } counts[] = {
-      {"k", &params.top_k},
       {"threads", &params.num_threads},
       {"segments", &params.segments},
   };
   for (const auto& field : counts) {
-    if (const std::string* text = get(field.name)) {
+    if (const std::string* text = call.request.param(field.name)) {
       StatusOr<size_t> value = core::ParseCount(*text, field.name);
-      if (!value.ok()) {
-        response.status_code = HttpCodeForStatus(value.status());
-        response.body = ErrorBody(value.status());
-        return response;
-      }
+      if (!value.ok()) return ErrorResponse(value.status());
       *field.out = *value;
     }
-  }
-  if (const std::string* text = get("deadline_ms")) {
-    StatusOr<size_t> value = core::ParseCount(*text, "deadline_ms");
-    if (!value.ok() || *value == 0) {
-      const Status status =
-          value.ok() ? Status::InvalidArgument("deadline_ms must be > 0")
-                     : value.status();
-      response.status_code = HttpCodeForStatus(status);
-      response.body = ErrorBody(status);
-      return response;
-    }
-    deadline_ms = std::min<uint64_t>(*value, options_.max_deadline_ms);
-  }
-  if (params.top_k > options_.max_top_k) {
-    response.status_code = 400;
-    response.body = ErrorBody(Status::InvalidArgument(
-        "k exceeds the server limit of " +
-        std::to_string(options_.max_top_k)));
-    return response;
-  }
-  bool explain = false;
-  if (const std::string* text = get("explain")) {
-    explain = *text == "1" || *text == "true";
   }
 
   // Pin the engine generation once: a reload that lands mid-request swaps
@@ -476,48 +390,34 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   // from /shard/stats responses at a specific generation; if a reload
   // landed since, scoring would silently mix new postings with old global
   // statistics. 409 tells the router to re-collect and retry.
-  if (const std::string* text = get("expect_gen")) {
+  if (const std::string* text = call.request.param("expect_gen")) {
     StatusOr<size_t> expected = core::ParseCount(*text, "expect_gen");
-    if (!expected.ok()) {
-      response.status_code = HttpCodeForStatus(expected.status());
-      response.body = ErrorBody(expected.status());
-      return response;
-    }
+    if (!expected.ok()) return ErrorResponse(expected.status());
     if (*expected != pinned_generation) {
       stats_.generation_conflicts.fetch_add(1, std::memory_order_relaxed);
+      Response response;
       response.status_code = 409;
       response.body = "{\"error\":\"generation_conflict\",\"expected\":" +
                       std::to_string(*expected) + ",\"generation\":" +
                       std::to_string(pinned_generation) + "}";
-      stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
       return response;
     }
   }
 
   StatusOr<core::ResolvedRequest> resolved =
       core::ResolveRequest(*engine, params);
-  if (!resolved.ok()) {
-    response.status_code = HttpCodeForStatus(resolved.status());
-    response.body = ErrorBody(resolved.status());
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-    return response;
-  }
+  if (!resolved.ok()) return ErrorResponse(resolved.status());
   common::QueryTrace trace;  // outlives the engine call
-  if (explain) {
+  if (call.explain) {
     resolved->options.trace = &trace;
   }
 
   // Pinned global statistics from the router (phase 2 of the stats
   // exchange), installed as a per-request overlay.
   index::StatsOverlay pinned_overlay;  // outlives the engine call
-  if (const std::string* text = get("gstats")) {
+  if (const std::string* text = call.request.param("gstats")) {
     StatusOr<PinnedStats> pinned = DecodePinnedStats(*text);
-    if (!pinned.ok()) {
-      response.status_code = HttpCodeForStatus(pinned.status());
-      response.body = ErrorBody(pinned.status());
-      stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-      return response;
-    }
+    if (!pinned.ok()) return ErrorResponse(pinned.status());
     pinned_overlay = ToOverlay(*pinned);
     resolved->options.stats_overlay = &pinned_overlay;
   }
@@ -527,18 +427,8 @@ Response SearchService::HandleSearch(const HttpRequest& request,
         std::chrono::milliseconds(options_.test_search_delay_ms));
   }
 
-  // ---- deadline: queued time counts against the budget ----
-  const auto elapsed_ms = [&] {
-    return (queued_micros + MicrosSince(handle_start)) / 1000;
-  };
-  if (elapsed_ms() >= deadline_ms) {
-    response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
-    response.body = ErrorBody(Status::FailedPrecondition(
-        "deadline of " + std::to_string(deadline_ms) +
-        "ms elapsed before execution"));
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-    return response;
+  if (call.remaining_ms() == 0) {
+    return call.DeadlineExceeded("elapsed before execution");
   }
 
   const Clock::time_point engine_start = Clock::now();
@@ -567,8 +457,7 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   // Slow-query log: threshold on the full latency the client saw
   // (queue + handling), which is what a tail-latency alert fires on.
   if (options_.slow_query_ms > 0 &&
-      queued_micros + MicrosSince(handle_start) >=
-          options_.slow_query_ms * 1000) {
+      call.elapsed_micros() >= options_.slow_query_ms * 1000) {
     stats_.slow_queries.fetch_add(1, std::memory_order_relaxed);
     std::string counters;
     if (result.ok()) {
@@ -580,29 +469,16 @@ Response SearchService::HandleSearch(const HttpRequest& request,
     std::fprintf(stderr,
                  "[slow-query] total=%.1fms queue=%.1fms engine=%.1fms "
                  "scheme=%s%s query=%s\n",
-                 static_cast<double>(queued_micros +
-                                     MicrosSince(handle_start)) /
-                     1000.0,
-                 static_cast<double>(queued_micros) / 1000.0,
+                 static_cast<double>(call.elapsed_micros()) / 1000.0,
+                 static_cast<double>(call.queued_micros) / 1000.0,
                  static_cast<double>(engine_micros) / 1000.0,
                  params.scheme.c_str(), counters.c_str(),
                  params.query.c_str());
   }
-  if (!result.ok()) {
-    response.status_code = HttpCodeForStatus(result.status());
-    response.body = ErrorBody(result.status());
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-    return response;
-  }
-  if (elapsed_ms() >= deadline_ms) {
+  if (!result.ok()) return ErrorResponse(result.status());
+  if (call.remaining_ms() == 0) {
     // The engine is not preemptible; the honest answer is a late 504.
-    response.status_code = 504;
-    response.retry_after_s = options_.retry_after_s;
-    response.body = ErrorBody(Status::FailedPrecondition(
-        "deadline of " + std::to_string(deadline_ms) +
-        "ms exceeded during execution"));
-    stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
-    return response;
+    return call.DeadlineExceeded("exceeded during execution");
   }
 
   // ---- 200 body ----
@@ -621,23 +497,22 @@ Response SearchService::HandleSearch(const HttpRequest& request,
   body += ",\"optimizations\":\"";
   JsonAppendEscaped(&body, result->applied_optimizations);
   body += "\",\"timings\":{";
-  AppendMsField(&body, "queue_ms", static_cast<double>(queued_micros));
+  AppendMsField(&body, "queue_ms", static_cast<double>(call.queued_micros));
   body += ",";
   AppendMsField(&body, "engine_ms", static_cast<double>(engine_micros));
   body += ",";
-  AppendMsField(&body, "total_ms",
-                static_cast<double>(queued_micros + MicrosSince(handle_start)));
+  AppendMsField(&body, "total_ms", static_cast<double>(call.elapsed_micros()));
   body += "},\"exec\":{";
   common::AppendJsonCounters(&body, result->exec_stats, BriefExecCounters());
   body += "},";
-  if (explain) {
+  if (call.explain) {
     AppendExplainBlock(&body, *result, trace, pinned_generation);
     body += ",";
   }
   body += FormatResultsFragment(result->results);
   body += "}";
+  Response response;
   response.body = std::move(body);
-  stats_.search_latency.Record(queued_micros + MicrosSince(handle_start));
   return response;
 }
 

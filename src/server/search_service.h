@@ -26,29 +26,16 @@
 //   GET /healthz -> 200 {"status":"ok"|"degraded",...} — used by probes.
 //   GET /admin/reload -> swap in a freshly loaded engine (see below).
 //
-// Concurrency model (DESIGN.md §2c): the service runs on the shared
-// connection layer, server::HttpServer (server/http_server.h):
-//   * one epoll reactor thread accepts and watches connections, which are
-//     persistent by HTTP/1.1 rules (keep-alive unless the client says
-//     close); requests run as tasks on a handler pool;
-//   * admission control is per request: an atomic in-flight count
-//     (running + queued handlers) is capped at max_inflight, and a request
-//     over the cap gets an immediate 503 from the reactor and its
-//     connection is closed — the pool queue can never grow beyond
-//     max_inflight, so overload degrades into fast rejections, not
-//     latency collapse;
-//   * idle connections close after io_timeout_ms, and at most max_inflight
-//     kept-alive connections wait at once;
-//   * per-request deadlines are measured from admission: a request whose
-//     deadline elapsed while queued is answered 504 without touching the
-//     engine, and one that exceeds it during execution is answered 504
-//     after the fact (the engine is not preemptible mid-query);
-//   * 503 and 504 responses carry a Retry-After header so well-behaved
-//     clients back off instead of hammering an overloaded server;
-//   * Shutdown() stops accepting, closes idle connections, drains every
-//     admitted request to a written response, then joins the pool —
-//     in-flight work is never dropped (SIGINT/SIGTERM in graft_server map
-//     to exactly this).
+// Concurrency model (DESIGN.md §2c): the service sits behind the /search
+// front it shares with the router (server/search_front.h), which parses
+// the shared parameters, applies the deadline (measured from admission:
+// a request whose deadline elapsed while queued is answered 504 without
+// touching the engine, one that exceeds it during execution 504 after the
+// fact — the engine is not preemptible mid-query) and records latency,
+// over the connection layer server::HttpServer (server/http_server.h):
+// epoll reactor, handler pool, per-request admission with a fast 503,
+// keep-alive, and a Shutdown() that drains every admitted request
+// (SIGINT/SIGTERM in graft_server map to exactly this).
 //
 // Hot reload (DESIGN.md §2d): the engine is held behind a mutex-guarded
 // shared_ptr snapshot (one uncontended pointer copy per request — noise
@@ -68,10 +55,10 @@
 #define GRAFT_SERVER_SEARCH_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -80,31 +67,14 @@
 #include "ma/match_table.h"
 #include "server/http.h"
 #include "server/http_server.h"
+#include "server/search_front.h"
 #include "server/server_stats.h"
 
 namespace graft::server {
 
-struct ServiceOptions {
-  // 0 = kernel-assigned ephemeral port (tests; read back via port()).
-  uint16_t port = 0;
-  // Handler pool workers. 0 = hardware concurrency.
-  size_t handler_threads = 0;
-  // Admission cap: max requests admitted but not yet answered (queued +
-  // executing). Beyond it, requests get an immediate 503. Also the most
-  // kept-alive connections left waiting at once.
-  size_t max_inflight = 64;
-  // Deadline applied when the client sends no deadline_ms; client values
-  // are clamped to max_deadline_ms.
-  uint64_t default_deadline_ms = 2000;
-  uint64_t max_deadline_ms = 30000;
-  // k applied when the client sends no k (0 = all matching documents).
-  size_t default_top_k = 10;
-  size_t max_top_k = 10000;
-  // Per-connection socket send/receive timeout, and how long an idle
-  // connection stays open waiting for its next request.
-  int io_timeout_ms = 5000;
-  // Seconds advertised in the Retry-After header of 503/504 responses.
-  unsigned retry_after_s = 1;
+// The shared connection fields and /search limits (FrontOptions), plus the
+// server's own.
+struct ServiceOptions : FrontOptions {
   // Reload source: when non-empty, /admin/reload (and SIGHUP in
   // graft_server) reloads the bundle from this file with the partitioning
   // below. Empty = reload unsupported (e.g. in-memory test engines).
@@ -161,7 +131,7 @@ class SearchService {
   Status Reload();
 
   // Valid after Start(); the actual bound port.
-  uint16_t port() const { return http_.port(); }
+  uint16_t port() const { return front_.port(); }
 
   const ServerStats& stats() const { return stats_; }
 
@@ -175,11 +145,13 @@ class SearchService {
   // serving).
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
-  // Routes one parsed request to a response. Pure apart from stats
-  // recording; exposed so tests can drive the handler without sockets.
-  // `queued_micros` is how long the request waited before handling;
-  // `deadline_micros_left` < 0 means the deadline already elapsed.
-  Response Handle(const HttpRequest& request, uint64_t queued_micros);
+  // Routes one parsed request to a response through the shared front.
+  // Pure apart from stats recording; exposed so tests can drive the
+  // handler without sockets. `queued_micros` is how long the request
+  // waited for a handler; it counts against the request's deadline.
+  Response Handle(const HttpRequest& request, uint64_t queued_micros) {
+    return front_.Handle(request, queued_micros);
+  }
 
   // The exact `"results":[...]` JSON fragment for a result list — scores
   // rendered with %.17g round-trip precision. Tests compare this against
@@ -194,7 +166,11 @@ class SearchService {
                                  const exec::ExecStats& stats);
 
  private:
-  Response HandleSearch(const HttpRequest& request, uint64_t queued_micros);
+  // The front over this service's handlers (constructed in place).
+  SearchFront MakeFront();
+  Response HandleSearch(const SearchCall& call);
+  // Every path but /search; nullopt for an unknown one.
+  std::optional<Response> HandleEndpoint(const HttpRequest& request);
   Response HandleShardStats(const HttpRequest& request);
   Response HandleStats() const;
   Response HandleMetrics() const;
@@ -231,10 +207,9 @@ class SearchService {
   std::atomic<bool> degraded_{false};
 
   ServerStats stats_;
-  std::chrono::steady_clock::time_point started_at_;
   // Declared last: shut down (by the destructor) while everything its
   // handlers use is still alive.
-  HttpServer http_;
+  SearchFront front_;
 };
 
 }  // namespace graft::server

@@ -148,7 +148,7 @@ std::string SchemeCounters::ToJson() const {
   return out;
 }
 
-void ServerStats::RecordResponseCode(int status_code) {
+void RequestCounters::RecordResponseCode(int status_code) {
   if (status_code >= 200 && status_code < 300) {
     responses_ok.fetch_add(1, std::memory_order_relaxed);
   } else if (status_code >= 400 && status_code < 500) {

@@ -74,31 +74,39 @@ class SchemeCounters {
   std::vector<std::atomic<uint64_t>> counts_;
 };
 
-// The counters the connection layer (server/http_server.h) keeps for the
-// service it fronts. Every request it admits or rejects counts once in
+// The counters every HTTP service keeps. The connection layer
+// (server/http_server.h) counts each request it admits or rejects once in
 // requests_total and once, by status code, in RecordResponseCode — before
 // its response is written, so a client that has read a response (and then
-// /stats) always finds it counted.
+// /stats) always finds it counted. The /search front
+// (server/search_front.h) records every /search response's latency.
+//
+// The outcome counters are disjoint: responses_ok + client_errors +
+// server_errors + rejected_overload + deadline_exceeded == requests_total
+// (once all in-flight requests have drained).
 struct RequestCounters {
   std::atomic<uint64_t> connections_accepted{0};  // TCP connections
   std::atomic<uint64_t> requests_total{0};        // requests received
   std::atomic<uint64_t> malformed_requests{0};    // unparsable HTTP (4xx)
-
-  virtual void RecordResponseCode(int status_code) = 0;
-
- protected:
-  ~RequestCounters() = default;
-};
-
-// The outcome counters are disjoint: responses_ok + client_errors +
-// server_errors + rejected_overload + deadline_exceeded == requests_total
-// (once all in-flight requests have drained).
-struct ServerStats final : RequestCounters {
   std::atomic<uint64_t> responses_ok{0};          // 2xx
   std::atomic<uint64_t> client_errors{0};         // 4xx
-  std::atomic<uint64_t> server_errors{0};         // 5xx except 503/504
+  // 5xx except 503/504 (and any non-2xx/4xx code); the router renders it
+  // as bad_gateway, since its 5xx are the 502s of failed shards.
+  std::atomic<uint64_t> server_errors{0};
   std::atomic<uint64_t> rejected_overload{0};     // 503 (admission/shutdown)
   std::atomic<uint64_t> deadline_exceeded{0};     // 504
+  LatencyHistogram search_latency;                // /search only, all codes
+  SchemeCounters scheme_counts;
+
+  // Classifies a response code into exactly one outcome counter:
+  // 2xx -> responses_ok, 4xx -> client_errors, 503 -> rejected_overload,
+  // 504 -> deadline_exceeded, any other code -> server_errors.
+  void RecordResponseCode(int status_code);
+};
+
+// SearchService's counters: the shared ones plus reload, router-fence and
+// pruning outcomes.
+struct ServerStats final : RequestCounters {
   // Hot-reload outcomes (/admin/reload + SIGHUP); not part of the
   // request-outcome identity above.
   std::atomic<uint64_t> reloads_ok{0};
@@ -129,13 +137,6 @@ struct ServerStats final : RequestCounters {
   // exec::ExecStats::kMaxRules (static_assert in the .cc).
   static constexpr size_t kMaxRules = 16;
   std::atomic<uint64_t> rule_fired[kMaxRules] = {};
-  LatencyHistogram search_latency;                // /search only, all codes
-  SchemeCounters scheme_counts;
-
-  // Classifies a response code into exactly one outcome counter:
-  // 2xx -> responses_ok, 4xx -> client_errors, 503 -> rejected_overload,
-  // 504 -> deadline_exceeded, other 5xx -> server_errors.
-  void RecordResponseCode(int status_code) override;
 
   // Full /stats JSON document.
   std::string ToJson() const;

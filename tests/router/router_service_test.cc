@@ -2,11 +2,17 @@
 // front of three live shard servers. Covers the HTTP contract (bit-identical
 // merged rankings, the always-present degradation fields, explain, /stats,
 // /metrics, /healthz), input validation, partial degradation over HTTP when
-// a shard dies, and fail-fast startup on an occupied port.
+// a shard dies, and fail-fast startup on an occupied port — plus the /search
+// front the router shares with SearchService, driven against both.
 
 #include "router/router_service.h"
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -299,7 +305,7 @@ TEST(RouterServiceTest, ShardDeathDegradesOverHttp) {
   const auto cold = Get(router.port(),
                         SearchTarget("emulator windows foss", "MeanSum", 10));
   EXPECT_EQ(cold.status_code, 502) << cold.body;
-  EXPECT_GE(router.stats().bad_gateway.load(), 1u);
+  EXPECT_GE(router.stats().server_errors.load(), 1u);  // bad_gateway
   router.Shutdown();
 }
 
@@ -339,6 +345,114 @@ TEST(RouterServiceTest, StartFailsFastWhenPortTaken) {
   EXPECT_NE(status.message().find("already in use"), std::string::npos)
       << status;
   squatter.Close();
+}
+
+// Sends `method target` over a fresh connection; returns the status line's
+// code (0 when no response arrived) and the body in `body`.
+int RawRequest(uint16_t port, const std::string& method,
+               const std::string& target, std::string* body) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      server::SendAll(fd, method + " " + target +
+                              " HTTP/1.1\r\nConnection: close\r\n\r\n")
+          .ok()) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) reply.append(buf, n);
+  }
+  ::close(fd);
+  const size_t head_end = reply.find("\r\n\r\n");
+  if (reply.rfind("HTTP/1.1 ", 0) != 0 || head_end == std::string::npos) {
+    return 0;
+  }
+  *body = reply.substr(head_end + 4);
+  return std::stoi(reply.substr(9, 3));
+}
+
+// One table of malformed requests against both services that share the
+// /search front: the same code and an "error" body from each, and one
+// latency sample per /search the front answered.
+TEST(SearchFrontTest, ServerAndRouterAnswerOneMalformedTable) {
+  Fixture& fixture = Shared();
+  // Fresh services, so their counters start at zero: a server over shard
+  // 0's engine, and a router over the shared shards.
+  server::SearchService service(fixture.shard_bundles[0].engine.get(),
+                                LenientShardOptions());
+  ASSERT_TRUE(service.Start().ok());
+  std::vector<std::vector<uint16_t>> ports;
+  for (const auto& shard : fixture.shards) ports.push_back({shard->port()});
+  RouterService router(ports, LenientRouterOptions());
+  ASSERT_TRUE(router.Start().ok());
+
+  const struct {
+    const char* method;
+    const char* target;
+    int server_code;
+    int router_code;
+    // Answered by the /search front (and so timed): not a %zz target,
+    // which the connection layer refuses before routing, nor a non-GET,
+    // which the front refuses before routing.
+    bool searched;
+  } cases[] = {
+      {"GET", "/search?scheme=MeanSum", 400, 400, true},        // missing q
+      {"GET", "/search?q=", 400, 400, true},                    // empty q
+      {"GET", "/search?q=software&k=banana", 400, 400, true},   // non-numeric k
+      {"GET", "/search?q=software&k=-1", 400, 400, true},       // negative k
+      {"GET", "/search?q=software&k=999999999", 400, 400, true},  // k > max
+      // k=0: all matches from a server; a router refuses unbounded sets.
+      {"GET", "/search?q=software&k=0", 200, 400, true},
+      {"GET", "/search?q=software&deadline_ms=0", 400, 400, true},
+      {"GET", "/search?q=software&deadline_ms=soon", 400, 400, true},
+      {"GET", "/search?q=software&scheme=NoSuch", 404, 404, true},
+      {"GET", "/search?q=%28unbalanced", 400, 400, true},       // parse error
+      {"GET", "/search?q=%zz", 400, 400, false},                // bad escape
+      {"GET", "/nosuch", 404, 404, false},                      // unknown path
+      {"DELETE", "/search?q=software", 405, 405, false},        // not GET
+  };
+  uint64_t searched = 0;
+  for (const auto& test_case : cases) {
+    const struct {
+      const char* name;
+      uint16_t port;
+      int expected;
+    } fronts[] = {{"server", service.port(), test_case.server_code},
+                  {"router", router.port(), test_case.router_code}};
+    for (const auto& front : fronts) {
+      std::string body;
+      EXPECT_EQ(RawRequest(front.port, test_case.method, test_case.target,
+                           &body),
+                front.expected)
+          << front.name << " " << test_case.method << " "
+          << test_case.target << ": " << body;
+      if (front.expected != 200) {
+        EXPECT_NE(body.find("\"error\""), std::string::npos)
+            << front.name << " " << test_case.target << ": " << body;
+      }
+    }
+    if (test_case.searched) ++searched;
+  }
+
+  // Every response was counted before it was written, so the counters are
+  // complete once the last reply has been read.
+  const server::RequestCounters* counters[] = {&service.stats(),
+                                               &router.stats()};
+  for (const server::RequestCounters* stats : counters) {
+    EXPECT_EQ(stats->search_latency.count(), searched);
+    EXPECT_EQ(stats->requests_total.load(), std::size(cases));
+    EXPECT_EQ(stats->responses_ok.load() + stats->client_errors.load() +
+                  stats->server_errors.load() +
+                  stats->rejected_overload.load() +
+                  stats->deadline_exceeded.load(),
+              stats->requests_total.load());
+  }
+  router.Shutdown();
+  service.Shutdown();
 }
 
 }  // namespace

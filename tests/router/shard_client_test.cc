@@ -28,7 +28,7 @@ namespace {
 class KeepAliveStub {
  public:
   KeepAliveStub(std::function<server::Response()> reply, uint16_t port = 0)
-      : http_(Options(port),
+      : http_("stub", Options(port),
               [reply = std::move(reply)](const server::HttpRequest&,
                                          uint64_t) { return reply(); },
               &counters_) {}
@@ -48,10 +48,6 @@ class KeepAliveStub {
   uint64_t requests() const { return counters_.requests_total.load(); }
 
  private:
-  struct Counters final : server::RequestCounters {
-    void RecordResponseCode(int) override {}
-  };
-
   static server::HttpServerOptions Options(uint16_t port) {
     server::HttpServerOptions options;
     options.port = port;
@@ -59,7 +55,7 @@ class KeepAliveStub {
     return options;
   }
 
-  Counters counters_;
+  server::RequestCounters counters_;
   server::HttpServer http_;
 };
 

@@ -151,7 +151,7 @@ TEST(CounterBytesTest, RouterStatsAndMetrics) {
   stats.connections_accepted = 202;
   stats.responses_ok = 203;
   stats.client_errors = 204;
-  stats.bad_gateway = 205;
+  stats.server_errors = 205;  // rendered as bad_gateway
   stats.rejected_overload = 206;
   stats.deadline_exceeded = 207;
   stats.malformed_requests = 208;

@@ -196,10 +196,10 @@ TEST(MetricsTest, PrometheusExpositionConformsAndCountsTraffic) {
   EXPECT_GE(samples.at("graft_requests_total"), kSearches + 1);
   EXPECT_GE(samples.at("graft_responses_ok_total"), kSearches);
   EXPECT_GE(samples.at("graft_client_errors_total"), 1);
-  // The missing-q 400 short-circuits before latency recording, so only
-  // the successful searches contribute samples.
+  // Every /search response is a latency sample, whatever its code: the
+  // successful searches and the missing-q 400.
   EXPECT_EQ(samples.at("graft_search_latency_microseconds_count"),
-            kSearches);
+            kSearches + 1);
   EXPECT_GT(samples.at("graft_search_latency_microseconds_sum"), 0);
   for (const char* quantile : {"0.5", "0.95", "0.99"}) {
     EXPECT_TRUE(samples.count(
