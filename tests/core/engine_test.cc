@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
 
+#include "core/canonical_plan.h"
+#include "core/optimizer.h"
 #include "core/rewrite_rules.h"
 #include "index/index_io.h"
+#include "mcalc/parser.h"
 #include "text/corpus.h"
 #include "text/tokenizer.h"
 
@@ -104,6 +108,89 @@ TEST(EngineTest, SweepExecCountersPinned) {
     // Full ranking runs no top-k operator and an in-heap index no cache.
     EXPECT_EQ(total.*counter.member, it == pinned.end() ? 0 : it->second)
         << counter.name;
+  }
+}
+
+// FNV-1a over a string, as 16 hex digits.
+std::string Digest(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : text) {
+    hash = (hash ^ c) * 1099511628211ull;
+  }
+  char out[17];
+  std::snprintf(out, sizeof(out), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return out;
+}
+
+TEST(EngineTest, SweepPlanTextPinned) {
+  // One digest per option set over the sweep's queries × the eight built-in
+  // schemes: the optimized plan's text, its applied list and its rewrite
+  // table, or the canonical plan's text. A refactor of the plan builders
+  // must leave every byte (and so every digest) where it is.
+  std::vector<std::string> queries;
+  for (const EngineCase& c : SweepCases()) {
+    if (std::find(queries.begin(), queries.end(), c.query) == queries.end()) {
+      queries.push_back(c.query);
+    }
+  }
+  const char* const kSchemes[] = {"AnySum",  "AnyProd",        "SumBest",
+                                  "Lucene",  "JoinNormalized", "EventModel",
+                                  "MeanSum", "BestSumMinDist"};
+  const RewriteRuleRegistry& registry = RewriteRuleRegistry::Global();
+  std::vector<std::pair<std::string, OptimizerOptions>> option_sets = {
+      {"default", OptimizerOptions{}}, {"all_off", registry.AllRulesOff()}};
+  for (const RewriteRule& rule : registry.All()) {
+    if (rule.stage == RuleStage::kPlan) {
+      option_sets.emplace_back("only_" + rule.id,
+                               registry.OnlyRuleOptions(rule));
+    }
+  }
+  std::map<std::string, std::string> digests;
+  std::string canonical_text;
+  for (const auto& [name, options] : option_sets) {
+    std::string text;
+    for (const std::string& query_text : queries) {
+      auto query = mcalc::ParseQuery(query_text);
+      ASSERT_TRUE(query.ok()) << query_text;
+      for (const char* scheme_name : kSchemes) {
+        const sa::ScoringScheme* scheme =
+            sa::SchemeRegistry::Global().Lookup(scheme_name);
+        ASSERT_NE(scheme, nullptr) << scheme_name;
+        auto plan = Optimizer(scheme, options).Optimize(*query, CorpusIndex());
+        ASSERT_TRUE(plan.ok()) << query_text << " / " << scheme_name;
+        text += ma::PlanToString(*plan->plan) + plan->AppliedToString() +
+                "\n" + FormatRewriteAttempts(plan->attempts);
+        if (name == "default") {
+          auto canonical = BuildCanonicalPlan(*query, *scheme);
+          ASSERT_TRUE(canonical.ok()) << query_text << " / " << scheme_name;
+          ASSERT_TRUE(
+              ma::ResolvePlan(canonical->plan.get(), CorpusIndex()).ok());
+          canonical_text += ma::PlanToString(*canonical->plan);
+        }
+      }
+    }
+    digests[name] = Digest(text);
+  }
+  digests["canonical"] = Digest(canonical_text);
+  const std::map<std::string, std::string> pinned = {
+      {"all_off", "6406dc2568fea829"},
+      {"canonical", "5a16fe55aa40a39d"},
+      {"default", "ea7f6a36cbb1353e"},
+      {"only_alternate_elimination", "c04c1a39c0cf2ced"},
+      {"only_eager_aggregation", "5dae51f178b3edeb"},
+      {"only_eager_counting", "31dc67c8efc49460"},
+      {"only_forward_scan_join", "c04c1a39c0cf2ced"},
+      {"only_join_reordering", "08cce9d7a043e831"},
+      {"only_pre_counting", "740b181d4101d703"},
+      {"only_selection_pushing", "459679e015f67e31"},
+      {"only_sort_elimination", "4c3b3472cb7690e5"},
+      {"only_zigzag_join", "6406dc2568fea829"},
+  };
+  EXPECT_EQ(digests.size(), pinned.size());
+  for (const auto& [name, digest] : digests) {
+    const auto it = pinned.find(name);
+    EXPECT_EQ(digest, it == pinned.end() ? "" : it->second) << name;
   }
 }
 
