@@ -117,65 +117,117 @@ sa::QueryContext MakeQueryContext(const mcalc::Query& query) {
   return ctx;
 }
 
+ma::ScoreExprPtr RowScore(const PhiNode& phi,
+                          const std::set<mcalc::VarId>& counted) {
+  return PhiToScoreExpr(phi, [&counted](mcalc::VarId var) {
+    return counted.count(var) != 0
+               ? ma::ScoreExpr::InitFromCount(ma::CountColumn(var))
+               : ma::ScoreExpr::InitPos(ma::PosColumn(var));
+  });
+}
+
+ma::PlanNodePtr ColumnFirstScoring(ma::PlanNodePtr matching,
+                                   const PhiNode& phi,
+                                   const std::vector<mcalc::VarId>& vars,
+                                   const std::set<mcalc::VarId>& aggregated,
+                                   const std::string& count_column) {
+  // π applies α to each cell still in position form; aggregated columns
+  // and the count column pass through.
+  std::vector<ma::ProjectItem> alpha_items;
+  for (const mcalc::VarId var : vars) {
+    if (aggregated.count(var) == 0) {
+      alpha_items.push_back(ma::ProjectItem::Scored(
+          ma::ScoreColumn(var), ma::ScoreExpr::InitPos(ma::PosColumn(var))));
+    }
+  }
+  for (const mcalc::VarId var : vars) {
+    if (aggregated.count(var) != 0) {
+      alpha_items.push_back(ma::ProjectItem::Passthrough(ma::ScoreColumn(var)));
+    }
+  }
+  if (!count_column.empty()) {
+    alpha_items.push_back(ma::ProjectItem::Passthrough(count_column));
+  }
+  ma::PlanNodePtr plan =
+      ma::MakeProject(std::move(matching), std::move(alpha_items));
+
+  // γ_d ⊕-folds each column. A position-form column's rows each stand for
+  // `count_column` match rows; an aggregated column folds over the
+  // document's remaining rows, which scales it by their multiplicity.
+  ma::GroupSpec group;
+  for (const mcalc::VarId var : vars) {
+    if (aggregated.count(var) == 0) {
+      group.score_aggs.push_back(
+          {ma::ScoreColumn(var), ma::ScoreColumn(var), count_column});
+    }
+  }
+  for (const mcalc::VarId var : vars) {
+    if (aggregated.count(var) != 0) {
+      group.score_aggs.push_back(
+          {ma::ScoreColumn(var), ma::ScoreColumn(var), ""});
+    }
+  }
+  plan = ma::MakeGroup(std::move(plan), std::move(group));
+
+  // π evaluates Φ over the column scores and applies ω.
+  std::vector<ma::ProjectItem> final_items;
+  final_items.push_back(ma::ProjectItem::Scored(
+      ma::kFinalScoreColumn, PhiToScoreExpr(phi, [](mcalc::VarId var) {
+        return ma::ScoreExpr::ColRef(ma::ScoreColumn(var));
+      }),
+      /*finalize=*/true));
+  return ma::MakeProject(std::move(plan), std::move(final_items));
+}
+
+ma::PlanNodePtr RowFirstScoring(ma::PlanNodePtr matching, const PhiNode& phi,
+                                const std::vector<mcalc::VarId>& vars,
+                                const std::set<mcalc::VarId>& counted) {
+  // π scores each row via α and Φ. Each counted row stands for the product
+  // of its counts many match rows with equal scores: that product weights it.
+  std::vector<ma::ProjectItem> row_items;
+  row_items.push_back(
+      ma::ProjectItem::Scored(ma::kRowScoreColumn, RowScore(phi, counted)));
+  std::vector<std::string> count_columns;
+  for (const mcalc::VarId var : vars) {
+    if (counted.count(var) != 0) {
+      count_columns.push_back(ma::CountColumn(var));
+    }
+  }
+  std::string weight_column;
+  if (!count_columns.empty()) {
+    weight_column = ma::kRowWeightColumn;
+    row_items.push_back(ma::ProjectItem::CountProduct(
+        weight_column, std::move(count_columns)));
+  }
+  ma::PlanNodePtr plan =
+      ma::MakeProject(std::move(matching), std::move(row_items));
+
+  // γ_d aggregates the rows with ⊕; π applies ω.
+  ma::GroupSpec group;
+  group.score_aggs.push_back(
+      {ma::kRowScoreColumn, ma::kRowScoreColumn, weight_column});
+  plan = ma::MakeGroup(std::move(plan), std::move(group));
+
+  std::vector<ma::ProjectItem> final_items;
+  final_items.push_back(ma::ProjectItem::Scored(
+      ma::kFinalScoreColumn, ma::ScoreExpr::ColRef(ma::kRowScoreColumn),
+      /*finalize=*/true));
+  return ma::MakeProject(std::move(plan), std::move(final_items));
+}
+
 StatusOr<CanonicalBuild> BuildCanonicalPlan(const mcalc::Query& query,
                                             const sa::ScoringScheme& scheme) {
   CanonicalBuild build;
   GRAFT_ASSIGN_OR_RETURN(build.phi, DeriveScoringPlan(query));
   GRAFT_ASSIGN_OR_RETURN(ma::PlanNodePtr matching,
                          BuildMatchingSubplan(query));
-
-  const std::vector<mcalc::VarId> vars =
-      mcalc::FreeVariables(*query.root);
-  const sa::Direction direction = scheme.properties().direction;
-  build.direction_used = direction == sa::Direction::kRowFirst
-                             ? sa::Direction::kRowFirst
-                             : sa::Direction::kColumnFirst;
-
-  if (build.direction_used == sa::Direction::kRowFirst) {
-    // Plan 6: π scores each row via α and Φ, γ_d aggregates rows with ⊕,
-    // π applies ω.
-    std::vector<ma::ProjectItem> row_score;
-    row_score.push_back(ma::ProjectItem::Scored(
-        "s", PhiToScoreExpr(*build.phi, [](mcalc::VarId var) {
-          return ma::ScoreExpr::InitPos("p" + std::to_string(var));
-        })));
-    ma::PlanNodePtr plan =
-        ma::MakeProject(std::move(matching), std::move(row_score));
-
-    ma::GroupSpec group;
-    group.score_aggs.push_back({"s", "s", ""});
-    plan = ma::MakeGroup(std::move(plan), std::move(group));
-
-    std::vector<ma::ProjectItem> final_items;
-    final_items.push_back(ma::ProjectItem::Scored(
-        "score", ma::ScoreExpr::ColRef("s"), /*finalize=*/true));
-    build.plan = ma::MakeProject(std::move(plan), std::move(final_items));
+  const std::vector<mcalc::VarId> vars = mcalc::FreeVariables(*query.root);
+  if (scheme.properties().direction == sa::Direction::kRowFirst) {
+    build.direction_used = sa::Direction::kRowFirst;
+    build.plan = RowFirstScoring(std::move(matching), *build.phi, vars);
   } else {
-    // Plan 5: π applies α per cell, γ_d aggregates each column with ⊕,
-    // π evaluates Φ over the column scores and applies ω.
-    std::vector<ma::ProjectItem> alpha_items;
-    for (const mcalc::VarId var : vars) {
-      alpha_items.push_back(ma::ProjectItem::Scored(
-          "s" + std::to_string(var),
-          ma::ScoreExpr::InitPos("p" + std::to_string(var))));
-    }
-    ma::PlanNodePtr plan =
-        ma::MakeProject(std::move(matching), std::move(alpha_items));
-
-    ma::GroupSpec group;
-    for (const mcalc::VarId var : vars) {
-      const std::string name = "s" + std::to_string(var);
-      group.score_aggs.push_back({name, name, ""});
-    }
-    plan = ma::MakeGroup(std::move(plan), std::move(group));
-
-    std::vector<ma::ProjectItem> final_items;
-    final_items.push_back(ma::ProjectItem::Scored(
-        "score", PhiToScoreExpr(*build.phi, [](mcalc::VarId var) {
-          return ma::ScoreExpr::ColRef("s" + std::to_string(var));
-        }),
-        /*finalize=*/true));
-    build.plan = ma::MakeProject(std::move(plan), std::move(final_items));
+    build.direction_used = sa::Direction::kColumnFirst;
+    build.plan = ColumnFirstScoring(std::move(matching), *build.phi, vars);
   }
   return build;
 }

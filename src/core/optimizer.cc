@@ -1,7 +1,6 @@
 #include "core/optimizer.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <tuple>
 
@@ -15,10 +14,6 @@ using ma::OpKind;
 using ma::PlanNode;
 using ma::PlanNodePtr;
 using mcalc::VarId;
-
-std::string PosCol(VarId var) { return "p" + std::to_string(var); }
-std::string ScoreCol(VarId var) { return "s" + std::to_string(var); }
-std::string CntCol(VarId var) { return "c" + std::to_string(var); }
 
 // ---------------------------------------------------------------------
 // Join reordering (always score-consistent: the match table, not the join
@@ -194,113 +189,74 @@ PlanNodePtr PlacePredicate(PlanNodePtr node, mcalc::PredicateCall call) {
 // Leaf strategies.
 // ---------------------------------------------------------------------
 
-struct StrategyContext {
-  const sa::SchemeProperties* props = nullptr;
-  std::set<VarId> predicate_vars;  // variables referenced by any predicate
-  bool use_pre_count = false;
-  bool use_alt_elim = false;
-  // Output bookkeeping.
-  std::set<VarId> counted_vars;     // replaced by a counted leaf
-  std::set<VarId> aggregated_vars;  // replaced by an aggregated leaf
-  int next_combined_count = 0;
-};
-
-bool AtomIsFree(const PlanNode& atom, const StrategyContext& ctx) {
-  return atom.kind == OpKind::kAtom &&
-         ctx.predicate_vars.count(atom.var) == 0;
-}
-
-// Path A/C leaf rewrite: predicate-free atoms become counted leaves —
-// CA(k) when pre-counting is valid, otherwise γ_{d|c:COUNT}(π_d(A(k)))
-// (classical eager counting; physically a position scan that only emits
-// counts). Applies inside unions too: padded counts encode ∅ as 0.
-// `allow_in_union` is false for the eager-aggregation path.
-PlanNodePtr RewriteCountedLeaves(PlanNodePtr node, StrategyContext* ctx,
-                                 bool in_union, bool in_anti_right,
-                                 bool allow_in_union) {
-  if (AtomIsFree(*node, *ctx) && !in_anti_right &&
-      (!in_union || allow_in_union)) {
-    const VarId var = node->var;
-    ctx->counted_vars.insert(var);
-    if (ctx->use_pre_count) {
-      return ma::MakePreCountAtom(node->keyword, CntCol(var));
+// Calls `leaf` on every atom no predicate references, except on the anti
+// side of ▷ (which binds no output variables) and, when `outside_unions`
+// is set, under ⊎; each rewritten atom's variable joins `rewritten`.
+template <typename Leaf>
+PlanNodePtr RewriteFreeLeaves(PlanNodePtr node,
+                              const std::set<VarId>& predicate_vars,
+                              bool outside_unions, const Leaf& leaf,
+                              std::set<VarId>* rewritten,
+                              bool in_union = false, bool in_anti = false) {
+  if (node->kind == OpKind::kAtom) {
+    if (predicate_vars.count(node->var) == 0 && !in_anti &&
+        !(outside_unions && in_union)) {
+      rewritten->insert(node->var);
+      return leaf(std::move(node));
     }
-    // γ_{d | c:COUNT(*)}(π_d(A)) — the eager-counting equivalence.
-    const std::string keyword = node->keyword;
-    PlanNodePtr projected =
-        ma::MakeProject(std::move(node), std::vector<ma::ProjectItem>{});
-    ma::GroupSpec spec;
-    spec.count_output = CntCol(var);
-    spec.count_keyword = keyword;
-    return ma::MakeGroup(std::move(projected), std::move(spec));
+    return node;
   }
   for (size_t i = 0; i < node->children.size(); ++i) {
-    const bool child_in_union =
-        in_union || node->kind == OpKind::kOuterUnion;
-    const bool child_in_anti_right =
-        in_anti_right || (node->kind == OpKind::kAntiJoin && i == 1);
-    node->children[i] = RewriteCountedLeaves(
-        std::move(node->children[i]), ctx, child_in_union,
-        child_in_anti_right, allow_in_union);
+    node->children[i] = RewriteFreeLeaves(
+        std::move(node->children[i]), predicate_vars, outside_unions, leaf,
+        rewritten, in_union || node->kind == OpKind::kOuterUnion,
+        in_anti || (node->kind == OpKind::kAntiJoin && i == 1));
   }
   return node;
 }
 
-// Path A leaf rewrite without pre-counting: δ_A over predicate-free atoms
-// (first position per document is enough for constant schemes; physically
-// the scan skips the rest of the document's positions).
-PlanNodePtr RewriteAltElimLeaves(PlanNodePtr node, StrategyContext* ctx,
-                                 bool in_anti_right) {
-  if (AtomIsFree(*node, *ctx) && !in_anti_right) {
-    return ma::MakeAltElim(std::move(node));
+// Counted leaf (Paths A and C): CA(k) when pre-counting is valid, otherwise
+// γ_{d|c:COUNT}(π_d(A(k))) (classical eager counting; physically a position
+// scan that only emits counts). Valid inside unions too: padded counts
+// encode ∅ as 0.
+PlanNodePtr CountedLeaf(PlanNodePtr atom, bool pre_count) {
+  const std::string count = ma::CountColumn(atom->var);
+  if (pre_count) {
+    return ma::MakePreCountAtom(atom->keyword, count);
   }
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    const bool child_in_anti_right =
-        in_anti_right || (node->kind == OpKind::kAntiJoin && i == 1);
-    node->children[i] = RewriteAltElimLeaves(std::move(node->children[i]),
-                                             ctx, child_in_anti_right);
-  }
-  return node;
+  ma::GroupSpec spec;
+  spec.count_output = count;
+  spec.count_keyword = atom->keyword;
+  PlanNodePtr projected =
+      ma::MakeProject(std::move(atom), std::vector<ma::ProjectItem>{});
+  return ma::MakeGroup(std::move(projected), std::move(spec));
 }
 
-// Path B leaf rewrite: predicate-free atoms outside unions become
-// aggregated leaves carrying (s_v, c_v): the column's ⊕-fold and its row
-// count. With pre-counting: π{s_v := α⊗(c_v) ⊗ c_v, c_v}(CA(k));
-// otherwise: γ_{d | s_v:⊕(s_v), c_v:COUNT}(π{s_v:α(p_v)}(A(k))).
-PlanNodePtr RewriteAggregatedLeaves(PlanNodePtr node, StrategyContext* ctx,
-                                    bool in_union, bool in_anti_right) {
-  if (AtomIsFree(*node, *ctx) && !in_union && !in_anti_right) {
-    const VarId var = node->var;
-    ctx->aggregated_vars.insert(var);
-    if (ctx->use_pre_count) {
-      PlanNodePtr ca = ma::MakePreCountAtom(node->keyword, CntCol(var));
-      std::vector<ma::ProjectItem> items;
-      items.push_back(ma::ProjectItem::Scored(
-          ScoreCol(var),
-          ma::ScoreExpr::ScaleByCount(
-              ma::ScoreExpr::InitFromCount(CntCol(var)), CntCol(var))));
-      items.push_back(ma::ProjectItem::Passthrough(CntCol(var)));
-      return ma::MakeProject(std::move(ca), std::move(items));
-    }
-    std::vector<ma::ProjectItem> alpha;
-    alpha.push_back(ma::ProjectItem::Scored(
-        ScoreCol(var), ma::ScoreExpr::InitPos(PosCol(var))));
-    PlanNodePtr projected = ma::MakeProject(std::move(node), std::move(alpha));
-    ma::GroupSpec spec;
-    spec.score_aggs.push_back({ScoreCol(var), ScoreCol(var), ""});
-    spec.count_output = CntCol(var);
-    return ma::MakeGroup(std::move(projected), std::move(spec));
+// Aggregated leaf (Path B, outside unions): carries (s_v, c_v), the
+// column's ⊕-fold and its row count. With pre-counting:
+// π{s_v := α⊗(c_v) ⊗ c_v, c_v}(CA(k)); otherwise:
+// γ_{d | s_v:⊕(s_v), c_v:COUNT}(π{s_v:α(p_v)}(A(k))).
+PlanNodePtr AggregatedLeaf(PlanNodePtr atom, bool pre_count) {
+  const VarId var = atom->var;
+  const std::string score = ma::ScoreColumn(var);
+  const std::string count = ma::CountColumn(var);
+  if (pre_count) {
+    PlanNodePtr ca = ma::MakePreCountAtom(atom->keyword, count);
+    std::vector<ma::ProjectItem> items;
+    items.push_back(ma::ProjectItem::Scored(
+        score, ma::ScoreExpr::ScaleByCount(
+                   ma::ScoreExpr::InitFromCount(count), count)));
+    items.push_back(ma::ProjectItem::Passthrough(count));
+    return ma::MakeProject(std::move(ca), std::move(items));
   }
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    const bool child_in_union =
-        in_union || node->kind == OpKind::kOuterUnion;
-    const bool child_in_anti_right =
-        in_anti_right || (node->kind == OpKind::kAntiJoin && i == 1);
-    node->children[i] = RewriteAggregatedLeaves(
-        std::move(node->children[i]), ctx, child_in_union,
-        child_in_anti_right);
-  }
-  return node;
+  std::vector<ma::ProjectItem> alpha;
+  alpha.push_back(ma::ProjectItem::Scored(
+      score, ma::ScoreExpr::InitPos(ma::PosColumn(var))));
+  PlanNodePtr projected = ma::MakeProject(std::move(atom), std::move(alpha));
+  ma::GroupSpec spec;
+  spec.score_aggs.push_back({score, score, ""});
+  spec.count_output = count;
+  return ma::MakeGroup(std::move(projected), std::move(spec));
 }
 
 // Result of the join-scaling pass: which count column and score columns a
@@ -314,75 +270,55 @@ struct CarryInfo {
 // π that cross-scales each side's column scores by the partner's count (a
 // column's ⊕-fold must absorb the multiplicity the join introduces) and
 // multiplies the counts — the eager-aggregation arithmetic of Yan & Larson
-// adapted to ⊕/⊗.
-CarryInfo ScaleAtJoins(PlanNodePtr* node_ref, StrategyContext* ctx) {
+// adapted to ⊕/⊗. Position columns of the variables not in `aggregated`
+// pass through the π.
+CarryInfo ScaleAtJoins(PlanNodePtr* node_ref,
+                       const std::set<VarId>& aggregated,
+                       int* next_join_count) {
   PlanNode* node = node_ref->get();
   switch (node->kind) {
     case OpKind::kJoin: {
-      CarryInfo left = ScaleAtJoins(&node->children[0], ctx);
-      CarryInfo right = ScaleAtJoins(&node->children[1], ctx);
+      CarryInfo left =
+          ScaleAtJoins(&node->children[0], aggregated, next_join_count);
+      CarryInfo right =
+          ScaleAtJoins(&node->children[1], aggregated, next_join_count);
       CarryInfo merged;
       merged.score_cols = left.score_cols;
       merged.score_cols.insert(merged.score_cols.end(),
                                right.score_cols.begin(),
                                right.score_cols.end());
-      if (!left.count_col.empty() && !right.count_col.empty()) {
-        // Wrap the scaling π. Position columns pass through; each side's
-        // scores scale by the partner count; counts multiply.
-        const std::string combined =
-            "cx" + std::to_string(ctx->next_combined_count++);
-        std::vector<ma::ProjectItem> items;
-        // Passthrough of position columns requires the (unresolved)
-        // schema; defer by listing the known score/count columns and
-        // letting a marker item stand for "all position columns". To keep
-        // the plan language simple we enumerate instead: positions flow
-        // only from residual subtrees, which carry no counts, so a join
-        // with counts on both sides has no position columns from counted
-        // sides; residual position columns can only be on one side.
-        // We therefore rebuild items from both children's *known*
-        // variables at resolve time — here we list score/count scaling
-        // and positions are handled by PassthroughAllPos below.
-        (void)items;
-        std::vector<ma::ProjectItem> out;
-        // Positions: passthrough by name for every variable not counted
-        // or aggregated (collected later); simplest is to mark them via
-        // the special helper that the caller fills in. To avoid deferred
-        // machinery we enumerate positions from the subtree variables.
-        std::set<VarId> vars;
-        CollectVars(*node, &vars);
-        for (const VarId var : vars) {
-          if (ctx->aggregated_vars.count(var) == 0 &&
-              ctx->counted_vars.count(var) == 0) {
-            out.push_back(ma::ProjectItem::Passthrough(PosCol(var)));
-          }
-        }
-        for (const std::string& s : left.score_cols) {
-          out.push_back(ma::ProjectItem::Scored(
-              s, ma::ScoreExpr::ScaleByCount(ma::ScoreExpr::ColRef(s),
-                                             right.count_col)));
-        }
-        for (const std::string& s : right.score_cols) {
-          out.push_back(ma::ProjectItem::Scored(
-              s, ma::ScoreExpr::ScaleByCount(ma::ScoreExpr::ColRef(s),
-                                             left.count_col)));
-        }
-        out.push_back(ma::ProjectItem::CountProduct(
-            combined, {left.count_col, right.count_col}));
-        *node_ref = ma::MakeProject(std::move(*node_ref), std::move(out));
-        merged.count_col = combined;
+      if (left.count_col.empty() || right.count_col.empty()) {
+        merged.count_col =
+            !left.count_col.empty() ? left.count_col : right.count_col;
         return merged;
       }
-      merged.count_col =
-          !left.count_col.empty() ? left.count_col : right.count_col;
+      std::vector<ma::ProjectItem> items;
+      std::set<VarId> vars;
+      CollectVars(*node, &vars);
+      for (const VarId var : vars) {
+        if (aggregated.count(var) == 0) {
+          items.push_back(ma::ProjectItem::Passthrough(ma::PosColumn(var)));
+        }
+      }
+      for (const std::string& s : left.score_cols) {
+        items.push_back(ma::ProjectItem::Scored(
+            s, ma::ScoreExpr::ScaleByCount(ma::ScoreExpr::ColRef(s),
+                                           right.count_col)));
+      }
+      for (const std::string& s : right.score_cols) {
+        items.push_back(ma::ProjectItem::Scored(
+            s, ma::ScoreExpr::ScaleByCount(ma::ScoreExpr::ColRef(s),
+                                           left.count_col)));
+      }
+      merged.count_col = ma::JoinCountColumn((*next_join_count)++);
+      items.push_back(ma::ProjectItem::CountProduct(
+          merged.count_col, {left.count_col, right.count_col}));
+      *node_ref = ma::MakeProject(std::move(*node_ref), std::move(items));
       return merged;
     }
-    case OpKind::kAntiJoin: {
-      // Only the left side carries scored/counted state.
-      return ScaleAtJoins(&node->children[0], ctx);
-    }
-    case OpKind::kSelect: {
-      return ScaleAtJoins(&node->children[0], ctx);
-    }
+    case OpKind::kAntiJoin:  // only the left side carries state
+    case OpKind::kSelect:
+      return ScaleAtJoins(&node->children[0], aggregated, next_join_count);
     case OpKind::kPreCountAtom: {
       CarryInfo info;
       info.count_col = node->output_column;
@@ -390,15 +326,15 @@ CarryInfo ScaleAtJoins(PlanNodePtr* node_ref, StrategyContext* ctx) {
     }
     case OpKind::kProject: {
       // Aggregated pre-count leaf (π over CA) or a previously inserted
-      // scaling π: report its score/count columns from the items.
+      // scaling π: its scores, and its count product or CA's count.
+      const PlanNode& child = *node->children[0];
       CarryInfo info;
       for (const ma::ProjectItem& item : node->items) {
         if (item.expr != nullptr) {
           info.score_cols.push_back(item.name);
-        } else if (!item.count_product.empty()) {
-          info.count_col = item.name;
-        } else if (!item.source.empty() && item.source.rfind("c", 0) == 0 &&
-                   item.name == item.source) {
+        } else if (!item.count_product.empty() ||
+                   (child.kind == OpKind::kPreCountAtom &&
+                    item.source == child.output_column)) {
           info.count_col = item.name;
         }
       }
@@ -409,14 +345,20 @@ CarryInfo ScaleAtJoins(PlanNodePtr* node_ref, StrategyContext* ctx) {
       for (const ma::GroupSpec::ScoreAgg& agg : node->group.score_aggs) {
         info.score_cols.push_back(agg.output);
       }
-      if (!node->group.count_output.empty()) {
-        info.count_col = node->group.count_output;
-      }
+      info.count_col = node->group.count_output;
       return info;
     }
     default:
       return CarryInfo();
   }
+}
+
+bool HasDisjunction(const mcalc::Node& node) {
+  if (node.kind == mcalc::NodeKind::kOr) return true;
+  for (const mcalc::NodePtr& child : node.children) {
+    if (HasDisjunction(*child)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -491,17 +433,15 @@ StatusOr<OptimizedPlan> Optimizer::Optimize(
     tree = ma::MakeSort(std::move(tree));
   }
 
-  StrategyContext ctx;
-  ctx.props = &props;
+  std::set<VarId> predicate_vars;
   for (const mcalc::PredicateCall* call :
        mcalc::AllConstraints(*query.root)) {
-    for (const VarId var : call->vars) {
-      ctx.predicate_vars.insert(var);
-    }
+    predicate_vars.insert(call->vars.begin(), call->vars.end());
   }
-  ctx.use_pre_count =
+  const bool use_pre_count =
       options_.pre_counting &&
       IsOptimizationValid(Optimization::kPreCounting, props);
+  const bool has_disjunction = HasDisjunction(*query.root);
 
   const std::vector<VarId> free_vars = mcalc::FreeVariables(*query.root);
   const bool can_alt_elim =
@@ -515,196 +455,90 @@ StatusOr<OptimizedPlan> Optimizer::Optimize(
   // no column ever mixes real and ∅ alternates — i.e. on disjunction-free
   // queries (on those, position-independent α makes every alternate of a
   // column equal, so row and column aggregation coincide).
-  std::function<bool(const mcalc::Node&)> has_disjunction =
-      [&has_disjunction](const mcalc::Node& node) {
-        if (node.kind == mcalc::NodeKind::kOr) return true;
-        for (const mcalc::NodePtr& child : node.children) {
-          if (has_disjunction(*child)) return true;
-        }
-        return false;
-      };
   const bool can_eager_count =
       options_.eager_counting && sort_eliminated && !props.positional &&
-      (props.row_first() || !has_disjunction(*query.root)) &&
+      (props.row_first() || !has_disjunction) &&
       IsOptimizationValid(Optimization::kEagerCounting, props);
 
+  // Variables whose leaves became counted or aggregated leaves.
+  std::set<VarId> counted;
+  std::set<VarId> aggregated;
+  const auto counted_leaf = [use_pre_count](PlanNodePtr atom) {
+    return CountedLeaf(std::move(atom), use_pre_count);
+  };
   if (can_alt_elim) {
     // ---- Path A: alternate elimination (constant schemes). ----
     // Predicate-free leaves become CA scans (pre-count) or δ_A-limited
-    // scans; a δ_A above the matching tree takes the first surviving match
-    // per document; a single π hosts α, Φ, and ω.
-    if (ctx.use_pre_count) {
-      tree = RewriteCountedLeaves(std::move(tree), &ctx, false, false,
-                                  /*allow_in_union=*/true);
-      if (!ctx.counted_vars.empty()) {
+    // scans (the first position per document is enough for a constant
+    // scheme); a δ_A above the matching tree takes the first surviving
+    // match per document; a single π hosts α, Φ, and ω.
+    if (use_pre_count) {
+      tree = RewriteFreeLeaves(std::move(tree), predicate_vars,
+                               /*outside_unions=*/false, counted_leaf,
+                               &counted);
+      if (!counted.empty()) {
         result.applied.push_back(Optimization::kPreCounting);
       }
     } else {
-      tree = RewriteAltElimLeaves(std::move(tree), &ctx, false);
+      std::set<VarId> limited;
+      tree = RewriteFreeLeaves(std::move(tree), predicate_vars,
+                               /*outside_unions=*/false, ma::MakeAltElim,
+                               &limited);
     }
     tree = ma::MakeAltElim(std::move(tree));
     result.applied.push_back(Optimization::kAlternateElimination);
     result.applied.push_back(Optimization::kForwardScanJoin);
 
-    ma::ScoreExprPtr phi_expr =
-        PhiToScoreExpr(*result.phi, [&ctx](VarId var) {
-          if (ctx.counted_vars.count(var) != 0) {
-            return ma::ScoreExpr::InitFromCount(CntCol(var));
-          }
-          return ma::ScoreExpr::InitPos(PosCol(var));
-        });
     std::vector<ma::ProjectItem> items;
-    items.push_back(ma::ProjectItem::Scored("score", std::move(phi_expr),
+    items.push_back(ma::ProjectItem::Scored(ma::kFinalScoreColumn,
+                                            RowScore(*result.phi, counted),
                                             /*finalize=*/true));
     result.plan = ma::MakeProject(std::move(tree), std::move(items));
-  } else if (can_eager_agg) {
-    // ---- Path B: eager aggregation (column-first / diagonal). ----
-    tree = RewriteAggregatedLeaves(std::move(tree), &ctx, false, false);
-    if (!ctx.aggregated_vars.empty()) {
-      result.applied.push_back(Optimization::kEagerAggregation);
-      if (ctx.use_pre_count) {
-        result.applied.push_back(Optimization::kPreCounting);
-      } else {
+  } else if (can_eager_agg || (!can_eager_count && !props.row_first())) {
+    // ---- Column-first fold (Plan 5). ----
+    // Under eager aggregation, the predicate-free leaves outside unions
+    // fold their column below the joins, and each join scales by its
+    // partner's count. Without it (and without eager counting), a scheme
+    // that is not row-first gets the canonical Plan 5 over the rewritten
+    // matching subplan.
+    std::string count_col;
+    if (can_eager_agg) {
+      tree = RewriteFreeLeaves(
+          std::move(tree), predicate_vars, /*outside_unions=*/true,
+          [use_pre_count](PlanNodePtr atom) {
+            return AggregatedLeaf(std::move(atom), use_pre_count);
+          },
+          &aggregated);
+      if (!aggregated.empty()) {
+        result.applied.push_back(Optimization::kEagerAggregation);
+        result.applied.push_back(use_pre_count
+                                     ? Optimization::kPreCounting
+                                     : Optimization::kEagerCounting);
+      }
+      int next_join_count = 0;
+      count_col = ScaleAtJoins(&tree, aggregated, &next_join_count).count_col;
+    }
+    result.plan = ColumnFirstScoring(std::move(tree), *result.phi, free_vars,
+                                     aggregated, count_col);
+  } else {
+    // ---- Row-first fold (Plan 6). ----
+    // Under eager counting, predicate-free leaves become counted leaves
+    // and row-first scoring is preserved over the collapsed rows. Without
+    // it, a row-first scheme (BestSum+MinDist, being positional, always)
+    // gets the canonical Plan 6 over the rewritten matching subplan.
+    if (can_eager_count) {
+      tree = RewriteFreeLeaves(std::move(tree), predicate_vars,
+                               /*outside_unions=*/false, counted_leaf,
+                               &counted);
+      if (!counted.empty()) {
+        if (use_pre_count) {
+          result.applied.push_back(Optimization::kPreCounting);
+        }
         result.applied.push_back(Optimization::kEagerCounting);
       }
     }
-    CarryInfo carry = ScaleAtJoins(&tree, &ctx);
-
-    // Residual α: variables whose positions still flow to the top.
-    std::vector<ma::ProjectItem> pre_group;
-    std::vector<VarId> residual_vars;
-    for (const VarId var : free_vars) {
-      if (ctx.aggregated_vars.count(var) == 0) {
-        residual_vars.push_back(var);
-        pre_group.push_back(ma::ProjectItem::Scored(
-            ScoreCol(var), ma::ScoreExpr::InitPos(PosCol(var))));
-      }
-    }
-    for (const VarId var : free_vars) {
-      if (ctx.aggregated_vars.count(var) != 0) {
-        pre_group.push_back(ma::ProjectItem::Passthrough(ScoreCol(var)));
-      }
-    }
-    if (!carry.count_col.empty()) {
-      pre_group.push_back(ma::ProjectItem::Passthrough(carry.count_col));
-    }
-    ma::PlanNodePtr plan =
-        ma::MakeProject(std::move(tree), std::move(pre_group));
-
-    // Final γ_d: residual columns ⊕-fold (each row weighted by the
-    // aggregate count product); aggregated columns fold over the group's
-    // residual rows, which scales them by the residual multiplicity.
-    ma::GroupSpec group;
-    for (const VarId var : residual_vars) {
-      group.score_aggs.push_back(
-          {ScoreCol(var), ScoreCol(var), carry.count_col});
-    }
-    for (const VarId var : free_vars) {
-      if (ctx.aggregated_vars.count(var) != 0) {
-        group.score_aggs.push_back({ScoreCol(var), ScoreCol(var), ""});
-      }
-    }
-    plan = ma::MakeGroup(std::move(plan), std::move(group));
-
-    std::vector<ma::ProjectItem> final_items;
-    final_items.push_back(ma::ProjectItem::Scored(
-        "score", PhiToScoreExpr(*result.phi,
-                                [](VarId var) {
-                                  return ma::ScoreExpr::ColRef(ScoreCol(var));
-                                }),
-        /*finalize=*/true));
-    result.plan = ma::MakeProject(std::move(plan), std::move(final_items));
-  } else if (can_eager_count) {
-    // ---- Path C: eager counting with row-first scoring preserved. ----
-    tree = RewriteCountedLeaves(std::move(tree), &ctx, false, false,
-                                /*allow_in_union=*/true);
-    if (!ctx.counted_vars.empty()) {
-      if (ctx.use_pre_count) {
-        result.applied.push_back(Optimization::kPreCounting);
-      }
-      result.applied.push_back(Optimization::kEagerCounting);
-    }
-
-    // Row score over the collapsed rows; each physical row stands for the
-    // product of its counts many match rows with identical scores.
-    ma::ScoreExprPtr phi_expr =
-        PhiToScoreExpr(*result.phi, [&ctx](VarId var) {
-          if (ctx.counted_vars.count(var) != 0) {
-            return ma::ScoreExpr::InitFromCount(CntCol(var));
-          }
-          return ma::ScoreExpr::InitPos(PosCol(var));
-        });
-    std::vector<ma::ProjectItem> row_items;
-    row_items.push_back(
-        ma::ProjectItem::Scored("s", std::move(phi_expr)));
-    std::vector<std::string> count_cols;
-    for (const VarId var : free_vars) {
-      if (ctx.counted_vars.count(var) != 0) {
-        count_cols.push_back(CntCol(var));
-      }
-    }
-    std::string weight_col;
-    if (!count_cols.empty()) {
-      weight_col = "cw";
-      row_items.push_back(
-          ma::ProjectItem::CountProduct(weight_col, std::move(count_cols)));
-    }
-    ma::PlanNodePtr plan =
-        ma::MakeProject(std::move(tree), std::move(row_items));
-
-    ma::GroupSpec group;
-    group.score_aggs.push_back({"s", "s", weight_col});
-    plan = ma::MakeGroup(std::move(plan), std::move(group));
-
-    std::vector<ma::ProjectItem> final_items;
-    final_items.push_back(ma::ProjectItem::Scored(
-        "score", ma::ScoreExpr::ColRef("s"), /*finalize=*/true));
-    result.plan = ma::MakeProject(std::move(plan), std::move(final_items));
-  } else {
-    // ---- Path D: matching optimizations only. ----
-    // Canonical-shaped scoring portion over the (pushed, reordered)
-    // matching subplan, honouring the scheme's directionality. Used for
-    // positional row-first schemes (BestSum+MinDist) and whenever the
-    // grouped paths are disabled or gated off.
-    if (props.row_first()) {
-      ma::ScoreExprPtr phi_expr =
-          PhiToScoreExpr(*result.phi, [](VarId var) {
-            return ma::ScoreExpr::InitPos(PosCol(var));
-          });
-      std::vector<ma::ProjectItem> row_items;
-      row_items.push_back(ma::ProjectItem::Scored("s", std::move(phi_expr)));
-      ma::PlanNodePtr plan =
-          ma::MakeProject(std::move(tree), std::move(row_items));
-      ma::GroupSpec group;
-      group.score_aggs.push_back({"s", "s", ""});
-      plan = ma::MakeGroup(std::move(plan), std::move(group));
-      std::vector<ma::ProjectItem> final_items;
-      final_items.push_back(ma::ProjectItem::Scored(
-          "score", ma::ScoreExpr::ColRef("s"), /*finalize=*/true));
-      result.plan = ma::MakeProject(std::move(plan), std::move(final_items));
-    } else {
-      std::vector<ma::ProjectItem> alpha_items;
-      for (const VarId var : free_vars) {
-        alpha_items.push_back(ma::ProjectItem::Scored(
-            ScoreCol(var), ma::ScoreExpr::InitPos(PosCol(var))));
-      }
-      ma::PlanNodePtr plan =
-          ma::MakeProject(std::move(tree), std::move(alpha_items));
-      ma::GroupSpec group;
-      for (const VarId var : free_vars) {
-        group.score_aggs.push_back({ScoreCol(var), ScoreCol(var), ""});
-      }
-      plan = ma::MakeGroup(std::move(plan), std::move(group));
-      std::vector<ma::ProjectItem> final_items;
-      final_items.push_back(ma::ProjectItem::Scored(
-          "score",
-          PhiToScoreExpr(*result.phi,
-                         [](VarId var) {
-                           return ma::ScoreExpr::ColRef(ScoreCol(var));
-                         }),
-          /*finalize=*/true));
-      result.plan = ma::MakeProject(std::move(plan), std::move(final_items));
-    }
+    result.plan =
+        RowFirstScoring(std::move(tree), *result.phi, free_vars, counted);
   }
 
   // Zig-zag joins are the default physical join everywhere (always valid).
@@ -723,10 +557,9 @@ StatusOr<OptimizedPlan> Optimizer::Optimize(
     facts.sort_eliminated = sort_eliminated;
     facts.can_alt_elim = can_alt_elim;
     facts.can_eager_agg = can_eager_agg;
-    facts.use_pre_count = ctx.use_pre_count;
-    facts.no_free_leaves =
-        ctx.counted_vars.empty() && ctx.aggregated_vars.empty();
-    facts.has_disjunction = has_disjunction(*query.root);
+    facts.use_pre_count = use_pre_count;
+    facts.no_free_leaves = counted.empty() && aggregated.empty();
+    facts.has_disjunction = has_disjunction;
     facts.positional_scheme = props.positional;
     facts.row_first_scheme = props.row_first();
     for (const RewriteRule& rule : RewriteRuleRegistry::Global().All()) {

@@ -15,6 +15,13 @@
 //                    rewrites (join reordering, selection pushing,
 //                    zig-zag joins, sort elimination) apply.
 //
+// Whatever fires, the plan ends in one of three scoring shapes: δ_A under
+// one π (alternate elimination), or one of the canonical plan's two folds
+// (canonical_plan.h), ColumnFirstScoring or RowFirstScoring, built over the
+// rewritten matching subplan and told which leaves were aggregated or
+// counted below it. One walker (RewriteFreeLeaves) finds the
+// predicate-free leaves that each leaf rewrite replaces.
+//
 // Every rewrite here is differential-tested against the canonical plan's
 // reference evaluation (Definition 1) in tests/core/score_consistency_test.
 

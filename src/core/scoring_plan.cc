@@ -64,7 +64,7 @@ PhiNodePtr PhiNode::Clone() const {
 std::string PhiNode::ToString() const {
   switch (kind) {
     case Kind::kVar:
-      return "p" + std::to_string(var);
+      return ma::PosColumn(var);
     case Kind::kConj:
       return "(" + left->ToString() + " ⊘ " + right->ToString() + ")";
     case Kind::kDisj:

@@ -43,7 +43,7 @@ PlanNodePtr MakeAtom(std::string keyword, mcalc::VarId var) {
   node->kind = OpKind::kAtom;
   node->keyword = std::move(keyword);
   node->var = var;
-  node->output_column = "p" + std::to_string(var);
+  node->output_column = PosColumn(var);
   return node;
 }
 
@@ -129,8 +129,8 @@ Status CheckPredicates(const std::vector<mcalc::PredicateCall>& predicates,
     for (const mcalc::VarId var : call.vars) {
       if (schema.FindVar(var) < 0) {
         return Status::InvalidArgument(
-            "predicate " + call.name + " references unbound variable p" +
-            std::to_string(var) + " in " + where);
+            "predicate " + call.name + " references unbound variable " +
+            PosColumn(var) + " in " + where);
       }
     }
   }

@@ -14,6 +14,28 @@
 
 namespace graft::ma {
 
+// Plan column names. Every plan builder mints them here; a column's kind is
+// known from the operator that made it, never parsed back from its name.
+//   p<v>   variable v's positions (A)
+//   c<v>   variable v's per-document occurrence count (CA, eager counting)
+//   s<v>   variable v's column score (column-first folds)
+//   cx<i>  the i-th count product formed at a join (eager aggregation)
+//   s, cw  a row's score and its count weight (row-first folds)
+//   score  the document's finalized score
+inline std::string PosColumn(mcalc::VarId var) {
+  return "p" + std::to_string(var);
+}
+inline std::string CountColumn(mcalc::VarId var) {
+  return "c" + std::to_string(var);
+}
+inline std::string ScoreColumn(mcalc::VarId var) {
+  return "s" + std::to_string(var);
+}
+inline std::string JoinCountColumn(int i) { return "cx" + std::to_string(i); }
+inline constexpr char kRowScoreColumn[] = "s";
+inline constexpr char kRowWeightColumn[] = "cw";
+inline constexpr char kFinalScoreColumn[] = "score";
+
 struct Column {
   enum class Kind { kPos, kScore, kCount };
 
