@@ -62,9 +62,12 @@ StatusOr<std::vector<CompiledPredicate>> CompilePredicates(
 
 // cursor.SkipTo under counter accounting: galloping probes, skip calls,
 // and skip hits (a hit = the gallop leapfrogged at least one posting
-// beyond sequential advance).
+// beyond sequential advance). A cursor at its end stays there, uncounted.
 void CountedSkipTo(index::PostingCursor* cursor, DocId target,
                    ExecStats* counters) {
+  if (cursor->AtEnd()) {
+    return;
+  }
   if (counters == nullptr) {
     cursor->SkipTo(target);
     return;
@@ -734,11 +737,7 @@ class AntiJoinOp final : public DocOperator {
     DocId target = min_doc;
     while (left_->AdvanceDoc(target)) {
       const DocId d = left_->doc();
-      if (right_exhausted_ || !right_->AdvanceDoc(d)) {
-        right_exhausted_ = true;
-        return d;
-      }
-      if (right_->doc() != d) {
+      if (!right_->AdvanceDoc(d) || right_->doc() != d) {
         return d;
       }
       target = d + 1;
@@ -748,9 +747,6 @@ class AntiJoinOp final : public DocOperator {
 
   DocOperatorPtr left_;
   DocOperatorPtr right_;
-  // Once the right side runs out it is not asked again: a re-seek of an
-  // exhausted scan would still charge a skip call per document.
-  bool right_exhausted_ = false;
 };
 
 // --------------------------------------------------------------- SortOp --

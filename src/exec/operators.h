@@ -174,13 +174,17 @@ class DocOperator {
   // row whose id is >= min_doc. If the current document already satisfies
   // that, stays (without disturbing row iteration). Returns false when no
   // such document exists; doc() is then kInvalidDoc, and an operator that
-  // has run out stays out.
+  // has run out stays out without being sought again.
   bool AdvanceDoc(DocId min_doc) {
     if (current_doc_ != kInvalidDoc && current_doc_ >= min_doc) {
       return true;  // the buffered document is still valid
     }
+    if (exhausted_) {
+      return false;
+    }
     current_doc_ = Seek(min_doc);
-    return current_doc_ != kInvalidDoc;
+    exhausted_ = current_doc_ == kInvalidDoc;
+    return !exhausted_;
   }
 
   // Valid after AdvanceDoc returned true.
@@ -196,7 +200,8 @@ class DocOperator {
   // kInvalidDoc when there is none. Row iteration restarts there.
   virtual DocId Seek(DocId min_doc) = 0;
 
-  DocId current_doc_ = kInvalidDoc;
+  DocId current_doc_ = kInvalidDoc;  // also before the first Seek
+  bool exhausted_ = false;           // a Seek returned kInvalidDoc
 };
 
 using DocOperatorPtr = std::unique_ptr<DocOperator>;

@@ -101,7 +101,7 @@ TEST(EngineTest, SweepExecCountersPinned) {
       {"docs_visited", 1232},    {"rows_built", 6733},
       {"positions_scanned", 5493}, {"count_entries_scanned", 2438},
       {"blocks_decoded", 4877},  {"gallop_probes", 42967},
-      {"skip_calls", 13935},     {"skip_hits", 4277},
+      {"skip_calls", 13851},     {"skip_hits", 4277},
   };
   for (const exec::ExecCounter& counter : exec::kExecCounters) {
     const auto it = pinned.find(counter.name);

@@ -227,5 +227,66 @@ TEST(ExecutorTest, ExhaustedOperatorStaysExhausted) {
   }
 }
 
+TEST(ExecutorTest, ExhaustedInputsAreNotSoughtAgain) {
+  // alpha | beta over 51 documents, alpha in doc 0 only. Once alpha's scan
+  // and π's tf cursor for it have run out, ⊎ must not seek the scan again
+  // and the cursor must charge no further skip call: every document after
+  // the first costs one skip call per live input, not one per input.
+  index::IndexBuilder builder;
+  builder.AddDocumentStrings(text::Tokenize("alpha beta"));
+  for (int i = 1; i < 51; ++i) {
+    builder.AddDocumentStrings(text::Tokenize("beta"));
+  }
+  const index::InvertedIndex index = builder.Build();
+  const sa::ScoringScheme* scheme =
+      sa::SchemeRegistry::Global().Lookup("Lucene");
+  ASSERT_NE(scheme, nullptr);
+
+  const auto union_plan = [] {
+    std::vector<ma::PlanNodePtr> branches;
+    branches.push_back(ma::MakeAtom("alpha", 0));
+    branches.push_back(ma::MakeAtom("beta", 1));
+    return ma::MakeOuterUnion(std::move(branches));
+  };
+  std::vector<ma::ProjectItem> alpha;
+  alpha.push_back(ma::ProjectItem::Scored(ma::ScoreColumn(0),
+                                          ma::ScoreExpr::InitPos(ma::PosColumn(0))));
+  alpha.push_back(ma::ProjectItem::Scored(ma::ScoreColumn(1),
+                                          ma::ScoreExpr::InitPos(ma::PosColumn(1))));
+  struct Case {
+    const char* name;
+    ma::PlanNodePtr plan;
+    uint64_t skip_calls;
+  };
+  std::vector<Case> cases;
+  // ⊎: alpha's scan once (it reads its one posting and steps off the
+  // end), beta's at every document.
+  cases.push_back({"union", union_plan(), 1 + 51});
+  // π adds its two tf cursors: alpha's at docs 0 and 1 (where it runs
+  // out), beta's at every document.
+  cases.push_back({"project over union",
+                   ma::MakeProject(union_plan(), std::move(alpha)),
+                   52 + 2 + 51});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(ma::ResolvePlan(c.plan.get(), index).ok());
+    ExecStats stats;
+    EvalEnv env(&index, scheme, sa::QueryContext{2}, nullptr, &stats);
+    auto op = BuildOperator(*c.plan, &env);
+    ASSERT_TRUE(op.ok()) << op.status();
+    DocId next = 0;
+    ma::Tuple row;
+    uint64_t docs = 0;
+    while ((*op)->AdvanceDoc(next)) {
+      ++docs;
+      while ((*op)->NextRow(&row)) {
+      }
+      next = (*op)->doc() + 1;
+    }
+    EXPECT_EQ(docs, 51u);
+    EXPECT_EQ(stats.skip_calls, c.skip_calls);
+  }
+}
+
 }  // namespace
 }  // namespace graft::exec
