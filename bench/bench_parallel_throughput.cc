@@ -20,23 +20,18 @@
 // disabled* (the production default) costs <2% QPS. QPS A/B cannot verify
 // that in one binary — both arms pay the identical disabled-path cost, so
 // their delta is definitionally noise. Instead the guard microbenchmarks
-// the actual disabled hot path (one relaxed Tracer::enabled() load plus a
-// null-QueryTrace ScopedSpan per instrumentation point), scales it by a
+// the actual disabled hot path (a null-QueryTrace ScopedSpan per
+// instrumentation point), scales it by a
 // realistic spans-per-query count, and bounds it against the measured
 // per-query latency. If someone later puts allocation or locking on the
 // disabled path, the per-op cost jumps by orders of magnitude and the
 // bound trips deterministically — no flaky QPS comparison involved.
 //
-// The *enabled* layers are measured honestly and reported (not enforced):
+// The *enabled* layer is measured honestly and reported (not enforced):
 //   off   tracing disabled — the baseline arm,
-//   ring  global Tracer ring enabled (every query's spans recorded),
 //   span  caller-supplied QueryTrace per query (EXPLAIN ANALYZE's cost),
 //   off2  A/A repeat of `off` — its delta vs `off` is the run's noise
-//         floor, printed next to ring/span so readers can judge them.
-// Enabling the ring costs real money (~10-20% on sub-millisecond queries:
-// per-span clock reads, string labels, a mutexed ring append) — it is a
-// debugging control-plane switch, not a production default, and the JSON
-// records that cost rather than pretending it away.
+//         floor, printed next to span so readers can judge it.
 //
 // With GRAFT_BENCH_ENFORCE=1 the process exits non-zero when the
 // disabled-path bound is violated (the CI regression guard).
@@ -109,18 +104,15 @@ struct TraceModeResult {
   size_t samples;
 };
 
-// Times the disabled-tracing hot path directly: one relaxed enabled()
-// load plus a ScopedSpan over a null QueryTrace — exactly what every
-// instrumentation point in the engine executes when tracing is off.
-// Returns average nanoseconds per instrumentation point.
+// Times the disabled-tracing hot path directly: a ScopedSpan over a null
+// QueryTrace — exactly what every instrumentation point in the engine
+// executes when tracing is off. Returns average nanoseconds per
+// instrumentation point.
 double MeasureDisabledPathNanos() {
   constexpr size_t kOps = 4'000'000;
-  graft::common::Tracer& tracer = graft::common::Tracer::Global();
-  tracer.Disable();
   size_t sink = 0;
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < kOps; ++i) {
-    if (tracer.enabled()) sink += i;
     graft::common::ScopedSpan span(nullptr, "probe");
     // Keep the loop and the span object observable so the compiler cannot
     // delete the measured work.
@@ -133,7 +125,7 @@ double MeasureDisabledPathNanos() {
   return total_ns / static_cast<double>(kOps);
 }
 
-// Runs the paper query mix with the observability layer in each of four
+// Runs the paper query mix with the observability layer in each of three
 // modes, interleaved pass-by-pass so clock drift / thermal effects hit all
 // modes equally. "off" and "off2" are identical configurations — their QPS
 // difference is the run's noise floor, printed next to the deltas so a
@@ -143,13 +135,12 @@ int RunTraceOverheadMode(const graft::index::InvertedIndex& index,
   using namespace graft;
   core::Engine engine(&index);
   const char* scheme = "Lucene";
-  constexpr const char* kModes[] = {"off", "ring", "span", "off2"};
+  constexpr const char* kModes[] = {"off", "span", "off2"};
   // 4 interleaved passes per round keeps total wall time comparable to one
   // sweep configuration.
   const size_t passes = rounds * 4;
 
   // Warm-up (index pages, score-stream caches) with tracing off.
-  common::Tracer::Global().Disable();
   for (const bench::PaperQuery& q : bench::kPaperQueries) {
     auto r = engine.Search(q.text, scheme, core::SearchOptions{});
     if (!r.ok()) {
@@ -163,13 +154,7 @@ int RunTraceOverheadMode(const graft::index::InvertedIndex& index,
   double total_s[std::size(kModes)] = {};
   for (size_t pass = 0; pass < passes; ++pass) {
     for (size_t m = 0; m < std::size(kModes); ++m) {
-      const bool ring = std::string(kModes[m]) == "ring";
       const bool span = std::string(kModes[m]) == "span";
-      if (ring) {
-        common::Tracer::Global().Enable(common::Tracer::kDefaultCapacity);
-      } else {
-        common::Tracer::Global().Disable();
-      }
       // Repeat the mix within one timed pass so each pass is tens of
       // milliseconds — short passes drown the signal in scheduler jitter
       // (visible as a large A/A noise figure).
@@ -194,7 +179,6 @@ int RunTraceOverheadMode(const graft::index::InvertedIndex& index,
                         .count();
     }
   }
-  common::Tracer::Global().Disable();
 
   TraceModeResult results[std::size(kModes)];
   std::printf("Trace overhead (%llu docs, scheme %s, %zu passes x %zu "
@@ -221,12 +205,11 @@ int RunTraceOverheadMode(const graft::index::InvertedIndex& index,
   const auto delta_pct = [off_qps](double qps) {
     return off_qps > 0 ? (off_qps - qps) / off_qps * 100.0 : 0.0;
   };
-  const double ring_delta = delta_pct(results[1].qps);
-  const double span_delta = delta_pct(results[2].qps);
-  const double noise = std::fabs(delta_pct(results[3].qps));
-  std::printf("\nenabled-layer cost (informational): ring %+.2f%%  "
-              "span %+.2f%%  (A/A noise %.2f%%)\n",
-              ring_delta, span_delta, noise);
+  const double span_delta = delta_pct(results[1].qps);
+  const double noise = std::fabs(delta_pct(results[2].qps));
+  std::printf("\nenabled-layer cost (informational): span %+.2f%%  "
+              "(A/A noise %.2f%%)\n",
+              span_delta, noise);
 
   // The enforced bound: disabled-path cost per query < 2% of query time.
   // A query executes roughly kSpansPerQuery instrumentation points (parse,
@@ -272,13 +255,13 @@ int RunTraceOverheadMode(const graft::index::InvertedIndex& index,
                  m + 1 < std::size(kModes) ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"ring_delta_pct\": %.3f,\n"
+               "  ],\n"
                "  \"span_delta_pct\": %.3f,\n  \"aa_noise_pct\": %.3f,\n"
                "  \"disabled_ns_per_point\": %.3f,\n"
                "  \"disabled_points_per_query\": %.0f,\n"
                "  \"disabled_pct_of_query\": %.5f,\n"
                "  \"bound_pct\": %.1f,\n  \"within_bound\": %s\n}\n",
-               ring_delta, span_delta, noise, per_op_ns, kSpansPerQuery,
+               span_delta, noise, per_op_ns, kSpansPerQuery,
                disabled_pct, kBoundPct, within ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", out_path);

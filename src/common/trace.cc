@@ -119,73 +119,4 @@ std::string QueryTrace::ToText() const {
   return out;
 }
 
-Tracer& Tracer::Global() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
-
-void Tracer::Enable(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.reserve(capacity_);
-  next_sequence_ = 0;
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void Tracer::Disable() {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_.store(false, std::memory_order_relaxed);
-  ring_.clear();
-  capacity_ = 0;
-  next_sequence_ = 0;
-}
-
-void Tracer::Record(std::string label, const QueryTrace& trace) {
-  if (!enabled()) {
-    return;
-  }
-  TraceRecord record;
-  record.label = std::move(label);
-  record.spans = trace.spans();
-  uint64_t min_start = UINT64_MAX;
-  uint64_t max_end = 0;
-  for (const TraceSpan& span : record.spans) {
-    min_start = std::min(min_start, span.start_ns);
-    max_end = std::max(max_end, span.end_ns);
-  }
-  record.total_nanos = max_end > min_start ? max_end - min_start : 0;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_.load(std::memory_order_relaxed) || capacity_ == 0) {
-    return;  // raced with Disable
-  }
-  record.sequence = next_sequence_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[record.sequence % capacity_] = std::move(record);
-  }
-}
-
-std::vector<TraceRecord> Tracer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceRecord> out = ring_;
-  std::sort(out.begin(), out.end(),
-            [](const TraceRecord& a, const TraceRecord& b) {
-              return a.sequence < b.sequence;
-            });
-  return out;
-}
-
-uint64_t Tracer::records_accepted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_sequence_;
-}
-
-size_t Tracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 }  // namespace graft::common

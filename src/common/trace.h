@@ -1,21 +1,14 @@
-// Low-overhead query tracing: spans + a process-global ring buffer.
+// Low-overhead query tracing: per-query spans.
 //
-// Two layers, mirroring how failpoints are built (compiled in always,
-// gated by one relaxed atomic when off):
-//
-//   * QueryTrace — a per-query span collection. Callers that want a trace
-//     (EXPLAIN ANALYZE, ?explain=1, tests) hand one to the engine via
-//     SearchOptions::trace; the engine opens spans for parse →
-//     canonicalize/optimize (one span per attempted rewrite, carrying the
-//     gate verdict) → execute → rank → merge. Recording is mutex-guarded
-//     because segmented execution closes spans from pool workers.
-//
-//   * Tracer — the process-global sink. When enabled (Tracer::Global()
-//     .Enable(capacity)), the engine traces every query into a fixed-size
-//     ring of TraceRecords (newest overwrite oldest), which the slow-query
-//     log and post-hoc debugging read. When disabled — the default — the
-//     only cost on the query path is one relaxed atomic load, measured by
-//     bench_parallel_throughput's trace-overhead guard (<2% QPS).
+// QueryTrace is a per-query span collection. Callers that want a trace
+// (EXPLAIN ANALYZE, ?explain=1, tests) hand one to the engine via
+// SearchOptions::trace; the engine opens spans for parse →
+// canonicalize/optimize (one span per attempted rewrite, carrying the gate
+// verdict) → execute → rank → merge. Recording is mutex-guarded because
+// segmented execution closes spans from pool workers. Without a trace —
+// the default — every instrumentation point is a ScopedSpan over a null
+// QueryTrace, which bench_parallel_throughput's trace-overhead guard bounds
+// at <2% of query time.
 //
 // Span timestamps come from the monotonic clock; durations are exact, wall
 // times are not reconstructable (by design — nothing here needs them).
@@ -23,7 +16,6 @@
 #ifndef GRAFT_COMMON_TRACE_H_
 #define GRAFT_COMMON_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -112,55 +104,6 @@ class ScopedSpan {
   QueryTrace* trace_;
   size_t id_ = 0;
   bool ended_ = false;
-};
-
-// One completed query's trace in the global ring.
-struct TraceRecord {
-  uint64_t sequence = 0;  // monotonically increasing admission number
-  std::string label;      // typically the MCalc query text
-  uint64_t total_nanos = 0;
-  std::vector<TraceSpan> spans;
-};
-
-// Process-global trace sink: fixed-capacity ring buffer of the most recent
-// query traces. Disabled by default; Enable/Disable are rare control-plane
-// operations, enabled() is the hot-path check (one relaxed load).
-class Tracer {
- public:
-  static constexpr size_t kDefaultCapacity = 128;
-
-  static Tracer& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  // Turns recording on with a ring of `capacity` records (existing records
-  // are cleared). Thread-safe.
-  void Enable(size_t capacity = kDefaultCapacity);
-
-  // Turns recording off and clears the ring.
-  void Disable();
-
-  // Appends one completed trace; overwrites the oldest record once the
-  // ring is full. No-op while disabled.
-  void Record(std::string label, const QueryTrace& trace);
-
-  // Records currently held, oldest first.
-  std::vector<TraceRecord> Snapshot() const;
-
-  // Total records ever accepted since the last Enable (>= ring size once
-  // wrapped; wraparound tests key off this).
-  uint64_t records_accepted() const;
-
-  size_t capacity() const;
-
- private:
-  Tracer() = default;
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::vector<TraceRecord> ring_;  // ring_[sequence % capacity_]
-  size_t capacity_ = 0;
-  uint64_t next_sequence_ = 0;
 };
 
 }  // namespace graft::common

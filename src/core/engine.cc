@@ -223,26 +223,12 @@ StatusOr<const sa::ScoringScheme*> Engine::ResolveScheme(
 StatusOr<SearchResult> Engine::Search(std::string_view query_text,
                                       std::string_view scheme_name,
                                       const SearchOptions& options) const {
-  SearchOptions opts = options;
-  // When the global tracer is on and the caller did not supply a trace,
-  // trace into a local one and publish it to the ring on completion.
-  common::QueryTrace ring_trace;
-  const bool record_global =
-      opts.trace == nullptr && common::Tracer::Global().enabled();
-  if (record_global) {
-    opts.trace = &ring_trace;
-  }
-
-  common::ScopedSpan parse_span(opts.trace, "parse");
+  common::ScopedSpan parse_span(options.trace, "parse");
   GRAFT_ASSIGN_OR_RETURN(mcalc::Query query, mcalc::ParseQuery(query_text));
   parse_span.End();
   GRAFT_ASSIGN_OR_RETURN(const sa::ScoringScheme* scheme,
                          ResolveScheme(scheme_name));
-  auto result = SearchQuery(query, *scheme, opts);
-  if (record_global) {
-    common::Tracer::Global().Record(std::string(query_text), ring_trace);
-  }
-  return result;
+  return SearchQuery(query, *scheme, options);
 }
 
 StatusOr<SearchResult> Engine::SearchQuery(const mcalc::Query& query,

@@ -103,9 +103,7 @@ struct SearchOptions {
   // When non-null, the engine records spans into it: parse (on the
   // text-query entry points) → optimize (one event per attempted rewrite,
   // with the gate verdict) → execute (one child span per segment) → rank →
-  // merge. Independently, whenever common::Tracer::Global() is enabled,
-  // Search() traces every text query into the global ring even with
-  // trace == nullptr.
+  // merge.
   common::QueryTrace* trace = nullptr;
 };
 

@@ -1,8 +1,8 @@
 // Unit tests for the query tracer: span nesting, per-thread depth
-// bookkeeping, the RAII wrapper's null/no-op and idempotence contracts, and
-// the global ring buffer's wraparound + enable/disable gating. The
-// cross-thread test runs under TSan in CI (the segmented engine closes
-// spans from pool workers, so QueryTrace must be clean there).
+// bookkeeping, and the RAII wrapper's null/no-op and idempotence
+// contracts. The cross-thread test runs under TSan in CI (the segmented
+// engine closes spans from pool workers, so QueryTrace must be clean
+// there).
 
 #include "common/trace.h"
 
@@ -124,92 +124,6 @@ TEST(ScopedSpanTest, EndIsIdempotent) {
   const std::vector<TraceSpan> spans = trace.spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].detail, "first");
-}
-
-class TracerRingTest : public ::testing::Test {
- protected:
-  void TearDown() override { Tracer::Global().Disable(); }
-};
-
-TEST_F(TracerRingTest, DisabledByDefaultAndRecordIsNoOp) {
-  Tracer& tracer = Tracer::Global();
-  ASSERT_FALSE(tracer.enabled());
-  QueryTrace trace;
-  trace.AddEvent("ignored");
-  tracer.Record("q", trace);
-  EXPECT_EQ(tracer.Snapshot().size(), 0u);
-  EXPECT_EQ(tracer.records_accepted(), 0u);
-}
-
-TEST_F(TracerRingTest, RingKeepsNewestOnWraparound) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Enable(/*capacity=*/4);
-  ASSERT_TRUE(tracer.enabled());
-  EXPECT_EQ(tracer.capacity(), 4u);
-
-  for (int i = 0; i < 10; ++i) {
-    QueryTrace trace;
-    const size_t span = trace.BeginSpan("query");
-    trace.EndSpan(span);
-    tracer.Record("query " + std::to_string(i), trace);
-  }
-  EXPECT_EQ(tracer.records_accepted(), 10u);
-
-  const std::vector<TraceRecord> records = tracer.Snapshot();
-  ASSERT_EQ(records.size(), 4u);  // capacity, not accepted count
-  // Oldest first, and only the newest 4 survive (sequences 6..9).
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].sequence, 6u + i);
-    EXPECT_EQ(records[i].label, "query " + std::to_string(6 + i));
-    EXPECT_EQ(records[i].spans.size(), 1u);
-  }
-}
-
-TEST_F(TracerRingTest, EnableClearsAndDisableStopsRecording) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Enable(2);
-  QueryTrace trace;
-  tracer.Record("a", trace);
-  ASSERT_EQ(tracer.Snapshot().size(), 1u);
-
-  tracer.Enable(2);  // re-enable resets the ring + counters
-  EXPECT_EQ(tracer.Snapshot().size(), 0u);
-  EXPECT_EQ(tracer.records_accepted(), 0u);
-
-  tracer.Record("b", trace);
-  ASSERT_EQ(tracer.Snapshot().size(), 1u);
-  tracer.Disable();
-  EXPECT_FALSE(tracer.enabled());
-  EXPECT_EQ(tracer.Snapshot().size(), 0u);
-  tracer.Record("c", trace);  // dropped while disabled
-  EXPECT_EQ(tracer.Snapshot().size(), 0u);
-}
-
-TEST_F(TracerRingTest, ConcurrentRecordsAllAccepted) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Enable(/*capacity=*/256);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer] {
-      for (int i = 0; i < kPerThread; ++i) {
-        QueryTrace trace;
-        ScopedSpan span(&trace, "q");
-        span.End();
-        tracer.Record("concurrent", trace);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(tracer.records_accepted(),
-            static_cast<uint64_t>(kThreads * kPerThread));
-  const std::vector<TraceRecord> records = tracer.Snapshot();
-  ASSERT_EQ(records.size(), static_cast<size_t>(kThreads * kPerThread));
-  // Sequences are unique and oldest-first.
-  for (size_t i = 1; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].sequence, records[i - 1].sequence + 1);
-  }
 }
 
 }  // namespace

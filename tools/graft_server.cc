@@ -2,8 +2,7 @@
 //
 //   graft_server --index FILE [--port N] [--segments N] [--threads N]
 //                [--max-inflight N] [--deadline-ms N] [--default-k N]
-//                [--slow-query-ms N] [--trace-ring N]
-//                [--mmap-index] [--block-cache-mb N]
+//                [--slow-query-ms N] [--mmap-index] [--block-cache-mb N]
 //
 //   --index FILE      index built with `graft_cli index` (required)
 //   --port N          listen port on 127.0.0.1 (default 8080; 0 = ephemeral,
@@ -17,9 +16,6 @@
 //   --default-k N     k when the client sends none (default 10)
 //   --slow-query-ms N log any /search slower than N ms to stderr with its
 //                     measured operator counters (default 0 = disabled)
-//   --trace-ring N    keep the last N query traces in the in-process ring
-//                     (common::Tracer) for post-hoc debugging (default 0 =
-//                     tracing gated off, one relaxed atomic per query)
 //   --mmap-index      map a v5 index instead of materializing it: postings
 //                     stay on disk and decode on demand through a metered
 //                     block cache (reported on /stats + /metrics). v3/v4
@@ -55,7 +51,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/trace.h"
 #include "core/request.h"
 #include "server/search_service.h"
 #include "text/structure.h"
@@ -68,8 +63,8 @@ int Usage() {
       "usage: graft_server --index FILE [--port N] [--segments N]\n"
       "                    [--threads N] [--max-inflight N]\n"
       "                    [--deadline-ms N] [--default-k N]\n"
-      "                    [--slow-query-ms N] [--trace-ring N]\n"
-      "                    [--mmap-index] [--block-cache-mb N]\n");
+      "                    [--slow-query-ms N] [--mmap-index]\n"
+      "                    [--block-cache-mb N]\n");
   return 2;
 }
 
@@ -135,10 +130,6 @@ int main(int argc, char** argv) {
             "--block-cache-mb must be in [1, 2^24]"));
       }
       options.block_cache_bytes = *parsed << 20;
-    } else if (arg == "--trace-ring") {
-      if (*parsed > 0) {
-        graft::common::Tracer::Global().Enable(*parsed);
-      }
     } else {
       return Usage();
     }
