@@ -10,10 +10,13 @@ Fails (exit 1) when the reference pages under docs/ fall behind the code:
     of ServerStats and BlockCache::Snapshot, and the files that render the
     remaining gauges and summaries) must appear in docs/operations.md;
   * every command-line flag graft_server parses (arg == "--flag" in
-    tools/graft_server.cc) must appear in docs/operations.md;
+    tools/graft_server.cc) must appear in docs/operations.md, and every
+    row of that page's flag table ("| `--flag ...` |") must name a flag
+    the binary parses;
   * likewise for the router: every "graft_..." metric name in
-    ROUTER_METRIC_SOURCES (its counter tables and router_service.cc) and
-    every flag graft_router parses must appear in docs/distributed.md;
+    ROUTER_METRIC_SOURCES (its counter tables and router_service.cc) must
+    appear in docs/distributed.md, and its flag table must match the
+    flags graft_router parses, both ways;
   * every counter name of the exec::ExecStats table (kExecCounters in
     src/exec/operators.h) must have a row ("| `name` |") in
     docs/operators.md;
@@ -113,20 +116,31 @@ def check_metrics(ops_text, metric_names, page="docs/operations.md"):
     ]
 
 
-# ---- check 3: operations page lists every graft_server flag --------------
+# ---- check 3: a binary's flag table lists exactly the flags it parses -----
 
 
 def server_flags(flag_source_text):
     return sorted(set(re.findall(r'arg == "(--[a-z][a-z-]*)"', flag_source_text)))
 
 
+def flag_rows(doc_text):
+    """Flags named by the page's flag-table rows ("| `--flag ...` |")."""
+    return re.findall(r"^\| `(--[a-z][a-z-]*)", doc_text, re.M)
+
+
 def check_flags(ops_text, flags, page="docs/operations.md", binary="graft_server"):
-    return [
+    missing = [
         f"{page} does not document {binary} flag {flag}"
         for flag in flags
         if f"`{flag}" not in ops_text and f"| {flag}" not in ops_text
         and flag not in ops_text
     ]
+    stale = [
+        f"{page} documents {flag}, which {binary} does not parse"
+        for flag in flag_rows(ops_text)
+        if flag not in flags
+    ]
+    return missing + stale
 
 
 # ---- check 3b: operators page has a row per ExecStats counter ------------
@@ -350,6 +364,12 @@ def self_test():
         failures.append("flags check missed a removed flag row")
     if check_flags(ops, flags):
         failures.append("flags check fails on the real docs")
+    if "--mmap-index" not in flag_rows(ops):
+        failures.append("flag-row extraction lost --mmap-index")
+    stale_row = "| `--retired-flag N` | 0 = off | parsed by nothing |\n"
+    mutated = ops.replace("| `--mmap-index`", stale_row + "| `--mmap-index`", 1)
+    if not check_flags(mutated, flags):
+        failures.append("flags check missed a stale flag row")
 
     dist = read("docs/distributed.md")
     router_metrics = exported_metrics(read(p) for p in ROUTER_METRIC_SOURCES)
@@ -371,6 +391,13 @@ def self_test():
         mutated, router_flags, page="docs/distributed.md", binary="graft_router"
     ):
         failures.append("router flags check missed a removed flag row")
+    mutated = dist.replace(
+        "| `--hedge-ms", "| `--retired-flag N` | 0 | parsed by nothing |\n| `--hedge-ms", 1
+    )
+    if not check_flags(
+        mutated, router_flags, page="docs/distributed.md", binary="graft_router"
+    ):
+        failures.append("router flags check missed a stale flag row")
     if check_flags(
         dist, router_flags, page="docs/distributed.md", binary="graft_router"
     ):
