@@ -1,5 +1,7 @@
 #include "core/canonical_plan.h"
 
+#include <algorithm>
+
 namespace graft::core {
 
 namespace {
@@ -132,17 +134,25 @@ ma::PlanNodePtr ColumnFirstScoring(ma::PlanNodePtr matching,
                                    const std::set<mcalc::VarId>& aggregated,
                                    const std::string& count_column) {
   // π applies α to each cell still in position form; aggregated columns
-  // and the count column pass through.
+  // and the count column pass through. γ_d ⊕-folds each column: a
+  // position-form column's rows each stand for `count_column` match rows;
+  // an aggregated column folds over the document's remaining rows, which
+  // scales it by their multiplicity. Position-form columns come first.
+  std::vector<mcalc::VarId> order = vars;
+  std::stable_partition(order.begin(), order.end(), [&](mcalc::VarId var) {
+    return aggregated.count(var) == 0;
+  });
   std::vector<ma::ProjectItem> alpha_items;
-  for (const mcalc::VarId var : vars) {
+  ma::GroupSpec group;
+  for (const mcalc::VarId var : order) {
+    const std::string score = ma::ScoreColumn(var);
     if (aggregated.count(var) == 0) {
       alpha_items.push_back(ma::ProjectItem::Scored(
-          ma::ScoreColumn(var), ma::ScoreExpr::InitPos(ma::PosColumn(var))));
-    }
-  }
-  for (const mcalc::VarId var : vars) {
-    if (aggregated.count(var) != 0) {
-      alpha_items.push_back(ma::ProjectItem::Passthrough(ma::ScoreColumn(var)));
+          score, ma::ScoreExpr::InitPos(ma::PosColumn(var))));
+      group.score_aggs.push_back({score, score, count_column});
+    } else {
+      alpha_items.push_back(ma::ProjectItem::Passthrough(score));
+      group.score_aggs.push_back({score, score, ""});
     }
   }
   if (!count_column.empty()) {
@@ -150,23 +160,6 @@ ma::PlanNodePtr ColumnFirstScoring(ma::PlanNodePtr matching,
   }
   ma::PlanNodePtr plan =
       ma::MakeProject(std::move(matching), std::move(alpha_items));
-
-  // γ_d ⊕-folds each column. A position-form column's rows each stand for
-  // `count_column` match rows; an aggregated column folds over the
-  // document's remaining rows, which scales it by their multiplicity.
-  ma::GroupSpec group;
-  for (const mcalc::VarId var : vars) {
-    if (aggregated.count(var) == 0) {
-      group.score_aggs.push_back(
-          {ma::ScoreColumn(var), ma::ScoreColumn(var), count_column});
-    }
-  }
-  for (const mcalc::VarId var : vars) {
-    if (aggregated.count(var) != 0) {
-      group.score_aggs.push_back(
-          {ma::ScoreColumn(var), ma::ScoreColumn(var), ""});
-    }
-  }
   plan = ma::MakeGroup(std::move(plan), std::move(group));
 
   // π evaluates Φ over the column scores and applies ω.

@@ -37,9 +37,9 @@ namespace graft::core {
 // Produces the query's match table.
 StatusOr<ma::PlanNodePtr> BuildMatchingSubplan(const mcalc::Query& query);
 
-// As above but without the final τ (used by optimized plans once sort
-// elimination applies) and, when `inline_selections` is true, with each
-// constraint already placed at its natural scope instead of a top σ.
+// As above but without the final τ: the optimizer's starting point, which
+// strips the σ, re-places its constraints and adds τ back only when sort
+// elimination does not apply.
 StatusOr<ma::PlanNodePtr> BuildMatchingSubplanNoSort(
     const mcalc::Query& query);
 
