@@ -22,16 +22,23 @@ namespace graft::ma {
 //   cx<i>  the i-th count product formed at a join (eager aggregation)
 //   s, cw  a row's score and its count weight (row-first folds)
 //   score  the document's finalized score
+
+// Appends rather than prepends: gcc 12 reports a spurious -Wrestrict on
+// `"p" + std::to_string(n)`.
+inline std::string NumberedColumn(std::string prefix, int n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
 inline std::string PosColumn(mcalc::VarId var) {
-  return "p" + std::to_string(var);
+  return NumberedColumn("p", var);
 }
 inline std::string CountColumn(mcalc::VarId var) {
-  return "c" + std::to_string(var);
+  return NumberedColumn("c", var);
 }
 inline std::string ScoreColumn(mcalc::VarId var) {
-  return "s" + std::to_string(var);
+  return NumberedColumn("s", var);
 }
-inline std::string JoinCountColumn(int i) { return "cx" + std::to_string(i); }
+inline std::string JoinCountColumn(int i) { return NumberedColumn("cx", i); }
 inline constexpr char kRowScoreColumn[] = "s";
 inline constexpr char kRowWeightColumn[] = "cw";
 inline constexpr char kFinalScoreColumn[] = "score";
