@@ -212,5 +212,19 @@ TEST(EvaluatorUnitsTest, PlanPrinting) {
   EXPECT_NE(text.find("A('alpha', d, p0)"), std::string::npos);
 }
 
+TEST(EvaluatorUnitsTest, ColumnNamesCarryTheVariableNumber) {
+  // One namer mints every plan column; multi-digit variables keep all
+  // their digits, and an atom's output column is its variable's p-column.
+  EXPECT_EQ(PosColumn(3), "p3");
+  EXPECT_EQ(CountColumn(12), "c12");
+  EXPECT_EQ(ScoreColumn(0), "s0");
+  EXPECT_EQ(JoinCountColumn(10), "cx10");
+  index::InvertedIndex index = TinyIndex();
+  PlanNodePtr plan = MakeAtom("alpha", 12);
+  EXPECT_EQ(plan->output_column, "p12");
+  ASSERT_TRUE(ResolvePlan(plan.get(), index).ok());
+  EXPECT_NE(PlanToString(*plan).find("A('alpha', d, p12)"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace graft::ma
